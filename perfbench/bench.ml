@@ -3,7 +3,8 @@
    public functions the CLI and the --serve daemon call, checks every
    verdict against DIR/expect.txt and prints one JSON result line last.
 
-   TRACE 0 measures the end-to-end metrics with telemetry off.  TRACE 1
+   TRACE 0 measures the end-to-end metrics, with telemetry as the CLI
+   (disabled) and the daemon (enabled) run it.  TRACE 1
    is the separate traced run: an untraced reference pass, then the same
    path again with each layer call wrapped in a stage timer (and enabled
    telemetry registries), then replays of the inner layers on the
@@ -134,21 +135,91 @@ let m name unit_ value = { name; value; unit_ }
 (* The host's speed drifts by tens of percent within minutes (shared
    vCPUs): one pass over the same input read 1.18-1.61 s across four
    consecutive runs.  So every end-to-end time is scaled to a reference
-   speed: a fixed stdlib-only loop is timed right before and right after
-   the measured section, and the section's seconds are multiplied by
-   [calibration_ref] over the loop's mean time.  A program change moves
-   the section, never the loop. *)
-let calibration_ref = 0.1
+   speed: a fixed loop is timed right before and right after every
+   set-up, pass or group of edits, and the section's seconds are
+   multiplied by [calibration_ref] over the loop's mean time.
+
+   The loop must not depend on the program under test, so it runs in a
+   fresh child process ([bench.exe calibrate]) whose heap holds only the
+   loop's own data: nothing the measured process has allocated or left
+   behind can slow it.  It allocates like the workloads do (a string
+   hash table and a list sort), which is why it follows their drift
+   closely; an in-process loop that allocated nothing followed it
+   poorly.  The run prints the loop's time before any input is read
+   and once the inputs are loaded (the "calibration:" line), which
+   steady.py compares: the ratio stays near 1. *)
+(* About a reading's time on the host the benchmark was tuned on, so a
+   scaled time reads close to seconds there. *)
+let calibration_ref = 0.07
+
+(* Three runs of the loop, the median reported: one preempted run does
+   not move a reading. *)
+let calibration_loop () =
+  let once () =
+    let t0 = now () in
+    let h = Hashtbl.create 1024 in
+    for i = 0 to 69_999 do
+      Hashtbl.replace h (string_of_int (i * 7919 mod 100_003)) i
+    done;
+    ignore (List.sort compare (List.init 70_000 (fun i -> i * 7919 mod 100_003)));
+    ignore (Hashtbl.length h);
+    since t0
+  in
+  median (List.init 3 (fun _ -> once ()))
 
 let calibrate () =
-  let t0 = now () in
-  let h = Hashtbl.create 1024 in
-  for i = 0 to 199_999 do
-    Hashtbl.replace h (string_of_int (i * 7919 mod 100_003)) i
-  done;
-  ignore (List.sort compare (List.init 200_000 (fun i -> i * 7919 mod 100_003)));
-  ignore (Hashtbl.length h);
-  since t0
+  let exe = Sys.executable_name in
+  let ic = Unix.open_process_args_in exe [| exe; "calibrate" |] in
+  let line = In_channel.input_all ic in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED 0 -> float_of_string (String.trim line)
+  | _ -> failwith "calibration loop failed"
+
+(* Every loop reading, for the "calibration:" line. *)
+let before_inputs_loops = ref []
+let loaded_loops = ref []
+let loaded_heap_mb = ref 0.
+
+(* The latest loop reading. *)
+let latest_loop = ref 0.
+
+(* Collect the heap, then read the loop.  The full major cycle
+   after the compaction sweeps what the compaction's own cycle freed;
+   without it the process kept memory it no longer used and the peak
+   RSS climbed from pass to pass (portal-report: 208 MB on the first
+   pass, 374 MB by the fourth; with it, 214 MB throughout). *)
+let collect () =
+  Gc.compact ();
+  Gc.full_major ();
+  let c = calibrate () in
+  latest_loop := c;
+  loaded_loops := c :: !loaded_loops;
+  let live = (Gc.quick_stat ()).Gc.heap_words in
+  loaded_heap_mb := Float.max !loaded_heap_mb (float_of_int (live * (Sys.word_size / 8)) /. 1e6)
+
+(* Seconds measured after loop reading [c0], at the reference speed;
+   valid once the [collect] that follows them has read the loop again.
+   The host's speed also jumps from one second to the next, so each
+   section is scaled by its own pair of readings: over the same runs
+   this spread less than scaling a whole phase by the median of its
+   readings (pass means within 7 % against 10-26 %). *)
+let scale c0 = 2. *. calibration_ref /. (c0 +. !latest_loop)
+
+(* Before any input is read: the loop's reference reading. *)
+let calibrate_before_inputs () =
+  for _ = 1 to 3 do
+    before_inputs_loops := calibrate () :: !before_inputs_loops
+  done
+
+let calibration_note () =
+  Printf.sprintf
+    "calibration: loop median %.6f s before the inputs are read (%d readings), %.6f s with them \
+     loaded (%d readings, measured process's heap up to %.0f MB)"
+    (median !before_inputs_loops)
+    (List.length !before_inputs_loops)
+    (median !loaded_loops)
+    (List.length !loaded_loops)
+    !loaded_heap_mb
 
 (* Restart the kernel's RSS high-water mark, so the next reading covers
    only what follows. *)
@@ -156,44 +227,70 @@ let reset_peak () =
   try Out_channel.with_open_text "/proc/self/clear_refs" (fun oc -> output_string oc "5")
   with Sys_error _ -> ()
 
-(* [f ()] from a collected heap, timed and scaled, with the process's
-   peak RSS during the call. *)
+(* The last section's raw seconds, the loop reading before it and its
+   peak RSS.  They are kept here rather than returned beside the value,
+   so that nothing the caller still holds across the next [collect]
+   keeps the section's result alive. *)
+let last_section = ref (0., 0., 0.)
+
+(* [f ()] from the heap the last [collect] left, timed, with the
+   process's peak RSS during the call.  The caller drops what it no
+   longer needs, calls [collect], then reads the section with
+   [measured]. *)
 let section f =
-  let c0 = calibrate () in
-  Gc.compact ();
+  let c0 = !latest_loop in
   reset_peak ();
-  let v, dt = time f in
-  let peak = peak_rss_mb () in
-  (v, dt *. 2. *. calibration_ref /. (c0 +. calibrate ()), peak)
+  let t0 = now () in
+  let v = f () in
+  let dt = since t0 in
+  last_section := (dt, c0, peak_rss_mb ());
+  v
 
-let setup_repeats = 3
+(* The last section's scaled seconds and peak RSS. *)
+let measured () =
+  let dt, c0, peak = !last_section in
+  (dt *. scale c0, peak)
 
-(* Set up [setup_repeats] times and keep the last state: setup_s and the
-   set-up's peak RSS are medians, so one unlucky set-up does not move
-   them. *)
+(* Set up three times, and up to five while the set-ups so far took
+   under two seconds (short set-ups are the noisiest, long ones cost the
+   run the most); keep the last state.  setup_s and the set-up's peak
+   RSS are medians, so one unlucky set-up does not move them.  Each
+   set-up starts from a collected heap that holds none of the earlier
+   ones. *)
 let repeated_setup setup =
   let times = ref [] and peaks = ref [] and last = ref None in
-  for _ = 1 to setup_repeats do
-    last := None;
-    let v, dt, peak = section setup in
+  let k = ref 0 and raw_total = ref 0. and more = ref true in
+  collect ();
+  while !more do
+    incr k;
+    let v = section setup in
+    let raw, _, _ = !last_section in
+    raw_total := !raw_total +. raw;
+    more := !k < 3 || (!k < 5 && !raw_total < 2.);
+    if not !more then last := Some v;
+    collect ();
+    let dt, peak = measured () in
     times := dt :: !times;
-    peaks := peak :: !peaks;
-    last := Some v
+    peaks := peak :: !peaks
   done;
   (Option.get !last, median !times, median !peaks)
 
-(* Repeat [pass] until [seconds] of (scaled) pass time have been
-   measured, at least [min_passes] times.  [pass i] returns a thunk that
-   verifies its verdicts outside the section and returns their number;
-   the first pass may reuse the set-up state. *)
+(* Repeat [pass] until [seconds] of pass time have been measured (on the
+   clock, so a slow host does not lengthen the run), at least
+   [min_passes] times; returns the scaled pass times.  [pass i] returns
+   a thunk that verifies its verdicts outside the section and returns
+   their number; the first pass may reuse the set-up state. *)
 let passes ~seconds ~min_passes pass =
-  let times = ref [] and peaks = ref [] and checks = ref 0 and i = ref 0 in
-  while sum !times < seconds || !i < min_passes do
-    let verify, dt, peak = section (fun () -> pass !i) in
-    let c = verify () in
+  let times = ref [] and peaks = ref [] and checks = ref 0 and i = ref 0 and raw_total = ref 0. in
+  while !raw_total < seconds || !i < min_passes do
+    let verify = section (fun () -> pass !i) in
+    checks := !checks + verify ();
+    collect ();
+    let raw, _, _ = !last_section in
+    raw_total := !raw_total +. raw;
+    let dt, peak = measured () in
     times := dt :: !times;
     peaks := peak :: !peaks;
-    checks := !checks + c;
     incr i
   done;
   (!times, !checks, median !peaks)
@@ -301,18 +398,19 @@ let query_count = ref 0
 let traced_run ?(replays = ignore) ~workload ~reference ~traced () =
   (* The overhead compares two runs made seconds apart, so both are
      scaled by the calibration loop around them. *)
-  let scaled c0 s = s *. 2. *. calibration_ref /. (c0 +. calibrate ()) in
-  let c0 = calibrate () in
-  Gc.compact ();
-  let untraced_s = scaled c0 (reference ()) in
-  let c1 = calibrate () in
-  Gc.compact ();
+  collect ();
+  let c0 = !latest_loop in
+  let reference_s = reference () in
+  collect ();
+  let untraced_s = reference_s *. scale c0 in
+  let c1 = !latest_loop in
   tracing := true;
   let majors0 = (Gc.quick_stat ()).Gc.major_collections in
   let t0 = now () in
   let attempted, failed, session, pairs, c = traced () in
   let path_s = since t0 in
-  stage "harness.gc" Gc.compact;
+  stage "harness.gc" collect;
+  let traced_s = path_s *. scale c1 in
   replays ();
   let replayed, dtriples = replay session pairs in
   let wall = since t0 in
@@ -324,7 +422,7 @@ let traced_run ?(replays = ignore) ~workload ~reference ~traced () =
     if replayed = 0 then 0.
     else (seconds_of "neigh.extract" +. seconds_of "match.replay") /. float_of_int replayed
   in
-  let overhead = (scaled c1 path_s /. untraced_s) -. 1. in
+  let overhead = (traced_s /. untraced_s) -. 1. in
   let table = Buffer.create 2048 in
   Printf.bprintf table
     "per-layer table: %s  (traced wall %.4f s; traced path %.4f s vs untraced %.4f s)\n" workload
@@ -540,9 +638,15 @@ let wide_shapes dir =
 
 (* -- portal-edits: the daemon steady state --------------------------- *)
 
-let queries_per_edit = 64
+(* No recorded daemon traffic exists to take the mix from, so it is
+   set by a rule: queries and edits each take about half of a block.
+   With the daemon's enabled registry one apply cost 104 us on average
+   and one memo-hit query 1.08 us (traced run, seed 1), so 96 queries
+   per edit.  Query targets are uniform over all persons, valid and
+   invalid alike: no locality is assumed. *)
+let queries_per_edit = 96
 let pairs_per_block = 50
-let blocks_per_group = 20
+let blocks_per_group = 60
 
 let foaf_name = Rdf.Iri.of_string_exn "http://xmlns.com/foaf/0.1/name"
 
@@ -551,7 +655,11 @@ let portal_edits dir ~seconds ~trace exp =
   let setup () =
     let schema = read_schema dir in
     let graph = parse_graph dir in
-    let inc = stage "incremental.create" (fun () -> S.create ~telemetry:(registry ()) schema graph) in
+    (* The daemon always runs with an enabled registry (bin/serve.ml), so
+       the edit stream does too, traced or not. *)
+    let inc =
+      stage "incremental.create" (fun () -> S.create ~telemetry:(Telemetry.create ()) schema graph)
+    in
     let person = List.hd (Shex.Schema.labels schema) in
     let persons = Rdf.Graph.subjects graph in
     stage "incremental.warm" (fun () ->
@@ -690,13 +798,16 @@ let portal_edits dir ~seconds ~trace exp =
   else begin
     let (inc, person, persons), setup_s, setup_peak = repeated_setup setup in
     let inputs = prepare inc in
-    Gc.compact ();
+    collect ();
     reset_peak ();
-    (* Blocks are ~10 ms, so the calibration loop brackets groups of
-       them rather than each one. *)
-    let blocks = ref [] and ops_time = ref 0. and ops = ref 0 and i = ref 0 in
-    while !ops_time < seconds do
-      let c0 = calibrate () in
+    (* Blocks are ~15 ms, so the heap is collected and the loop read
+       between groups of them (~1 s) rather than around each one.  Like
+       every batch pass, each group starts from a collected heap;
+       otherwise the peak depends on where the major GC happens to be
+       (it read 300 or 369 MB on otherwise equal runs). *)
+    let blocks = ref [] and ops = ref 0 and i = ref 0 and raw_total = ref 0. in
+    while !raw_total < seconds do
+      let c0 = !latest_loop in
       let group =
         List.init blocks_per_group (fun _ ->
             let block = ref 0. in
@@ -706,16 +817,9 @@ let portal_edits dir ~seconds ~trace exp =
             done;
             !block)
       in
-      let scale = 2. *. calibration_ref /. (c0 +. calibrate ()) in
-      (* Like every batch pass, each group starts from a collected heap;
-         otherwise the peak depends on where the major GC happens to be
-         (it read 300 or 369 MB on otherwise equal runs). *)
-      Gc.compact ();
-      List.iter
-        (fun b ->
-          blocks := (b *. scale) :: !blocks;
-          ops_time := !ops_time +. (b *. scale))
-        group;
+      collect ();
+      raw_total := !raw_total +. sum group;
+      blocks := List.map (fun b -> b *. scale c0) group @ !blocks;
       ops := !ops + (blocks_per_group * pairs_per_block * 2 * (1 + queries_per_edit))
     done;
     let timed_peak = peak_rss_mb () in
@@ -735,7 +839,7 @@ let portal_edits dir ~seconds ~trace exp =
       !failed,
       [ m "setup_s" "s" setup_s;
         m "wall_s" "s" (median !blocks);
-        m "checks_per_s" "1/s" (float_of_int !ops /. !ops_time);
+        m "checks_per_s" "1/s" (float_of_int !ops /. sum !blocks);
         m "peak_rss_mb" "MB" (Float.max setup_peak timed_peak) ],
       note )
   end
@@ -757,8 +861,10 @@ let json_result ~attempted ~failed metrics =
 
 let () =
   match Sys.argv with
+  | [| _; "calibrate" |] -> Printf.printf "%.9f\n" (calibration_loop ())
   | [| _; workload; dir; seconds; trace |] ->
       let seconds = float_of_string seconds and trace = trace = "1" in
+      calibrate_before_inputs ();
       let exp = read_expect dir in
       let run =
         match workload with
@@ -772,6 +878,7 @@ let () =
       in
       let attempted, failed, metrics, note = run dir ~seconds ~trace exp in
       if note <> "" then print_string (if String.ends_with ~suffix:"\n" note then note else note ^ "\n");
+      print_endline (calibration_note ());
       print_endline (json_result ~attempted ~failed metrics)
   | _ ->
       prerr_endline "usage: bench WORKLOAD DIR SECONDS TRACE";
