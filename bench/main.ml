@@ -1405,8 +1405,8 @@ let e17 () =
     else [ 1_000_000; 3_000_000 ]
   in
   row "@.  -- interned bulk scale --@.";
-  row "  %-9s %-8s %-9s %-9s %-10s %-9s %-10s %-9s@." "triples" "file-MB"
-    "load" "load-MT/s" "terms" "validate" "val-MT/s" "peak-MB";
+  row "  %-9s %-8s %-10s %-9s %-9s %-10s %-9s %-10s %-9s@." "triples" "file-MB"
+    "parse-MT/s" "load" "load-MT/s" "terms" "validate" "val-MT/s" "peak-MB";
   List.iter
     (fun triples ->
       let path = Filename.temp_file "e17_bulk" ".nt" in
@@ -1415,6 +1415,13 @@ let e17 () =
       @@ fun () ->
       write_nt_portal path (nt_portal_persons triples);
       let mb = file_mb path in
+      (* Parse-only: lexing and term construction, no interning. *)
+      let (), t_parse =
+        once (fun () ->
+            match Turtle.Ntriples.fold_file path (fun () _ -> ()) () with
+            | Ok () -> ()
+            | Error msg -> failwith msg)
+      in
       let store, t_load =
         once (fun () ->
             match Turtle.Ntriples.load_file path with
@@ -1422,6 +1429,7 @@ let e17 () =
             | Error msg -> failwith msg)
       in
       let cardinal = Rdf.Columnar.cardinal store in
+      let parse_mtps = float_of_int cardinal /. t_parse /. 1e6 in
       let load_mtps = float_of_int cardinal /. t_load /. 1e6 in
       let typed, t_val =
         once (fun () ->
@@ -1436,13 +1444,14 @@ let e17 () =
       let peak = Option.value (peak_rss_mb ()) ~default:heap_peak_mb in
       jrow
         [ ("triples", jint cardinal); ("file_mb", jflt mb);
+          ("parse_s", jflt t_parse); ("parse_mtps", jflt parse_mtps);
           ("load_s", jflt t_load); ("load_mtps", jflt load_mtps);
           ("terms", jint (Rdf.Columnar.terms_cardinal store));
           ("validate_s", jflt t_val); ("validate_mtps", jflt val_mtps);
           ("peak_rss_mb", jflt peak); ("heap_peak_mb", jflt heap_peak_mb);
           ("typed", jint typed) ];
-      row "  %-9d %6.1f %7.2f s %8.2f %9d %7.2f s %8.2f %8.0f@." cardinal
-        mb t_load load_mtps
+      row "  %-9d %6.1f %10.2f %7.2f s %8.2f %9d %7.2f s %8.2f %8.0f@."
+        cardinal mb parse_mtps t_load load_mtps
         (Rdf.Columnar.terms_cardinal store)
         t_val val_mtps peak)
     sizes;

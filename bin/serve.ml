@@ -466,13 +466,25 @@ type reader = {
   rbuf : Buffer.t;  (* bytes read but not yet terminated by '\n' *)
   chunk : Bytes.t;
   mutable eof : bool;
+  mutable discarding : bool;  (* inside an over-long line *)
 }
 
-let make_reader () = { rbuf = Buffer.create 512; chunk = Bytes.create 65536; eof = false }
+(* A longer command line is answered "error: line too long" and dropped
+   up to its newline, so one client cannot grow the daemon without
+   bound. *)
+let max_line = 16 * 1024 * 1024
+
+type input = Line of string | Too_long
+
+let make_reader () =
+  { rbuf = Buffer.create 512; chunk = Bytes.create 65536; eof = false;
+    discarding = false }
 
 (* Read once (the fd just selected readable) and return the completed
-   lines, keeping any trailing partial line buffered.  At EOF a
-   non-empty partial counts as a final line. *)
+   lines, keeping any trailing partial line buffered.  Only the new
+   bytes are scanned for '\n', so a line costs time linear in its
+   length however many reads it spans.  At EOF a non-empty partial
+   counts as a final line. *)
 let reader_drain r fd =
   match Unix.read fd r.chunk 0 (Bytes.length r.chunk) with
   | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) -> []
@@ -480,22 +492,34 @@ let reader_drain r fd =
       r.eof <- true;
       let rest = Buffer.contents r.rbuf in
       Buffer.clear r.rbuf;
-      if rest = "" then [] else [ rest ]
+      if rest = "" then [] else [ Line rest ]
   | n ->
-      Buffer.add_subbytes r.rbuf r.chunk 0 n;
-      let s = Buffer.contents r.rbuf in
-      let parts = String.split_on_char '\n' s in
-      let rec split_last acc = function
-        | [ last ] -> (List.rev acc, last)
-        | x :: tl -> split_last (x :: acc) tl
-        | [] -> ([], "")
+      let inputs = ref [] in
+      (* Append chunk[start, stop) to the pending line. *)
+      let append start stop =
+        if r.discarding then ()
+        else if Buffer.length r.rbuf + (stop - start) > max_line then begin
+          Buffer.reset r.rbuf;
+          r.discarding <- true;
+          inputs := Too_long :: !inputs
+        end
+        else Buffer.add_subbytes r.rbuf r.chunk start (stop - start)
       in
-      let lines, partial = split_last [] parts in
-      Buffer.clear r.rbuf;
-      Buffer.add_string r.rbuf partial;
-      lines
+      let start = ref 0 in
+      for i = 0 to n - 1 do
+        if Bytes.get r.chunk i = '\n' then begin
+          append !start i;
+          if not r.discarding then
+            inputs := Line (Buffer.contents r.rbuf) :: !inputs;
+          Buffer.clear r.rbuf;
+          r.discarding <- false;
+          start := i + 1
+        end
+      done;
+      append !start n;
+      List.rev !inputs
 
-let process_line st obs line =
+let process_line st obs input =
   Telemetry.Counter.incr st.requests;
   st.request_id <- st.request_id + 1;
   let rid = st.request_id in
@@ -504,15 +528,18 @@ let process_line st obs line =
   | None -> ());
   let t0 = Telemetry.now () in
   let result, quit =
-    match Json.of_string line with
-    | Error msg -> (Error ("parse: " ^ msg), false)
-    | Ok cmd -> (
-        match handle st obs cmd with
-        | json -> (Ok json, false)
-        | exception Quit json -> (Ok json, true)
-        | exception Bad msg -> (Error msg, false)
-        | exception (Sys_error msg | Failure msg | Invalid_argument msg) ->
-            (Error msg, false))
+    match input with
+    | Too_long -> (Error "line too long", false)
+    | Line line -> (
+        match Json.of_string line with
+        | Error msg -> (Error ("parse: " ^ msg), false)
+        | Ok cmd -> (
+            match handle st obs cmd with
+            | json -> (Ok json, false)
+            | exception Quit json -> (Ok json, true)
+            | exception Bad msg -> (Error msg, false)
+            | exception (Sys_error msg | Failure msg | Invalid_argument msg) ->
+                (Error msg, false)))
   in
   let dt = max 0. (Telemetry.now () -. t0) in
   Telemetry.Span.record st.request_span dt;
@@ -560,8 +587,9 @@ let rec loop st obs reader =
       if List.mem Unix.stdin readable then begin
         let lines = reader_drain reader Unix.stdin in
         List.iter
-          (fun line ->
-            if String.trim line <> "" then process_line st obs line)
+          (function
+            | Line line when String.trim line = "" -> ()
+            | input -> process_line st obs input)
           lines;
         if reader.eof && obs.http = None && obs.journal = None then
           (* Plain daemon: EOF ends the conversation, like before the

@@ -5,17 +5,19 @@ let forbidden_char c =
   | '<' | '>' | '"' | '{' | '}' | '|' | '^' | '`' | '\\' | ' ' -> true
   | c -> Char.code c <= 0x20
 
+(* A loop, not a local recursive function: bulk loads validate every
+   IRI they read, and a closure would be allocated per IRI. *)
 let validate s =
   let n = String.length s in
-  let rec check i =
-    if i >= n then Ok s
-    else if forbidden_char s.[i] then
-      Error
-        (Printf.sprintf "invalid character %C at position %d in IRI %S" s.[i]
-           i s)
-    else check (i + 1)
-  in
-  check 0
+  let i = ref 0 in
+  while !i < n && not (forbidden_char s.[!i]) do
+    incr i
+  done;
+  if !i >= n then Ok s
+  else
+    Error
+      (Printf.sprintf "invalid character %C at position %d in IRI %S" s.[!i]
+         !i s)
 
 let of_string s = validate s
 

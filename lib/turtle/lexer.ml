@@ -52,7 +52,7 @@ let window_size = 65536
 
 (* Guarantee [k] readable bytes at [pos] (or EOF): compact the window
    and refill.  No token construct keeps absolute positions across
-   [advance] calls, so sliding the buffer is invisible above. *)
+   [ensure] calls, so sliding the buffer is invisible above. *)
 let ensure st k =
   if st.len - st.pos < k && not st.eof then begin
     let rem = st.len - st.pos in
@@ -74,37 +74,125 @@ let ensure st k =
     done
   end
 
+(* Lookahead is int-coded: the byte [i] places past the cursor, or
+   [-1] at end of input.  (A [char option] costs a fresh [Some] box per
+   byte without flambda.) *)
 let peek_at st i =
-  ensure st (i + 1);
-  if st.pos + i < st.len then Some (Bytes.get st.buf (st.pos + i)) else None
+  if st.pos + i >= st.len then ensure st (i + 1);
+  if st.pos + i < st.len then Char.code (Bytes.unsafe_get st.buf (st.pos + i))
+  else -1
 
 let peek st = peek_at st 0
-let peek2 st = peek_at st 1
+let code = Char.code
 
+(* Step over one byte of any kind.  LF ends a line; so does a bare CR
+   (classic-Mac or mixed-EOL input), while in a CRLF pair only the LF
+   counts. *)
 let advance st =
-  (match peek st with
-  | Some '\n' ->
-      st.line <- st.line + 1;
-      st.col <- 1
-  | Some '\r' when peek2 st <> Some '\n' ->
-      (* A bare CR is a line ending of its own (classic-Mac or
-         mixed-EOL input); in a CRLF pair only the LF counts. *)
-      st.line <- st.line + 1;
-      st.col <- 1
-  | Some _ -> st.col <- st.col + 1
-  | None -> ());
+  let c = peek st in
+  if c = code '\n' || (c = code '\r' && peek_at st 1 <> code '\n') then begin
+    st.line <- st.line + 1;
+    st.col <- 1
+  end
+  else if c >= 0 then st.col <- st.col + 1;
   if st.pos < st.len then st.pos <- st.pos + 1
+
+(* Step over [n] bytes already seen in the window, none a line break. *)
+let skip st n =
+  st.pos <- st.pos + n;
+  st.col <- st.col + n
 
 let error st msg = raise (Error (msg, st.line, st.col))
 
-let is_ws = function ' ' | '\t' | '\r' | '\n' -> true | _ -> false
-let is_digit c = c >= '0' && c <= '9'
+(* ------------------------------------------------------------------ *)
+(* Runs                                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Byte classes, one bit each.  A token body is found as a maximal run
+   of its class inside the window, then copied once. *)
+let iri_body = 1  (* anything but '>', '\\' and whitespace *)
+let dquote_body = 2  (* anything but '"', '\\' and line breaks *)
+let squote_body = 4  (* anything but '\'', '\\' and line breaks *)
+let comment_body = 8  (* anything but line breaks *)
+let pn_chars = 16  (* letters, digits, '_', '-', bytes ≥ 0x80 *)
+let local_plain = 32  (* [pn_chars] and ':' *)
+let lang_chars = 64  (* letters, digits, '-' *)
+let blank = 128  (* ' ' and '\t' *)
+let digit = 256
+
+let classes =
+  Array.init 256 (fun i ->
+      let c = Char.chr i in
+      let letter = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') in
+      let is_digit = c >= '0' && c <= '9' in
+      let line_break = c = '\n' || c = '\r' in
+      let pn = letter || is_digit || c = '_' || c = '-' || i >= 0x80 in
+      let bit b m = if b then m else 0 in
+      bit (not (c = '>' || c = '\\' || c = ' ' || c = '\t' || line_break))
+        iri_body
+      lor bit (not (c = '"' || c = '\\' || line_break)) dquote_body
+      lor bit (not (c = '\'' || c = '\\' || line_break)) squote_body
+      lor bit (not line_break) comment_body
+      lor bit pn pn_chars
+      lor bit (pn || c = ':') local_plain
+      lor bit (letter || is_digit || c = '-') lang_chars
+      lor bit (c = ' ' || c = '\t') blank
+      lor bit is_digit digit)
 
 let is_pn_chars_base c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || Char.code c >= 0x80
 
-let is_pn_chars c =
-  is_pn_chars_base c || is_digit c || c = '_' || c = '-'
+(* Is byte code [c] (possibly -1) in class [mask]? *)
+let is_in mask c = c >= 0 && Array.unsafe_get classes c land mask <> 0
+
+(* Length of the [mask] run at the cursor, stopping at the window end. *)
+let run st mask =
+  let buf = st.buf and len = st.len in
+  let i = ref st.pos in
+  while
+    !i < len
+    && Array.unsafe_get classes (Char.code (Bytes.unsafe_get buf !i)) land mask
+       <> 0
+  do
+    incr i
+  done;
+  !i - st.pos
+
+(* The byte [n] past the cursor if it is in the window, else -1. *)
+let window_byte st n =
+  if st.pos + n < st.len then Char.code (Bytes.unsafe_get st.buf (st.pos + n))
+  else -1
+
+(* Does a run of [n] bytes end before the window does?  At end of input
+   the window's end is the run's end too. *)
+let ends_in_window st n = st.pos + n < st.len || st.eof
+
+(* The [n] run bytes at the cursor, stepped over. *)
+let take st n =
+  let s = Bytes.sub_string st.buf st.pos n in
+  skip st n;
+  s
+
+let add_run buf st n =
+  Buffer.add_subbytes buf st.buf st.pos n;
+  skip st n
+
+(* A [mask] run that may cross window refills. *)
+let read_run st mask =
+  let n = run st mask in
+  if ends_in_window st n then take st n
+  else begin
+    let buf = Buffer.create (n + 16) in
+    add_run buf st n;
+    while is_in mask (peek st) do
+      add_run buf st (run st mask)
+    done;
+    Buffer.contents buf
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Escapes                                                             *)
+(* ------------------------------------------------------------------ *)
 
 (* Encode a Unicode scalar value as UTF-8 into the buffer. *)
 let add_utf8 buf cp =
@@ -126,174 +214,301 @@ let add_utf8 buf cp =
   end
 
 let hex_value st c =
-  match c with
-  | '0' .. '9' -> Char.code c - Char.code '0'
-  | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-  | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-  | _ -> error st (Printf.sprintf "invalid hex digit %C" c)
+  match Char.unsafe_chr c with
+  | '0' .. '9' -> c - code '0'
+  | 'a' .. 'f' -> c - code 'a' + 10
+  | 'A' .. 'F' -> c - code 'A' + 10
+  | ch -> error st (Printf.sprintf "invalid hex digit %C" ch)
 
+(* Called just past "\u" or "\U".  The value must be a Unicode scalar
+   value: [add_utf8] cannot encode one past U+10FFFF and surrogates are
+   no characters.  A bad one is reported at its backslash, which lies
+   two bytes back on this line. *)
 let read_unicode_escape st n buf =
+  let line = st.line and col = st.col - 2 in
   let cp = ref 0 in
   for _ = 1 to n do
-    match peek st with
-    | Some c ->
-        cp := (!cp * 16) + hex_value st c;
-        advance st
-    | None -> error st "unterminated \\u escape"
+    let c = peek st in
+    if c < 0 then error st "unterminated \\u escape";
+    cp := (!cp * 16) + hex_value st c;
+    skip st 1
   done;
+  if !cp > 0x10FFFF || (!cp >= 0xD800 && !cp <= 0xDFFF) then
+    raise
+      (Error
+         (Printf.sprintf "U+%04X is not a Unicode scalar value" !cp, line, col));
   add_utf8 buf !cp
 
 (* Escapes shared by strings; IRIs only allow \u / \U. *)
 let read_string_escape st buf =
-  match peek st with
-  | Some 'n' -> advance st; Buffer.add_char buf '\n'
-  | Some 't' -> advance st; Buffer.add_char buf '\t'
-  | Some 'r' -> advance st; Buffer.add_char buf '\r'
-  | Some 'b' -> advance st; Buffer.add_char buf '\b'
-  | Some 'f' -> advance st; Buffer.add_char buf '\012'
-  | Some '"' -> advance st; Buffer.add_char buf '"'
-  | Some '\'' -> advance st; Buffer.add_char buf '\''
-  | Some '\\' -> advance st; Buffer.add_char buf '\\'
-  | Some 'u' -> advance st; read_unicode_escape st 4 buf
-  | Some 'U' -> advance st; read_unicode_escape st 8 buf
-  | Some c -> error st (Printf.sprintf "invalid escape \\%c" c)
-  | None -> error st "unterminated escape"
+  let c = peek st in
+  if c < 0 then error st "unterminated escape";
+  match Char.unsafe_chr c with
+  | 'u' -> skip st 1; read_unicode_escape st 4 buf
+  | 'U' -> skip st 1; read_unicode_escape st 8 buf
+  | ch ->
+      let decoded =
+        match ch with
+        | 'n' -> '\n'
+        | 't' -> '\t'
+        | 'r' -> '\r'
+        | 'b' -> '\b'
+        | 'f' -> '\012'
+        | '"' | '\'' | '\\' -> ch
+        | _ -> error st (Printf.sprintf "invalid escape \\%c" ch)
+      in
+      skip st 1;
+      Buffer.add_char buf decoded
+
+(* ------------------------------------------------------------------ *)
+(* Token bodies                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Each reader first scans its body as one run in the window.  A run
+   ending at its terminator is copied once; anything else — an escape,
+   an error, the window's end — copies the run into a [Buffer] and
+   goes on byte by byte, refilling as it needs. *)
 
 let read_iriref st =
-  advance st; (* consume '<' *)
-  let buf = Buffer.create 32 in
+  skip st 1; (* '<' *)
+  let n = run st iri_body in
+  if window_byte st n = code '>' then begin
+    let iri = take st n in
+    skip st 1;
+    iri
+  end
+  else begin
+    let buf = Buffer.create (n + 32) in
+    add_run buf st n;
+    let rec go () =
+      let c = peek st in
+      if c < 0 then error st "unterminated IRI"
+      else
+        match Char.unsafe_chr c with
+        | '>' -> skip st 1; Buffer.contents buf
+        | '\\' ->
+            skip st 1;
+            let e = peek st in
+            if e = code 'u' then begin skip st 1; read_unicode_escape st 4 buf end
+            else if e = code 'U' then begin skip st 1; read_unicode_escape st 8 buf end
+            else error st "only \\u/\\U escapes are allowed in IRIs";
+            go ()
+        | ' ' | '\t' | '\r' | '\n' -> error st "whitespace in IRI"
+        | _ -> add_run buf st (run st iri_body); go ()
+    in
+    go ()
+  end
+
+(* In a long string a run of k ≥ 3 quotes means k−3 content quotes
+   followed by the terminator (greedy per the Turtle grammar); runs of
+   1–2 quotes are content.  Line breaks are content too. *)
+let read_long_string st quote body buf =
+  let q = code quote in
   let rec go () =
-    match peek st with
-    | Some '>' -> advance st; Buffer.contents buf
-    | Some '\\' -> (
-        advance st;
-        match peek st with
-        | Some 'u' -> advance st; read_unicode_escape st 4 buf; go ()
-        | Some 'U' -> advance st; read_unicode_escape st 8 buf; go ()
-        | _ -> error st "only \\u/\\U escapes are allowed in IRIs")
-    | Some c when is_ws c -> error st "whitespace in IRI"
-    | Some c -> advance st; Buffer.add_char buf c; go ()
-    | None -> error st "unterminated IRI"
+    let c = peek st in
+    if c < 0 then error st "unterminated string"
+    else if c = q then begin
+      let quotes = ref 0 in
+      while peek st = q do
+        incr quotes;
+        skip st 1
+      done;
+      for _ = 1 to (if !quotes >= 3 then !quotes - 3 else !quotes) do
+        Buffer.add_char buf quote
+      done;
+      if !quotes >= 3 then Buffer.contents buf else go ()
+    end
+    else
+      match Char.unsafe_chr c with
+      | '\\' -> skip st 1; read_string_escape st buf; go ()
+      | ('\n' | '\r') as ch -> advance st; Buffer.add_char buf ch; go ()
+      | _ -> add_run buf st (run st body); go ()
   in
   go ()
 
 (* Quoted strings: short "..."/'...' and long """...""" / '''...'''. *)
 let read_string st quote =
-  advance st; (* first quote *)
-  let long =
-    peek st = Some quote && peek2 st = Some quote
-    && begin advance st; advance st; true end
-  in
-  let buf = Buffer.create 32 in
-  let rec go () =
-    match peek st with
-    | None -> error st "unterminated string"
-    | Some c when c = quote ->
-        if not long then begin advance st; Buffer.contents buf end
-        else begin
-          (* In a long string a run of k ≥ 3 quotes means k−3 content
-             quotes followed by the terminator (greedy per the Turtle
-             grammar); runs of 1–2 quotes are content. *)
-          let run = ref 0 in
-          while peek st = Some quote do
-            incr run;
-            advance st
-          done;
-          if !run >= 3 then begin
-            for _ = 1 to !run - 3 do Buffer.add_char buf quote done;
-            Buffer.contents buf
-          end
-          else begin
-            for _ = 1 to !run do Buffer.add_char buf quote done;
-            go ()
-          end
-        end
-    | Some '\\' -> advance st; read_string_escape st buf; go ()
-    | Some ('\n' | '\r') when not long -> error st "newline in string"
-    | Some c -> advance st; Buffer.add_char buf c; go ()
-  in
-  go ()
+  skip st 1; (* first quote *)
+  let q = code quote in
+  let body = if quote = '"' then dquote_body else squote_body in
+  if peek st = q && peek_at st 1 = q then begin
+    skip st 2;
+    read_long_string st quote body (Buffer.create 64)
+  end
+  else
+    let n = run st body in
+    if window_byte st n = q then begin
+      let s = take st n in
+      skip st 1;
+      s
+    end
+    else begin
+      let buf = Buffer.create (n + 32) in
+      add_run buf st n;
+      let rec go () =
+        let c = peek st in
+        if c < 0 then error st "unterminated string"
+        else if c = q then begin skip st 1; Buffer.contents buf end
+        else
+          match Char.unsafe_chr c with
+          | '\\' -> skip st 1; read_string_escape st buf; go ()
+          | '\n' | '\r' -> error st "newline in string"
+          | _ -> add_run buf st (run st body); go ()
+      in
+      go ()
+    end
 
 (* PN_LOCAL: letters, digits, '_', '-', '.', ':', '%XX' and \-escaped
    punctuation.  Trailing dots belong to the statement terminator. *)
 let read_pn_local st =
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek st with
-    | Some c when is_pn_chars c || c = ':' ->
-        advance st; Buffer.add_char buf c; go ()
-    | Some '.' ->
-        (* Only take the dot if a local character follows. *)
-        (match peek2 st with
-        | Some c2 when is_pn_chars c2 || c2 = ':' || c2 = '.' || c2 = '%' ->
-            advance st; Buffer.add_char buf '.'; go ()
-        | _ -> Buffer.contents buf)
-    | Some '%' -> (
-        match (peek2 st, peek_at st 2) with
-        | Some h1, Some h2 ->
+  let n = run st local_plain in
+  let stop = window_byte st n in
+  if ends_in_window st n && stop <> code '.' && stop <> code '%'
+     && stop <> code '\\'
+  then take st n
+  else begin
+    let buf = Buffer.create (n + 16) in
+    add_run buf st n;
+    let rec go () =
+      let c = peek st in
+      if c < 0 then Buffer.contents buf
+      else
+        match Char.unsafe_chr c with
+        | '.' ->
+            (* Only take the dot if a local character follows. *)
+            let c2 = peek_at st 1 in
+            if is_in local_plain c2 || c2 = code '.' || c2 = code '%' then begin
+              skip st 1;
+              Buffer.add_char buf '.';
+              go ()
+            end
+            else Buffer.contents buf
+        | '%' ->
+            let h1 = peek_at st 1 and h2 = peek_at st 2 in
+            if h1 < 0 || h2 < 0 then error st "truncated %-escape in local name";
+            (* The two bytes are not checked to be hex digits and may
+               even be line breaks, hence [advance]. *)
             advance st; advance st; advance st;
             Buffer.add_char buf '%';
-            Buffer.add_char buf h1;
-            Buffer.add_char buf h2;
+            Buffer.add_char buf (Char.unsafe_chr h1);
+            Buffer.add_char buf (Char.unsafe_chr h2);
             go ()
-        | _ -> error st "truncated %-escape in local name")
-    | Some '\\' -> (
-        advance st;
-        match peek st with
-        | Some (( '_' | '~' | '.' | '-' | '!' | '$' | '&' | '\'' | '(' | ')'
-                | '*' | '+' | ',' | ';' | '=' | '/' | '?' | '#' | '@' | '%' )
-                as c) ->
-            advance st; Buffer.add_char buf c; go ()
-        | _ -> error st "invalid local name escape")
-    | _ -> Buffer.contents buf
-  in
-  go ()
+        | '\\' -> (
+            skip st 1;
+            let e = peek st in
+            if e < 0 then error st "invalid local name escape";
+            match Char.unsafe_chr e with
+            | ( '_' | '~' | '.' | '-' | '!' | '$' | '&' | '\'' | '(' | ')'
+              | '*' | '+' | ',' | ';' | '=' | '/' | '?' | '#' | '@' | '%' ) as ch
+              ->
+                skip st 1;
+                Buffer.add_char buf ch;
+                go ()
+            | _ -> error st "invalid local name escape")
+        | _ when is_in local_plain c ->
+            add_run buf st (run st local_plain);
+            go ()
+        | _ -> Buffer.contents buf
+    in
+    go ()
+  end
 
 let read_pn_prefix st =
-  let buf = Buffer.create 8 in
-  let rec go () =
-    match peek st with
-    | Some c when is_pn_chars c -> advance st; Buffer.add_char buf c; go ()
-    | Some '.' -> (
-        match peek2 st with
-        | Some c2 when is_pn_chars c2 || c2 = '.' ->
-            advance st; Buffer.add_char buf '.'; go ()
-        | _ -> Buffer.contents buf)
-    | _ -> Buffer.contents buf
+  let n = run st pn_chars in
+  if ends_in_window st n && window_byte st n <> code '.' then take st n
+  else begin
+    let buf = Buffer.create (n + 8) in
+    add_run buf st n;
+    let rec go () =
+      let c = peek st in
+      if c = code '.' then begin
+        let c2 = peek_at st 1 in
+        if is_in pn_chars c2 || c2 = code '.' then begin
+          skip st 1;
+          Buffer.add_char buf '.';
+          go ()
+        end
+        else Buffer.contents buf
+      end
+      else if is_in pn_chars c then begin
+        add_run buf st (run st pn_chars);
+        go ()
+      end
+      else Buffer.contents buf
+    in
+    go ()
+  end
+
+(* Numbers: [+-]? digits ('.' digits)? ([eE] [+-]? digits)?, where the
+   '.' joins only when a digit follows it. *)
+
+exception Window_edge
+
+(* The byte at absolute window index [i]; -1 past the end of input.
+   Raises [Window_edge] when the byte is past the window but not past
+   the input. *)
+let byte_in_window st i =
+  if i < st.len then Char.code (Bytes.unsafe_get st.buf i)
+  else if st.eof then -1
+  else raise_notrace Window_edge
+
+let is_sign c = c = code '+' || c = code '-'
+
+let digits_end st i =
+  let i = ref i in
+  while is_in digit (byte_in_window st !i) do incr i done;
+  !i
+
+(* The absolute index just past the number at the cursor, every byte
+   that decides it lying in the window. *)
+let number_end st =
+  let i = ref st.pos in
+  if is_sign (byte_in_window st !i) then incr i;
+  i := digits_end st !i;
+  if byte_in_window st !i = code '.' && is_in digit (byte_in_window st (!i + 1))
+  then i := digits_end st (!i + 2);
+  let e = byte_in_window st !i in
+  if e = code 'e' || e = code 'E' then begin
+    incr i;
+    if is_sign (byte_in_window st !i) then incr i;
+    i := digits_end st !i
+  end;
+  !i
+
+(* The same grammar byte by byte, for a number that meets the window's
+   end. *)
+let read_number_bytewise st =
+  let buf = Buffer.create 16 in
+  let take_if p =
+    let c = peek st in
+    if p c then begin
+      skip st 1;
+      Buffer.add_char buf (Char.unsafe_chr c)
+    end;
+    p c
   in
-  go ()
+  let rec digits () = if take_if (is_in digit) then digits () in
+  ignore (take_if is_sign);
+  digits ();
+  if peek st = code '.' && is_in digit (peek_at st 1) then begin
+    skip st 1;
+    Buffer.add_char buf '.';
+    digits ()
+  end;
+  if take_if (fun c -> c = code 'e' || c = code 'E') then begin
+    ignore (take_if is_sign);
+    digits ()
+  end;
+  Buffer.contents buf
 
 let read_number st =
-  let buf = Buffer.create 8 in
-  let take () =
-    match peek st with
-    | Some c -> advance st; Buffer.add_char buf c
-    | None -> ()
+  let s =
+    match number_end st with
+    | stop -> take st (stop - st.pos)
+    | exception Window_edge -> read_number_bytewise st
   in
-  (match peek st with Some ('+' | '-') -> take () | _ -> ());
-  let rec digits () =
-    match peek st with
-    | Some c when is_digit c -> take (); digits ()
-    | _ -> ()
-  in
-  digits ();
-  let decimal = ref false and exponent = ref false in
-  (match (peek st, peek2 st) with
-  | Some '.', Some c when is_digit c ->
-      decimal := true;
-      take ();
-      digits ()
-  | _ -> ());
-  (match peek st with
-  | Some ('e' | 'E') ->
-      exponent := true;
-      take ();
-      (match peek st with Some ('+' | '-') -> take () | _ -> ());
-      digits ()
-  | _ -> ());
-  let s = Buffer.contents buf in
-  if !exponent then Double_lit s
-  else if !decimal then Decimal_lit s
+  if String.contains s 'e' || String.contains s 'E' then Double_lit s
+  else if String.contains s '.' then Decimal_lit s
   else if s = "" || s = "+" || s = "-" then error st "malformed number"
   else Integer_lit s
 
@@ -303,111 +518,102 @@ let keyword_at st kw =
      bounded by [max_lookahead] for every keyword we probe. *)
   let n = String.length kw in
   assert (n < max_lookahead);
-  let rec chars i =
-    i >= n
-    || (match peek_at st i with
-       | Some c -> Char.lowercase_ascii c = Char.lowercase_ascii kw.[i]
-       | None -> false)
-       && chars (i + 1)
-  in
-  chars 0
-  &&
-  match peek_at st n with
-  | None -> true
-  | Some c -> not (is_pn_chars c || c = ':')
+  let i = ref 0 in
+  while
+    !i < n
+    &&
+    let c = peek_at st !i in
+    c >= 0
+    && Char.lowercase_ascii (Char.unsafe_chr c) = Char.lowercase_ascii kw.[!i]
+  do
+    incr i
+  done;
+  !i = n && not (is_in local_plain (peek_at st n))
 
-let consume_word st kw = for _ = 1 to String.length kw do advance st done
+let consume_word st kw = skip st (String.length kw)
+
+(* Whitespace and comments.  A comment ends at LF or at a bare CR:
+   stopping only at LF made a CR-terminated comment swallow the rest of
+   the document's data on CR-only line endings. *)
+let skip_blank st =
+  let continue = ref true in
+  while !continue do
+    let c = peek st in
+    if is_in blank c then skip st (run st blank)
+    else if c = code '\n' || c = code '\r' then advance st
+    else if c = code '#' then begin
+      skip st (run st comment_body);
+      while st.pos = st.len && not st.eof do
+        ensure st 1;
+        skip st (run st comment_body)
+      done
+    end
+    else continue := false
+  done
 
 let next_token st =
-  let rec skip () =
-    match peek st with
-    | Some c when is_ws c -> advance st; skip ()
-    | Some '#' ->
-        (* A comment ends at LF or at a bare CR: stopping only at LF
-           made a CR-terminated comment swallow the rest of the
-           document's data on CR-only line endings. *)
-        let rec to_eol () =
-          match peek st with
-          | Some '\n' | Some '\r' | None -> ()
-          | Some _ -> advance st; to_eol ()
-        in
-        to_eol (); skip ()
-    | _ -> ()
-  in
-  skip ();
+  skip_blank st;
   let line = st.line and col = st.col in
+  let c = peek st in
   let tok =
-    match peek st with
-    | None -> Eof
-    | Some '<' -> Iriref (read_iriref st)
-    | Some '"' -> String_lit (read_string st '"')
-    | Some '\'' -> String_lit (read_string st '\'')
-    | Some '.' -> (
-        match peek2 st with
-        | Some c when is_digit c -> read_number st
-        | _ -> advance st; Dot)
-    | Some ';' -> advance st; Semicolon
-    | Some ',' -> advance st; Comma
-    | Some '[' ->
-        (* [[]] (ANON) is recognised by the parser from Lbracket
-           Rbracket: deciding it here would need unbounded lookahead
-           past whitespace, which a streaming window cannot give. *)
-        advance st;
-        Lbracket
-    | Some ']' -> advance st; Rbracket
-    | Some '(' -> advance st; Lparen
-    | Some ')' -> advance st; Rparen
-    | Some '^' -> (
-        advance st;
-        match peek st with
-        | Some '^' -> advance st; Caret_caret
-        | _ -> error st "expected ^^")
-    | Some '@' -> (
-        advance st;
-        if keyword_at st "prefix" then begin consume_word st "prefix"; At_prefix end
-        else if keyword_at st "base" then begin consume_word st "base"; At_base end
-        else
-          (* language tag: [a-zA-Z]+ ('-' [a-zA-Z0-9]+)* *)
-          let buf = Buffer.create 8 in
-          let rec go () =
-            match peek st with
-            | Some c
-              when (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-                   || is_digit c || c = '-' ->
-                advance st; Buffer.add_char buf c; go ()
-            | _ -> ()
-          in
-          go ();
-          if Buffer.length buf = 0 then error st "empty language tag"
-          else Langtag (Buffer.contents buf))
-    | Some '_' -> (
-        match peek2 st with
-        | Some ':' ->
-            advance st; advance st;
+    if c < 0 then Eof
+    else
+      match Char.unsafe_chr c with
+      | '<' -> Iriref (read_iriref st)
+      | ('"' | '\'') as quote -> String_lit (read_string st quote)
+      | '.' ->
+          if is_in digit (peek_at st 1) then read_number st
+          else begin skip st 1; Dot end
+      | ';' -> skip st 1; Semicolon
+      | ',' -> skip st 1; Comma
+      | '[' ->
+          (* [[]] (ANON) is recognised by the parser from Lbracket
+             Rbracket: deciding it here would need unbounded lookahead
+             past whitespace, which a streaming window cannot give. *)
+          skip st 1;
+          Lbracket
+      | ']' -> skip st 1; Rbracket
+      | '(' -> skip st 1; Lparen
+      | ')' -> skip st 1; Rparen
+      | '^' ->
+          skip st 1;
+          if peek st = code '^' then begin skip st 1; Caret_caret end
+          else error st "expected ^^"
+      | '@' ->
+          skip st 1;
+          if keyword_at st "prefix" then begin consume_word st "prefix"; At_prefix end
+          else if keyword_at st "base" then begin consume_word st "base"; At_base end
+          else
+            (* language tag: [a-zA-Z]+ ('-' [a-zA-Z0-9]+)* *)
+            let tag = read_run st lang_chars in
+            if tag = "" then error st "empty language tag" else Langtag tag
+      | '_' ->
+          if peek_at st 1 = code ':' then begin
+            skip st 2;
             let label = read_pn_local st in
             if label = "" then error st "empty blank node label"
             else Blank_label label
-        | _ -> error st "expected _: for blank node")
-    | Some ('+' | '-') -> read_number st
-    | Some c when is_digit c -> read_number st
-    | Some ':' ->
-        advance st;
-        Pname ("", read_pn_local st)
-    | Some c when is_pn_chars_base c ->
-        if keyword_at st "a" then begin consume_word st "a"; Kw_a end
-        else if keyword_at st "true" then begin consume_word st "true"; Kw_true end
-        else if keyword_at st "false" then begin consume_word st "false"; Kw_false end
-        else if keyword_at st "prefix" then begin consume_word st "prefix"; Kw_prefix end
-        else if keyword_at st "base" then begin consume_word st "base"; Kw_base end
-        else begin
-          let prefix = read_pn_prefix st in
-          match peek st with
-          | Some ':' ->
-              advance st;
+          end
+          else error st "expected _: for blank node"
+      | '+' | '-' | '0' .. '9' -> read_number st
+      | ':' ->
+          skip st 1;
+          Pname ("", read_pn_local st)
+      | ch when is_pn_chars_base ch ->
+          if keyword_at st "a" then begin consume_word st "a"; Kw_a end
+          else if keyword_at st "true" then begin consume_word st "true"; Kw_true end
+          else if keyword_at st "false" then begin consume_word st "false"; Kw_false end
+          else if keyword_at st "prefix" then begin consume_word st "prefix"; Kw_prefix end
+          else if keyword_at st "base" then begin consume_word st "base"; Kw_base end
+          else begin
+            let prefix = read_pn_prefix st in
+            if peek st = code ':' then begin
+              skip st 1;
               Pname (prefix, read_pn_local st)
-          | _ -> error st (Printf.sprintf "expected ':' after %S" prefix)
-        end
-    | Some c -> error st (Printf.sprintf "unexpected character %C" c)
+            end
+            else error st (Printf.sprintf "expected ':' after %S" prefix)
+          end
+      | ch -> error st (Printf.sprintf "unexpected character %C" ch)
   in
   { token = tok; line; col }
 

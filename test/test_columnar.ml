@@ -267,25 +267,28 @@ let test_fold_file_bad_input () =
             (String.length msg > 0
             && String.sub msg 0 13 = "not N-Triples"))
 
-(* The satellite's memory pin: a multi-megabyte N-Triples load must not
-   materialise the source text (or a token list).  The counting fold
-   keeps no per-triple state, so major-heap growth should stay well
-   under the file size — the old slurping loader held the whole file as
-   one string before lexing even started. *)
-let test_streaming_load_memory () =
-  let triples = 60_000 in
+let bulk_triples = 60_000
+
+let with_bulk_nt f =
   with_temp_nt
     ~lines:(fun oc ->
-      for k = 0 to triples - 1 do
+      for k = 0 to bulk_triples - 1 do
         Printf.fprintf oc
           "<http://example.org/subject%d> <http://example.org/predicate%d> \
            \"value %d\" .\n"
           (k mod 997) (k mod 7) k
       done)
     (fun path ->
-      let file_words =
-        Int64.to_int (In_channel.with_open_bin path In_channel.length) / 8
-      in
+      f path (Int64.to_int (In_channel.with_open_bin path In_channel.length)))
+
+(* The memory pin: a multi-megabyte N-Triples load must not
+   materialise the source text (or a token list).  The counting fold
+   keeps no per-triple state, so major-heap growth should stay well
+   under the file size — the old slurping loader held the whole file as
+   one string before lexing even started. *)
+let test_streaming_load_memory () =
+  with_bulk_nt (fun path file_bytes ->
+      let file_words = file_bytes / 8 in
       check_bool "file is multi-MB" true (file_words > 400_000);
       Gc.compact ();
       let before = (Gc.stat ()).Gc.top_heap_words in
@@ -295,11 +298,34 @@ let test_streaming_load_memory () =
         | Error msg -> failwith msg
       in
       let delta = (Gc.stat ()).Gc.top_heap_words - before in
-      check_int "every triple seen" triples count;
+      check_int "every triple seen" bulk_triples count;
       if delta >= file_words / 2 then
         Alcotest.failf
           "streaming load grew the heap by %d words (file is %d words)"
           delta file_words)
+
+(* Allocation ratchet for lexing.  Allocated words are deterministic
+   for a given compiler, so unlike a timing this gate fails on a real
+   regression.  A no-op fold over the file above allocated 5.86 words
+   per input byte when the lexer boxed every byte in a [char option]
+   (OCaml 5.1.1, no flambda), and 0.66 once token bodies are scanned
+   as runs and IRI validation stopped allocating a closure per IRI.
+   What is left is per token and per triple: located records, token
+   strings, terms.  The bound sits 25 % above 0.66. *)
+let test_lexing_allocation () =
+  with_bulk_nt (fun path file_bytes ->
+      let allocated () =
+        let minor, promoted, major = Gc.counters () in
+        minor +. major -. promoted
+      in
+      let before = allocated () in
+      (match Turtle.Ntriples.fold_file path (fun () _ -> ()) () with
+      | Ok () -> ()
+      | Error msg -> failwith msg);
+      let per_byte = (allocated () -. before) /. float_of_int file_bytes in
+      if per_byte > 0.82 then
+        Alcotest.failf "lexing allocated %.3f words per input byte (bound 0.82)"
+          per_byte)
 
 let interner_tests =
   [ Alcotest.test_case "resolve ∘ intern = id, dense ids" `Quick
@@ -334,7 +360,9 @@ let streaming_tests =
     Alcotest.test_case "malformed input is an error" `Quick
       test_fold_file_bad_input;
     Alcotest.test_case "multi-MB load never slurps the source" `Quick
-      test_streaming_load_memory ]
+      test_streaming_load_memory;
+    Alcotest.test_case "lexing allocates per token, not per byte" `Quick
+      test_lexing_allocation ]
 
 let suites =
   [ ("rdf.interner", interner_tests);

@@ -308,6 +308,234 @@ let test_ntriples_strict_accepts () =
   | Ok g -> check_int "2 triples" 2 (Rdf.Graph.cardinal g)
   | Error msg -> Alcotest.fail msg
 
+(* ------------------------------------------------------------------ *)
+(* Lexer: \U escapes and the window edge                               *)
+(* ------------------------------------------------------------------ *)
+
+let lex src =
+  match Turtle.Lexer.tokenize src with
+  | toks -> Ok toks
+  | exception Turtle.Lexer.Error (msg, line, col) -> Error (msg, line, col)
+
+let lex_error src =
+  match lex src with
+  | Ok _ -> Alcotest.failf "expected a lexical error in %S" src
+  | Error e -> e
+
+let error_triple = Alcotest.(triple string int int)
+
+(* \U takes eight hex digits, so it can name values UTF-8 cannot encode
+   (past U+10FFFF, which once crashed [Char.chr]) and surrogates, which
+   are no characters.  Both are positioned errors at the backslash. *)
+let test_unicode_escape_range () =
+  let not_scalar cp = Printf.sprintf "U+%s is not a Unicode scalar value" cp in
+  Alcotest.check error_triple "string, past U+3FFFFFF"
+    (not_scalar "FFFFFFFF", 1, 24)
+    (lex_error "<http://a> <http://b> \"\\UFFFFFFFF\" .");
+  Alcotest.check error_triple "IRI, past U+10FFFF"
+    (not_scalar "11FFFF", 1, 10)
+    (lex_error "<http://a\\U0011FFFF> <http://b> <http://c> .");
+  Alcotest.check error_triple "surrogate, second line"
+    (not_scalar "D800", 2, 3)
+    (lex_error "<http://a> <http://b>\n \"\\uD800\" .");
+  Alcotest.check error_triple "last surrogate, long string"
+    (not_scalar "DFFF", 1, 5)
+    (lex_error "'''x\\uDFFF'''");
+  let decoded src =
+    match lex src with
+    | Ok ({ Turtle.Lexer.token = Turtle.Lexer.String_lit s; _ } :: _) -> s
+    | _ -> Alcotest.failf "expected one string in %S" src
+  in
+  check_string "U+10FFFF is the last scalar value" "\xf4\x8f\xbf\xbf"
+    (decoded "\"\\U0010FFFF\"");
+  check_string "U+D7FF precedes the surrogates" "\xed\x9f\xbf"
+    (decoded "\"\\uD7FF\"");
+  check_string "U+E000 follows them" "\xee\x80\x80" (decoded "\"\\uE000\"");
+  (* Library callers get an [Error], never an exception. *)
+  check_bool "Parse.parse" true
+    (Result.is_error (Turtle.Parse.parse "<http://a> <http://b> \"\\UFFFFFFFF\" ."));
+  let path = Filename.temp_file "shex_test" ".nt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc "<http://a\\U0011FFFF> <http://b> <http://c> .\n");
+      match Turtle.Ntriples.fold_file path (fun n _ -> n + 1) 0 with
+      | Ok _ -> Alcotest.fail "expected an error"
+      | Error msg ->
+          check_string "fold_file" "lexical error at 1:10: U+11FFFF is not a \
+                                    Unicode scalar value" msg)
+
+(* The channel stream scans token bodies as runs inside its 64 KiB
+   window and falls back to byte-at-a-time reading where a run meets
+   the window's end; [tokenize] holds the whole document in one window
+   and never falls back.  Padding each generated document so that a
+   chosen byte lands at offset 65 536 makes some token straddle the
+   first window edge, and the two must agree on every token, position
+   and error. *)
+module Edge_doc = struct
+  open QCheck.Gen
+
+  let concat pieces = map (String.concat "") pieces
+  let utf8 = oneofl [ "\xc3\xa9"; "\xe2\x82\xac"; "\xf0\x9f\x98\x80"; "\xc3\x9f" ]
+
+  let word =
+    string_size ~gen:(oneofl [ 'a'; 'b'; 'Z'; 'q'; '0'; '9'; '_'; '-' ])
+      (int_range 1 10)
+
+  let letters = string_size ~gen:(char_range 'a' 'z') (int_range 1 8)
+
+  let iri =
+    concat
+      (list_size (int_range 0 8)
+         (oneof
+            [ word; utf8; oneofl [ "/"; "#"; "?x="; "\\u00E9"; "\\U0001F600" ] ]))
+    >|= fun body -> "<http://ex.org/" ^ body ^ ">"
+
+  let string_piece quote other =
+    oneof
+      [ word; utf8;
+        oneofl
+          [ " "; other; "\\n"; "\\t"; "\\\\"; "\\u00e9"; "\\U0001F600";
+            "\\" ^ quote; "\\" ^ quote ^ "\\" ^ quote ] ]
+
+  let short_string =
+    oneofl [ ("\"", "'"); ("'", "\"") ] >>= fun (quote, other) ->
+    concat (list_size (int_range 0 10) (string_piece quote other))
+    >|= fun body -> quote ^ body ^ quote
+
+  (* Raw line breaks and runs of one or two quotes are content; a run
+     of four or five before the closing three ends in content quotes. *)
+  let long_string =
+    oneofl [ ("\"", "'"); ("'", "\"") ] >>= fun (quote, other) ->
+    let q3 = String.concat "" [ quote; quote; quote ] in
+    concat
+      (list_size (int_range 0 10)
+         (oneof
+            [ string_piece quote other;
+              oneofl [ "\n"; "\r\n"; "\r"; quote ^ "x"; quote ^ quote ^ "y" ] ]))
+    >>= fun body ->
+    oneofl [ ""; quote; quote ^ quote ] >|= fun tail -> q3 ^ body ^ tail ^ q3
+
+  let local =
+    concat
+      (list_size (int_range 1 6)
+         (oneof
+            [ word; utf8;
+              oneofl [ "%41"; "%e9"; "\\-"; "\\~"; "\\."; "a.b"; "x:y" ] ]))
+
+  let pname =
+    oneof [ return ""; letters; map (fun w -> w ^ ".p") letters ] >>= fun prefix ->
+    oneof [ return ""; local ] >|= fun l -> prefix ^ ":" ^ l
+
+  let bnode = map2 (fun w l -> "_:" ^ w ^ l) word (oneof [ return ""; local ])
+
+  let langtag =
+    map2 (fun a b -> "@" ^ a ^ b) letters (oneofl [ ""; "-GB"; "-x1" ])
+
+  let number =
+    map3
+      (fun sign int frac -> sign ^ string_of_int int ^ frac)
+      (oneofl [ ""; "+"; "-" ])
+      (int_bound 100_000)
+      (oneofl [ ""; ".5"; ".25e3"; "E-7"; "e+2"; "." ])
+
+  let punct =
+    oneofl
+      [ "a"; "true"; "false"; "@prefix"; "@base"; "PREFIX"; "BASE"; "."; ";";
+        ","; "["; "]"; "("; ")"; "^^" ]
+
+  let comment =
+    concat (list_size (int_range 0 6) (oneof [ word; utf8; return " " ]))
+    >|= fun body -> "#" ^ body
+
+  let line_end = oneofl [ "\n"; "\r\n"; "\r" ]
+
+  let separator =
+    frequency
+      [ (4, return " ");
+        (1, return "\t");
+        (3, line_end);
+        (1, map2 (fun c e -> " " ^ c ^ e) comment line_end) ]
+
+  let token =
+    frequency
+      [ (3, iri); (2, short_string); (1, long_string); (2, pname); (1, bnode);
+        (1, langtag); (1, number); (2, punct) ]
+
+  let body =
+    concat
+      (list_size (int_range 1 25) (map2 (fun t s -> t ^ s) token separator))
+
+  type variant = Whole | Truncated of int | Corrupted of int * char
+
+  (* A document, the body offset put at byte 65 536, and a variant. *)
+  let case =
+    body >>= fun body ->
+    let n = String.length body in
+    int_bound (n - 1) >>= fun edge ->
+    frequency
+      [ (2, return Whole);
+        (1, int_bound (n - 1) >|= fun k -> Truncated k);
+        ( 1,
+          pair (int_bound (n - 1))
+            (oneofl
+               [ '"'; '\''; '\\'; '<'; '>'; '\n'; '\r'; ' '; '%'; '.'; ':';
+                 '#'; '@'; 'e'; 'u'; '\xc3' ])
+          >|= fun (k, c) -> Corrupted (k, c) ) ]
+    >|= fun variant ->
+    let body =
+      match variant with
+      | Whole -> body
+      | Truncated k -> String.sub body 0 k
+      | Corrupted (k, c) ->
+          String.mapi (fun i b -> if i = k then c else b) body
+    in
+    (String.make (65_536 - edge) ' ' ^ body, edge)
+
+  let print (doc, edge) =
+    Printf.sprintf "edge at body byte %d of %S" edge
+      (String.sub doc (65_536 - edge) (String.length doc - 65_536 + edge))
+end
+
+let lex_channel doc =
+  let path = Filename.temp_file "shex_window" ".ttl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc doc);
+      In_channel.with_open_bin path (fun ic ->
+          let stream = Turtle.Lexer.stream_of_channel ic in
+          let rec go acc =
+            match Turtle.Lexer.next stream with
+            | { Turtle.Lexer.token = Turtle.Lexer.Eof; _ } as t ->
+                Ok (List.rev (t :: acc))
+            | t -> go (t :: acc)
+            | exception Turtle.Lexer.Error (msg, line, col) ->
+                Error (msg, line, col)
+          in
+          go []))
+
+let show_lexed = function
+  | Ok toks ->
+      String.concat " "
+        (List.map
+           (fun { Turtle.Lexer.token; line; col } ->
+             Format.asprintf "%a@%d:%d" Turtle.Lexer.pp_token token line col)
+           toks)
+  | Error (msg, line, col) -> Printf.sprintf "error %S at %d:%d" msg line col
+
+let prop_window_edge =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300
+       ~name:"channel stream ≡ tokenize across the 64 KiB window edge"
+       (QCheck.make ~print:Edge_doc.print Edge_doc.case)
+       (fun (doc, _) ->
+         let streamed = lex_channel doc and whole = lex doc in
+         streamed = whole
+         || QCheck.Test.fail_reportf "channel: %s\ntokenize: %s"
+              (show_lexed streamed) (show_lexed whole)))
+
 let suites =
   [ ( "turtle.parse",
       [ Alcotest.test_case "simple triple" `Quick test_simple_triple;
@@ -335,6 +563,10 @@ let suites =
           test_trailing_semicolon;
         Alcotest.test_case "parse errors" `Quick test_parse_errors;
         Alcotest.test_case "error positions" `Quick test_error_position ] );
+    ( "turtle.lexer",
+      [ Alcotest.test_case "\\U escapes past U+10FFFF and surrogates" `Quick
+          test_unicode_escape_range;
+        prop_window_edge ] );
     ( "turtle.write",
       [ Alcotest.test_case "roundtrip Example 2" `Quick test_write_roundtrip;
         Alcotest.test_case "roundtrip literals" `Quick
