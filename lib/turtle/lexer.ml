@@ -108,8 +108,8 @@ let error st msg = raise (Error (msg, st.line, st.col))
 (* Runs                                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Byte classes, one bit each.  A token body is found as a maximal run
-   of its class inside the window, then copied once. *)
+(* Byte classes, one bit each.  A stretch of a token body is found as a
+   maximal run of its class inside the window and copied in one go. *)
 let iri_body = 1  (* anything but '>', '\\' and whitespace *)
 let dquote_body = 2  (* anything but '"', '\\' and line breaks *)
 let squote_body = 4  (* anything but '\'', '\\' and line breaks *)
@@ -163,10 +163,6 @@ let window_byte st n =
   if st.pos + n < st.len then Char.code (Bytes.unsafe_get st.buf (st.pos + n))
   else -1
 
-(* Does a run of [n] bytes end before the window does?  At end of input
-   the window's end is the run's end too. *)
-let ends_in_window st n = st.pos + n < st.len || st.eof
-
 (* The [n] run bytes at the cursor, stepped over. *)
 let take st n =
   let s = Bytes.sub_string st.buf st.pos n in
@@ -179,16 +175,11 @@ let add_run buf st n =
 
 (* A [mask] run that may cross window refills. *)
 let read_run st mask =
-  let n = run st mask in
-  if ends_in_window st n then take st n
-  else begin
-    let buf = Buffer.create (n + 16) in
-    add_run buf st n;
-    while is_in mask (peek st) do
-      add_run buf st (run st mask)
-    done;
-    Buffer.contents buf
-  end
+  let buf = Buffer.create 16 in
+  while is_in mask (peek st) do
+    add_run buf st (run st mask)
+  done;
+  Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
 (* Escapes                                                             *)
@@ -264,10 +255,11 @@ let read_string_escape st buf =
 (* Token bodies                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Each reader first scans its body as one run in the window.  A run
-   ending at its terminator is copied once; anything else — an escape,
-   an error, the window's end — copies the run into a [Buffer] and
-   goes on byte by byte, refilling as it needs. *)
+(* IRIREF and short-string readers first scan their body as one run in
+   the window.  A run ending at its terminator is copied once; anything
+   else — an escape, an error, the window's end — copies the run into a
+   [Buffer] and goes on byte by byte, refilling as it needs.  Names,
+   language tags and numbers always build their token in a [Buffer]. *)
 
 let read_iriref st =
   skip st 1; (* '<' *)
@@ -361,154 +353,95 @@ let read_string st quote =
 (* PN_LOCAL: letters, digits, '_', '-', '.', ':', '%XX' and \-escaped
    punctuation.  Trailing dots belong to the statement terminator. *)
 let read_pn_local st =
-  let n = run st local_plain in
-  let stop = window_byte st n in
-  if ends_in_window st n && stop <> code '.' && stop <> code '%'
-     && stop <> code '\\'
-  then take st n
-  else begin
-    let buf = Buffer.create (n + 16) in
-    add_run buf st n;
-    let rec go () =
-      let c = peek st in
-      if c < 0 then Buffer.contents buf
-      else
-        match Char.unsafe_chr c with
-        | '.' ->
-            (* Only take the dot if a local character follows. *)
-            let c2 = peek_at st 1 in
-            if is_in local_plain c2 || c2 = code '.' || c2 = code '%' then begin
-              skip st 1;
-              Buffer.add_char buf '.';
-              go ()
-            end
-            else Buffer.contents buf
-        | '%' ->
-            let h1 = peek_at st 1 and h2 = peek_at st 2 in
-            if h1 < 0 || h2 < 0 then error st "truncated %-escape in local name";
-            (* The two bytes are not checked to be hex digits and may
-               even be line breaks, hence [advance]. *)
-            advance st; advance st; advance st;
-            Buffer.add_char buf '%';
-            Buffer.add_char buf (Char.unsafe_chr h1);
-            Buffer.add_char buf (Char.unsafe_chr h2);
-            go ()
-        | '\\' -> (
+  let buf = Buffer.create 16 in
+  let rec go () =
+    let c = peek st in
+    if c < 0 then Buffer.contents buf
+    else
+      match Char.unsafe_chr c with
+      | '.' ->
+          (* Only take the dot if a local character follows. *)
+          let c2 = peek_at st 1 in
+          if is_in local_plain c2 || c2 = code '.' || c2 = code '%' then begin
             skip st 1;
-            let e = peek st in
-            if e < 0 then error st "invalid local name escape";
-            match Char.unsafe_chr e with
-            | ( '_' | '~' | '.' | '-' | '!' | '$' | '&' | '\'' | '(' | ')'
-              | '*' | '+' | ',' | ';' | '=' | '/' | '?' | '#' | '@' | '%' ) as ch
-              ->
-                skip st 1;
-                Buffer.add_char buf ch;
-                go ()
-            | _ -> error st "invalid local name escape")
-        | _ when is_in local_plain c ->
-            add_run buf st (run st local_plain);
+            Buffer.add_char buf '.';
             go ()
-        | _ -> Buffer.contents buf
-    in
-    go ()
-  end
+          end
+          else Buffer.contents buf
+      | '%' ->
+          let h1 = peek_at st 1 and h2 = peek_at st 2 in
+          if h1 < 0 || h2 < 0 then error st "truncated %-escape in local name";
+          (* The two bytes are not checked to be hex digits and may even
+             be line breaks, hence [advance]. *)
+          advance st; advance st; advance st;
+          Buffer.add_char buf '%';
+          Buffer.add_char buf (Char.unsafe_chr h1);
+          Buffer.add_char buf (Char.unsafe_chr h2);
+          go ()
+      | '\\' -> (
+          skip st 1;
+          let e = peek st in
+          if e < 0 then error st "invalid local name escape";
+          match Char.unsafe_chr e with
+          | ( '_' | '~' | '.' | '-' | '!' | '$' | '&' | '\'' | '(' | ')'
+            | '*' | '+' | ',' | ';' | '=' | '/' | '?' | '#' | '@' | '%' ) as ch
+            ->
+              skip st 1;
+              Buffer.add_char buf ch;
+              go ()
+          | _ -> error st "invalid local name escape")
+      | _ when is_in local_plain c ->
+          add_run buf st (run st local_plain);
+          go ()
+      | _ -> Buffer.contents buf
+  in
+  go ()
 
 let read_pn_prefix st =
-  let n = run st pn_chars in
-  if ends_in_window st n && window_byte st n <> code '.' then take st n
-  else begin
-    let buf = Buffer.create (n + 8) in
-    add_run buf st n;
-    let rec go () =
-      let c = peek st in
-      if c = code '.' then begin
-        let c2 = peek_at st 1 in
-        if is_in pn_chars c2 || c2 = code '.' then begin
-          skip st 1;
-          Buffer.add_char buf '.';
-          go ()
-        end
-        else Buffer.contents buf
-      end
-      else if is_in pn_chars c then begin
-        add_run buf st (run st pn_chars);
+  let buf = Buffer.create 8 in
+  let rec go () =
+    let c = peek st in
+    if c = code '.' then begin
+      let c2 = peek_at st 1 in
+      if is_in pn_chars c2 || c2 = code '.' then begin
+        skip st 1;
+        Buffer.add_char buf '.';
         go ()
       end
       else Buffer.contents buf
-    in
-    go ()
-  end
+    end
+    else if is_in pn_chars c then begin
+      add_run buf st (run st pn_chars);
+      go ()
+    end
+    else Buffer.contents buf
+  in
+  go ()
 
 (* Numbers: [+-]? digits ('.' digits)? ([eE] [+-]? digits)?, where the
    '.' joins only when a digit follows it. *)
-
-exception Window_edge
-
-(* The byte at absolute window index [i]; -1 past the end of input.
-   Raises [Window_edge] when the byte is past the window but not past
-   the input. *)
-let byte_in_window st i =
-  if i < st.len then Char.code (Bytes.unsafe_get st.buf i)
-  else if st.eof then -1
-  else raise_notrace Window_edge
-
-let is_sign c = c = code '+' || c = code '-'
-
-let digits_end st i =
-  let i = ref i in
-  while is_in digit (byte_in_window st !i) do incr i done;
-  !i
-
-(* The absolute index just past the number at the cursor, every byte
-   that decides it lying in the window. *)
-let number_end st =
-  let i = ref st.pos in
-  if is_sign (byte_in_window st !i) then incr i;
-  i := digits_end st !i;
-  if byte_in_window st !i = code '.' && is_in digit (byte_in_window st (!i + 1))
-  then i := digits_end st (!i + 2);
-  let e = byte_in_window st !i in
-  if e = code 'e' || e = code 'E' then begin
-    incr i;
-    if is_sign (byte_in_window st !i) then incr i;
-    i := digits_end st !i
-  end;
-  !i
-
-(* The same grammar byte by byte, for a number that meets the window's
-   end. *)
-let read_number_bytewise st =
-  let buf = Buffer.create 16 in
-  let take_if p =
-    let c = peek st in
-    if p c then begin
-      skip st 1;
-      Buffer.add_char buf (Char.unsafe_chr c)
-    end;
-    p c
-  in
-  let rec digits () = if take_if (is_in digit) then digits () in
-  ignore (take_if is_sign);
-  digits ();
-  if peek st = code '.' && is_in digit (peek_at st 1) then begin
-    skip st 1;
-    Buffer.add_char buf '.';
-    digits ()
-  end;
-  if take_if (fun c -> c = code 'e' || c = code 'E') then begin
-    ignore (take_if is_sign);
-    digits ()
-  end;
-  Buffer.contents buf
-
 let read_number st =
-  let s =
-    match number_end st with
-    | stop -> take st (stop - st.pos)
-    | exception Window_edge -> read_number_bytewise st
+  let buf = Buffer.create 16 in
+  let take () =
+    Buffer.add_char buf (Char.unsafe_chr (peek st));
+    skip st 1
   in
-  if String.contains s 'e' || String.contains s 'E' then Double_lit s
-  else if String.contains s '.' then Decimal_lit s
+  let is_sign c = c = code '+' || c = code '-' in
+  let rec digits () = if is_in digit (peek st) then begin take (); digits () end in
+  if is_sign (peek st) then take ();
+  digits ();
+  let decimal = peek st = code '.' && is_in digit (peek_at st 1) in
+  if decimal then begin take (); digits () end;
+  let e = peek st in
+  let exponent = e = code 'e' || e = code 'E' in
+  if exponent then begin
+    take ();
+    if is_sign (peek st) then take ();
+    digits ()
+  end;
+  let s = Buffer.contents buf in
+  if exponent then Double_lit s
+  else if decimal then Decimal_lit s
   else if s = "" || s = "+" || s = "-" then error st "malformed number"
   else Integer_lit s
 
