@@ -74,10 +74,68 @@ let to_result_shape_map t =
            (Label.to_string e.label))
        t.entries)
 
+(* Whole-graph reports repeat explanation text: every node with no
+   triples for a shape fails it with the shape's own expression as
+   residual.  The node-free part of a [Missing_arcs] explanation (its
+   reason string and its explain members bar the node) is rendered once
+   per distinct (label, residual, missing) and the node filled in per
+   entry.  Equal residuals print equally, and the shared case is caught
+   by physical identity before any structural comparison.  The hash
+   looks deep enough that distinct residuals rarely share a bucket, and
+   never visits more of a residual than rendering it would. *)
+module Missing_texts = Hashtbl.Make (struct
+  type t = Label.t * Rse.t * Rse.arc list
+
+  let equal (l1, r1, m1) (l2, r2, m2) =
+    Label.equal l1 l2
+    && (r1 == r2 || Rse.equal r1 r2)
+    && List.equal Rse.arc_equal m1 m2
+
+  let hash (l, r, _) = Hashtbl.hash_param 100 1000 (l, r)
+end)
+
 let to_json ?metrics ?profile t =
+  let missing_texts = Missing_texts.create 16 in
+  let term n = Json.String (Rdf.Term.to_string n) in
+  let rendered ex = (Json.String (Explain.to_string ex), Explain.to_json ex) in
+  let with_node node = function
+    | Json.Object members ->
+        Json.Object
+          (List.map
+             (fun ((k, _) as m) ->
+               if String.equal k "node" then (k, node) else m)
+             members)
+    | other -> other
+  in
+  (* [node_json] renders the entry's node; it is reused when the
+     explanation is about the same node, as a checked entry's is. *)
+  let explanation (e : entry) node_json ex =
+    let reason, explain =
+      match ex with
+      | Explain.Missing_arcs { node; label; residual; missing } ->
+          let key = (label, residual, missing) in
+          let reason, explain =
+            match Missing_texts.find_opt missing_texts key with
+            | Some texts -> texts
+            | None ->
+                let texts = rendered ex in
+                Missing_texts.add missing_texts key texts;
+                texts
+          in
+          let node =
+            if Rdf.Term.equal node e.node then node_json else term node
+          in
+          (reason, with_node node explain)
+      | Explain.No_shape _ | Explain.Node_constraint _
+      | Explain.Blame_triple _ ->
+          rendered ex
+    in
+    [ ("reason", reason); ("explain", explain) ]
+  in
   let entry_json e =
+    let node_json = term e.node in
     Json.Object
-      ([ ("node", Json.String (Rdf.Term.to_string e.node));
+      ([ ("node", node_json);
          ("shape", Json.String (Label.to_string e.label));
          ( "status",
            Json.String
@@ -86,9 +144,7 @@ let to_json ?metrics ?profile t =
              | Nonconformant -> "nonconformant") ) ]
       @
       match e.explain with
-      | Some ex ->
-          [ ("reason", Json.String (Explain.to_string ex));
-            ("explain", Explain.to_json ex) ]
+      | Some ex -> explanation e node_json ex
       | None -> [])
   in
   Json.Object

@@ -197,6 +197,10 @@ type session = {
   domains : int;
       (* requested bulk-validation parallelism; 1 = sequential *)
   proven : (Pair.t, bool) Hashtbl.t;  (* settled verdicts, memoised *)
+  consulted : (Pair.t, Pair.t list) Hashtbl.t;
+      (* settled-true pair → what one evaluation of it under the
+         settled verdicts consulted; filled by {!typing_of} only, and
+         dropped with the pair's [proven] entry *)
   dep_record : dep_record option;     (* Some iff [record_deps] *)
   compiled : (Label.t, compiled) Hashtbl.t;
       (* per-label compilation: SORBE counting matcher or lazy DFA *)
@@ -229,6 +233,7 @@ let make_session ~engine ~telemetry ~domains ~record_deps ~profile ~slow_ms
   { engine; schema; graph; columnar; interned;
     domains = max 1 domains;
     proven = Hashtbl.create 256;
+    consulted = Hashtbl.create 256;
     dep_record =
       (if record_deps then
          Some
@@ -720,6 +725,7 @@ let invalidate_nodes st nodes =
          is dropping the whole memo (a full revalidation). *)
       let all = Hashtbl.fold (fun p v acc -> (p, v) :: acc) st.proven [] in
       Hashtbl.reset st.proven;
+      Hashtbl.reset st.consulted;
       all
   | Some r ->
       let visited = ref Pair_set.empty in
@@ -752,6 +758,7 @@ let invalidate_nodes st nodes =
       List.iter
         (fun (((n, l) as p), _) ->
           Hashtbl.remove st.proven p;
+          Hashtbl.remove st.consulted p;
           (match Hashtbl.find_opt r.deps p with
           | Some consulted ->
               Pair_set.iter (unlink_rdep r ~dependent:p) consulted;
@@ -768,16 +775,25 @@ let invalidate_nodes st nodes =
 
 (* The typing τ produced by a successful check: the root fact plus the
    facts its (final) match relies on, transitively — mirroring how the
-   typed derivative of §8 combines sub-typings with ⊎. *)
+   typed derivative of §8 combines sub-typings with ⊎.  What a settled
+   pair relies on is a property of the graph, not of the root asking,
+   so each pair is matched once per session and its consultations are
+   kept for as long as its verdict is ({!invalidate_nodes} drops both
+   together; DESIGN.md §8). *)
 let typing_of st root =
+  let consultations p =
+    match Hashtbl.find_opt st.consulted p with
+    | Some used -> used
+    | None ->
+        let _, used =
+          evaluate st ~value:(fun q -> verdict st q) ~demand:(fun _ -> ()) p
+        in
+        Hashtbl.replace st.consulted p used;
+        used
+  in
   let rec closure visited p =
     if Pair_set.mem p visited || not (verdict st p) then visited
-    else
-      let visited = Pair_set.add p visited in
-      let _, used =
-        evaluate st ~value:(fun q -> verdict st q) ~demand:(fun _ -> ()) p
-      in
-      List.fold_left closure visited used
+    else List.fold_left closure (Pair_set.add p visited) (consultations p)
   in
   Pair_set.fold
     (fun (n, l) acc -> Typing.add n l acc)

@@ -209,6 +209,8 @@ val invalidate_nodes :
     pair anchored on one of [nodes] plus, transitively backwards along
     the recorded dependency edges, every pair whose evaluation
     consulted one of them — the {e dependency frontier} of the edit.
+    The consultation lists {!check} builds typings from are kept per
+    settled pair and dropped together with it.
     Returns the dropped pairs with their old verdicts (the incremental
     layer re-solves them and reports verdict flips).  Verdicts outside
     the frontier were computed from unchanged neighbourhoods and

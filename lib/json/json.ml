@@ -28,69 +28,100 @@ let find_list key t =
 (* Printing                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let escape_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* Strings are written straight into the output buffer: unescaped runs
+   are copied with one [Buffer.add_substring] each, and only the bytes
+   that need an escape are handled one at a time. *)
+let hex = "0123456789abcdef"
 
+let add_escaped buf s =
+  let run = ref 0 in
+  for i = 0 to String.length s - 1 do
+    match String.unsafe_get s i with
+    | ('"' | '\\' | '\000' .. '\031') as c ->
+        Buffer.add_substring buf s !run (i - !run);
+        run := i + 1;
+        (match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | '\b' -> Buffer.add_string buf "\\b"
+        | '\012' -> Buffer.add_string buf "\\f"
+        | c ->
+            Buffer.add_string buf "\\u00";
+            Buffer.add_char buf hex.[Char.code c lsr 4];
+            Buffer.add_char buf hex.[Char.code c land 15])
+    | _ -> ()
+  done;
+  Buffer.add_substring buf s !run (String.length s - !run)
+
+let add_quoted buf s =
+  Buffer.add_char buf '"';
+  add_escaped buf s;
+  Buffer.add_char buf '"'
+
+(* JSON has no literal for infinities or NaN, so a non-finite number is
+   written as [null]. *)
 let number_text f =
-  if Float.is_integer f && Float.abs f < 1e15 then
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then
     Printf.sprintf "%.0f" f
   else Printf.sprintf "%.17g" f
 
+let spaces = String.make 64 ' '
+
+let rec add_spaces buf n =
+  if n <= String.length spaces then Buffer.add_substring buf spaces 0 n
+  else begin
+    Buffer.add_string buf spaces;
+    add_spaces buf (n - String.length spaces)
+  end
+
+let newline ~minify buf level =
+  if not minify then begin
+    Buffer.add_char buf '\n';
+    add_spaces buf (2 * level)
+  end
+
 let rec write ~minify ~indent buf t =
-  let nl level =
-    if not minify then begin
-      Buffer.add_char buf '\n';
-      Buffer.add_string buf (String.make (2 * level) ' ')
-    end
-  in
   match t with
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (string_of_bool b)
   | Number f -> Buffer.add_string buf (number_text f)
-  | String s ->
-      Buffer.add_char buf '"';
-      Buffer.add_string buf (escape_string s);
-      Buffer.add_char buf '"'
+  | String s -> add_quoted buf s
   | Array [] -> Buffer.add_string buf "[]"
   | Array items ->
       Buffer.add_char buf '[';
-      List.iteri
-        (fun i item ->
-          if i > 0 then Buffer.add_char buf ',';
-          nl (indent + 1);
-          write ~minify ~indent:(indent + 1) buf item)
-        items;
-      nl indent;
+      write_items ~minify ~indent buf items;
+      newline ~minify buf indent;
       Buffer.add_char buf ']'
   | Object [] -> Buffer.add_string buf "{}"
   | Object members ->
       Buffer.add_char buf '{';
-      List.iteri
-        (fun i (key, value) ->
-          if i > 0 then Buffer.add_char buf ',';
-          nl (indent + 1);
-          Buffer.add_char buf '"';
-          Buffer.add_string buf (escape_string key);
-          Buffer.add_string buf (if minify then "\":" else "\": ");
-          write ~minify ~indent:(indent + 1) buf value)
-        members;
-      nl indent;
+      write_members ~minify ~indent buf members;
+      newline ~minify buf indent;
       Buffer.add_char buf '}'
+
+(* Container bodies are written by plain recursion over the list (no
+   closure per container); [indent] is the container's own level. *)
+and write_items ~minify ~indent buf = function
+  | [] -> ()
+  | item :: rest ->
+      newline ~minify buf (indent + 1);
+      write ~minify ~indent:(indent + 1) buf item;
+      (match rest with [] -> () | _ :: _ -> Buffer.add_char buf ',');
+      write_items ~minify ~indent buf rest
+
+and write_members ~minify ~indent buf = function
+  | [] -> ()
+  | (key, value) :: rest ->
+      newline ~minify buf (indent + 1);
+      add_quoted buf key;
+      Buffer.add_string buf (if minify then ":" else ": ");
+      write ~minify ~indent:(indent + 1) buf value;
+      (match rest with [] -> () | _ :: _ -> Buffer.add_char buf ',');
+      write_members ~minify ~indent buf rest
 
 let to_string ?(minify = false) t =
   let buf = Buffer.create 256 in
@@ -194,6 +225,7 @@ let parse_string st =
         advance st;
         Buffer.contents buf
     | Some '\\' -> (
+        let line = st.line and col = st.col in
         advance st;
         match peek st with
         | Some 'n' -> advance st; Buffer.add_char buf '\n'; go ()
@@ -207,14 +239,32 @@ let parse_string st =
         | Some 'u' ->
             advance st;
             let cp = parse_hex4 st in
-            (* Surrogate pairs for astral characters. *)
+            (* Surrogate pairs for astral characters: a high half must be
+               followed by a low half, and a low half on its own encodes
+               nothing (its UTF-8 bytes would not be valid UTF-8). *)
             let cp =
               if cp >= 0xD800 && cp <= 0xDBFF then begin
+                let line = st.line and col = st.col in
                 expect st '\\';
                 expect st 'u';
                 let low = parse_hex4 st in
+                if low < 0xDC00 || low > 0xDFFF then
+                  raise
+                    (Error
+                       ( Printf.sprintf
+                           "high surrogate \\u%04x must be followed by a \
+                            low surrogate, not \\u%04x"
+                           cp low,
+                         line,
+                         col ));
                 0x10000 + ((cp - 0xD800) lsl 10) + (low - 0xDC00)
               end
+              else if cp >= 0xDC00 && cp <= 0xDFFF then
+                raise
+                  (Error
+                     ( Printf.sprintf "lone low surrogate \\u%04x" cp,
+                       line,
+                       col ))
               else cp
             in
             if cp >= 0x10000 then begin
@@ -235,7 +285,7 @@ let parse_string st =
   go ()
 
 let parse_number st =
-  let start = st.pos in
+  let start = st.pos and line = st.line and col = st.col in
   let take_while pred =
     let rec go () =
       match peek st with
@@ -258,7 +308,10 @@ let parse_number st =
   | _ -> ());
   let text = String.sub st.src start (st.pos - start) in
   match float_of_string_opt text with
-  | Some f -> Number f
+  | Some f when Float.is_finite f -> Number f
+  | Some _ ->
+      raise
+        (Error (Printf.sprintf "number %s is out of range" text, line, col))
   | None -> error st (Printf.sprintf "malformed number %S" text)
 
 let rec parse_value st =

@@ -165,12 +165,28 @@ let divergences schema graph assocs =
   in
   engine_findings @ extra
 
+(* How an incremental outcome differs from the from-scratch one:
+   [Verdict] when the conformance bit does, [Report] when only the
+   typing or the explanation does. *)
+let outcome_mismatch (inc : Shex.Validate.outcome)
+    (scratch : Shex.Validate.outcome) =
+  if inc.ok <> scratch.ok then Some Verdict
+  else if
+    Shex.Typing.equal inc.typing scratch.typing
+    && Option.equal
+         (fun a b -> Shex.Explain.to_json a = Shex.Explain.to_json b)
+         inc.explain scratch.explain
+  then None
+  else Some Report
+
 (* Edits arm: replay a seeded edit script through an incremental
-   session and, after every edit, compare each association's verdict
-   against a from-scratch session over the same graph.  This is the
-   differential check behind lib/incremental's frontier-invalidation
-   soundness argument (DESIGN.md §11): any pair the invalidation walk
-   wrongly retains shows up here as a stale verdict. *)
+   session and, after every edit, compare each association's outcome
+   (verdict, typing and explanation) against a from-scratch session
+   over the same graph.  This is the differential check behind
+   lib/incremental's frontier-invalidation soundness argument
+   (DESIGN.md §11): any pair the invalidation walk wrongly retains —
+   a verdict, or the consultation list a typing is built from — shows
+   up here as a stale outcome. *)
 let edits_divergence schema graph script assocs =
   let total = List.length script in
   let inc = Shex_incremental.Session.create schema graph in
@@ -189,21 +205,27 @@ let edits_divergence schema graph script assocs =
           Shex.Validate.session schema (Shex_incremental.Session.graph inc)
         in
         let mismatch =
-          List.find_opt
-            (fun (n, l) ->
-              Shex_incremental.Session.check_bool inc n l
-              <> Shex.Validate.check_bool scratch n l)
+          List.find_map
+            (fun ((n, l) as a) ->
+              Option.map
+                (fun kind -> (a, kind))
+                (outcome_mismatch
+                   (Shex_incremental.Session.check inc n l)
+                   (Shex.Validate.check scratch n l)))
             assocs
         in
         match mismatch with
-        | Some a ->
+        | Some (a, kind) ->
             Some
               { arm = "edits";
-                kind = Verdict;
+                kind;
                 detail =
                   Printf.sprintf
-                    "edits: stale verdict at %s after edit %d/%d \
+                    "edits: stale %s at %s after edit %d/%d \
                      (incremental ≠ from-scratch)"
+                    (match kind with
+                    | Verdict -> "verdict"
+                    | Report -> "typing or explanation")
                     (assoc_text a) (i + 1) total }
         | None -> go (i + 1) rest)
   in

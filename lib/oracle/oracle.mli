@@ -112,8 +112,9 @@ val replay_file : string -> (unit, string) result
 
     Differential testing of [Shex_incremental.Session]: replay a
     seeded edit script ({!Workload.Rand_gen.edit_script}) through an
-    incremental session and compare every association's verdict, after
-    every edit, against a from-scratch session over the same graph.
+    incremental session and compare every association's outcome —
+    verdict, typing and explanation — after every edit, against a
+    from-scratch session over the same graph.
     This mechanically checks the frontier-invalidation soundness
     argument of DESIGN.md §11. *)
 
@@ -123,8 +124,9 @@ val edits_divergence :
   Workload.Rand_gen.edit list ->
   (Rdf.Term.t * Shex.Label.t) list ->
   divergence option
-(** The first stale verdict found while replaying the script, if
-    any — arm ["edits"], kind {!Verdict}. *)
+(** The first stale outcome found while replaying the script, if
+    any — arm ["edits"], kind {!Verdict} for a stale verdict and
+    {!Report} for a stale typing or explanation. *)
 
 val shrink_edits :
   Shex.Schema.t ->

@@ -189,6 +189,73 @@ let test_report_typing () =
   check_bool "bob in typing" true
     (Typing.mem (node "bob") person report.Report.typing)
 
+(* [Report.to_json] renders each distinct missing-arcs text once; this
+   is the entry-by-entry rendering it must equal, built from
+   [Explain.to_string] and [Explain.to_json] for every entry. *)
+let reference_report_json (t : Report.t) =
+  let entry_json (e : Report.entry) =
+    Json.Object
+      ([ ("node", Json.String (Rdf.Term.to_string e.node));
+         ("shape", Json.String (Label.to_string e.label));
+         ( "status",
+           Json.String
+             (match e.status with
+             | Report.Conformant -> "conformant"
+             | Report.Nonconformant -> "nonconformant") ) ]
+      @
+      match e.explain with
+      | Some ex ->
+          [ ("reason", Json.String (Explain.to_string ex));
+            ("explain", Explain.to_json ex) ]
+      | None -> [])
+  in
+  Json.Object
+    [ ("entries", Json.Array (List.map entry_json t.entries));
+      ("conformant", Json.int (List.length (Report.conformant t)));
+      ("nonconformant", Json.int (List.length (Report.nonconformant t))) ]
+
+(* Every missing-arcs entry again three times over the same residual
+   object: for another node, under another label, and with other
+   missing arcs.  A rendering keyed on less than (label, residual,
+   missing), or that kept the first node, differs here. *)
+let with_shared_residuals entries =
+  let other = node "other" in
+  List.concat_map
+    (fun (e : Report.entry) ->
+      match e.explain with
+      | Some (Explain.Missing_arcs m) ->
+          [ e;
+            { e with
+              node = other;
+              explain = Some (Explain.Missing_arcs { m with node = other }) };
+            { e with
+              explain =
+                Some
+                  (Explain.Missing_arcs
+                     { m with label = Label.of_string "Other" }) };
+            { e with
+              explain = Some (Explain.Missing_arcs { m with missing = [] }) } ]
+      | Some _ | None -> [ e ])
+    entries
+
+let prop_report_json_matches_explain =
+  QCheck.Test.make ~count:100
+    ~name:"Report.to_json ≡ entry-by-entry Explain rendering"
+    QCheck.(pair (int_bound 10_000) bool)
+    (fun (seed, extended) ->
+      let mode =
+        if extended then Workload.Rand_gen.Extended
+        else Workload.Rand_gen.Surface
+      in
+      let case = Workload.Rand_gen.case ~mode seed in
+      let session = Validate.session case.schema case.graph in
+      let report = Report.run session case.associations in
+      let shared =
+        { report with entries = with_shared_residuals report.entries }
+      in
+      Report.to_json report = reference_report_json report
+      && Report.to_json shared = reference_report_json shared)
+
 let suites =
   [ ( "shape_map.parse",
       [ Alcotest.test_case "node association" `Quick
@@ -211,5 +278,6 @@ let suites =
         Alcotest.test_case "result shape map" `Quick
           test_report_result_shape_map;
         Alcotest.test_case "json rendering" `Quick test_report_json;
-        Alcotest.test_case "typing propagation" `Quick test_report_typing ]
+        Alcotest.test_case "typing propagation" `Quick test_report_typing;
+        QCheck_alcotest.to_alcotest prop_report_json_matches_explain ]
     ) ]

@@ -263,6 +263,60 @@ let test_missing_label () =
   | _ -> Alcotest.fail "expected a No_shape explanation")
 
 (* ------------------------------------------------------------------ *)
+(* Typing closures                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A k-clique of valid persons: every root's typing closure is all k
+   pairs, so closures that re-matched each pair they reach would take
+   k matches per root, k²·(k+1) derivative steps over the report.  Once
+   the verdicts are settled, the report may add no more than the
+   verdict pass's own k·(k+1): each pair is matched at most once per
+   session for typings. *)
+let test_clique_typing_matches_once () =
+  let k = 6 in
+  let who i = node ("p" ^ string_of_int i) in
+  let triples =
+    List.concat_map
+      (fun i ->
+        triple (who i) (foaf "age") (num (20 + i))
+        :: triple (who i) (foaf "name") (Rdf.Term.str ("P" ^ string_of_int i))
+        :: List.filter_map
+             (fun j ->
+               if i = j then None
+               else Some (triple (who i) (foaf "knows") (who j)))
+             (List.init k Fun.id))
+      (List.init k Fun.id)
+  in
+  let tele = Telemetry.create () in
+  let session =
+    Validate.session ~telemetry:tele person_schema (graph_of triples)
+  in
+  let steps () =
+    Option.get (Telemetry.find_counter (Telemetry.snapshot tele) "deriv_steps")
+  in
+  let pairs = List.init k (fun i -> (who i, person)) in
+  List.iter
+    (fun (n, l) -> check_bool "valid" true (Validate.check_bool session n l))
+    pairs;
+  let verdict_steps = steps () in
+  check_int "verdict pass: k·(k+1) steps" (k * (k + 1)) verdict_steps;
+  let report = Report.run session pairs in
+  check_int "every root conforms" k
+    (List.length (Report.conformant report));
+  check_int "typing covers the clique" k (Typing.cardinal report.typing);
+  check_bool
+    (Printf.sprintf "report added %d steps, verdicts took %d"
+       (steps () - verdict_steps) verdict_steps)
+    true
+    (steps () - verdict_steps <= verdict_steps);
+  (* Every per-root typing is still the whole clique. *)
+  List.iter
+    (fun (n, l) ->
+      check_int "per-root closure" k
+        (Typing.cardinal (Validate.check session n l).Validate.typing))
+    pairs
+
+(* ------------------------------------------------------------------ *)
 (* Typing operations                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -308,4 +362,6 @@ let suites =
           test_memoisation_consistency;
         Alcotest.test_case "missing label" `Quick test_missing_label ] );
     ( "validate.typing",
-      [ Alcotest.test_case "typing operations" `Quick test_typing_ops ] ) ]
+      [ Alcotest.test_case "typing operations" `Quick test_typing_ops;
+        Alcotest.test_case "clique closures match each pair once" `Quick
+          test_clique_typing_matches_once ] ) ]
