@@ -62,107 +62,99 @@ let add_triple b tr =
 
 let triples_added b = b.blen
 
-(* Sort row indexes by a (row -> key triple) projection. *)
-let sort_rows rows k1 k2 k3 =
-  Array.sort
-    (fun a b ->
-      let c = Int.compare (k1 a) (k1 b) in
-      if c <> 0 then c
-      else
-        let c = Int.compare (k2 a) (k2 b) in
-        if c <> 0 then c else Int.compare (k3 a) (k3 b))
-    rows
+(* Stable counting sort of items [0, n) by [key i] < [buckets]: one
+   count per key, prefix sums, then [place i slot] once per item in
+   item order.  Returns the bucket ends: bucket k is
+   [ends.(k-1), ends.(k)), with ends.(-1) taken as 0. *)
+let bucket_sort ~buckets n key place =
+  let next = Array.make (buckets + 1) 0 in
+  for i = 0 to n - 1 do
+    let k = key i + 1 in
+    next.(k) <- next.(k) + 1
+  done;
+  for k = 1 to buckets do
+    next.(k) <- next.(k) + next.(k - 1)
+  done;
+  for i = 0 to n - 1 do
+    let k = key i in
+    place i next.(k);
+    next.(k) <- next.(k) + 1
+  done;
+  next
 
-(* Up to 2^21 distinct terms (≫ any portal we load today), a whole
-   (x, y, z) id triple packs into one 63-bit int, turning the freeze
-   sorts into flat int-array sorts — no closure dispatch, no
-   second/third key probes, and adjacent-dedup is [<>] on ints.  The
-   generic 3-key path stays as the fallback past that bound. *)
-let pack_bits = 21
-let packable ids = Interner.cardinal ids < 1 lsl pack_bits
+(* Sort [a.(lo) .. a.(hi-1)]: insertion sort on the short runs most
+   subjects have, the library sort for a hub subject's long one. *)
+let sort_run (a : int array) lo hi =
+  if hi - lo <= 16 then
+    for i = lo + 1 to hi - 1 do
+      let v = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && a.(!j) > v do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- v
+    done
+  else begin
+    let run = Array.sub a lo (hi - lo) in
+    Array.sort Int.compare run;
+    Array.blit run 0 a lo (hi - lo)
+  end
 
-let pack x y z = (((x lsl pack_bits) lor y) lsl pack_bits) lor z
-let unpack_hi k = k lsr (2 * pack_bits)
-let unpack_mid k = (k lsr pack_bits) land ((1 lsl pack_bits) - 1)
-let unpack_lo k = k land ((1 lsl pack_bits) - 1)
-
-let freeze_packed ids remap b =
-  let raw = b.blen in
-  let keys =
-    Array.init raw (fun i ->
-        pack remap.(b.bs.(i)) remap.(b.bp.(i)) remap.(b.bo.(i)))
-  in
-  Array.sort Int.compare keys;
-  let n = ref 0 in
-  Array.iteri
-    (fun i k ->
-      if i = 0 || keys.(!n - 1) <> k then begin
-        keys.(!n) <- k;
-        incr n
-      end)
-    keys;
-  let n = !n in
-  let spo_s = Array.init n (fun i -> unpack_hi keys.(i))
-  and spo_p = Array.init n (fun i -> unpack_mid keys.(i))
-  and spo_o = Array.init n (fun i -> unpack_lo keys.(i)) in
-  (* Permutation sorts on one precomputed packed key per row. *)
-  let perm kx ky kz =
-    let key = Array.init n (fun r -> pack (kx r) (ky r) (kz r)) in
-    let rows = Array.init n Fun.id in
-    Array.sort (fun a b -> Int.compare key.(a) key.(b)) rows;
-    rows
-  in
-  let pos_row =
-    perm (fun r -> spo_p.(r)) (fun r -> spo_s.(r)) (fun r -> spo_o.(r))
-  in
-  let osp_row =
-    perm (fun r -> spo_o.(r)) (fun r -> spo_s.(r)) (fun r -> spo_p.(r))
-  in
-  { ids; n; spo_s; spo_p; spo_o; pos_row; osp_row }
+(* A (p, o) id pair packs into one int as p·2³¹ + o, so int order on
+   the packed key is (p, o) order. *)
+let id_bits = 31
 
 let freeze b =
   let ids, remap = Interner.compact b.interner in
-  if packable ids then freeze_packed ids remap b
-  else begin
-    let raw = b.blen in
-    let rs = Array.init raw (fun i -> remap.(b.bs.(i)))
-    and rp = Array.init raw (fun i -> remap.(b.bp.(i)))
-    and ro = Array.init raw (fun i -> remap.(b.bo.(i))) in
-    let rows = Array.init raw Fun.id in
-    sort_rows rows
-      (fun r -> rs.(r))
-      (fun r -> rp.(r))
-      (fun r -> ro.(r));
-    (* Dedup adjacent equal rows while materialising the final columns —
-       a graph is a set of triples, whatever the loader fed us. *)
-    let n = ref 0 in
-    Array.iteri
-      (fun i r ->
-        if
-          i = 0
-          ||
-          let q = rows.(i - 1) in
-          rs.(q) <> rs.(r) || rp.(q) <> rp.(r) || ro.(q) <> ro.(r)
-        then begin
-          rows.(!n) <- r;
-          incr n
-        end)
-      (Array.copy rows);
-    let n = !n in
-    let spo_s = Array.init n (fun i -> rs.(rows.(i)))
-    and spo_p = Array.init n (fun i -> rp.(rows.(i)))
-    and spo_o = Array.init n (fun i -> ro.(rows.(i))) in
-    let pos_row = Array.init n Fun.id and osp_row = Array.init n Fun.id in
-    sort_rows pos_row
-      (fun r -> spo_p.(r))
-      (fun r -> spo_s.(r))
-      (fun r -> spo_o.(r));
-    sort_rows osp_row
-      (fun r -> spo_o.(r))
-      (fun r -> spo_s.(r))
-      (fun r -> spo_p.(r));
-    { ids; n; spo_s; spo_p; spo_o; pos_row; osp_row }
-  end
+  let terms = Interner.cardinal ids in
+  assert (terms <= 1 lsl id_bits);
+  (* SPO: each raw row's packed (p, o) key, scattered into its
+     canonical subject's bucket; buckets are in subject order. *)
+  let keys = Array.make b.blen 0 in
+  let ends =
+    bucket_sort ~buckets:terms b.blen
+      (fun i -> remap.(b.bs.(i)))
+      (fun i slot ->
+        keys.(slot) <- (remap.(b.bp.(i)) lsl id_bits) lor remap.(b.bo.(i)))
+  in
+  (* Sort each bucket and drop its adjacent duplicates in place — a
+     graph is a set of triples, whatever the loader fed us.  [ends.(s)]
+     becomes subject s's distinct count. *)
+  let n = ref 0 and lo = ref 0 in
+  for s = 0 to terms - 1 do
+    let hi = ends.(s) and first = !n in
+    sort_run keys !lo hi;
+    for i = !lo to hi - 1 do
+      if !n = first || keys.(!n - 1) <> keys.(i) then begin
+        keys.(!n) <- keys.(i);
+        incr n
+      end
+    done;
+    ends.(s) <- !n - first;
+    lo := hi
+  done;
+  let n = !n in
+  let spo_s = Array.make n 0 in
+  let row = ref 0 in
+  for s = 0 to terms - 1 do
+    Array.fill spo_s !row ends.(s) s;
+    row := !row + ends.(s)
+  done;
+  let spo_p = Array.init n (fun i -> keys.(i) lsr id_bits)
+  and spo_o = Array.init n (fun i -> keys.(i) land ((1 lsl id_bits) - 1)) in
+  (* At a fixed predicate, SPO rows are in (s, o) order, and at a fixed
+     object in (s, p) order: a stable bucket pass by p over the SPO
+     rows is POS order, and by o it is OSP order. *)
+  let by col =
+    let rows = Array.make n 0 in
+    ignore
+      (bucket_sort ~buckets:terms n
+         (fun r -> col.(r))
+         (fun r slot -> rows.(slot) <- r));
+    rows
+  in
+  { ids; n; spo_s; spo_p; spo_o; pos_row = by spo_p; osp_row = by spo_o }
 
 (* ------------------------------------------------------------------ *)
 (* Reading                                                             *)

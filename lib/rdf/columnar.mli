@@ -41,9 +41,10 @@ val triples_added : builder -> int
 (** Triples appended so far (duplicates still counted). *)
 
 val freeze : builder -> t
-(** Compact ids into canonical term order, sort and dedup the
-    columns, build the POS/OSP permutations.  The builder must not be
-    used afterwards. *)
+(** Compact ids into canonical term order, then order and dedup the
+    columns and build the POS/OSP permutations by counting passes:
+    O(triples + terms), plus sorting each subject's own arcs.  The
+    builder must not be used afterwards. *)
 
 val of_graph : Graph.t -> t
 val to_graph : t -> Graph.t

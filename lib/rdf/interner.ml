@@ -53,7 +53,9 @@ let sorted t =
 let compact t =
   let n = t.len in
   let order = Array.init n Fun.id in
-  Array.sort (fun a b -> Term.compare t.terms.(a) t.terms.(b)) order;
+  (* Merge sort: fewer Term.compare calls than heap sort, for an
+     auxiliary array of n/2 words. *)
+  Array.stable_sort (fun a b -> Term.compare t.terms.(a) t.terms.(b)) order;
   let remap = Array.make n 0 in
   let compacted = create ~capacity:(2 * n) () in
   Array.iteri

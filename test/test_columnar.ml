@@ -143,6 +143,46 @@ let test_columnar_dedup () =
   let c = Rdf.Columnar.freeze b in
   check_int "a graph is a set" 1 (Rdf.Columnar.cardinal c)
 
+let test_columnar_empty () =
+  let c = Rdf.Columnar.freeze (Rdf.Columnar.builder ()) in
+  check_int "cardinal" 0 (Rdf.Columnar.cardinal c);
+  Alcotest.(check (list term_t)) "no nodes" [] (Rdf.Columnar.nodes c);
+  Alcotest.check triples "no out slice" []
+    (Rdf.Columnar.out_triples c (node "n"));
+  Alcotest.check triples "no in slice" []
+    (Rdf.Columnar.in_triples c (node "n"));
+  Alcotest.check triples "no predicate slice" []
+    (Rdf.Columnar.triples_with_predicate c (ex "a"));
+  check_int "out_degree" 0 (Rdf.Columnar.out_degree c (node "n"));
+  check_int "in_degree" 0 (Rdf.Columnar.in_degree c (node "n"))
+
+let test_columnar_duplicates_only () =
+  let b = Rdf.Columnar.builder () in
+  let n = t3 "n" "a" (num 1) and m = t3 "m" "a" (num 1) in
+  List.iter (Rdf.Columnar.add_triple b) [ n; m; n; m; m; n ];
+  let c = Rdf.Columnar.freeze b in
+  check_int "one triple per subject" 2 (Rdf.Columnar.cardinal c);
+  check_bool "every reader ≡ structural graph" true
+    (columnar_agrees c (graph_of [ n; m ]))
+
+(* A hub subject's bucket is far past the insertion-sort runs. *)
+let test_columnar_hub_subject () =
+  let hub = node "hub" in
+  let g =
+    graph_of
+      (List.init 1000 (fun k ->
+           triple hub (ex (if k mod 3 = 0 then "a" else "b")) (num k)))
+  in
+  let b = Rdf.Columnar.builder () in
+  let reversed = List.rev (Rdf.Graph.to_list g) in
+  List.iter (Rdf.Columnar.add_triple b) (reversed @ reversed);
+  let c = Rdf.Columnar.freeze b in
+  check_int "duplicates collapse" 1000 (Rdf.Columnar.cardinal c);
+  Alcotest.check triples "out slice ≡ structural neighbourhood"
+    (Rdf.Graph.to_list (Rdf.Graph.neighbourhood hub g))
+    (Rdf.Columnar.out_triples c hub);
+  check_bool "every reader ≡ structural graph" true (columnar_agrees c g)
+
 let test_columnar_literal_subject () =
   let b = Rdf.Columnar.builder () in
   match Rdf.Columnar.add b (num 1) (ex "a") (num 2) with
@@ -343,6 +383,11 @@ let columnar_tests =
     Alcotest.test_case "slices ≡ structural indexes" `Quick
       test_columnar_slices_agree;
     Alcotest.test_case "duplicate adds collapse" `Quick test_columnar_dedup;
+    Alcotest.test_case "empty builder freezes empty" `Quick test_columnar_empty;
+    Alcotest.test_case "duplicates only, two subjects" `Quick
+      test_columnar_duplicates_only;
+    Alcotest.test_case "hub subject, reversed and repeated" `Quick
+      test_columnar_hub_subject;
     Alcotest.test_case "literal subjects rejected" `Quick
       test_columnar_literal_subject;
     Alcotest.test_case "Neigh.of_columnar ≡ Neigh.of_node" `Quick

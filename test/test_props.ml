@@ -592,6 +592,49 @@ let prop_columnar_roundtrip =
                (Neigh.of_columnar ~include_inverse:true n c))
            (Rdf.Graph.nodes g))
 
+(* The builder under arbitrary input: a shuffled multiset over IRIs,
+   bnodes and literals, some triples fed twice, and one hub subject
+   with more arcs than the freeze sorts by insertion. *)
+let gen_builder_input =
+  QCheck.Gen.(
+    let hub = node "hub" in
+    let subj =
+      oneof
+        [ (int_bound 5 >|= fun k -> node (Printf.sprintf "n%d" k));
+          ( int_bound 2 >|= fun k ->
+            Rdf.Term.Bnode (Rdf.Bnode.of_string (Printf.sprintf "b%d" k)) ) ]
+    in
+    let obj =
+      oneof
+        [ subj; return hub; (int_bound 4 >|= num);
+          (oneofl [ "x"; "y" ] >|= Rdf.Term.str) ]
+    in
+    let pred = oneofl [ "a"; "b"; "c"; "d" ] >|= ex in
+    list_size (int_bound 40)
+      (subj >>= fun s -> pred >>= fun p -> obj >|= Rdf.Triple.make s p)
+    >>= fun rest ->
+    int_range 17 60 >>= fun arcs ->
+    flatten_l
+      (List.init arcs (fun k ->
+           pred >|= fun p -> Rdf.Triple.make hub p (num k)))
+    >>= fun spokes ->
+    let fed = rest @ spokes in
+    list_size (int_bound 20) (oneofl fed) >>= fun again ->
+    shuffle_l (fed @ again))
+
+let prop_columnar_builder_any_order =
+  QCheck.Test.make ~count:150
+    ~name:"columnar builder ≡ Graph.of_list, any input order"
+    (QCheck.make
+       ~print:(fun trs ->
+         String.concat "\n"
+           (List.map (Format.asprintf "%a" Rdf.Triple.pp) trs))
+       gen_builder_input)
+    (fun trs ->
+      let b = Rdf.Columnar.builder ~terms:4 ~triples:4 () in
+      List.iter (Rdf.Columnar.add_triple b) trs;
+      columnar_agrees (Rdf.Columnar.freeze b) (Rdf.Graph.of_list trs))
+
 let tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_deriv_equals_backtrack;
@@ -627,6 +670,7 @@ let tests =
       prop_bulk_diff_fold;
       prop_bulk_inter_fold;
       prop_bulk_filter_fold;
-      prop_columnar_roundtrip ]
+      prop_columnar_roundtrip;
+      prop_columnar_builder_any_order ]
 
 let suites = [ ("properties", tests) ]

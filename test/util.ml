@@ -38,6 +38,34 @@ let example8_graph =
 let example12_graph =
   graph_of [ t3 "n" "a" (num 1); t3 "n" "a" (num 2); t3 "n" "b" (num 1) ]
 
+(* Every reader of a frozen columnar store agrees with the structural
+   graph over the same triples: cardinal, iteration order, nodes,
+   per-node slices and degrees, and per-predicate slices. *)
+let columnar_agrees c g =
+  let same = List.equal Rdf.Triple.equal in
+  let out n = Rdf.Graph.neighbourhood n g
+  and inc n = Rdf.Graph.triples_with_object n g in
+  let iterated = ref [] in
+  Rdf.Columnar.iter (fun tr -> iterated := tr :: !iterated) c;
+  Rdf.Columnar.cardinal c = Rdf.Graph.cardinal g
+  && same !iterated (Rdf.Graph.fold List.cons g [])
+  && List.equal Rdf.Term.equal (Rdf.Columnar.nodes c) (Rdf.Graph.nodes g)
+  && List.for_all
+       (fun n ->
+         same (Rdf.Columnar.out_triples c n) (Rdf.Graph.to_list (out n))
+         && same (Rdf.Columnar.in_triples c n) (Rdf.Graph.to_list (inc n))
+         && Rdf.Columnar.out_degree c n = Rdf.Graph.cardinal (out n)
+         && Rdf.Columnar.in_degree c n = Rdf.Graph.cardinal (inc n))
+       (Rdf.Graph.nodes g)
+  && List.for_all
+       (fun p ->
+         same
+           (Rdf.Columnar.triples_with_predicate c p)
+           (List.filter
+              (fun tr -> Rdf.Iri.equal (Rdf.Triple.predicate tr) p)
+              (Rdf.Graph.to_list g)))
+       (Rdf.Graph.predicates g)
+
 let rse = Alcotest.testable Shex.Rse.pp Shex.Rse.equal
 let term = Alcotest.testable Rdf.Term.pp Rdf.Term.equal
 let graph = Alcotest.testable Rdf.Graph.pp Rdf.Graph.equal
