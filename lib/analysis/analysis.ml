@@ -89,6 +89,10 @@ type env = {
   trans : (int * int, Hrse.t) Hashtbl.t;
   states_counter : Telemetry.Counter.t;
   max_states : int;
+  max_work : int;
+      (** per search, in {!Hrse.work} units: states alone do not bound
+          a search's time, because derivatives of interleavings and
+          negations can grow with every step *)
   obj_samples : Rdf.Term.t list;
   pred_samples : Rdf.Iri.t list;
   dirs : bool list;
@@ -257,6 +261,10 @@ let compute_congruent sides =
 let canon_side congruent side l =
   if Hashtbl.mem congruent (Label.to_string l) then Lft else side
 
+(* Each search may also spend this much {!Hrse.work} per allowed
+   state, so the state cap bounds its time too. *)
+let work_per_state = 200
+
 let make_env ?(tele = Telemetry.disabled) ?(max_states = 20_000)
     ?(extra_preds = []) ?(extra_objects = []) ?(assume = []) sides =
   let congruent = compute_congruent sides in
@@ -323,6 +331,7 @@ let make_env ?(tele = Telemetry.disabled) ?(max_states = 20_000)
         ~help:"states explored by static-analysis derivative searches"
         "analysis_states_explored";
     max_states;
+    max_work = work_per_state * max_states;
     obj_samples;
     pred_samples;
     dirs;
@@ -582,6 +591,7 @@ let explore env ~has_inv (start : Hrse.t) ~goal =
     Hashtbl.replace visited start.Hrse.id ();
     Queue.add start q;
     let result = ref None and capped = ref false in
+    let work0 = Hrse.work env.tbl in
     (try
        while not (Queue.is_empty q) do
          let s = Queue.pop q in
@@ -601,6 +611,10 @@ let explore env ~has_inv (start : Hrse.t) ~goal =
                  raise Done
                end;
                Queue.add s' q
+             end;
+             if Hrse.work env.tbl - work0 > env.max_work then begin
+               capped := true;
+               raise Done
              end)
            letters
        done
@@ -634,6 +648,7 @@ let explore_product env ~has_inv1 ~has_inv2 (start1 : Hrse.t)
     incr n_goals
   end;
   Queue.add (start1, start2) q;
+  let work0 = Hrse.work env.tbl in
   (try
      while not (Queue.is_empty q) && !n_goals < collect do
        let s1, s2 = Queue.pop q in
@@ -658,6 +673,10 @@ let explore_product env ~has_inv1 ~has_inv2 (start1 : Hrse.t)
                  raise Done
                end;
                Queue.add (t1, t2) q
+             end;
+             if Hrse.work env.tbl - work0 > env.max_work then begin
+               capped := true;
+               raise Done
              end
            end)
          env.letters
@@ -911,7 +930,7 @@ let emptiness_of env side schema l =
   if not c.can_sat then Empty
   else
     match Hashtbl.find_opt env.sat_paths key with
-    | None -> Unknown "derivative-space search hit the state cap"
+    | None -> Unknown "derivative-space search hit its state or work cap"
     | Some p -> (
         match concretise env side schema l p with
         | Error m -> Unknown ("witness construction failed: " ^ m)
@@ -1013,7 +1032,7 @@ let contains_in_env env s1 l1 s2 l2 =
         let no_separator = match separator with None -> true | Some _ -> false in
         match (paths, completeness) with
         | [], `Complete when no_separator -> Contained
-        | [], `Capped -> Inconclusive "product search hit the state cap"
+        | [], `Capped -> Inconclusive "product search hit its state or work cap"
         | _ ->
             Inconclusive
               "counterexample candidates found but none survived \

@@ -26,7 +26,13 @@
     way and are unconditional: every [Satisfiable]/[Refuted] answer
     carries a concrete neighbourhood that has been replayed through
     {!Shex.Validate} before being reported.  The differential oracle's
-    containment arm fuzzes exactly this contract. *)
+    containment arm fuzzes exactly this contract.
+
+    Every search stops, answering [Unknown]/[Inconclusive], once it has
+    visited [max_states] states (default 20 000) or spent
+    [200 * max_states] units of {!Shex_automaton.Hrse.work}, whichever
+    comes first: derivatives of interleavings and negations can grow
+    with every step, so the state count alone does not bound the time. *)
 
 (** A concrete witness: a focus node together with a graph whose
     neighbourhood of that node exhibits the claimed behaviour.  The

@@ -10,8 +10,8 @@ and node =
   | Not of t
 
 (* Structural key of a candidate node with children replaced by their
-   ids.  Keys contain only integers, so the polymorphic hash and
-   equality of the generic Hashtbl are exact. *)
+   ids.  Keys contain only integers, so polymorphic equality is
+   exact. *)
 type key =
   | KEmpty
   | KEpsilon
@@ -21,19 +21,46 @@ type key =
   | KOr of int list
   | KNot of int
 
-type table = { tbl : (key, t) Hashtbl.t; mutable next : int }
+(* The generic [Hashtbl.hash] reads only the first ten ids of a list,
+   and the conjuncts of an interleaving's derivatives share their
+   smallest ids, so every [And] over them would land in one bucket.
+   The hash reads the whole list instead. *)
+module Key_tbl = Hashtbl.Make (struct
+  type t = key
+
+  let equal (a : key) b = a = b
+  let hash_ids tag ids =
+    Hashtbl.hash (List.fold_left (fun h i -> (h * 31) + i) tag ids)
+
+  let hash = function
+    | KEmpty -> 0
+    | KEpsilon -> 1
+    | KAtom i -> Hashtbl.hash (2, i)
+    | KStar i -> Hashtbl.hash (3, i)
+    | KNot i -> Hashtbl.hash (4, i)
+    | KAnd ids -> hash_ids 5 ids
+    | KOr ids -> hash_ids 6 ids
+end)
+
+type table = {
+  tbl : t Key_tbl.t;
+  mutable next : int;
+  mutable work : int;  (** key words looked up so far, hits included *)
+}
 
 let intern table key node nullable =
-  match Hashtbl.find_opt table.tbl key with
+  (table.work <-
+     table.work + match key with KAnd ids | KOr ids -> List.length ids | _ -> 1);
+  match Key_tbl.find_opt table.tbl key with
   | Some e -> e
   | None ->
       let e = { id = table.next; node; nullable } in
       table.next <- table.next + 1;
-      Hashtbl.replace table.tbl key e;
+      Key_tbl.replace table.tbl key e;
       e
 
 let create () =
-  let table = { tbl = Hashtbl.create 256; next = 0 } in
+  let table = { tbl = Key_tbl.create 256; next = 0; work = 0 } in
   (* ∅ and ε first, so their ids are stable (0 and 1) and ε sorts
      before every composite — the invariant the ε-handling in [mk_or]
      relies on. *)
@@ -41,7 +68,8 @@ let create () =
   ignore (intern table KEpsilon Epsilon true);
   table
 
-let cardinal table = Hashtbl.length table.tbl
+let cardinal table = Key_tbl.length table.tbl
+let work table = table.work
 
 let empty table = intern table KEmpty Empty false
 let epsilon table = intern table KEpsilon Epsilon true

@@ -51,6 +51,12 @@ val create : unit -> table
 val cardinal : table -> int
 (** Number of distinct expressions interned so far. *)
 
+val work : table -> int
+(** Words of structural key the constructors have looked up so far,
+    found or new: an n-ary [And]/[Or] counts n, any other node 1.  A
+    deterministic measure of the time spent building expressions,
+    which, unlike {!cardinal}, also grows when they already exist. *)
+
 (** {1 Constructors}
 
     All apply the §4 simplification rules and ACI normalisation, as

@@ -121,6 +121,26 @@ let test_recursive_dead () =
   | Analysis.Empty -> ()
   | v -> Alcotest.failf "expected empty, got %a" Analysis.pp_emptiness v
 
+let test_work_budget_stops_search () =
+  (* (¬a ‖ ¬b)⋆ matches every bag, so the search for a rejecting state
+     never succeeds, and its derivatives grow with every step.  Only
+     the work budget stops it before the state cap. *)
+  let neg p = Rse.not_ (Rse.arc_v (Value_set.Pred (ex p)) Value_set.Obj_any) in
+  let s =
+    Schema.make_exn [ (plbl "N", Rse.star (Rse.and_ (neg "a") (neg "b"))) ]
+  in
+  let tele = Telemetry.create () in
+  (match Analysis.shape_satisfiable ~tele ~max_states:2000 s (plbl "N") with
+  | Analysis.Satisfiable _ -> ()
+  | v -> Alcotest.failf "expected satisfiable, got %a" Analysis.pp_emptiness v);
+  let states =
+    Telemetry.Counter.value
+      (Telemetry.counter tele "analysis_states_explored")
+  in
+  if states >= 2000 then
+    Alcotest.failf "the search visited %d states: no work budget stopped it"
+      states
+
 (* ν-consistency: when the analysis declares a shape empty, no
    generated graph may produce a conforming node. *)
 let prop_empty_means_no_match =
@@ -443,6 +463,8 @@ let tests =
       test_recursive_satisfiable;
     Alcotest.test_case "recursion over a dead conjunct is empty" `Quick
       test_recursive_dead;
+    Alcotest.test_case "a growing search stops on its work budget" `Quick
+      test_work_budget_stops_search;
     prop_empty_means_no_match;
     Alcotest.test_case "value-set widening is containment" `Quick
       test_containment_basic;

@@ -59,6 +59,20 @@ let test_hcons_factoring () =
   check_bool "physically equal" true (e1 == e2);
   check_int "ids equal" (H.hash e1) (H.hash e2)
 
+let test_hcons_work () =
+  (* [work] charges a lookup by its key's width, found or new, so
+     rebuilding a term costs what building it did. *)
+  let t = H.create () in
+  let atoms = List.init 12 (H.atom t) in
+  let n0 = H.cardinal t and w0 = H.work t in
+  let e1 = H.and_all t atoms in
+  check_int "one new node" (n0 + 1) (H.cardinal t);
+  check_int "12-wide key charged 12" (w0 + 12) (H.work t);
+  let e2 = H.and_all t (List.rev atoms) in
+  same "rebuilt term interned once" e1 e2;
+  check_int "no new node" (n0 + 1) (H.cardinal t);
+  check_int "found key charged too" (w0 + 24) (H.work t)
+
 let test_hcons_nullable () =
   let t = H.create () in
   let a = H.atom t 0 and b = H.atom t 1 in
@@ -251,6 +265,8 @@ let suites =
       [ Alcotest.test_case "hash-cons ACI canonicalisation" `Quick
           test_hcons_aci;
         Alcotest.test_case "hash-cons unit laws" `Quick test_hcons_units;
+        Alcotest.test_case "hash-cons work counts every lookup" `Quick
+          test_hcons_work;
         Alcotest.test_case "hash-cons distributive factoring" `Quick
           test_hcons_factoring;
         Alcotest.test_case "precomputed nullability" `Quick
