@@ -29,6 +29,7 @@ module Key_tbl = Hashtbl.Make (struct
   type t = key
 
   let equal (a : key) b = a = b
+
   let hash_ids tag ids =
     Hashtbl.hash (List.fold_left (fun h i -> (h * 31) + i) tag ids)
 
@@ -49,8 +50,8 @@ type table = {
 }
 
 let intern table key node nullable =
-  (table.work <-
-     table.work + match key with KAnd ids | KOr ids -> List.length ids | _ -> 1);
+  let width = match key with KAnd ids | KOr ids -> List.length ids | _ -> 1 in
+  table.work <- table.work + width;
   match Key_tbl.find_opt table.tbl key with
   | Some e -> e
   | None ->
