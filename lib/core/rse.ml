@@ -44,14 +44,21 @@ let obj_spec_compare a b =
   | Values _, Ref _ -> -1
   | Ref _, Values _ -> 1
 
+(* Each comparator returns at once on physically equal arguments:
+   derivatives share subterms, so the ACI sorts keep meeting a subtree
+   and itself. *)
 let arc_compare (a : arc) (b : arc) =
-  let c = Value_set.pred_compare a.pred b.pred in
-  if c <> 0 then c
+  if a == b then 0
   else
-    let c = obj_spec_compare a.obj b.obj in
-    if c <> 0 then c else Bool.compare a.inverse b.inverse
+    let c = Value_set.pred_compare a.pred b.pred in
+    if c <> 0 then c
+    else
+      let c = obj_spec_compare a.obj b.obj in
+      if c <> 0 then c else Bool.compare a.inverse b.inverse
 
 let rec equal a b =
+  a == b
+  ||
   match (a, b) with
   | Empty, Empty | Epsilon, Epsilon -> true
   | Arc x, Arc y -> arc_equal x y
@@ -71,15 +78,17 @@ let rank = function
   | Not _ -> 6
 
 let rec compare a b =
-  match (a, b) with
-  | Empty, Empty | Epsilon, Epsilon -> 0
-  | Arc x, Arc y -> arc_compare x y
-  | Star x, Star y | Not x, Not y -> compare x y
-  | And (x1, x2), And (y1, y2) | Or (x1, x2), Or (y1, y2) ->
-      let c = compare x1 y1 in
-      if c <> 0 then c else compare x2 y2
-  | (Empty | Epsilon | Arc _ | Star _ | And _ | Or _ | Not _), _ ->
-      Int.compare (rank a) (rank b)
+  if a == b then 0
+  else
+    match (a, b) with
+    | Empty, Empty | Epsilon, Epsilon -> 0
+    | Arc x, Arc y -> arc_compare x y
+    | Star x, Star y | Not x, Not y -> compare x y
+    | And (x1, x2), And (y1, y2) | Or (x1, x2), Or (y1, y2) ->
+        let c = compare x1 y1 in
+        if c <> 0 then c else compare x2 y2
+    | (Empty | Epsilon | Arc _ | Star _ | And _ | Or _ | Not _), _ ->
+        Int.compare (rank a) (rank b)
 
 (* Simplification rules of §4 plus the standard star/complement laws,
    strengthened with ACI normalisation in the style of Owens, Reppy &

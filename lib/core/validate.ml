@@ -8,7 +8,17 @@ module Pair = struct
     if c <> 0 then c else Label.compare l1 l2
 end
 
-module Pair_set = Set.Make (Pair)
+(* The pair table: every (node, label) pair a session meets is interned
+   once into a dense int id, hashed and compared without the
+   polymorphic primitives. *)
+module Pair_tbl = Hashtbl.Make (struct
+  type t = Pair.t
+
+  let equal (n1, l1) (n2, l2) = Rdf.Term.equal n1 n2 && Label.equal l1 l2
+  let hash (n, l) = (Rdf.Term.hash n * 31) + Label.hash l
+end)
+
+module Int_set = Set.Make (Int)
 
 (* The automaton backend (lib/automaton) registers itself here.  The
    indirection keeps the dependency arrow pointing outwards: core
@@ -52,18 +62,15 @@ type compiled = Counting of Sorbe.t | Table of compiled_matcher | Generic
 
 (* First-class dependency record of the fixpoint (PR 3 only emitted
    these edges as telemetry events; incremental revalidation needs
-   them as data).  For every settled pair the tables hold the pairs
-   its *last* evaluation consulted — the edge set the final verdict
-   actually depends on — plus the reverse edges and a node index, so
-   a graph delta can walk from edited nodes back to every memoised
-   verdict that could observe it. *)
+   them as data).  For every settled pair the arrays hold, by pair id,
+   the ids its *last* evaluation consulted — the edge set the final
+   verdict actually depends on — plus the reverse edges, so a graph
+   delta can walk from edited nodes back to every memoised verdict
+   that could observe it. *)
 type dep_record = {
-  deps : (Pair.t, Pair_set.t) Hashtbl.t;
-      (* pair → pairs its last evaluation consulted *)
-  rdeps : (Pair.t, Pair_set.t) Hashtbl.t;
-      (* exact reverse edges of [deps] *)
-  by_node : (Rdf.Term.t, Label.Set.t) Hashtbl.t;
-      (* node → labels with a memoised verdict on that node *)
+  mutable deps : Int_set.t array;
+      (* id → ids its last evaluation consulted *)
+  mutable rdeps : Int_set.t array;  (* exact reverse edges of [deps] *)
 }
 
 (* Per-shape attribution state (the [?profile] flag).  One labelled
@@ -196,11 +203,26 @@ type session = {
       (* whether {!set_graph} should rebuild the accelerator *)
   domains : int;
       (* requested bulk-validation parallelism; 1 = sequential *)
-  proven : (Pair.t, bool) Hashtbl.t;  (* settled verdicts, memoised *)
-  consulted : (Pair.t, Pair.t list) Hashtbl.t;
-      (* settled-true pair → what one evaluation of it under the
-         settled verdicts consulted; filled by {!typing_of} only, and
-         dropped with the pair's [proven] entry *)
+  (* The verdict memo, indexed by pair id (see {!intern}).  Ids are
+     never recycled: a pair whose verdict is invalidated goes back to
+     [unknown] and keeps its id, so the table holds one entry per
+     distinct pair the session has looked up. *)
+  ids : int Pair_tbl.t;                (* pair → id *)
+  mutable pairs : Pair.t array;        (* id → pair *)
+  mutable state : Bytes.t;             (* id → one of the states below *)
+  mutable dependents : int list array;
+      (* id → ids whose evaluation consulted it while it was a
+         candidate; filled for the running solve's candidates only and
+         cleared when that solve ends *)
+  mutable consulted : int list option array;
+      (* settled-true id → what one evaluation of it under the settled
+         verdicts consulted; filled by {!typing_of} only, and dropped
+         with the pair's verdict *)
+  mutable count : int;                 (* ids handed out *)
+  mutable settled : int;               (* ids in a settled state *)
+  mutable labels : Label.Set.t;
+      (* every label interned so far: what {!invalidate_nodes} probes an
+         edited node with *)
   dep_record : dep_record option;     (* Some iff [record_deps] *)
   compiled : (Label.t, compiled) Hashtbl.t;
       (* per-label compilation: SORBE counting matcher or lazy DFA *)
@@ -232,15 +254,16 @@ let make_session ~engine ~telemetry ~domains ~record_deps ~profile ~slow_ms
   in
   { engine; schema; graph; columnar; interned;
     domains = max 1 domains;
-    proven = Hashtbl.create 256;
-    consulted = Hashtbl.create 256;
+    ids = Pair_tbl.create 256;
+    pairs = [||];
+    state = Bytes.empty;
+    dependents = [||];
+    consulted = [||];
+    count = 0;
+    settled = 0;
+    labels = Label.Set.empty;
     dep_record =
-      (if record_deps then
-         Some
-           { deps = Hashtbl.create 256;
-             rdeps = Hashtbl.create 256;
-             by_node = Hashtbl.create 64 }
-       else None);
+      (if record_deps then Some { deps = [||]; rdeps = [||] } else None);
     compiled = Hashtbl.create 16;
     backend;
     tele = telemetry;
@@ -295,7 +318,7 @@ let columnar_store st = st.columnar
 let engine st = st.engine
 let domains st = st.domains
 let record_deps st = Option.is_some st.dep_record
-let memo_size st = Hashtbl.length st.proven
+let memo_size st = st.settled
 let profiling st = Option.is_some st.profile
 let slowlog st = st.slowlog
 
@@ -320,47 +343,83 @@ let neighbourhood st ~include_inverse n =
   | Some c -> Neigh.of_columnar ~include_inverse n c
   | None -> Neigh.of_node ~include_inverse n (graph st)
 
-let dependencies_of st p =
-  match st.dep_record with
-  | None -> []
-  | Some r ->
-      Option.fold ~none:[] ~some:Pair_set.elements
-        (Hashtbl.find_opt r.deps p)
+(* Pair states.  A solve marks the pairs it demands candidate-true,
+   flips refuted ones to candidate-false, and settles every one of them
+   in place when it ends. *)
+let unknown = 0
+let cand_true = 1
+let cand_false = 2
+let settled_true = 3
+let settled_false = 4
+let state st id = Bytes.get_uint8 st.state id
+let set_state st id s = Bytes.set_uint8 st.state id s
+let is_settled st id = state st id >= settled_true
 
-(* Reverse-edge maintenance: [unlink_rdep r ~dependent q] removes the
-   edge "dependent consulted q" from the reverse table. *)
-let unlink_rdep r ~dependent q =
-  match Hashtbl.find_opt r.rdeps q with
-  | None -> ()
-  | Some s ->
-      let s = Pair_set.remove dependent s in
-      if Pair_set.is_empty s then Hashtbl.remove r.rdeps q
-      else Hashtbl.replace r.rdeps q s
+let new_id st p =
+  let id = st.count in
+  if id = Array.length st.pairs then begin
+    let cap = max 256 (2 * id) in
+    let extend a fill =
+      let b = Array.make cap fill in
+      Array.blit a 0 b 0 id;
+      b
+    in
+    st.pairs <- extend st.pairs p;
+    st.dependents <- extend st.dependents [];
+    st.consulted <- extend st.consulted None;
+    let state = Bytes.make cap (Char.chr unknown) in
+    Bytes.blit st.state 0 state 0 id;
+    st.state <- state;
+    match st.dep_record with
+    | Some r ->
+        r.deps <- extend r.deps Int_set.empty;
+        r.rdeps <- extend r.rdeps Int_set.empty
+    | None -> ()
+  end;
+  st.pairs.(id) <- p;
+  st.count <- id + 1;
+  Pair_tbl.add st.ids p id;
+  if not (Label.Set.mem (snd p) st.labels) then
+    st.labels <- Label.Set.add (snd p) st.labels;
+  id
+
+(* [find], not [find_opt]: a memo hit then allocates nothing beyond
+   the caller's key tuple.  Interning may grow the per-id arrays, so
+   callers re-read them from [st] after anything that can intern. *)
+let intern st p =
+  match Pair_tbl.find st.ids p with
+  | id -> id
+  | exception Not_found -> new_id st p
+
+(* Ids sorted and deduplicated in {!Pair.compare} order.  Requeues
+   and frontier walks visit pairs in this order, not in interning
+   order, so the evaluation sequence, the fixpoint counters and the
+   frontier list do not depend on which pair a session met first. *)
+let in_pair_order st ids =
+  List.sort_uniq (fun a b -> Pair.compare st.pairs.(a) st.pairs.(b)) ids
+
+let dependencies_of st p =
+  match (st.dep_record, Pair_tbl.find_opt st.ids p) with
+  | Some r, Some id ->
+      List.map
+        (fun q -> st.pairs.(q))
+        (in_pair_order st (Int_set.elements r.deps.(id)))
+  | _ -> []
 
 (* Replace the recorded edge set of [p] with the consultations of its
    latest evaluation, keeping [rdeps] exact (stale reverse edges would
    make later invalidations walk — and kill — verdicts that no longer
    depend on the flipped pair). *)
 let record_edges r p used =
-  let now = Pair_set.of_list used in
-  let before =
-    Option.value (Hashtbl.find_opt r.deps p) ~default:Pair_set.empty
-  in
-  let link q =
-    let s =
-      Option.value (Hashtbl.find_opt r.rdeps q) ~default:Pair_set.empty
-    in
-    Hashtbl.replace r.rdeps q (Pair_set.add p s)
-  in
-  Pair_set.iter (unlink_rdep r ~dependent:p) (Pair_set.diff before now);
-  Pair_set.iter link (Pair_set.diff now before);
-  Hashtbl.replace r.deps p now
-
-let index_node r ((n, l) : Pair.t) =
-  let ls =
-    Option.value (Hashtbl.find_opt r.by_node n) ~default:Label.Set.empty
-  in
-  Hashtbl.replace r.by_node n (Label.Set.add l ls)
+  let now = Int_set.of_list used in
+  let before = r.deps.(p) in
+  Int_set.iter
+    (fun q -> r.rdeps.(q) <- Int_set.remove p r.rdeps.(q))
+    (Int_set.diff before now);
+  Int_set.iter
+    (fun q -> r.rdeps.(q) <- Int_set.add p r.rdeps.(q))
+    (Int_set.diff now before);
+  r.deps.(p) <- now
 
 let compile st l e =
   match Hashtbl.find_opt st.compiled l with
@@ -402,7 +461,7 @@ let sample_resources st =
       Telemetry.Counter.set p.g_compactions q.Gc.compactions;
       Telemetry.Counter.set p.g_minor_collections q.Gc.minor_collections;
       Telemetry.Counter.set p.g_major_collections q.Gc.major_collections;
-      Telemetry.Counter.set p.g_memo_entries (Hashtbl.length st.proven)
+      Telemetry.Counter.set p.g_memo_entries st.settled
 
 (* The unified snapshot: engine counters live in the registry already;
    the automaton backend's pull-style cache counters are folded in at
@@ -492,12 +551,13 @@ let profiled_run st p n l run () =
       p.charged_seconds <- p.charged_seconds +. (if dts < 0. then 0. else dts))
 
 (* One evaluation of a (node, label) pair under the current candidate
-   valuation.  References to settled pairs read the memo table;
+   valuation.  References to settled pairs read their state byte;
    same-stratum references read [value] and are recorded in the use
    list; references to lower strata are settled on the spot through
-   [settle] (they are final by stratification, so negation over them
-   is sound). *)
-let rec evaluate st ~value ~demand ((n, l) : Pair.t) =
+   {!solve} (they are final by stratification, so negation over them
+   is sound).  The use list holds pair ids, most recent first. *)
+let rec evaluate st ~value ~demand id =
+  let n, l = st.pairs.(id) in
   match Schema.find_shape st.schema l with
   | None -> (false, [])
   | Some { Schema.focus = Some vo; _ }
@@ -509,21 +569,19 @@ let rec evaluate st ~value ~demand ((n, l) : Pair.t) =
       let stratum = Schema.stratum st.schema l in
       let tracing = Telemetry.tracing st.tele in
       let check_ref l' o =
-        let q = (o, l') in
+        let q = intern st (o, l') in
         used := q :: !used;
-        let settled = Hashtbl.find_opt st.proven q in
+        let settled = is_settled st q in
         let answer =
-          match settled with
-          | Some b -> b
-          | None ->
-              if Schema.stratum st.schema l' < stratum then begin
-                solve st q;
-                Hashtbl.find st.proven q
-              end
-              else begin
-                demand q;
-                value q
-              end
+          if settled then state st q = settled_true
+          else if Schema.stratum st.schema l' < stratum then begin
+            solve st q;
+            state st q = settled_true
+          end
+          else begin
+            demand q;
+            value q
+          end
         in
         (* The dependency edge of the fixpoint: which hypothesis this
            verdict consulted, and whether the answer was a settled
@@ -536,7 +594,7 @@ let rec evaluate st ~value ~demand ((n, l) : Pair.t) =
                  ("on_node", Telemetry.String (Rdf.Term.to_string o));
                  ("on_shape", Telemetry.String (Label.to_string l'));
                  ("answer", Telemetry.Bool answer);
-                 ("settled", Telemetry.Bool (Option.is_some settled)) ]);
+                 ("settled", Telemetry.Bool settled) ]);
         answer
       in
       (* One provenance span per (node, shape) evaluation, labelled
@@ -626,87 +684,98 @@ let rec evaluate st ~value ~demand ((n, l) : Pair.t) =
    {!Schema.make} rejects negation inside a stratum, so the iteration
    terminates at the greatest fixpoint in polynomially many
    evaluations; negated references live in lower strata and are
-   settled before use. *)
+   settled before use.
+
+   The candidates live in the session's state bytes, so a solve that
+   ends settles its demanded pairs in place; one that raises (a
+   telemetry sink, [Out_of_memory], [Stack_overflow]) puts them back
+   to [unknown] first, leaving lower-stratum solves that finished
+   inside it settled. *)
 and solve st root =
-  if not (Hashtbl.mem st.proven root) then begin
-    let value : (Pair.t, bool) Hashtbl.t = Hashtbl.create 64 in
-    let dependents : (Pair.t, Pair_set.t) Hashtbl.t = Hashtbl.create 64 in
+  if not (is_settled st root) then begin
     let queue = Queue.create () in
-    let demand p =
-      if not (Hashtbl.mem value p) then begin
+    let demanded = ref [] in
+    let demand q =
+      if state st q = unknown then begin
         Telemetry.Counter.incr st.fix_demands;
-        Hashtbl.replace value p true;
-        Queue.add p queue
+        set_state st q cand_true;
+        demanded := q :: !demanded;
+        Queue.add q queue
       end
     in
-    demand root;
-    while not (Queue.is_empty queue) do
-      let p = Queue.pop queue in
-      (* A pair already settled false needs no re-evaluation. *)
-      if Hashtbl.find value p then begin
-        Telemetry.Counter.incr st.fix_evals;
-        let ok, used =
-          evaluate st ~value:(fun q -> Hashtbl.find value q) ~demand p
-        in
-        (* The last evaluation of each pair wins: its consultations are
-           the edges the settled verdict depends on. *)
-        (match st.dep_record with
-        | Some r -> record_edges r p used
-        | None -> ());
-        List.iter
-          (fun q ->
-            let prev =
-              Option.value
-                (Hashtbl.find_opt dependents q)
-                ~default:Pair_set.empty
-            in
-            Hashtbl.replace dependents q (Pair_set.add p prev))
-          used;
-        if not ok then begin
-          Telemetry.Counter.incr st.fix_flips;
-          (match st.profile with
-          | Some prof ->
-              Telemetry.Counter.incr
-                (Telemetry.labelled prof.p_flips (Label.to_string (snd p)))
+    let value q = state st q = cand_true in
+    let run () =
+      demand root;
+      while not (Queue.is_empty queue) do
+        let p = Queue.pop queue in
+        (* A pair already refuted needs no re-evaluation. *)
+        if state st p = cand_true then begin
+          Telemetry.Counter.incr st.fix_evals;
+          let ok, used = evaluate st ~value ~demand p in
+          (* The last evaluation of each pair wins: its consultations
+             are the edges the settled verdict depends on. *)
+          (match st.dep_record with
+          | Some r -> record_edges r p used
           | None -> ());
-          Hashtbl.replace value p false;
-          let ds =
-            Option.value
-              (Hashtbl.find_opt dependents p)
-              ~default:Pair_set.empty
-          in
-          let requeued = ref 0 in
-          Pair_set.iter
-            (fun d ->
-              if Hashtbl.find value d then begin
-                incr requeued;
-                Queue.add d queue
-              end)
-            ds;
-          (* The refutation edge: this hypothesis flipped to false and
-             re-triggered the verdicts that relied on it. *)
-          if Telemetry.tracing st.tele then
-            let fn, fl = p in
-            Telemetry.emit st.tele
-              (Telemetry.instant "fixpoint_flip"
-                 [ ("node", Telemetry.String (Rdf.Term.to_string fn));
-                   ("shape", Telemetry.String (Label.to_string fl));
-                   ("requeued", Telemetry.Int !requeued) ])
+          (* Only a candidate-true pair can still flip, so only its
+             dependents are ever read. *)
+          List.iter
+            (fun q ->
+              if state st q = cand_true then
+                st.dependents.(q) <- p :: st.dependents.(q))
+            used;
+          if not ok then begin
+            Telemetry.Counter.incr st.fix_flips;
+            (match st.profile with
+            | Some prof ->
+                Telemetry.Counter.incr
+                  (Telemetry.labelled prof.p_flips
+                     (Label.to_string (snd st.pairs.(p))))
+            | None -> ());
+            set_state st p cand_false;
+            let requeued = ref 0 in
+            List.iter
+              (fun d ->
+                if state st d = cand_true then begin
+                  incr requeued;
+                  Queue.add d queue
+                end)
+              (in_pair_order st st.dependents.(p));
+            (* The refutation edge: this hypothesis flipped to false and
+               re-triggered the verdicts that relied on it. *)
+            if Telemetry.tracing st.tele then
+              let fn, fl = st.pairs.(p) in
+              Telemetry.emit st.tele
+                (Telemetry.instant "fixpoint_flip"
+                   [ ("node", Telemetry.String (Rdf.Term.to_string fn));
+                     ("shape", Telemetry.String (Label.to_string fl));
+                     ("requeued", Telemetry.Int !requeued) ])
+          end
         end
-      end
-    done;
-    Hashtbl.iter
-      (fun p v ->
-        Hashtbl.replace st.proven p v;
-        match st.dep_record with
-        | Some r -> index_node r p
-        | None -> ())
-      value
+      done
+    in
+    let finish settle =
+      List.iter
+        (fun q ->
+          set_state st q (settle (state st q));
+          st.dependents.(q) <- [])
+        !demanded
+    in
+    match run () with
+    | () ->
+        finish (fun s -> if s = cand_true then settled_true else settled_false);
+        st.settled <- st.settled + List.length !demanded
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        finish (fun _ -> unknown);
+        Printexc.raise_with_backtrace e bt
   end
 
-let verdict st p =
-  solve st p;
-  Hashtbl.find st.proven p
+let verdict_id st id =
+  solve st id;
+  state st id = settled_true
+
+let verdict st p = verdict_id st (intern st p)
 
 (* Dependency-frontier invalidation: every memoised verdict anchored
    on an edited node, plus — transitively, backwards along the
@@ -719,59 +788,61 @@ let verdict st p =
    a full from-scratch run (the oracle's edit-script arm checks this
    equivalence mechanically). *)
 let invalidate_nodes st nodes =
+  let drop id =
+    let was = state st id = settled_true in
+    set_state st id unknown;
+    st.settled <- st.settled - 1;
+    st.consulted.(id) <- None;
+    (st.pairs.(id), was)
+  in
   match st.dep_record with
   | None ->
       (* No recorded edges: the only sound reaction to a graph change
          is dropping the whole memo (a full revalidation). *)
-      let all = Hashtbl.fold (fun p v acc -> (p, v) :: acc) st.proven [] in
-      Hashtbl.reset st.proven;
-      Hashtbl.reset st.consulted;
-      all
+      let all = ref [] in
+      for id = st.count - 1 downto 0 do
+        if is_settled st id then all := drop id :: !all
+      done;
+      !all
   | Some r ->
-      let visited = ref Pair_set.empty in
+      let visited = ref Int_set.empty in
       let queue = Queue.create () in
-      let push p =
-        if Hashtbl.mem st.proven p && not (Pair_set.mem p !visited) then begin
-          visited := Pair_set.add p !visited;
-          Queue.add p queue
+      let push id =
+        if is_settled st id && not (Int_set.mem id !visited) then begin
+          visited := Int_set.add id !visited;
+          Queue.add id queue
         end
       in
+      (* An edited node's settled pairs, in label order: probe the pair
+         table with every label the session has interned. *)
       List.iter
         (fun n ->
-          match Hashtbl.find_opt r.by_node n with
-          | None -> ()
-          | Some ls -> Label.Set.iter (fun l -> push (n, l)) ls)
+          Label.Set.iter
+            (fun l ->
+              match Pair_tbl.find_opt st.ids (n, l) with
+              | Some id -> push id
+              | None -> ())
+            st.labels)
         nodes;
       let frontier = ref [] in
       while not (Queue.is_empty queue) do
         let p = Queue.pop queue in
-        frontier := (p, Hashtbl.find st.proven p) :: !frontier;
-        match Hashtbl.find_opt r.rdeps p with
-        | Some dependents -> Pair_set.iter push dependents
-        | None -> ()
+        frontier := p :: !frontier;
+        List.iter push (in_pair_order st (Int_set.elements r.rdeps.(p)))
       done;
-      (* Drop the frontier from the memo and the dependency tables.
+      (* Drop the frontier from the memo and the dependency record.
          Every dependent of a frontier pair is itself in the frontier
          (that is what the backwards walk computes), so unlinking each
-         dropped pair from the deps of what it consulted leaves the
-         tables exactly describing the retained memo. *)
-      List.iter
-        (fun (((n, l) as p), _) ->
-          Hashtbl.remove st.proven p;
-          Hashtbl.remove st.consulted p;
-          (match Hashtbl.find_opt r.deps p with
-          | Some consulted ->
-              Pair_set.iter (unlink_rdep r ~dependent:p) consulted;
-              Hashtbl.remove r.deps p
-          | None -> ());
-          match Hashtbl.find_opt r.by_node n with
-          | None -> ()
-          | Some ls ->
-              let ls = Label.Set.remove l ls in
-              if Label.Set.is_empty ls then Hashtbl.remove r.by_node n
-              else Hashtbl.replace r.by_node n ls)
-        !frontier;
-      !frontier
+         dropped pair from the rdeps of what it consulted leaves the
+         record exactly describing the retained memo. *)
+      List.map
+        (fun p ->
+          Int_set.iter
+            (fun q -> r.rdeps.(q) <- Int_set.remove p r.rdeps.(q))
+            r.deps.(p);
+          r.deps.(p) <- Int_set.empty;
+          drop p)
+        !frontier
 
 (* The typing τ produced by a successful check: the root fact plus the
    facts its (final) match relies on, transitively — mirroring how the
@@ -782,22 +853,24 @@ let invalidate_nodes st nodes =
    together; DESIGN.md §8). *)
 let typing_of st root =
   let consultations p =
-    match Hashtbl.find_opt st.consulted p with
+    match st.consulted.(p) with
     | Some used -> used
     | None ->
         let _, used =
-          evaluate st ~value:(fun q -> verdict st q) ~demand:(fun _ -> ()) p
+          evaluate st ~value:(verdict_id st) ~demand:(fun _ -> ()) p
         in
-        Hashtbl.replace st.consulted p used;
+        st.consulted.(p) <- Some used;
         used
   in
   let rec closure visited p =
-    if Pair_set.mem p visited || not (verdict st p) then visited
-    else List.fold_left closure (Pair_set.add p visited) (consultations p)
+    if Int_set.mem p visited || not (verdict_id st p) then visited
+    else List.fold_left closure (Int_set.add p visited) (consultations p)
   in
-  Pair_set.fold
-    (fun (n, l) acc -> Typing.add n l acc)
-    (closure Pair_set.empty root)
+  Int_set.fold
+    (fun id acc ->
+      let n, l = st.pairs.(id) in
+      Typing.add n l acc)
+    (closure Int_set.empty root)
     Typing.empty
 
 let failure_explain st n l =
@@ -812,8 +885,9 @@ let failure_explain st n l =
       Explain.of_trace ~check_ref ~node:n ~label:l trace
 
 let plain_check st n l =
-  if verdict st (n, l) then
-    { ok = true; typing = typing_of st (n, l); explain = None }
+  let id = intern st (n, l) in
+  if verdict_id st id then
+    { ok = true; typing = typing_of st id; explain = None }
   else { ok = false; typing = Typing.empty; explain = failure_explain st n l }
 
 (* Slow-validation capture: time the whole check (first checks of a

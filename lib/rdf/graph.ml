@@ -1,16 +1,18 @@
 type t = {
   triples : Triple.Set.t;
+  size : int;  (* [Triple.Set.cardinal triples], which walks the set *)
   by_subject : Triple.Set.t Term.Map.t;
   by_object : Triple.Set.t Term.Map.t;
 }
 
 let empty =
   { triples = Triple.Set.empty;
+    size = 0;
     by_subject = Term.Map.empty;
     by_object = Term.Map.empty }
 
 let is_empty g = Triple.Set.is_empty g.triples
-let cardinal g = Triple.Set.cardinal g.triples
+let cardinal g = g.size
 let mem tr g = Triple.Set.mem tr g.triples
 
 let index_add key tr index =
@@ -33,6 +35,7 @@ let add tr g =
   if mem tr g then g
   else
     { triples = Triple.Set.add tr g.triples;
+      size = g.size + 1;
       by_subject = index_add (Triple.subject tr) tr g.by_subject;
       by_object = index_add (Triple.obj tr) tr g.by_object }
 
@@ -40,6 +43,7 @@ let remove tr g =
   if not (mem tr g) then g
   else
     { triples = Triple.Set.remove tr g.triples;
+      size = g.size - 1;
       by_subject = index_remove (Triple.subject tr) tr g.by_subject;
       by_object = index_remove (Triple.obj tr) tr g.by_object }
 
@@ -91,7 +95,7 @@ let of_set set =
         if c <> 0 then c else Triple.compare a b)
       arr_o;
     let by_object = group Triple.obj arr_o in
-    { triples = set; by_subject; by_object }
+    { triples = set; size = n; by_subject; by_object }
   end
 
 let of_list trs = of_set (Triple.Set.of_list trs)

@@ -209,6 +209,34 @@ let test_set_schema_resets () =
   Alcotest.(check bool) "everything matches the open shape" true
     (Shex_incremental.Session.check_bool s (node "mary") person)
 
+(* Naming p700 repairs the whole ring of {!Util.chorded_ring}: the
+   frontier is every ring verdict, in the order the backwards walk
+   reaches them, and the constants pin that order. *)
+let test_frontier_order () =
+  let g = Lazy.force chorded_ring in
+  let s = Shex_incremental.Session.create person_schema g in
+  let vs = Shex_incremental.Session.validation s in
+  ignore (Validate.validate_graph vs);
+  let name = Rdf.Term.str "p700" in
+  Validate.set_graph vs
+    (Rdf.Graph.add (triple (node "p700") (foaf "name") name) g);
+  let frontier = Validate.invalidate_nodes vs [ node "p700"; name ] in
+  let rendered =
+    List.map
+      (fun ((n, l), was) ->
+        Printf.sprintf "%s@%s=%b" (Rdf.Term.to_string n) (Label.to_string l)
+          was)
+      frontier
+  in
+  Alcotest.(check int) "every ring verdict" 1000 (List.length rendered);
+  Alcotest.(check (list string)) "the walk ends at p701…p708"
+    (List.init 8 (fun i ->
+         Printf.sprintf "<http://example.org/p%d>@Person=false" (701 + i)))
+    (List.filteri (fun i _ -> i < 8) rendered);
+  Alcotest.(check string) "digest of the whole frontier, in order"
+    "39def3b6ab19b9980865d81b5d66cb45"
+    (Digest.to_hex (Digest.string (String.concat "\n" rendered)))
+
 (* ------------------------------------------------------------------ *)
 (* Incremental ≡ from-scratch on random edit scripts                   *)
 (* ------------------------------------------------------------------ *)
@@ -267,4 +295,6 @@ let suites =
         Alcotest.test_case "new nodes solve fresh" `Quick test_new_node;
         Alcotest.test_case "schema change falls back to full reset" `Quick
           test_set_schema_resets;
+        Alcotest.test_case "frontier order is pinned" `Quick
+          test_frontier_order;
         QCheck_alcotest.to_alcotest prop_incremental_equals_scratch ] ) ]

@@ -576,6 +576,80 @@ let prop_bulk_filter_fold =
            g1 Rdf.Graph.empty)
       && well_indexed f)
 
+(* [Graph.cardinal] is kept in the graph rather than recounted, so
+   every constructor has to maintain it: after each step of a random
+   sequence of adds, removes (no-op ones included), unions, diffs,
+   intersections and filters it still equals the number of triples
+   listed. *)
+type graph_op =
+  | Op_add of Rdf.Triple.t
+  | Op_add_nth of int  (* re-add a present triple: a no-op *)
+  | Op_remove of Rdf.Triple.t  (* usually absent: a no-op *)
+  | Op_remove_nth of int
+  | Op_union of Rdf.Graph.t
+  | Op_diff of Rdf.Graph.t
+  | Op_inter of Rdf.Graph.t
+  | Op_filter of int
+
+let nth_triple g i =
+  let trs = Rdf.Graph.to_list g in
+  if trs = [] then None else Some (List.nth trs (i mod List.length trs))
+
+let apply_graph_op g = function
+  | Op_add tr -> Rdf.Graph.add tr g
+  | Op_add_nth i ->
+      Option.fold ~none:g ~some:(fun tr -> Rdf.Graph.add tr g) (nth_triple g i)
+  | Op_remove tr -> Rdf.Graph.remove tr g
+  | Op_remove_nth i ->
+      Option.fold ~none:g
+        ~some:(fun tr -> Rdf.Graph.remove tr g)
+        (nth_triple g i)
+  | Op_union h -> Rdf.Graph.union g h
+  | Op_diff h -> Rdf.Graph.diff g h
+  | Op_inter h -> Rdf.Graph.inter g h
+  | Op_filter k ->
+      Rdf.Graph.filter
+        (fun tr -> Hashtbl.hash (Rdf.Triple.subject tr) mod 3 <> k)
+        g
+
+let graph_op_to_string = function
+  | Op_add tr -> Format.asprintf "add %a" Rdf.Triple.pp tr
+  | Op_add_nth i -> Printf.sprintf "re-add #%d" i
+  | Op_remove tr -> Format.asprintf "remove %a" Rdf.Triple.pp tr
+  | Op_remove_nth i -> Printf.sprintf "remove #%d" i
+  | Op_union h -> Printf.sprintf "union (%d triples)" (Rdf.Graph.cardinal h)
+  | Op_diff h -> Printf.sprintf "diff (%d triples)" (Rdf.Graph.cardinal h)
+  | Op_inter h -> Printf.sprintf "inter (%d triples)" (Rdf.Graph.cardinal h)
+  | Op_filter k -> Printf.sprintf "filter %d" k
+
+let gen_graph_op =
+  QCheck.Gen.(
+    frequency
+      [ (4, gen_wide_triple >|= fun tr -> Op_add tr);
+        (1, nat >|= fun i -> Op_add_nth i);
+        (2, gen_wide_triple >|= fun tr -> Op_remove tr);
+        (2, nat >|= fun i -> Op_remove_nth i);
+        (1, gen_wide_graph (int_bound 60) >|= fun h -> Op_union h);
+        (1, gen_wide_graph (int_bound 4) >|= fun h -> Op_union h);
+        (1, gen_wide_graph (int_bound 60) >|= fun h -> Op_diff h);
+        (1, gen_wide_graph (int_bound 200) >|= fun h -> Op_inter h);
+        (1, int_bound 2 >|= fun k -> Op_filter k) ])
+
+let prop_cardinal_is_kept =
+  QCheck.Test.make ~count:200 ~name:"Graph.cardinal kept through edits and set ops"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map graph_op_to_string ops))
+       QCheck.Gen.(list_size (int_bound 40) gen_graph_op))
+    (fun ops ->
+      let ok g = Rdf.Graph.cardinal g = List.length (Rdf.Graph.to_list g) in
+      let rec go g = function
+        | [] -> true
+        | op :: rest ->
+            let g = apply_graph_op g op in
+            ok g && go g rest
+      in
+      go Rdf.Graph.empty ops)
+
 let prop_columnar_roundtrip =
   QCheck.Test.make ~count:150 ~name:"columnar of_graph/to_graph roundtrip"
     arb_graph_pair (fun (g1, g2) ->
@@ -670,6 +744,7 @@ let tests =
       prop_bulk_diff_fold;
       prop_bulk_inter_fold;
       prop_bulk_filter_fold;
+      prop_cardinal_is_kept;
       prop_columnar_roundtrip;
       prop_columnar_builder_any_order ]
 

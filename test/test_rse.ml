@@ -35,6 +35,19 @@ let test_raw_constructors_do_not_simplify () =
     (Rse.equal (Rse.Raw.and_ Rse.epsilon a1) a1);
   check_int "raw star stacks" 3 (Rse.size (Rse.Raw.star (Rse.Raw.star a1)))
 
+(* Two distinct roots over one physically shared subterm whose tree has
+   2⁶⁰ − 1 nodes: no structural walk could finish, so only the
+   physical-equality shortcut can answer. *)
+let test_shared_subterm_compares_at_once () =
+  let rec tower k e = if k = 0 then e else tower (k - 1) (Rse.Raw.and_ e e) in
+  let shared = tower 59 a1 in
+  let r1 = Rse.Raw.or_ shared b12 and r2 = Rse.Raw.or_ shared b12 in
+  check_bool "distinct roots" false (r1 == r2);
+  check_int "compare" 0 (Rse.compare r1 r2);
+  check_bool "equal" true (Rse.equal r1 r2);
+  check_int "compare under star" 0
+    (Rse.compare (Rse.Raw.star shared) (Rse.Raw.star shared))
+
 (* Derived operators *)
 
 let test_plus () =
@@ -134,7 +147,9 @@ let suites =
         Alcotest.test_case "star rules" `Quick test_star_simplification;
         Alcotest.test_case "not rules" `Quick test_not_simplification;
         Alcotest.test_case "raw constructors" `Quick
-          test_raw_constructors_do_not_simplify ] );
+          test_raw_constructors_do_not_simplify;
+        Alcotest.test_case "shared subterms compare at once" `Quick
+          test_shared_subterm_compares_at_once ] );
     ( "rse.derived",
       [ Alcotest.test_case "plus" `Quick test_plus;
         Alcotest.test_case "opt" `Quick test_opt;

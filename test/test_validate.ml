@@ -11,15 +11,13 @@ let foaf l = Rdf.Iri.of_string_exn ("http://xmlns.com/foaf/0.1/" ^ l)
    person ↦ foaf:age→xsd:int ‖ (foaf:name→xsd:string)+ ‖ (foaf:knows→@person)* *)
 let person = label "Person"
 
-let person_schema =
-  Schema.make_exn
-    [ ( person,
-        Rse.and_all
-          [ Rse.arc_v (Value_set.Pred (foaf "age")) Value_set.xsd_integer;
-            Rse.plus
-              (Rse.arc_v (Value_set.Pred (foaf "name")) Value_set.xsd_string);
-            Rse.star (Rse.arc_ref (Value_set.Pred (foaf "knows")) person) ]
-      ) ]
+let person_expr =
+  Rse.and_all
+    [ Rse.arc_v (Value_set.Pred (foaf "age")) Value_set.xsd_integer;
+      Rse.plus (Rse.arc_v (Value_set.Pred (foaf "name")) Value_set.xsd_string);
+      Rse.star (Rse.arc_ref (Value_set.Pred (foaf "knows")) person) ]
+
+let person_schema = Schema.make_exn [ (person, person_expr) ]
 
 (* Example 2's graph. *)
 let example2_graph =
@@ -317,6 +315,161 @@ let test_clique_typing_matches_once () =
     pairs
 
 (* ------------------------------------------------------------------ *)
+(* The fixpoint memo's contract                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Person plus a label one stratum up that negates into it: a Loner has
+   no knows-arc to a conforming Person, so a Loner check settles Person
+   solves nested inside its own.  Loner comes first, so whole-graph runs
+   check it before Person on every node. *)
+let loner = label "Loner"
+
+let stratified_schema =
+  Schema.make_exn
+    [ ( loner,
+        Rse.not_
+          (Rse.and_
+             (Rse.arc_ref (Value_set.Pred (foaf "knows")) person)
+             (Rse.not_ Rse.empty)) );
+      (person, person_expr) ]
+
+exception Abort
+
+(* A solve interrupted by an exception (here a telemetry sink raising
+   on the k-th evaluation span) must leave no trace of its hypotheses:
+   whatever the session answers afterwards is what a fresh session
+   answers.  Every k of a whole-graph run is tried.  The run's first
+   check, Loner@0x, settles ring a (whose solve flips every member) and
+   then ring b in Person solves nested inside its own, so the abort
+   lands inside each nested solve, between them, and in the outer
+   solve. *)
+let test_aborted_solve_rolls_back () =
+  let g =
+    graph_of
+      (knows_ring ~nameless:[ 3 ] "a" 6
+      @ knows_ring "b" 4
+      @ [ triple (node "0x") (foaf "knows") (node "a0");
+          triple (node "0x") (foaf "knows") (node "b0");
+          triple (node "y") (foaf "knows") (node "a0") ])
+  in
+  let pairs =
+    List.concat_map
+      (fun n -> List.map (fun l -> (n, l)) (Schema.labels stratified_schema))
+      (Rdf.Graph.nodes g)
+  in
+  let answers st =
+    List.map
+      (fun (n, l) ->
+        let o = Validate.check st n l in
+        (o.Validate.ok, o.Validate.typing))
+      pairs
+  in
+  let fresh = Validate.session stratified_schema g in
+  let expected = answers fresh in
+  let spans = ref 0 in
+  let counting = Telemetry.create () in
+  Telemetry.set_sink counting
+    (Some
+       (fun ev ->
+         if ev.Telemetry.phase = Telemetry.Span_begin && ev.name = "check"
+         then incr spans));
+  ignore
+    (Validate.validate_graph
+       (Validate.session ~telemetry:counting stratified_schema g));
+  check_bool "the run opens evaluation spans" true (!spans > 20);
+  for k = 1 to !spans do
+    let tele = Telemetry.create () in
+    let st = Validate.session ~telemetry:tele stratified_schema g in
+    let seen = ref 0 in
+    Telemetry.set_sink tele
+      (Some
+         (fun ev ->
+           if ev.Telemetry.phase = Telemetry.Span_begin && ev.name = "check"
+           then begin
+             incr seen;
+             if !seen = k then raise Abort
+           end));
+    (match Validate.validate_graph st with
+    | _ -> Alcotest.failf "span %d: the sink did not abort the run" k
+    | exception Abort -> ());
+    Telemetry.set_sink tele None;
+    let what = Printf.sprintf "abort at span %d" k in
+    Alcotest.(check (list (pair bool typing))) what expected (answers st);
+    check_int (what ^ ": memo size")
+      (Validate.memo_size fresh) (Validate.memo_size st)
+  done
+
+(* Each storage path does the same fixpoint work on {!Util.chorded_ring},
+   in the same order, and reaches the same typing; the constants pin
+   all three.  The order is the sequence of evaluation spans. *)
+let test_same_work_same_order () =
+  let g = Lazy.force chorded_ring in
+  let run name make =
+    let tele = Telemetry.create () in
+    let order = Buffer.create 65536 in
+    Telemetry.set_sink tele
+      (Some
+         (fun ev ->
+           if ev.Telemetry.phase = Telemetry.Span_begin && ev.name = "check"
+           then
+             List.iter
+               (function
+                 | _, Telemetry.String s ->
+                     Buffer.add_string order s;
+                     Buffer.add_char order ' '
+                 | _ -> ())
+               ev.fields));
+    let typed = Validate.validate_graph (make tele) in
+    let counter c =
+      Option.get (Telemetry.find_counter (Telemetry.snapshot tele) c)
+    in
+    Alcotest.check typing (name ^ ": o0–o4 conform, the ring does not")
+      (List.fold_left
+         (fun t j -> Typing.add (node ("o" ^ string_of_int j)) person t)
+         Typing.empty (List.init 5 Fun.id))
+      typed;
+    Alcotest.(check (list int))
+      (name ^ ": fixpoint iterations, flips, demands")
+      [ 3063; 2059; 2064 ]
+      (List.map counter
+         [ "fixpoint_iterations"; "fixpoint_flips"; "fixpoint_demands" ]);
+    Alcotest.(check string) (name ^ ": evaluation order")
+      "6165fc4a713ccd2095378bab64b785c8"
+      (Digest.to_hex (Digest.string (Buffer.contents order)))
+  in
+  run "structural" (fun telemetry ->
+      Validate.session ~telemetry person_schema g);
+  run "interned" (fun telemetry ->
+      Validate.session ~telemetry ~interned:true person_schema g);
+  run "columnar" (fun telemetry ->
+      Validate.session_columnar ~telemetry person_schema
+        (Rdf.Columnar.of_graph g))
+
+(* Re-checking a settled pair is one pair-table lookup: the only
+   allocation is the (node, label) key tuple, 3 words. *)
+let test_memo_hits_allocate_the_key_only () =
+  let st = Validate.session person_schema (Lazy.force chorded_ring) in
+  let roots =
+    Array.of_list
+      (List.map
+         (fun i -> (node ("p" ^ string_of_int i), person))
+         [ 0; 1; 500; 700; 999 ]
+      @ List.init 5 (fun j -> (node ("o" ^ string_of_int j), person)))
+  in
+  Array.iter (fun (n, l) -> ignore (Validate.check_bool st n l)) roots;
+  let calls = 100_000 in
+  let before = Gc.minor_words () in
+  for i = 0 to calls - 1 do
+    let n, l = roots.(i mod Array.length roots) in
+    ignore (Validate.check_bool st n l)
+  done;
+  let per_call = (Gc.minor_words () -. before) /. float calls in
+  check_bool
+    (Printf.sprintf "%.3f words per memo hit (at most 3)" per_call)
+    true
+    (per_call <= 3.001)
+
+(* ------------------------------------------------------------------ *)
 (* Typing operations                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -364,4 +517,11 @@ let suites =
     ( "validate.typing",
       [ Alcotest.test_case "typing operations" `Quick test_typing_ops;
         Alcotest.test_case "clique closures match each pair once" `Quick
-          test_clique_typing_matches_once ] ) ]
+          test_clique_typing_matches_once ] );
+    ( "validate.memo",
+      [ Alcotest.test_case "an aborted solve rolls back" `Quick
+          test_aborted_solve_rolls_back;
+        Alcotest.test_case "same work, same order on every store" `Quick
+          test_same_work_same_order;
+        Alcotest.test_case "memo hits allocate the key only" `Quick
+          test_memo_hits_allocate_the_key_only ] ) ]

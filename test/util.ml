@@ -15,6 +15,45 @@ let t3 s p o = triple (node s) (ex p) o
 
 let graph_of triples = Rdf.Graph.of_list triples
 
+let foaf l = Rdf.Iri.of_string_exn ("http://xmlns.com/foaf/0.1/" ^ l)
+
+(* A foaf:knows ring prefix0 → prefix1 → … → prefix(k-1) → prefix0 of
+   persons with an integer age, and a name unless their index is in
+   [nameless].  Node names are not zero-padded, so term order ("p10" <
+   "p2") differs from ring order. *)
+let knows_ring ?(nameless = []) prefix k =
+  let who i = node (prefix ^ string_of_int (i mod k)) in
+  List.concat_map
+    (fun i ->
+      triple (who i) (foaf "age") (num (20 + (i mod 50)))
+      :: triple (who i) (foaf "knows") (who (i + 1))
+      ::
+      (if List.mem i nameless then []
+       else
+         [ triple (who i) (foaf "name")
+             (Rdf.Term.str (prefix ^ string_of_int i)) ]))
+    (List.init k Fun.id)
+
+(* A 1 000-person knows ring with a chord (p19 → p150) and p700
+   nameless: under the recursive Person shape p700 fails, and the
+   refutation walks back round the whole ring.  p150 is consulted by
+   p149 and p19, which the solver meets in the order p19, p149 but
+   which sort the other way, so the order dependents are requeued and
+   walked in shows.  Five persons the ring knows (o0–o4) hang off it
+   and conform. *)
+let chorded_ring =
+  lazy
+    (graph_of
+       (knows_ring ~nameless:[ 700 ] "p" 1000
+       @ triple (node "p19") (foaf "knows") (node "p150")
+         :: List.concat_map
+              (fun j ->
+                let o = node ("o" ^ string_of_int j) in
+                [ triple (node ("p" ^ string_of_int (200 * j))) (foaf "knows") o;
+                  triple o (foaf "age") (num j);
+                  triple o (foaf "name") (Rdf.Term.str ("o" ^ string_of_int j)) ])
+              (List.init 5 Fun.id)))
+
 (* Arc vp → vo with singleton predicate and finite values. *)
 let arc_num p values =
   Shex.Rse.arc_v (Shex.Value_set.Pred (ex p))
