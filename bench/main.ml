@@ -553,10 +553,10 @@ let e9 () =
         match stats with
         | None -> "-"
         | Some s ->
-            let steps = s.Shex.Validate.hits + s.Shex.Validate.misses in
+            let steps = s.Shex.Dfa.hits + s.Shex.Dfa.misses in
             Printf.sprintf "%d st %d sym %4.1f%% cached"
-              s.Shex.Validate.states s.Shex.Validate.symbols
-              (100.0 *. float_of_int s.Shex.Validate.hits
+              s.Shex.Dfa.states s.Shex.Dfa.symbols
+              (100.0 *. float_of_int s.Shex.Dfa.hits
               /. float_of_int (max 1 steps))
       in
       observe (fun () ->
@@ -587,25 +587,25 @@ let e9 () =
       let shape = Workload.Micro_gen.wide_shape f in
       let g = Workload.Micro_gen.wide_neighbourhood f in
       let focus = Workload.Micro_gen.focus in
-      let auto = Shex_automaton.Dfa.compile shape in
+      let auto = Shex.Dfa.compile shape in
       let sorbe = Option.get (Shex.Sorbe.of_rse shape) in
       assert (
         Bool.equal
           (Shex.Deriv.matches focus g shape)
-          (Shex_automaton.Dfa.matches auto focus g));
+          (Shex.Dfa.matches auto focus g));
       let t_deriv = time_per_run (fun () -> Shex.Deriv.matches focus g shape) in
       let t_comp =
-        time_per_run (fun () -> Shex_automaton.Dfa.matches auto focus g)
+        time_per_run (fun () -> Shex.Dfa.matches auto focus g)
       in
       let t_sorbe = time_per_run (fun () -> Shex.Sorbe.matches focus g sorbe) in
-      let s = Shex_automaton.Dfa.stats auto in
+      let s = Shex.Dfa.stats auto in
       jrow
         [ ("fan", jint f); ("triples", jint (Rdf.Graph.cardinal g));
           ("derivatives_us", jflt (us t_deriv));
           ("compiled_us", jflt (us t_comp)); ("counting_us", jflt (us t_sorbe)) ];
       row "  %-5d %-8d %11.2f us %11.2f us %11.2f us %-20s@." f
         (Rdf.Graph.cardinal g) (us t_deriv) (us t_comp) (us t_sorbe)
-        (Format.asprintf "%a" Shex_automaton.Dfa.pp_stats s))
+        (Format.asprintf "%a" Shex.Dfa.pp_stats s))
     fans;
   row
     "@.  Expectation: compiling once and stepping a memoised transition \

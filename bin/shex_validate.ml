@@ -12,12 +12,6 @@
 
 open Cmdliner
 
-(* Link-time side effects: register the compiled-DFA backend with
-   Shex.Validate (enabling --engine compiled / auto's DFA fallback)
-   and the domain-parallel bulk runner (enabling --domains). *)
-let () = Shex_automaton.Engine.install ()
-let () = Shex_parallel.Bulk.install ()
-
 let read_file path =
   In_channel.with_open_bin path In_channel.input_all
 

@@ -3,7 +3,6 @@
    DESIGN.md §15 for the construction. *)
 
 open Shex
-module Hrse = Shex_automaton.Hrse
 
 type witness = { focus : Rdf.Term.t; graph : Rdf.Graph.t }
 type emptiness = Satisfiable of witness | Empty | Unknown of string

@@ -10,8 +10,8 @@
     - {e letters} are equivalence classes of directed triples, built by
       classifying a universe of sampled candidate triples against the
       schema's arc constraints (the same arc-class construction as
-      {!Shex_automaton.Dfa}, driven by samples instead of graph data);
-    - {e states} are hash-consed expressions ({!Shex_automaton.Hrse}),
+      {!Shex.Dfa}, driven by samples instead of graph data);
+    - {e states} are hash-consed expressions ({!Shex.Hrse}),
       so the visited-set is a table of integer ids;
     - shape references are handled by a greatest-fixpoint {e capability}
       computation (can a node satisfy / fail each referenced shape?)
@@ -30,7 +30,7 @@
 
     Every search stops, answering [Unknown]/[Inconclusive], once it has
     visited [max_states] states (default 20 000) or spent
-    [200 * max_states] units of {!Shex_automaton.Hrse.work}, whichever
+    [200 * max_states] units of {!Shex.Hrse.work}, whichever
     comes first: derivatives of interleavings and negations can grow
     with every step, so the state count alone does not bound the time. *)
 

@@ -1,5 +1,3 @@
-open Shex
-
 type t = {
   table : Hrse.table;
   atoms : Rse.arc array;  (* atom id -> the arc constraint it stands for *)

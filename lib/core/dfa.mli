@@ -1,6 +1,6 @@
 (** Lazily built derivative automata for regular shape expressions.
 
-    {!Shex.Deriv.matches} recomputes a derivative {e expression} for
+    {!Deriv.matches} recomputes a derivative {e expression} for
     every consumed triple of every node it checks.  Within one
     validation run the same shape is matched against thousands of
     neighbourhoods, and the derivatives it steps through are massively
@@ -24,7 +24,7 @@
 
     Arcs whose object is a shape reference [@<L>] are opaque boolean
     atoms: classification calls the [check_ref] oracle supplied per
-    match — the recursive fixpoint of {!Shex.Validate} — so the
+    match — the recursive fixpoint of {!Validate} — so the
     automaton itself stays purely syntactic and remains valid as the
     fixpoint's candidate valuation evolves.
 
@@ -39,19 +39,19 @@
 
 type t
 
-val compile : Shex.Rse.t -> t
+val compile : Rse.t -> t
 (** Compile a shape expression.  The automaton starts with only its
     initial state; transitions appear as matching demands them. *)
 
 val matches :
-  ?check_ref:(Shex.Label.t -> Rdf.Term.t -> bool) ->
+  ?check_ref:(Label.t -> Rdf.Term.t -> bool) ->
   ?tele:Telemetry.t ->
   t ->
   Rdf.Term.t ->
   Rdf.Graph.t ->
   bool
 (** [matches a n g] — does the neighbourhood of [n] in [g] match the
-    compiled shape?  Equivalent to {!Shex.Deriv.matches} on the source
+    compiled shape?  Equivalent to {!Deriv.matches} on the source
     expression (the property suite asserts this).  Consumes the
     neighbourhood triple by triple: classify into an arc class, step
     the DFA, and finally read the state's nullability.  Stops early in
@@ -71,14 +71,14 @@ val matches :
     triple instead of a full atom scan. *)
 
 val matches_dts :
-  ?check_ref:(Shex.Label.t -> Rdf.Term.t -> bool) ->
+  ?check_ref:(Label.t -> Rdf.Term.t -> bool) ->
   ?tele:Telemetry.t ->
   t ->
   Rdf.Term.t ->
-  Shex.Neigh.dtriple list ->
+  Neigh.dtriple list ->
   bool
 (** {!matches} over an already-computed neighbourhood (what
-    {!Shex.Validate} passes a compiled matcher).  The caller must have
+    {!Validate} calls on [Auto] and [Compiled] sessions).  The caller must have
     included incoming triples exactly when the source expression has
     inverse arcs. *)
 

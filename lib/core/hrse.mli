@@ -1,6 +1,6 @@
 (** Hash-consed regular shape expressions over an atom alphabet.
 
-    The derivative engine of {!Shex.Deriv} rebuilds a fresh [Rse.t]
+    The derivative engine of {!Deriv} rebuilds a fresh [Rse.t]
     for every consumed triple and compares expressions structurally —
     O(size) per comparison.  Compiling to a DFA needs the opposite
     cost model: O(1) equality so that "have I seen this derivative
@@ -15,7 +15,7 @@
     the RDF layer and makes derivative computation purely symbolic.
 
     The smart constructors reproduce the full normalisation of
-    {!Shex.Rse}: the §4 simplification rules, ACI normal form ([‖] and
+    {!Rse}: the §4 simplification rules, ACI normal form ([‖] and
     [|] spines flattened into sorted n-ary nodes, [|] deduplicated —
     [‖] is a bag operator and keeps duplicates) and the distributive
     factoring [(C ‖ X) | (C ‖ Y) = C ‖ (X | Y)].  Because children are
@@ -60,7 +60,7 @@ val work : table -> int
 (** {1 Constructors}
 
     All apply the §4 simplification rules and ACI normalisation, as
-    {!Shex.Rse}'s smart constructors do, then intern. *)
+    {!Rse}'s smart constructors do, then intern. *)
 
 val empty : table -> t
 val epsilon : table -> t
@@ -89,7 +89,7 @@ val is_empty : t -> bool
 
 val size : t -> int
 (** AST nodes, counting an n-ary [And]/[Or] as [n − 1] binary nodes —
-    comparable with {!Shex.Rse.size}. *)
+    comparable with {!Rse.size}. *)
 
 val pp : Format.formatter -> t -> unit
 (** Debug rendering with atoms printed as [#i]. *)

@@ -11,10 +11,16 @@ val recommended_domains : unit -> int
 (** [Domain.recommended_domain_count ()] — the hardware parallelism
     the runtime suggests. *)
 
+val shard : int -> 'a list -> 'a list list
+(** [shard n xs] splits [xs] into at most [n] contiguous runs whose
+    lengths differ by at most one, in order ([List.concat (shard n
+    xs) = xs]).  Never an empty run for non-empty input. *)
+
 val run : (unit -> 'a) list -> 'a list
 (** [run tasks] evaluates every task to completion — the head on the
     calling domain, the rest each on a fresh domain — and returns
-    their results in task order.  Every domain is joined before the
-    call returns, even on failure; if any task raised, the first
-    raising task's exception is re-raised with its original
-    backtrace. *)
+    their results in task order.  A task the runtime cannot give a
+    domain (past its limit on live domains) runs on the calling
+    domain after the head.  Every domain is joined before the call
+    returns, even on failure; if any task raised, the first raising
+    task's exception is re-raised with its original backtrace. *)

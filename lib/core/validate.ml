@@ -20,45 +20,7 @@ end)
 
 module Int_set = Set.Make (Int)
 
-(* The automaton backend (lib/automaton) registers itself here.  The
-   indirection keeps the dependency arrow pointing outwards: core
-   defines the contract, the automaton library fulfils it, and a
-   session instantiates one backend so its transition tables are
-   shared across every label, node and check of the session. *)
-
-type cache_stats = {
-  atoms : int;
-  states : int;
-  symbols : int;
-  hits : int;
-  misses : int;
-}
-
-type compiled_matcher =
-  check_ref:(Label.t -> Rdf.Term.t -> bool) ->
-  Rdf.Term.t ->
-  Neigh.dtriple list ->
-  bool
-
-type compiled_backend = {
-  compile_shape : Rse.t -> compiled_matcher;
-  cache_stats : unit -> cache_stats;
-  export_stats : Telemetry.t -> unit;
-      (* fold the automaton cache counters into a registry (gauges
-         compiled_atoms/states/symbols, counters compiled_hits/misses)
-         so --engine-stats and --metrics are one code path *)
-}
-
-(* The factory receives the session's registry so the compiled engine
-   can emit the same per-triple trace events as the interpreted one
-   (from DFA edges instead of derivative expressions). *)
-let compiled_backend_factory : (Telemetry.t -> compiled_backend) option ref =
-  ref None
-
-let set_compiled_backend f = compiled_backend_factory := Some f
-let compiled_backend_installed () = Option.is_some !compiled_backend_factory
-
-type compiled = Counting of Sorbe.t | Table of compiled_matcher | Generic
+type compiled = Counting of Sorbe.t | Table of Dfa.t
 
 (* First-class dependency record of the fixpoint (PR 3 only emitted
    these edges as telemetry events; incremental revalidation needs
@@ -199,8 +161,6 @@ type session = {
          triple order, so verdicts, traces and reports are
          byte-identical either way (the oracle's interned arm pins
          this). *)
-  interned : bool;
-      (* whether {!set_graph} should rebuild the accelerator *)
   domains : int;
       (* requested bulk-validation parallelism; 1 = sequential *)
   (* The verdict memo, indexed by pair id (see {!intern}).  Ids are
@@ -226,8 +186,10 @@ type session = {
   dep_record : dep_record option;     (* Some iff [record_deps] *)
   compiled : (Label.t, compiled) Hashtbl.t;
       (* per-label compilation: SORBE counting matcher or lazy DFA *)
-  backend : compiled_backend option;
-      (* session-wide automaton store (Compiled, and Auto's fallback) *)
+  mutable automata : Dfa.t list;
+      (* every DFA in [compiled]: what the cache counters sum over *)
+  mutable exported : Dfa.stats;
+      (* the sums {!metrics} last folded into [tele] *)
   tele : Telemetry.t;
   deriv_instr : Deriv.instruments;
   back_instr : Backtrack.instruments;
@@ -242,17 +204,8 @@ type session = {
 }
 
 let make_session ~engine ~telemetry ~domains ~record_deps ~profile ~slow_ms
-    ~graph ~columnar ~interned schema =
-  let backend =
-    match (engine, !compiled_backend_factory) with
-    | (Compiled | Auto), Some make -> Some (make telemetry)
-    | Compiled, None ->
-        failwith
-          "Validate: engine Compiled requires the automaton backend \
-           (link shex_automaton, or call Shex_automaton.Engine.install)"
-    | _, _ -> None
-  in
-  { engine; schema; graph; columnar; interned;
+    ~graph ~columnar schema =
+  { engine; schema; graph; columnar;
     domains = max 1 domains;
     ids = Pair_tbl.create 256;
     pairs = [||];
@@ -265,7 +218,8 @@ let make_session ~engine ~telemetry ~domains ~record_deps ~profile ~slow_ms
     dep_record =
       (if record_deps then Some { deps = [||]; rdeps = [||] } else None);
     compiled = Hashtbl.create 16;
-    backend;
+    automata = [];
+    exported = Dfa.zero_stats;
     tele = telemetry;
     (* Instruments are resolved once here; on the default (disabled)
        registry every later use is a single branch. *)
@@ -291,12 +245,12 @@ let session ?(engine = Derivatives) ?(telemetry = Telemetry.disabled)
   make_session ~engine ~telemetry ~domains ~record_deps ~profile ~slow_ms
     ~graph:(Some graph)
     ~columnar:(if interned then Some (Rdf.Columnar.of_graph graph) else None)
-    ~interned schema
+    schema
 
 let session_columnar ?(engine = Derivatives) ?(telemetry = Telemetry.disabled)
     ?(domains = 1) ?(profile = false) ?slow_ms schema columnar =
   make_session ~engine ~telemetry ~domains ~record_deps:false ~profile
-    ~slow_ms ~graph:None ~columnar:(Some columnar) ~interned:true schema
+    ~slow_ms ~graph:None ~columnar:(Some columnar) schema
 
 let telemetry st = st.tele
 let schema st = st.schema
@@ -332,7 +286,7 @@ let set_slow_ms st = function
 let set_graph st graph =
   st.graph <- Some graph;
   st.columnar <-
-    (if st.interned then Some (Rdf.Columnar.of_graph graph) else None)
+    Option.map (fun _ -> Rdf.Columnar.of_graph graph) st.columnar
 
 (* Σgn through whichever representation the session holds: a
    binary-searched columnar slice when the accelerator is present, the
@@ -426,9 +380,9 @@ let compile st l e =
   | Some c -> c
   | None ->
       let table () =
-        match st.backend with
-        | Some b -> Table (b.compile_shape e)
-        | None -> Generic
+        let dfa = Dfa.compile e in
+        st.automata <- dfa :: st.automata;
+        Table dfa
       in
       let c =
         match st.engine with
@@ -441,7 +395,19 @@ let compile st l e =
       Hashtbl.replace st.compiled l c;
       c
 
-let compiled_stats st = Option.map (fun b -> b.cache_stats ()) st.backend
+let automaton_stats st =
+  List.fold_left
+    (fun acc dfa -> Dfa.add_stats acc (Dfa.stats dfa))
+    Dfa.zero_stats st.automata
+
+(* Whether the engine may compile shapes to DFAs. *)
+let dfa_engine st =
+  match st.engine with
+  | Auto | Compiled -> true
+  | Derivatives | Backtracking -> false
+
+let compiled_stats st =
+  if dfa_engine st then Some (automaton_stats st) else None
 
 (* Runtime resource gauges ("where is the memory"): GC words/heap/
    compactions plus the verdict-memo size, sampled into the registry at
@@ -464,14 +430,28 @@ let sample_resources st =
       Telemetry.Counter.set p.g_memo_entries st.settled
 
 (* The unified snapshot: engine counters live in the registry already;
-   the automaton backend's pull-style cache counters are folded in at
-   read time so one exposition covers every engine.  The DFA state
-   gauges ([compiled_states] & co.) land here too, completing the
-   resource picture of a profiled session. *)
+   the automata's pull-style cache counters are folded in at read time
+   so one exposition covers every engine.  The DFA state gauges
+   ([compiled_states] & co.) land here too, completing the resource
+   picture of a profiled session.  Table sizes are gauges (a reading,
+   not a rate); transition steps are counters.  Exports are deltas
+   against the previous export, not absolute [set]s: a registry that
+   received merged per-domain shard stats ({!Telemetry.merge}) must
+   keep them — an absolute overwrite from this (idle) session would
+   erase the workers' readings. *)
+let export_automaton_stats st =
+  let s = automaton_stats st in
+  let d = Dfa.sub_stats s st.exported in
+  st.exported <- s;
+  let tele = st.tele in
+  Telemetry.Counter.add (Telemetry.gauge tele "compiled_atoms") d.atoms;
+  Telemetry.Counter.add (Telemetry.gauge tele "compiled_states") d.states;
+  Telemetry.Counter.add (Telemetry.gauge tele "compiled_symbols") d.symbols;
+  Telemetry.Counter.add (Telemetry.counter tele "compiled_hits") d.hits;
+  Telemetry.Counter.add (Telemetry.counter tele "compiled_misses") d.misses
+
 let metrics st =
-  (match st.backend with
-  | Some b when Telemetry.enabled st.tele -> b.export_stats st.tele
-  | Some _ | None -> ());
+  if dfa_engine st && Telemetry.enabled st.tele then export_automaton_stats st;
   sample_resources st;
   Telemetry.snapshot st.tele
 
@@ -495,14 +475,11 @@ let prof_cells p l =
       Hashtbl.replace p.p_cells l c;
       c
 
-(* DFA work is pull-style (the backend owns its counters); hits +
+(* DFA work is pull-style (each automaton owns its counters); hits +
    misses is one transition taken per consumed triple. *)
 let compiled_steps st =
-  match st.backend with
-  | Some b ->
-      let s = b.cache_stats () in
-      s.hits + s.misses
-  | None -> 0
+  let s = automaton_stats st in
+  s.hits + s.misses
 
 (* Wrap one matcher run with self-cost attribution: counter deltas and
    wall time of the window, minus whatever nested evaluations (lower
@@ -604,13 +581,15 @@ let rec evaluate st ~value ~demand id =
          profiled runs charge it to the shape, as when the engines
          computed it themselves) through {!neighbourhood} — one binary
          search per evaluation on interned sessions. *)
-      let deriv_run () =
-        let dts = neighbourhood st ~include_inverse:(Rse.has_inverse e) n in
-        Deriv.matches_dts ~check_ref ~instr:st.deriv_instr n dts e
-      in
       let matcher_name, run =
         match st.engine with
-        | Derivatives -> ("derivatives", deriv_run)
+        | Derivatives ->
+            ( "derivatives",
+              fun () ->
+                let dts =
+                  neighbourhood st ~include_inverse:(Rse.has_inverse e) n
+                in
+                Deriv.matches_dts ~check_ref ~instr:st.deriv_instr n dts e )
         | Backtracking ->
             (* The Fig.-1 baseline decomposes whole neighbourhood
                graphs, so it stays on the structural view. *)
@@ -633,14 +612,13 @@ let rec evaluate st ~value ~demand id =
                     in
                     Sorbe.matches_dts ~check_ref ~instr:st.sorbe_instr n dts
                       sorbe )
-            | Table matcher ->
+            | Table dfa ->
                 ( "compiled",
                   fun () ->
                     let dts =
                       neighbourhood st ~include_inverse:(Rse.has_inverse e) n
                     in
-                    matcher ~check_ref n dts )
-            | Generic -> ("derivatives", deriv_run))
+                    Dfa.matches_dts ~check_ref ~tele:st.tele dfa n dts ))
       in
       let run =
         match st.profile with
@@ -942,29 +920,55 @@ let check_bool st n l =
         ~conformant:Fun.id
         ~explain_of:(fun ok -> if ok then None else failure_explain st n l)
 
-(* The parallel subsystem (lib/parallel) registers its bulk runner
-   here, mirroring the compiled-backend hook above: core owns the
-   contract and the decision of when sharding applies; the parallel
-   library owns the domains.  Sequential fallbacks keep the observable
-   behaviour at [domains = 1] byte-for-byte identical to [check] in a
-   fold, and tracing always forces the sequential path because event
-   sinks (and the span tree they rebuild) are single-threaded. *)
-let bulk_checker :
-    (session -> (Rdf.Term.t * Label.t) list -> outcome list) option ref =
-  ref None
+(* Domain-parallel bulk validation: contiguous shards of the
+   association list, so outcome order is input order by construction
+   and the merged report is byte-for-byte the sequential one.  Each
+   shard gets a private sub-session (its own memo, SORBE counters and
+   DFA transition tables) and a private telemetry registry; the only
+   data crossing domains is the immutable schema and graph (or frozen
+   columnar store) going in and the finished outcome lists coming back
+   at join.  Nothing mutable is shared, so nothing needs a lock.
+   Pull-style stats (the automata's cache counters) are folded into
+   each shard registry before it leaves its domain. *)
+let check_sharded st associations =
+  let engine = st.engine and schema = st.schema in
+  let profile = Option.is_some st.profile in
+  let instrumented = Telemetry.enabled st.tele in
+  let sub_session =
+    match st.columnar with
+    | Some c ->
+        fun telemetry -> session_columnar ~engine ~telemetry ~profile schema c
+    | None ->
+        let g = graph st in
+        fun telemetry -> session ~engine ~telemetry ~profile schema g
+  in
+  let per_shard =
+    Pool.run
+      (List.map
+         (fun run () ->
+           let telemetry =
+             if instrumented then Telemetry.create () else Telemetry.disabled
+           in
+           let sub = sub_session telemetry in
+           let outcomes = List.map (fun (n, l) -> check sub n l) run in
+           if instrumented then ignore (metrics sub);
+           (outcomes, telemetry))
+         (Pool.shard st.domains associations))
+  in
+  if instrumented then
+    List.iter (fun (_, tele) -> Telemetry.merge ~into:st.tele tele) per_shard;
+  List.concat_map fst per_shard
 
-let set_bulk_checker f = bulk_checker := Some f
-let bulk_checker_installed () = Option.is_some !bulk_checker
-
+(* Tracing always forces the sequential path: event sinks (and the
+   span tree they rebuild) are single-threaded. *)
 let check_all st associations =
   let outcomes =
-    match !bulk_checker with
-    | Some bulk
-      when st.domains > 1
-           && not (Telemetry.tracing st.tele)
-           && List.compare_length_with associations 2 >= 0 ->
-        bulk st associations
-    | _ -> List.map (fun (n, l) -> check st n l) associations
+    if
+      st.domains > 1
+      && (not (Telemetry.tracing st.tele))
+      && List.compare_length_with associations 2 >= 0
+    then check_sharded st associations
+    else List.map (fun (n, l) -> check st n l) associations
   in
   sample_resources st;
   outcomes

@@ -33,15 +33,12 @@ type engine =
   | Auto
       (** compile each shape once: the SORBE counting matcher when the
           shape is single-occurrence (linear, no expression rebuilding
-          — experiment E4), the compiled DFA when an automaton backend
-          is linked, derivatives otherwise *)
+          — experiment E4), the lazy {!Dfa} otherwise *)
   | Compiled
-      (** hash-consed lazy derivative automata (lib/automaton,
-          experiment E9): each shape is compiled once, every node is
-          then validated by transition-table lookups shared across the
-          whole session.  Requires the [shex_automaton] library to be
-          linked (it installs itself via {!set_compiled_backend});
-          {!session} raises [Failure] otherwise. *)
+      (** hash-consed lazy derivative automata ({!Dfa}, experiment
+          E9): each shape is compiled once, every node is then
+          validated by transition-table lookups shared across the
+          whole session. *)
 
 type session
 
@@ -61,8 +58,8 @@ val session :
     (node, shape) verdict memo persists across {!check}/{!check_bool}/
     {!check_all}/{!validate_graph} calls (re-checking a settled pair
     re-evaluates nothing), and the per-label compilations — the SORBE
-    counters and the compiled-DFA transition tables of the automaton
-    backend — are built once per label and reused by all later calls.
+    counters and the {!Dfa} transition tables — are built once per
+    label and reused by all later calls.
     Bulk runs with [domains > 1] validate their shards in {e private}
     sub-sessions: they read the shared session's schema and graph but
     neither consult nor write its memo, so a warm session's memo is
@@ -73,18 +70,19 @@ val session :
     [record_deps] (default [false]) makes the fixpoint solver retain
     its dependency edges as a first-class structure (PR 3 emitted them
     only as [fixpoint_dep] telemetry events): for every settled pair
-    the session records which (node, shape) hypotheses its final
-    evaluation consulted, the reverse edges, and a node index.  This
-    is what {!invalidate_nodes} walks; the incremental subsystem
+    the session records, by pair id, which (node, shape) hypotheses
+    its final evaluation consulted, and the reverse edges.  This is
+    what {!invalidate_nodes} walks; the incremental subsystem
     ([Shex_incremental]) creates its sessions with it on.  Costs one
-    hash-table update per evaluation; off by default.
+    id-set build per evaluation plus a reverse-edge update per
+    consultation that changed since the pair's previous evaluation;
+    off by default.
 
     [domains] (default [1], values below 1 are clamped to 1) is the
     bulk-validation parallelism {!check_all} may use: with [domains = n
-    > 1] and the parallel runner linked (see {!set_bulk_checker}), a
-    bulk check shards its associations over [n] OCaml domains.  It
-    never affects single {!check}/{!check_bool} calls, and [1]
-    preserves today's sequential behaviour exactly.
+    > 1] a bulk check shards its associations over [n] OCaml domains
+    ({!Pool}).  It never affects single {!check}/{!check_bool} calls,
+    and [1] is the sequential path.
 
     [telemetry] (default {!Telemetry.disabled}) receives every engine
     counter of the session: [deriv_steps] and the
@@ -167,8 +165,7 @@ val domains : session -> int
     The building blocks of [Shex_incremental.Session]: swap the graph,
     invalidate the memoised verdicts a set of edited nodes can reach,
     keep everything else — the retained memo, the per-label
-    compilations and the automaton backend's transition tables all
-    stay warm. *)
+    compilations and their DFA transition tables all stay warm. *)
 
 val record_deps : session -> bool
 (** Whether the session retains fixpoint dependency edges. *)
@@ -227,66 +224,17 @@ val dependencies_of :
 
 val metrics : session -> Telemetry.snapshot
 (** The session's unified metrics snapshot.  Engine counters are read
-    from the registry; when the session holds an automaton backend its
-    cache counters are folded in first (gauges
+    from the registry; on [Auto] and [Compiled] sessions the summed
+    {!Dfa} cache counters are folded in first (gauges
     [compiled_atoms]/[compiled_states]/[compiled_symbols], counters
     [compiled_hits]/[compiled_misses]) — so the snapshot covers
     whatever engine actually ran.  Empty when telemetry is
     disabled. *)
 
-(** {1 Compiled-engine backend}
-
-    The automaton subsystem lives in its own library on top of core,
-    so core cannot call it directly; instead the backend registers a
-    factory here and sessions instantiate it on demand.  One backend
-    instance is created per {!session}, so compiled tables — and the
-    statistics below — are shared across all labels and nodes of the
-    session but never leak between sessions. *)
-
-(** Cache counters of a session's compiled automata (summed over the
-    session's shapes; see E9). *)
-type cache_stats = {
-  atoms : int;    (** distinct arc constraints interned as alphabet atoms *)
-  states : int;   (** DFA states materialised (hash-consed derivatives) *)
-  symbols : int;  (** arc-class symbols (triple equivalence classes) seen *)
-  hits : int;     (** transition steps answered from the memo table *)
-  misses : int;   (** transition steps that built a new derivative *)
-}
-
-type compiled_matcher =
-  check_ref:(Label.t -> Rdf.Term.t -> bool) ->
-  Rdf.Term.t ->
-  Neigh.dtriple list ->
-  bool
-(** What a compiled shape can do: decide whether a node's
-    already-computed neighbourhood matches, resolving shape references
-    through the fixpoint's [check_ref] oracle.  The session computes
-    Σgn once per evaluation — from the structural indexes or a
-    columnar slice — and passes it in, so backends never touch the
-    graph representation. *)
-
-type compiled_backend = {
-  compile_shape : Rse.t -> compiled_matcher;
-  cache_stats : unit -> cache_stats;
-  export_stats : Telemetry.t -> unit;
-      (** fold the cache counters into a registry as
-          [compiled_*] gauges/counters — called by {!metrics} so the
-          unified snapshot includes the automaton cache *)
-}
-
-val set_compiled_backend : (Telemetry.t -> compiled_backend) -> unit
-(** Install the backend factory (called by
-    [Shex_automaton.Engine.install], which the library also runs at
-    link time).  The factory is invoked once per session with the
-    session's telemetry registry, so the compiled engine emits the
-    same per-triple trace events as the interpreted one. *)
-
-val compiled_backend_installed : unit -> bool
-
-val compiled_stats : session -> cache_stats option
-(** The session's automaton cache counters — [None] unless the
-    session instantiated a backend (engine [Compiled], or [Auto] with
-    the backend linked). *)
+val compiled_stats : session -> Dfa.stats option
+(** The session's automaton cache counters, summed over the DFAs it
+    compiled — [Some] on [Auto] and [Compiled] sessions (zero until a
+    shape needs a DFA), [None] otherwise. *)
 
 (** Result of checking one node against one label. *)
 type outcome = {
@@ -312,9 +260,9 @@ val check_all : session -> (Rdf.Term.t * Label.t) list -> outcome list
 (** Check a list of associations, one {!outcome} per association in
     the input order.  With [domains = 1] (the default) this is exactly
     [List.map (check session)] — the sequential semantics.  With
-    [domains > 1] and a bulk runner installed (see
-    {!set_bulk_checker}), the associations are sharded over that many
-    OCaml domains, each shard validated in a private sub-session, and
+    [domains > 1] and at least two associations, the associations are
+    sharded ({!Pool.shard}) over that many OCaml domains
+    ({!Pool.run}), each shard validated in a private sub-session, and
     the outcomes re-assembled in input order; per-shard telemetry is
     folded back into the session registry with {!Telemetry.merge}.
     Verdicts, typings and explanations are identical either way
@@ -322,22 +270,6 @@ val check_all : session -> (Rdf.Term.t * Label.t) list -> outcome list
     order).  Tracing sessions (a telemetry sink installed) always run
     sequentially so the event stream stays single-threaded and
     byte-identical. *)
-
-(** {1 Parallel bulk runner}
-
-    Like the compiled backend, the domain-parallel runner lives in a
-    library above core ([shex_parallel]) and registers itself here at
-    link time, so core never depends on [Domain]. *)
-
-val set_bulk_checker :
-  (session -> (Rdf.Term.t * Label.t) list -> outcome list) -> unit
-(** Install the bulk runner {!check_all} dispatches to (called by
-    [Shex_parallel.Bulk.install], which the library also runs at link
-    time).  The runner is only consulted for sessions with
-    [domains > 1], without an active trace sink, and with at least two
-    associations. *)
-
-val bulk_checker_installed : unit -> bool
 
 val validate_graph : session -> Typing.t
 (** Checks every node of the graph against every label of the schema

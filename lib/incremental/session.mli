@@ -85,7 +85,7 @@ val check_bool : t -> Rdf.Term.t -> Shex.Label.t -> bool
 
 val set_schema : t -> Shex.Schema.t -> unit
 (** Full fallback: schema deltas are not localised, so the inner
-    session (memo, compilations, automaton backend) is rebuilt from
+    session (memo, compilations, DFA tables) is rebuilt from
     scratch against the current graph.  Counted as
     [incremental_full_resets]. *)
 

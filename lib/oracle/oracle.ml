@@ -28,21 +28,16 @@ let reference schema graph assocs =
    ordering or lookup discrepancy between the int-column slices and
    the structural indexes shows up as a verdict or report-JSON
    divergence here. *)
-let engine_arms () =
+let engine_arms =
   [ ("backtrack", Shex.Validate.Backtracking, 1, false);
     ("auto", Shex.Validate.Auto, 1, false);
     ("interned", Shex.Validate.Derivatives, 1, true);
-    ("interned-auto", Shex.Validate.Auto, 1, true) ]
-  @ (if Shex.Validate.compiled_backend_installed () then
-       [ ("compiled", Shex.Validate.Compiled, 1, false);
-         ("interned-compiled", Shex.Validate.Compiled, 1, true) ]
-     else [])
-  @
-  if Shex.Validate.bulk_checker_installed () then
-    [ ("domains=2", Shex.Validate.Derivatives, 2, false);
-      ("domains=4", Shex.Validate.Derivatives, 4, false);
-      ("interned-domains=2", Shex.Validate.Derivatives, 2, true) ]
-  else []
+    ("interned-auto", Shex.Validate.Auto, 1, true);
+    ("compiled", Shex.Validate.Compiled, 1, false);
+    ("interned-compiled", Shex.Validate.Compiled, 1, true);
+    ("domains=2", Shex.Validate.Derivatives, 2, false);
+    ("domains=4", Shex.Validate.Derivatives, 4, false);
+    ("interned-domains=2", Shex.Validate.Derivatives, 2, true) ]
 
 let compare_full ~arm ~ref_oks ~ref_json assocs (oks, json) =
   let rec first_mismatch assocs ref_oks oks =
@@ -156,7 +151,7 @@ let divergences schema graph assocs =
         in
         let json = Json.to_string ~minify:true (Shex.Report.to_json report) in
         compare_full ~arm ~ref_oks ~ref_json assocs (oks, json))
-      (engine_arms ())
+      engine_arms
   in
   let extra =
     List.filter_map

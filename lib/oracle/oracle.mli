@@ -31,9 +31,8 @@ val divergences :
   (Rdf.Term.t * Shex.Label.t) list ->
   divergence list
 (** Run every applicable arm over the associations and report each
-    disagreement with the derivative reference.  The compiled and
-    domain arms are skipped (not failed) when their backends are not
-    linked into the executable; the SORBE and SPARQL arms restrict
+    disagreement with the derivative reference.  The nine engine and
+    domain arms always run; the SORBE and SPARQL arms restrict
     themselves to the shapes (and, for SPARQL, focus nodes) inside
     their fragments. *)
 

@@ -5,9 +5,6 @@
 open Util
 open Shex
 
-(* the optimizer property exercises the Compiled engine *)
-let () = Shex_automaton.Engine.install ()
-
 let lbl = Label.of_string
 let plbl name = lbl ("http://example.org/" ^ name)
 let unsat_obj = Value_set.Obj_not Value_set.Obj_any

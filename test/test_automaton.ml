@@ -1,13 +1,10 @@
-(* The compiled automaton engine (lib/automaton): hash-cons
+(* The compiled automaton engine (Hrse, Dfa): hash-cons
    canonicalisation, DFA/derivative agreement, suite-wide engine
    equivalence, and cache behaviour. *)
 
 open Util
 open Shex
-module H = Shex_automaton.Hrse
-module Dfa = Shex_automaton.Dfa
-
-let () = Shex_automaton.Engine.install ()
+module H = Hrse
 
 (* ------------------------------------------------------------------ *)
 (* Hash-cons canonicalisation: ACI-equal terms get one id             *)
@@ -244,12 +241,12 @@ let test_session_stats () =
   (match Validate.compiled_stats session with
   | None -> Alcotest.fail "compiled session must expose stats"
   | Some s ->
-      check_bool "states materialised" true (s.Validate.states > 0);
+      check_bool "states materialised" true (s.Dfa.states > 0);
       check_bool "transitions reused across nodes" true
-        (s.Validate.hits > 10 * s.Validate.misses));
+        (s.Dfa.hits > 10 * s.Dfa.misses));
   (* A derivative session has no automaton store. *)
   let plain = Validate.session schema graph in
-  check_bool "no stats without backend" true
+  check_bool "no stats on a derivatives session" true
     (Option.is_none (Validate.compiled_stats plain));
   (* check/typing parity on a single node, via the public one-shot API. *)
   match valid with

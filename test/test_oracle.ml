@@ -2,11 +2,6 @@
    fixed-seed campaign smoke, replay of the checked-in counterexample
    corpus, and the repro-file format round-trip. *)
 
-(* The compiled-DFA and domain arms only run when their backends are
-   installed; install them here so the oracle exercises every arm. *)
-let () = Shex_automaton.Engine.install ()
-let () = Shex_parallel.Bulk.install ()
-
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 

@@ -1,13 +1,11 @@
-(* Domain-parallel bulk validation (lib/parallel): sharding, the
-   fork/join pool, telemetry merging, and the headline property that
-   [Validate.check_all] at domains 1/2/4 is observationally identical
-   — verdicts, explanations, typings and merged counter totals. *)
+(* Domain-parallel bulk validation (Pool, Validate.check_all):
+   sharding, the fork/join pool, telemetry merging, and the headline
+   property that [Validate.check_all] at domains 1/2/4 is
+   observationally identical — verdicts, explanations, typings and
+   merged counter totals. *)
 
 open Util
 open Shex
-
-(* Referencing the library keeps its self-registration linked in. *)
-let () = Shex_parallel.Bulk.install ()
 
 (* ------------------------------------------------------------------ *)
 (* Sharding                                                           *)
@@ -22,13 +20,13 @@ let test_shard_concat () =
       check_bool
         (Printf.sprintf "concat (shard %d [0..%d)) = input" n len)
         true
-        (List.concat (Shex_parallel.Bulk.shard n xs) = xs))
+        (List.concat (Pool.shard n xs) = xs))
     [ (1, 0); (1, 7); (2, 7); (3, 7); (4, 4); (4, 3); (7, 2); (5, 0) ]
 
 let test_shard_balance () =
   List.iter
     (fun (n, len) ->
-      let runs = Shex_parallel.Bulk.shard n (ints len) in
+      let runs = Pool.shard n (ints len) in
       check_bool "at most n runs" true (List.length runs <= max 1 n);
       let lens = List.map List.length runs in
       let lo = List.fold_left min max_int lens
@@ -47,7 +45,7 @@ let test_shard_balance () =
 
 let test_pool_order () =
   let results =
-    Shex_parallel.Pool.run
+    Pool.run
       (List.map (fun i () -> i * i) (ints 5))
   in
   check_bool "results in task order" true (results = [ 0; 1; 4; 9; 16 ])
@@ -64,12 +62,33 @@ let test_pool_exception () =
         i)
       (ints 4)
   in
-  (match Shex_parallel.Pool.run tasks with
+  (match Pool.run tasks with
   | _ -> Alcotest.fail "expected Pool.run to re-raise"
   | exception Failure msg -> check_string "exception message" "task 2 exploded" msg);
   Array.iter
     (fun flag -> check_bool "every task ran to its own end" true (Atomic.get flag))
     flags
+
+let test_pool_domain_limit () =
+  (* More tasks than the runtime has domains (128 live domains on
+     OCaml 5.1): every spawned task waits for task 0, which runs on
+     the calling domain after all spawns, so they are all alive at
+     once and the spawns past the cap fail.  Those tasks must run on
+     the calling domain, in order.  The wait is bounded so a pool
+     that gives up mid-spawn does not leave domains blocked. *)
+  let started = Atomic.make false in
+  let task i () =
+    if i = 0 then Atomic.set started true
+    else begin
+      let deadline = Unix.gettimeofday () +. 5. in
+      while (not (Atomic.get started)) && Unix.gettimeofday () < deadline do
+        Unix.sleepf 0.001
+      done
+    end;
+    i
+  in
+  check_bool "results in task order" true
+    (Pool.run (List.init 200 task) = ints 200)
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry: merge, histogram clamp, span safety                     *)
@@ -199,10 +218,10 @@ let test_compiled_session_scoped () =
   check_bool "session A: m fails a->1" false (Validate.check_bool st_a (node "m") s);
   match (Validate.compiled_stats st_a, Validate.compiled_stats st_b) with
   | Some a, Some b ->
-      check_bool "A materialised its own states" true (a.Validate.states > 0);
-      check_bool "B materialised its own states" true (b.Validate.states > 0);
-      check_int "A interned exactly its own shape's atom" 1 a.Validate.atoms;
-      check_int "B interned exactly its own shape's atom" 1 b.Validate.atoms
+      check_bool "A materialised its own states" true (a.Dfa.states > 0);
+      check_bool "B materialised its own states" true (b.Dfa.states > 0);
+      check_int "A interned exactly its own shape's atom" 1 a.Dfa.atoms;
+      check_int "B interned exactly its own shape's atom" 1 b.Dfa.atoms
   | _ -> Alcotest.fail "compiled sessions must expose cache stats"
 
 (* ------------------------------------------------------------------ *)
@@ -230,7 +249,7 @@ let test_session_cache_lifetime () =
   let warm_memo = Validate.memo_size st in
   let warm_states =
     match Validate.compiled_stats st with
-    | Some stats -> stats.Validate.states
+    | Some stats -> stats.Dfa.states
     | None -> Alcotest.fail "compiled session must expose cache stats"
   in
   check_bool "first checks did evaluate" true (warm_iters > 0);
@@ -242,7 +261,7 @@ let test_session_cache_lifetime () =
   check_int "repeat checks hit the memo" warm_iters
     (Telemetry.Counter.value iterations);
   (match Validate.compiled_stats st with
-  | Some stats -> check_int "no new DFA states" warm_states stats.Validate.states
+  | Some stats -> check_int "no new DFA states" warm_states stats.Dfa.states
   | None -> Alcotest.fail "compiled session must expose cache stats");
   (* A sharded bulk run builds private sub-sessions; the shared memo
      is neither clobbered nor grown behind the session's back. *)
@@ -355,10 +374,6 @@ let prop_parallel_equals_sequential =
           && String.equal metrics metrics0)
         [ 2; 4 ])
 
-let test_bulk_installed () =
-  check_bool "bulk runner registered at link time" true
-    (Validate.bulk_checker_installed ())
-
 let test_tracing_stays_sequential () =
   (* With a sink installed check_all must take the sequential path:
      the event stream stays single-threaded, and the verdicts still
@@ -387,6 +402,8 @@ let tests =
     Alcotest.test_case "pool: task order" `Quick test_pool_order;
     Alcotest.test_case "pool: join + re-raise on failure" `Quick
       test_pool_exception;
+    Alcotest.test_case "pool: tasks past the domain limit" `Quick
+      test_pool_domain_limit;
     Alcotest.test_case "telemetry: lossless merge" `Quick test_telemetry_merge;
     Alcotest.test_case "telemetry: merge with disabled is a no-op" `Quick
       test_telemetry_merge_disabled;
@@ -400,7 +417,6 @@ let tests =
     Alcotest.test_case "session caches survive checks and bulk runs" `Quick
       test_session_cache_lifetime;
     Alcotest.test_case "json: atomic file writes" `Quick test_write_file_atomic;
-    Alcotest.test_case "bulk runner installed" `Quick test_bulk_installed;
     Alcotest.test_case "tracing forces the sequential path" `Quick
       test_tracing_stays_sequential;
     QCheck_alcotest.to_alcotest prop_parallel_equals_sequential;
