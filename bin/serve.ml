@@ -145,6 +145,15 @@ let make_session st schema graph =
     st.slow_ms;
   st.session <- Some session
 
+(* The daemon's one read of its registry: through the session when a
+   schema is loaded ({!Shex_incremental.Session.metrics}), the bare
+   registry otherwise.  The metrics command, the window tick and the
+   scrape all snapshot through here. *)
+let snapshot st =
+  match st.session with
+  | Some session -> Shex_incremental.Session.metrics session
+  | None -> Telemetry.snapshot st.tele
+
 let slowlog_of st =
   match st.session with
   | None -> None
@@ -218,16 +227,7 @@ let handle st obs cmd =
             Json.Bool (Shex_incremental.Session.check_bool session node shape)
           ) ]
   | Some "metrics" ->
-      (match st.session with
-      | Some session ->
-          Shex.Validate.sample_resources
-            (Shex_incremental.Session.validation session)
-      | None -> ());
-      let snap =
-        match st.session with
-        | Some session -> Shex_incremental.Session.metrics session
-        | None -> Telemetry.snapshot st.tele
-      in
+      let snap = snapshot st in
       let gc = Gc.quick_stat () in
       Json.Object
         ([ ("ok", Json.Bool true);
@@ -386,12 +386,7 @@ let spill_slowlog st obs =
    are cumulative (not deltas) so replay survives rotation and daemon
    restarts into the same journal. *)
 let tick st obs ~now =
-  (match st.session with
-  | Some session ->
-      Shex.Validate.sample_resources
-        (Shex_incremental.Session.validation session)
-  | None -> ());
-  let snap = Telemetry.snapshot st.tele in
+  let snap = snapshot st in
   Telemetry.Window.observe obs.window ~now snap;
   journal_record obs
     (Json.Object
@@ -411,12 +406,7 @@ let shutdown st obs reason =
 (* {2 The scrape surface} *)
 
 let metrics_exposition st obs =
-  (match st.session with
-  | Some session ->
-      Shex.Validate.sample_resources
-        (Shex_incremental.Session.validation session)
-  | None -> ());
-  let snap = Telemetry.snapshot st.tele in
+  let snap = snapshot st in
   let buf = Buffer.create 4096 in
   let ppf = Format.formatter_of_buffer buf in
   Telemetry.pp_text ppf snap;

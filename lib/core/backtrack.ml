@@ -16,6 +16,7 @@ let instruments tele =
   }
 
 let no_instruments = instruments Telemetry.disabled
+let counters instr = [ instr.branches; instr.decompositions ]
 
 (* All ordered pairs (l, r) of disjoint sublists whose union is the
    input — the list counterpart of Graph.decompositions.  Pairs come

@@ -23,6 +23,10 @@ type instruments
 val instruments : Telemetry.t -> instruments
 val no_instruments : instruments
 
+val counters : instruments -> Telemetry.Counter.t list
+(** The monotone counters resolved, in order: [backtrack_branches],
+    [backtrack_decompositions]. *)
+
 val matches :
   ?check_ref:check_ref ->
   ?instr:instruments ->

@@ -18,6 +18,7 @@ let instruments tele =
   }
 
 let no_instruments = instruments Telemetry.disabled
+let counters instr = [ instr.steps ]
 
 (* One derivative step's worth of accounting.  Only reached when the
    registry is enabled, so the O(size) expression walks below never

@@ -48,6 +48,9 @@ val no_instruments : instruments
 (** Inert instruments from {!Telemetry.disabled} — the default; each
     step then costs one extra branch. *)
 
+val counters : instruments -> Telemetry.Counter.t list
+(** The monotone counters resolved, in order: [deriv_steps]. *)
+
 val deriv :
   ?ctors:Rse.ctors ->
   ?check_ref:check_ref ->

@@ -1,3 +1,25 @@
+type instruments = {
+  tele : Telemetry.t;
+  hits : Telemetry.Counter.t;
+  misses : Telemetry.Counter.t;
+  atoms : Telemetry.Counter.t;  (* gauges, added to as entries appear *)
+  states : Telemetry.Counter.t;
+  symbols : Telemetry.Counter.t;
+}
+
+let instruments tele =
+  {
+    tele;
+    hits = Telemetry.counter tele "compiled_hits";
+    misses = Telemetry.counter tele "compiled_misses";
+    atoms = Telemetry.gauge tele "compiled_atoms";
+    states = Telemetry.gauge tele "compiled_states";
+    symbols = Telemetry.gauge tele "compiled_symbols";
+  }
+
+let no_instruments = instruments Telemetry.disabled
+let counters instr = [ instr.hits; instr.misses ]
+
 type t = {
   table : Hrse.table;
   atoms : Rse.arc array;  (* atom id -> the arc constraint it stands for *)
@@ -12,15 +34,14 @@ type t = {
       (* (direction, predicate) -> atoms whose predicate set contains
          it: classification tests only these candidates' object
          constraints instead of every atom *)
-  mutable hits : int;
-  mutable misses : int;
+  instr : instruments;
 }
 
 (* ------------------------------------------------------------------ *)
 (* Compilation: intern the arcs as atoms, translate the expression     *)
 (* ------------------------------------------------------------------ *)
 
-let compile (e : Rse.t) =
+let compile ?(instr = no_instruments) (e : Rse.t) =
   (* The alphabet: one atom per distinct arc constraint.  Duplicated
      arcs (e.g. the two copies [repeat] expands) share an atom, which
      both shrinks the classification bitset and lets hash-consing
@@ -52,6 +73,8 @@ let compile (e : Rse.t) =
   let atom_array = Array.of_list (List.rev_map fst !atoms) in
   let states = Hashtbl.create 64 in
   Hashtbl.replace states start.Hrse.id ();
+  Telemetry.Counter.add instr.atoms (Array.length atom_array);
+  Telemetry.Counter.incr instr.states;
   {
     table;
     atoms = atom_array;
@@ -63,8 +86,7 @@ let compile (e : Rse.t) =
     trans = Hashtbl.create 64;
     states;
     dispatch = Hashtbl.create 16;
-    hits = 0;
-    misses = 0;
+    instr;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -120,6 +142,7 @@ let classify auto ~check_ref dt =
   | None ->
       let s = Hashtbl.length auto.symbols in
       Hashtbl.replace auto.symbols key s;
+      Telemetry.Counter.incr auto.instr.symbols;
       let member = Array.init n (fun i -> key.[i] = '1') in
       auto.members <- Array.append auto.members [| member |];
       s
@@ -173,13 +196,16 @@ let deriv auto member state =
 let step auto (state : Hrse.t) sym =
   match Hashtbl.find_opt auto.trans (state.Hrse.id, sym) with
   | Some s' ->
-      auto.hits <- auto.hits + 1;
+      Telemetry.Counter.incr auto.instr.hits;
       s'
   | None ->
-      auto.misses <- auto.misses + 1;
+      Telemetry.Counter.incr auto.instr.misses;
       let s' = deriv auto auto.members.(sym) state in
       Hashtbl.replace auto.trans (state.Hrse.id, sym) s';
-      Hashtbl.replace auto.states s'.Hrse.id ();
+      if not (Hashtbl.mem auto.states s'.Hrse.id) then begin
+        Hashtbl.replace auto.states s'.Hrse.id ();
+        Telemetry.Counter.incr auto.instr.states
+      end;
       s'
 
 (* ------------------------------------------------------------------ *)
@@ -221,8 +247,8 @@ let record_nullable tele n (state : Hrse.t) =
          ]
        else []))
 
-let matches_dts ?(check_ref = no_refs) ?(tele = Telemetry.disabled) auto n dts
-    =
+let matches_dts ?(check_ref = no_refs) auto n dts =
+  let tele = auto.instr.tele in
   let tracing = Telemetry.tracing tele in
   let rec consume (state : Hrse.t) = function
     | [] ->
@@ -236,54 +262,6 @@ let matches_dts ?(check_ref = no_refs) ?(tele = Telemetry.disabled) auto n dts
   in
   consume auto.start dts
 
-let matches ?check_ref ?tele auto n g =
+let matches ?check_ref auto n g =
   let dts = Neigh.of_node ~include_inverse:auto.has_inverse n g in
-  matches_dts ?check_ref ?tele auto n dts
-
-(* ------------------------------------------------------------------ *)
-(* Statistics                                                          *)
-(* ------------------------------------------------------------------ *)
-
-type stats = {
-  atoms : int;
-  states : int;
-  symbols : int;
-  hits : int;
-  misses : int;
-}
-
-let stats (auto : t) =
-  {
-    atoms = Array.length auto.atoms;
-    states = Hashtbl.length auto.states;
-    symbols = Hashtbl.length auto.symbols;
-    hits = auto.hits;
-    misses = auto.misses;
-  }
-
-let zero_stats = { atoms = 0; states = 0; symbols = 0; hits = 0; misses = 0 }
-
-let add_stats a b =
-  {
-    atoms = a.atoms + b.atoms;
-    states = a.states + b.states;
-    symbols = a.symbols + b.symbols;
-    hits = a.hits + b.hits;
-    misses = a.misses + b.misses;
-  }
-
-let sub_stats a b =
-  {
-    atoms = a.atoms - b.atoms;
-    states = a.states - b.states;
-    symbols = a.symbols - b.symbols;
-    hits = a.hits - b.hits;
-    misses = a.misses - b.misses;
-  }
-
-let pp_stats ppf s =
-  let steps = s.hits + s.misses in
-  Format.fprintf ppf "%d states, %d symbols, %d steps: %.1f%% cached" s.states
-    s.symbols steps
-    (if steps = 0 then 0.0
-     else 100.0 *. float_of_int s.hits /. float_of_int steps)
+  matches_dts ?check_ref auto n dts

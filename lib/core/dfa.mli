@@ -33,19 +33,38 @@
     [∂symbol(state)] is computed on first demand through the
     hash-consed derivative and memoised in the transition table; every
     later traversal is a hash lookup.  Nullability is precomputed per
-    state, so acceptance is a field read.  {!stats} exposes the cache
-    counters (states materialised, symbols interned, transition hits /
-    misses) that E9 uses to demonstrate cross-node reuse. *)
+    state, so acceptance is a field read.  The cache counters (states
+    materialised, symbols interned, transition hits / misses) that E9
+    uses to demonstrate cross-node reuse are pushed into a telemetry
+    registry as the automaton works, like every other engine's. *)
+
+type instruments
+
+val instruments : Telemetry.t -> instruments
+(** Resolve, once per session: counters [compiled_hits] (steps answered
+    from the table) and [compiled_misses] (steps that built a
+    derivative); gauges [compiled_atoms], [compiled_states] and
+    [compiled_symbols], each added to when an arc constraint, state or
+    arc class is created, so a reading sums over every automaton
+    compiled with these instruments. *)
+
+val no_instruments : instruments
+(** Inert instruments from {!Telemetry.disabled} — the default. *)
+
+val counters : instruments -> Telemetry.Counter.t list
+(** The monotone counters resolved, in order: [compiled_hits],
+    [compiled_misses].  Their sum is the number of transitions taken. *)
 
 type t
 
-val compile : Rse.t -> t
+val compile : ?instr:instruments -> Rse.t -> t
 (** Compile a shape expression.  The automaton starts with only its
-    initial state; transitions appear as matching demands them. *)
+    initial state; transitions appear as matching demands them.  It
+    reports into [instr] (and traces through its registry) for the
+    rest of its life. *)
 
 val matches :
   ?check_ref:(Label.t -> Rdf.Term.t -> bool) ->
-  ?tele:Telemetry.t ->
   t ->
   Rdf.Term.t ->
   Rdf.Graph.t ->
@@ -58,9 +77,9 @@ val matches :
     the dead state ∅ — sound exactly when the shape is negation-free,
     as in the derivative engine.
 
-    When [tele] (default {!Telemetry.disabled}) has a sink, each DFA
-    edge emits a [deriv_step] event (with hash-consed state ids in
-    place of expression sizes; the rendered states too under
+    When the automaton's registry has a sink, each DFA edge emits a
+    [deriv_step] event (with hash-consed state ids in place of
+    expression sizes; the rendered states too under
     {!Telemetry.residuals}) and exhaustion emits a [nullable_check] —
     the same provenance vocabulary as the interpreted engine.
 
@@ -72,7 +91,6 @@ val matches :
 
 val matches_dts :
   ?check_ref:(Label.t -> Rdf.Term.t -> bool) ->
-  ?tele:Telemetry.t ->
   t ->
   Rdf.Term.t ->
   Neigh.dtriple list ->
@@ -81,26 +99,3 @@ val matches_dts :
     {!Validate} calls on [Auto] and [Compiled] sessions).  The caller must have
     included incoming triples exactly when the source expression has
     inverse arcs. *)
-
-(** Cache counters, cumulative since {!compile}. *)
-type stats = {
-  atoms : int;  (** distinct arc constraints (alphabet generators) *)
-  states : int;  (** DFA states materialised so far *)
-  symbols : int;  (** arc classes (alphabet symbols) seen so far *)
-  hits : int;  (** transition steps answered from the table *)
-  misses : int;  (** transition steps that had to build a derivative *)
-}
-
-val stats : t -> stats
-
-val pp_stats : Format.formatter -> stats -> unit
-(** [7 states, 4 symbols, 5963 steps: 99.2% cached]. *)
-
-val zero_stats : stats
-val add_stats : stats -> stats -> stats
-(** Pointwise sum, for aggregating over the automata of a session. *)
-
-val sub_stats : stats -> stats -> stats
-(** Pointwise difference, for computing the growth since a previous
-    reading (the delta a repeated stats export pushes into a
-    telemetry registry). *)

@@ -16,6 +16,7 @@ let instruments tele =
   }
 
 let no_instruments = instruments Telemetry.disabled
+let counters instr = [ instr.matches_run; instr.updates ]
 
 let arc_equal (a : Rse.arc) (b : Rse.arc) =
   Value_set.pred_equal a.pred b.pred

@@ -47,6 +47,10 @@ type instruments
 val instruments : Telemetry.t -> instruments
 val no_instruments : instruments
 
+val counters : instruments -> Telemetry.Counter.t list
+(** The monotone counters resolved, in order: [sorbe_matches],
+    [sorbe_counter_updates]. *)
+
 val matches :
   ?check_ref:(Label.t -> Rdf.Term.t -> bool) ->
   ?instr:instruments ->

@@ -37,41 +37,30 @@ type dep_record = {
 
 (* Per-shape attribution state (the [?profile] flag).  One labelled
    cell bundle per shape label, cached by {!Label.t} so the hot path
-   resolves a label's cells once; plus the "charged so far" totals the
-   self-cost computation needs: a nested evaluation (a lower-stratum
-   reference settled inline) charges its own shape, and the outer
-   evaluation subtracts what was charged during its window, so every
-   unit of engine work is attributed to exactly one shape and the
-   family sums reproduce the session-global counters. *)
+   resolves a label's cells once; plus, per attributed engine, how much
+   of its global work is already charged to some shape.  A nested
+   evaluation (a lower-stratum reference settled inline) charges its
+   own shape, and the outer evaluation subtracts what was charged
+   during its window, so every unit of engine work is attributed to
+   exactly one shape and the family sums reproduce the session-global
+   counters. *)
 type prof_cells = {
   c_checks : Telemetry.Counter.t;
   c_seconds : Telemetry.Span.t;
-  c_deriv : Telemetry.Counter.t;
-  c_back : Telemetry.Counter.t;
-  c_sorbe : Telemetry.Counter.t;
-  c_compiled : Telemetry.Counter.t;
+  c_work : Telemetry.Counter.t array;  (* one cell per [p_work] entry *)
 }
 
 type prof = {
-  (* the global counters the deltas are read from *)
-  p_deriv_total : Telemetry.Counter.t;
-  p_back_total : Telemetry.Counter.t;
-  p_sorbe_total : Telemetry.Counter.t;
-  (* labelled families, keyed by shape (one by focus node) *)
+  p_work :
+    (Telemetry.Counter.t list * Telemetry.Counter.t Telemetry.family) array;
+      (* per engine: the global counters whose sum is its work, and the
+         family that work is charged to by shape *)
+  p_charged : int array;  (* per [p_work] entry: work charged so far *)
   p_checks : Telemetry.Counter.t Telemetry.family;
   p_seconds : Telemetry.Span.t Telemetry.family;
-  p_deriv : Telemetry.Counter.t Telemetry.family;
-  p_back : Telemetry.Counter.t Telemetry.family;
-  p_sorbe : Telemetry.Counter.t Telemetry.family;
-  p_compiled : Telemetry.Counter.t Telemetry.family;
   p_flips : Telemetry.Counter.t Telemetry.family;
   p_node_seconds : Telemetry.Span.t Telemetry.family;
   p_cells : (Label.t, prof_cells) Hashtbl.t;
-  (* how much of each global counter is already charged to some shape *)
-  mutable charged_deriv : int;
-  mutable charged_back : int;
-  mutable charged_sorbe : int;
-  mutable charged_compiled : int;
   mutable charged_seconds : float;
   (* runtime resource gauges, sampled at span boundaries *)
   g_minor_words : Telemetry.Counter.t;
@@ -84,14 +73,28 @@ type prof = {
   g_memo_entries : Telemetry.Counter.t;
 }
 
-let make_prof tele =
+let make_prof tele dfa_instr =
   let shape_counter ?help name =
     Telemetry.counter_family tele ?help ~key:"shape" name
   in
+  let global name = [ Telemetry.counter tele name ] in
+  let p_work =
+    [| ( global "deriv_steps",
+         shape_counter ~help:"Derivative steps attributed to this shape"
+           Profile.deriv_family );
+       ( global "backtrack_branches",
+         shape_counter ~help:"Backtracking branches attributed to this shape"
+           Profile.backtrack_family );
+       ( global "sorbe_counter_updates",
+         shape_counter ~help:"SORBE counter updates attributed to this shape"
+           Profile.sorbe_family );
+       ( Dfa.counters dfa_instr,
+         shape_counter ~help:"Compiled-DFA transitions attributed to this shape"
+           Profile.compiled_family ) |]
+  in
   {
-    p_deriv_total = Telemetry.counter tele "deriv_steps";
-    p_back_total = Telemetry.counter tele "backtrack_branches";
-    p_sorbe_total = Telemetry.counter tele "sorbe_counter_updates";
+    p_work;
+    p_charged = Array.make (Array.length p_work) 0;
     p_checks =
       shape_counter
         ~help:"Evaluations per shape (fixpoint re-runs included)"
@@ -100,18 +103,6 @@ let make_prof tele =
       Telemetry.span_family tele ~key:"shape"
         ~help:"Self wall time of evaluations of this shape"
         Profile.seconds_family;
-    p_deriv =
-      shape_counter ~help:"Derivative steps attributed to this shape"
-        Profile.deriv_family;
-    p_back =
-      shape_counter ~help:"Backtracking branches attributed to this shape"
-        Profile.backtrack_family;
-    p_sorbe =
-      shape_counter ~help:"SORBE counter updates attributed to this shape"
-        Profile.sorbe_family;
-    p_compiled =
-      shape_counter ~help:"Compiled-DFA transitions attributed to this shape"
-        Profile.compiled_family;
     p_flips =
       shape_counter ~help:"Fixpoint hypotheses on this shape refuted"
         Profile.flips_family;
@@ -120,10 +111,6 @@ let make_prof tele =
         ~help:"Self wall time of checks of this focus node"
         Profile.node_seconds_family;
     p_cells = Hashtbl.create 16;
-    charged_deriv = 0;
-    charged_back = 0;
-    charged_sorbe = 0;
-    charged_compiled = 0;
     charged_seconds = 0.;
     g_minor_words =
       Telemetry.gauge tele ~help:"Gc.quick_stat minor_words" "gc_minor_words";
@@ -186,25 +173,37 @@ type session = {
   dep_record : dep_record option;     (* Some iff [record_deps] *)
   compiled : (Label.t, compiled) Hashtbl.t;
       (* per-label compilation: SORBE counting matcher or lazy DFA *)
-  mutable automata : Dfa.t list;
-      (* every DFA in [compiled]: what the cache counters sum over *)
-  mutable exported : Dfa.stats;
-      (* the sums {!metrics} last folded into [tele] *)
   tele : Telemetry.t;
   deriv_instr : Deriv.instruments;
   back_instr : Backtrack.instruments;
   sorbe_instr : Sorbe.instruments;
+  dfa_instr : Dfa.instruments;
   fix_evals : Telemetry.Counter.t;    (* fixpoint_iterations *)
   fix_flips : Telemetry.Counter.t;    (* fixpoint_flips *)
   fix_demands : Telemetry.Counter.t;  (* fixpoint_demands *)
   profile : prof option;              (* Some iff [?profile] *)
   mutable slowlog : Slowlog.t option; (* Some iff a slow-ms threshold *)
-  slow_work : (string * Telemetry.Counter.t) list;
-      (* the counters a slowlog entry reports deltas of *)
+  slow_work : Telemetry.Counter.t list;
+      (* every monotone counter the session resolved: what a slowlog
+         entry reports deltas of *)
 }
 
 let make_session ~engine ~telemetry ~domains ~record_deps ~profile ~slow_ms
     ~graph ~columnar schema =
+  (* Instruments are resolved once here; on the default (disabled)
+     registry every later use is a single branch.  Only the engines
+     that compile shapes to automata resolve the DFA's, so other
+     sessions' snapshots carry no [compiled_*] entries. *)
+  let deriv_instr = Deriv.instruments telemetry
+  and back_instr = Backtrack.instruments telemetry
+  and sorbe_instr = Sorbe.instruments telemetry
+  and dfa_instr =
+    match engine with
+    | Auto | Compiled -> Dfa.instruments telemetry
+    | Derivatives | Backtracking -> Dfa.no_instruments
+  and fix_evals = Telemetry.counter telemetry "fixpoint_iterations"
+  and fix_flips = Telemetry.counter telemetry "fixpoint_flips"
+  and fix_demands = Telemetry.counter telemetry "fixpoint_demands" in
   { engine; schema; graph; columnar;
     domains = max 1 domains;
     ids = Pair_tbl.create 256;
@@ -218,26 +217,17 @@ let make_session ~engine ~telemetry ~domains ~record_deps ~profile ~slow_ms
     dep_record =
       (if record_deps then Some { deps = [||]; rdeps = [||] } else None);
     compiled = Hashtbl.create 16;
-    automata = [];
-    exported = Dfa.zero_stats;
     tele = telemetry;
-    (* Instruments are resolved once here; on the default (disabled)
-       registry every later use is a single branch. *)
-    deriv_instr = Deriv.instruments telemetry;
-    back_instr = Backtrack.instruments telemetry;
-    sorbe_instr = Sorbe.instruments telemetry;
-    fix_evals = Telemetry.counter telemetry "fixpoint_iterations";
-    fix_flips = Telemetry.counter telemetry "fixpoint_flips";
-    fix_demands = Telemetry.counter telemetry "fixpoint_demands";
-    profile = (if profile then Some (make_prof telemetry) else None);
+    deriv_instr; back_instr; sorbe_instr; dfa_instr;
+    fix_evals; fix_flips; fix_demands;
+    profile = (if profile then Some (make_prof telemetry dfa_instr) else None);
     slowlog =
       Option.map (fun threshold_ms -> Slowlog.create ~threshold_ms ()) slow_ms;
     slow_work =
-      List.map
-        (fun name -> (name, Telemetry.counter telemetry name))
-        [ "deriv_steps"; "backtrack_branches"; "backtrack_decompositions";
-          "sorbe_matches"; "sorbe_counter_updates"; "fixpoint_iterations";
-          "fixpoint_flips"; "fixpoint_demands" ] }
+      List.concat
+        [ Deriv.counters deriv_instr; Backtrack.counters back_instr;
+          Sorbe.counters sorbe_instr; Dfa.counters dfa_instr;
+          [ fix_evals; fix_flips; fix_demands ] ] }
 
 let session ?(engine = Derivatives) ?(telemetry = Telemetry.disabled)
     ?(domains = 1) ?(record_deps = false) ?(profile = false) ?slow_ms
@@ -379,11 +369,7 @@ let compile st l e =
   match Hashtbl.find_opt st.compiled l with
   | Some c -> c
   | None ->
-      let table () =
-        let dfa = Dfa.compile e in
-        st.automata <- dfa :: st.automata;
-        Table dfa
-      in
+      let table () = Table (Dfa.compile ~instr:st.dfa_instr e) in
       let c =
         match st.engine with
         | Compiled -> table ()
@@ -394,20 +380,6 @@ let compile st l e =
       in
       Hashtbl.replace st.compiled l c;
       c
-
-let automaton_stats st =
-  List.fold_left
-    (fun acc dfa -> Dfa.add_stats acc (Dfa.stats dfa))
-    Dfa.zero_stats st.automata
-
-(* Whether the engine may compile shapes to DFAs. *)
-let dfa_engine st =
-  match st.engine with
-  | Auto | Compiled -> true
-  | Derivatives | Backtracking -> false
-
-let compiled_stats st =
-  if dfa_engine st then Some (automaton_stats st) else None
 
 (* Runtime resource gauges ("where is the memory"): GC words/heap/
    compactions plus the verdict-memo size, sampled into the registry at
@@ -429,29 +401,10 @@ let sample_resources st =
       Telemetry.Counter.set p.g_major_collections q.Gc.major_collections;
       Telemetry.Counter.set p.g_memo_entries st.settled
 
-(* The unified snapshot: engine counters live in the registry already;
-   the automata's pull-style cache counters are folded in at read time
-   so one exposition covers every engine.  The DFA state gauges
-   ([compiled_states] & co.) land here too, completing the resource
-   picture of a profiled session.  Table sizes are gauges (a reading,
-   not a rate); transition steps are counters.  Exports are deltas
-   against the previous export, not absolute [set]s: a registry that
-   received merged per-domain shard stats ({!Telemetry.merge}) must
-   keep them — an absolute overwrite from this (idle) session would
-   erase the workers' readings. *)
-let export_automaton_stats st =
-  let s = automaton_stats st in
-  let d = Dfa.sub_stats s st.exported in
-  st.exported <- s;
-  let tele = st.tele in
-  Telemetry.Counter.add (Telemetry.gauge tele "compiled_atoms") d.atoms;
-  Telemetry.Counter.add (Telemetry.gauge tele "compiled_states") d.states;
-  Telemetry.Counter.add (Telemetry.gauge tele "compiled_symbols") d.symbols;
-  Telemetry.Counter.add (Telemetry.counter tele "compiled_hits") d.hits;
-  Telemetry.Counter.add (Telemetry.counter tele "compiled_misses") d.misses
-
+(* The unified snapshot: every engine, the DFA included, reports into
+   the registry as it works, so reading it is sampling the resource
+   gauges and taking a snapshot. *)
 let metrics st =
-  if dfa_engine st && Telemetry.enabled st.tele then export_automaton_stats st;
   sample_resources st;
   Telemetry.snapshot st.tele
 
@@ -467,19 +420,11 @@ let prof_cells p l =
       let c =
         { c_checks = Telemetry.labelled p.p_checks s;
           c_seconds = Telemetry.labelled p.p_seconds s;
-          c_deriv = Telemetry.labelled p.p_deriv s;
-          c_back = Telemetry.labelled p.p_back s;
-          c_sorbe = Telemetry.labelled p.p_sorbe s;
-          c_compiled = Telemetry.labelled p.p_compiled s }
+          c_work =
+            Array.map (fun (_, fam) -> Telemetry.labelled fam s) p.p_work }
       in
       Hashtbl.replace p.p_cells l c;
       c
-
-(* DFA work is pull-style (each automaton owns its counters); hits +
-   misses is one transition taken per consumed triple. *)
-let compiled_steps st =
-  let s = automaton_stats st in
-  s.hits + s.misses
 
 (* Wrap one matcher run with self-cost attribution: counter deltas and
    wall time of the window, minus whatever nested evaluations (lower
@@ -487,44 +432,33 @@ let compiled_steps st =
    shapes meanwhile.  Every unit of work is charged exactly once, so
    summing a family reproduces the global counter — the ≥95 %
    attribution-coverage invariant is structural, not statistical. *)
-let profiled_run st p n l run () =
+let profiled_run p n l run () =
   let cells = prof_cells p l in
-  let d0 = Telemetry.Counter.value p.p_deriv_total
-  and b0 = Telemetry.Counter.value p.p_back_total
-  and s0 = Telemetry.Counter.value p.p_sorbe_total
-  and c0 = compiled_steps st
-  and cd0 = p.charged_deriv
-  and cb0 = p.charged_back
-  and cs0 = p.charged_sorbe
-  and cc0 = p.charged_compiled
+  (* Work not yet charged to any shape: its growth over the window is
+     this evaluation's self-cost. *)
+  let unowned i =
+    List.fold_left
+      (fun acc c -> acc + Telemetry.Counter.value c)
+      0 (fst p.p_work.(i))
+    - p.p_charged.(i)
+  in
+  let base = Array.init (Array.length p.p_work) unowned
   and ct0 = p.charged_seconds in
   let t0 = Telemetry.now () in
   Fun.protect run ~finally:(fun () ->
       let dt = max 0. (Telemetry.now () -. t0) in
-      let self total before charged0 charged_now =
-        total - before - (charged_now - charged0)
-      in
-      let dd =
-        self (Telemetry.Counter.value p.p_deriv_total) d0 cd0 p.charged_deriv
-      and db =
-        self (Telemetry.Counter.value p.p_back_total) b0 cb0 p.charged_back
-      and ds =
-        self (Telemetry.Counter.value p.p_sorbe_total) s0 cs0 p.charged_sorbe
-      and dc = self (compiled_steps st) c0 cc0 p.charged_compiled in
+      Array.iteri
+        (fun i cell ->
+          let self = unowned i - base.(i) in
+          Telemetry.Counter.add cell self;
+          p.p_charged.(i) <- p.p_charged.(i) + self)
+        cells.c_work;
       let dts = dt -. (p.charged_seconds -. ct0) in
       Telemetry.Counter.incr cells.c_checks;
-      Telemetry.Counter.add cells.c_deriv dd;
-      Telemetry.Counter.add cells.c_back db;
-      Telemetry.Counter.add cells.c_sorbe ds;
-      Telemetry.Counter.add cells.c_compiled dc;
       Telemetry.Span.record cells.c_seconds dts;
       Telemetry.Span.record
         (Telemetry.labelled p.p_node_seconds (Rdf.Term.to_string n))
         dts;
-      p.charged_deriv <- p.charged_deriv + dd;
-      p.charged_back <- p.charged_back + db;
-      p.charged_sorbe <- p.charged_sorbe + ds;
-      p.charged_compiled <- p.charged_compiled + dc;
       p.charged_seconds <- p.charged_seconds +. (if dts < 0. then 0. else dts))
 
 (* One evaluation of a (node, label) pair under the current candidate
@@ -618,11 +552,11 @@ let rec evaluate st ~value ~demand id =
                     let dts =
                       neighbourhood st ~include_inverse:(Rse.has_inverse e) n
                     in
-                    Dfa.matches_dts ~check_ref ~tele:st.tele dfa n dts ))
+                    Dfa.matches_dts ~check_ref dfa n dts ))
       in
       let run =
         match st.profile with
-        | Some p -> profiled_run st p n l run
+        | Some p -> profiled_run p n l run
         | None -> run
       in
       if tracing then
@@ -874,19 +808,8 @@ let plain_check st n l =
    threshold, with the work-counter deltas of the window.  The deltas
    need an enabled registry; the wall clock and explanations do not,
    so [--slow-ms] works on otherwise un-instrumented sessions. *)
-let slow_values st =
-  List.map (fun (k, c) -> (k, Telemetry.Counter.value c)) st.slow_work
-
-let slow_delta st before =
-  let now = slow_values st in
-  List.filter_map
-    (fun (k, v0) ->
-      let v = List.assoc k now - v0 in
-      if v > 0 then Some (k, v) else None)
-    before
-
 let slow_capture st slog n l f ~conformant ~explain_of =
-  let before = slow_values st in
+  let before = List.map Telemetry.Counter.value st.slow_work in
   let t0 = Telemetry.now () in
   let result = f () in
   let t1 = Telemetry.now () in
@@ -899,7 +822,13 @@ let slow_capture st slog n l f ~conformant ~explain_of =
       { Slowlog.node = n; label = l; seconds = dt; at = t1;
         request = Slowlog.context slog;
         conformant = conformant result; explain = explain_of result;
-        work = slow_delta st before };
+        work =
+          List.concat
+            (List.map2
+               (fun c v0 ->
+                 let d = Telemetry.Counter.value c - v0 in
+                 if d > 0 then [ (Telemetry.Counter.name c, d) ] else [])
+               st.slow_work before) };
   result
 
 let check st n l =
@@ -927,9 +856,7 @@ let check_bool st n l =
    DFA transition tables) and a private telemetry registry; the only
    data crossing domains is the immutable schema and graph (or frozen
    columnar store) going in and the finished outcome lists coming back
-   at join.  Nothing mutable is shared, so nothing needs a lock.
-   Pull-style stats (the automata's cache counters) are folded into
-   each shard registry before it leaves its domain. *)
+   at join.  Nothing mutable is shared, so nothing needs a lock. *)
 let check_sharded st associations =
   let engine = st.engine and schema = st.schema in
   let profile = Option.is_some st.profile in
@@ -950,9 +877,7 @@ let check_sharded st associations =
              if instrumented then Telemetry.create () else Telemetry.disabled
            in
            let sub = sub_session telemetry in
-           let outcomes = List.map (fun (n, l) -> check sub n l) run in
-           if instrumented then ignore (metrics sub);
-           (outcomes, telemetry))
+           (List.map (fun (n, l) -> check sub n l) run, telemetry))
          (Pool.shard st.domains associations))
   in
   if instrumented then

@@ -90,8 +90,12 @@ val session :
     derivative matcher, [backtrack_branches] and
     [backtrack_decompositions] from the Fig.-1 baseline,
     [sorbe_matches]/[sorbe_counter_updates] from the counting matcher,
-    and [fixpoint_iterations]/[fixpoint_flips]/[fixpoint_demands] from
-    the greatest-fixpoint solver.  Instruments are resolved once at
+    the {!Dfa} cache counters on [Auto] and [Compiled] sessions only
+    ([compiled_hits]/[compiled_misses] and the gauges
+    [compiled_atoms]/[compiled_states]/[compiled_symbols], summed over
+    the session's automata), and
+    [fixpoint_iterations]/[fixpoint_flips]/[fixpoint_demands] from the
+    greatest-fixpoint solver.  Instruments are resolved once at
     session creation; with the default registry each instrumentation
     point costs a single branch (experiment E10).
 
@@ -110,7 +114,8 @@ val session :
     {!check_bool} and {!validate_graph} time each call
     ([Unix.gettimeofday], independent of telemetry) and checks at or
     over the threshold are retained in the session's {!Slowlog.t} ring
-    — verdict, blame set, and the work-counter deltas of the window.
+    — verdict, blame set, and the deltas of every work counter the
+    session resolved (the DFA's included) over the window.
     First checks of a pair include the fixpoint solve they trigger.
     Bulk shards ([domains > 1] in {!check_all}) are not individually
     timed.
@@ -182,12 +187,6 @@ val set_slow_ms : session -> float option -> unit
     or updates the threshold of the existing one, keeping its entries;
     [None] discards the ring and stops capturing. *)
 
-val sample_resources : session -> unit
-(** Sample the runtime resource gauges ([Gc.quick_stat] words/heap/
-    collections, [memo_entries]) into the session registry now.  No-op
-    unless the session was created with [~profile:true].  Called
-    automatically at bulk-call boundaries and by {!metrics}. *)
-
 val memo_size : session -> int
 (** Number of memoised (node, shape) verdicts. *)
 
@@ -223,18 +222,13 @@ val dependencies_of :
     consulted — empty when unrecorded or never evaluated. *)
 
 val metrics : session -> Telemetry.snapshot
-(** The session's unified metrics snapshot.  Engine counters are read
-    from the registry; on [Auto] and [Compiled] sessions the summed
-    {!Dfa} cache counters are folded in first (gauges
-    [compiled_atoms]/[compiled_states]/[compiled_symbols], counters
-    [compiled_hits]/[compiled_misses]) — so the snapshot covers
-    whatever engine actually ran.  Empty when telemetry is
-    disabled. *)
-
-val compiled_stats : session -> Dfa.stats option
-(** The session's automaton cache counters, summed over the DFAs it
-    compiled — [Some] on [Auto] and [Compiled] sessions (zero until a
-    shape needs a DFA), [None] otherwise. *)
+(** The session's unified metrics snapshot: on a profiled session the
+    runtime resource gauges ([Gc.quick_stat] words/heap/collections,
+    [memo_entries]) are sampled into the registry first (as at the end
+    of every bulk call), then the registry is snapshotted.  Every
+    engine reports into the registry as it works, so this is what any
+    other reader of the registry (a scrape, a window tick) sees too,
+    minus the resource sample.  Empty when telemetry is disabled. *)
 
 (** Result of checking one node against one label. *)
 type outcome = {

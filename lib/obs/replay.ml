@@ -58,101 +58,33 @@ let read_file path =
 let find_float key j =
   match Json.find key j with Some (Json.Number f) -> Some f | _ -> None
 
-let members = function Json.Object kvs -> kvs | _ -> []
+(* One tick as a timestamped snapshot, decoded once.  A tick without a
+   "telemetry" member decodes as the empty snapshot. *)
+let tick_sample tick =
+  ( find_float "ts" tick,
+    Telemetry.snapshot_of_json
+      (Option.value ~default:Json.Null (Json.find "telemetry" tick)) )
 
-(* Cumulative counter readings of one tick: counters and gauges both
-   appear in the snapshot JSON; rates only make sense for monotone
-   counters, so gauges are excluded. *)
-let tick_counters tick =
-  match Json.find "telemetry" tick with
-  | None -> []
-  | Some tele ->
-      List.filter_map
-        (fun (name, v) ->
-          match Json.as_int v with Some n -> Some (name, n) | None -> None)
-        (match Json.find "counters" tele with Some o -> members o | None -> [])
-
-(* The request-latency histogram of one tick, as (count, ascending
-   (le, bucket-count) list) — the same shape Telemetry snapshots use,
-   reconstructed from the journal JSON. *)
-let tick_latency tick =
-  let ( let* ) = Option.bind in
-  let* tele = Json.find "telemetry" tick in
-  let* hists = Json.find "histograms" tele in
-  let* h = Json.find "serve_latency_us" hists in
-  let* count = Json.find_int "count" h in
-  let buckets =
-    (match Json.find "buckets" h with Some o -> members o | None -> [])
-    |> List.filter_map (fun (le, v) ->
-           match (int_of_string_opt le, Json.as_int v) with
-           | Some le, Some n -> Some (le, n)
-           | _ -> None)
-    |> List.sort compare
-  in
-  Some (count, buckets)
-
-let sub_clamped now prev = if now >= prev then now - prev else now
-
-(* Diff two consecutive ticks into one window row.  A cumulative
-   reading below its predecessor means the daemon restarted between
-   the ticks (same journal file, new process) — the delta degrades to
-   the newer cumulative reading, mirroring [Telemetry.diff]. *)
-let diff_ticks prev now =
-  let t0 = Option.value ~default:0. (find_float "ts" prev) in
-  let t1 = Option.value ~default:t0 (find_float "ts" now) in
-  let dt = t1 -. t0 in
-  if dt <= 0. then None
-  else
-    let prev_counters = tick_counters prev in
-    let rates =
-      List.map
-        (fun (name, v1) ->
-          let v0 =
-            Option.value ~default:0 (List.assoc_opt name prev_counters)
-          in
-          (name, float_of_int (sub_clamped v1 v0) /. dt))
-        (tick_counters now)
-    in
-    let rate name = Option.value ~default:0. (List.assoc_opt name rates) in
-    let lat =
-      match (tick_latency prev, tick_latency now) with
-      | Some (c0, b0), Some (c1, b1) ->
-          let count = sub_clamped c1 c0 in
-          if count <= 0 then None
-          else
-            let base le =
-              Option.value ~default:0 (List.assoc_opt le b0)
-            in
-            let buckets =
-              if c1 < c0 then b1
-              else
-                List.filter_map
-                  (fun (le, n) ->
-                    let d = n - base le in
-                    if d > 0 then Some (le, d) else None)
-                  b1
-            in
-            Some
-              { Telemetry.Window.q_count = count;
-                q_p50 = Telemetry.Window.quantile buckets ~total:count 0.5;
-                q_p99 = Telemetry.Window.quantile buckets ~total:count 0.99
-              }
-      | None, Some (c1, b1) when c1 > 0 ->
-          Some
-            { Telemetry.Window.q_count = c1;
-              q_p50 = Telemetry.Window.quantile b1 ~total:c1 0.5;
-              q_p99 = Telemetry.Window.quantile b1 ~total:c1 0.99
-            }
-      | _ -> None
-    in
-    Some
+(* Two consecutive ticks summarised as one window row by the live
+   window's own code.  A cumulative reading below its predecessor means
+   the daemon restarted between the ticks (same journal file, new
+   process); {!Telemetry.diff} then reports the newer reading. *)
+let window_row (ts0, s0) (ts1, s1) =
+  let t0 = Option.value ~default:0. ts0 in
+  let t1 = Option.value ~default:t0 ts1 in
+  Option.map
+    (fun (w : Telemetry.Window.summary) ->
+      let rate name =
+        Option.value ~default:0. (List.assoc_opt name w.w_rates)
+      in
       { r_ts = t1;
-        r_seconds = dt;
+        r_seconds = w.w_seconds;
         r_requests = rate "serve_requests";
         r_errors = rate "serve_errors";
-        r_rates = rates;
-        r_lat = lat
-      }
+        r_rates = w.w_rates;
+        r_lat = List.assoc_opt "serve_latency_us" w.w_quantiles
+      })
+    (Telemetry.Window.between (t0, s0) (t1, s1))
 
 let analyze path =
   let rotated = Journal.rotated_path path in
@@ -201,12 +133,12 @@ let analyze path =
     let windows =
       let rec go acc = function
         | a :: (b :: _ as rest) -> (
-            match diff_ticks a b with
+            match window_row a b with
             | Some row -> go (row :: acc) rest
             | None -> go acc rest)
         | _ -> List.rev acc
       in
-      go [] ticks
+      go [] (List.map tick_sample ticks)
     in
     Ok
       { files;

@@ -21,6 +21,7 @@ module Counter = struct
   let add c n = if c.active then c.v <- c.v + n
   let set c n = if c.active then c.v <- n
   let value c = c.v
+  let name c = c.name
   let active c = c.active
 end
 
@@ -576,6 +577,57 @@ let to_json s =
        never use attribution render exactly as before. *)
     @ if labelled = [] then [] else [ ("labelled", Json.Object labelled) ])
 
+(* The lenient inverse of [to_json], for snapshots read back from
+   disk (the journal's tick records): a missing or malformed member
+   reads as empty, so a truncated or older record still decodes.  Help
+   text is not part of the JSON and comes back empty. *)
+let snapshot_of_json j =
+  let members key j =
+    match Json.find key j with Some (Json.Object kvs) -> kvs | _ -> []
+  in
+  let readings read kvs =
+    List.filter_map (fun (k, v) -> Option.map (fun r -> (k, r)) (read v)) kvs
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  in
+  let int_member key j = Option.value ~default:0 (Json.find_int key j) in
+  let bucket (le, n) =
+    match (int_of_string_opt le, Json.as_int n) with
+    | Some le, Some n -> Some (le, n)
+    | _ -> None
+  in
+  let histo h =
+    Some
+      { h_count = int_member "count" h;
+        h_sum = int_member "sum" h;
+        h_max = int_member "max" h;
+        h_buckets =
+          List.sort compare (List.filter_map bucket (members "buckets" h)) }
+  in
+  let span sp =
+    match Json.find "seconds" sp with
+    | Some (Json.Number seconds) -> Some (int_member "count" sp, seconds)
+    | _ -> Some (int_member "count" sp, 0.)
+  in
+  let family cell =
+    readings (fun d ->
+        Some
+          { l_key = Option.value ~default:"" (Json.find_string "key" d);
+            l_cells = readings cell (members "cells" d) })
+  in
+  let labelled key =
+    Option.fold ~none:[] ~some:(members key) (Json.find "labelled" j)
+  in
+  {
+    s_counters = readings Json.as_int (members "counters" j);
+    s_gauges = readings Json.as_int (members "gauges" j);
+    s_histograms = readings histo (members "histograms" j);
+    s_spans = readings span (members "spans" j);
+    s_lcounters = family Json.as_int (labelled "counters");
+    s_lhistograms = family histo (labelled "histograms");
+    s_lspans = family span (labelled "spans");
+    s_help = [];
+  }
+
 (* ------------------------------------------------------------------ *)
 (* Prometheus text exposition                                         *)
 (* ------------------------------------------------------------------ *)
@@ -769,6 +821,34 @@ module Window = struct
     w_quantiles : (string * quantiles) list;  (* per histogram *)
   }
 
+  (* Two timestamped samples of one registry, diffed: rates of the
+     monotone counters over the wall time between them, quantiles of
+     every histogram that recorded something in between.  The live
+     ring and journal replay both summarise through here. *)
+  let between (t0, s0) (t1, s1) =
+    if not (t1 > t0) then None
+    else
+      let d = diff ~since:s0 s1 in
+      let seconds = t1 -. t0 in
+      Some
+        { w_seconds = seconds;
+          w_samples = 2;
+          w_rates =
+            List.map
+              (fun (name, v) -> (name, float_of_int v /. seconds))
+              d.s_counters;
+          w_quantiles =
+            List.filter_map
+              (fun (name, h) ->
+                if h.h_count <= 0 then None
+                else
+                  Some
+                    ( name,
+                      { q_count = h.h_count;
+                        q_p50 = quantile h.h_buckets ~total:h.h_count 0.5;
+                        q_p99 = quantile h.h_buckets ~total:h.h_count 0.99 } ))
+              d.s_histograms }
+
   let summary w =
     if w.count < 2 then None
     else
@@ -778,28 +858,10 @@ module Window = struct
         w.ring.(if w.count = n then w.next else 0)
       in
       match (oldest, newest) with
-      | Some (t0, s0), Some (t1, s1) when t1 > t0 ->
-          let d = diff ~since:s0 s1 in
-          let seconds = t1 -. t0 in
-          Some
-            { w_seconds = seconds;
-              w_samples = w.count;
-              w_rates =
-                List.map
-                  (fun (name, v) -> (name, float_of_int v /. seconds))
-                  d.s_counters;
-              w_quantiles =
-                List.filter_map
-                  (fun (name, h) ->
-                    if h.h_count <= 0 then None
-                    else
-                      Some
-                        ( name,
-                          { q_count = h.h_count;
-                            q_p50 = quantile h.h_buckets ~total:h.h_count 0.5;
-                            q_p99 = quantile h.h_buckets ~total:h.h_count 0.99
-                          } ))
-                  d.s_histograms }
+      | Some oldest, Some newest ->
+          Option.map
+            (fun s -> { s with w_samples = w.count })
+            (between oldest newest)
       | _ -> None
 
   let summary_to_json s =

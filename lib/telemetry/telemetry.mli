@@ -58,6 +58,10 @@ module Counter : sig
 
   val value : t -> int
 
+  val name : t -> string
+  (** The name the instrument was registered (or, on {!disabled},
+      requested) under. *)
+
   val active : t -> bool
   (** [false] exactly for instruments of {!disabled} registries — the
       single branch the hot paths test. *)
@@ -277,6 +281,12 @@ val to_json : snapshot -> Json.t
     nests them as [{"counters"|"histograms"|"spans":
     {family: {"key": label-key, "cells": {label: reading}}}}]. *)
 
+val snapshot_of_json : Json.t -> snapshot
+(** The lenient inverse of {!to_json}: [to_json (snapshot_of_json
+    (to_json s))] is [to_json s].  A missing or malformed member reads
+    as empty, so a partial record (a journal tick) still decodes.
+    [# HELP] text is not part of the JSON and comes back empty. *)
+
 (** {1 Sliding-window SLIs}
 
     A bounded ring of periodically sampled snapshots, from which
@@ -328,8 +338,18 @@ module Window : sig
             that recorded observations inside the window *)
   }
 
+  val between : float * snapshot -> float * snapshot -> summary option
+  (** [between (t0, s0) (t1, s1)] summarises two timestamped samples
+      of one registry through {!diff}: rates over [t1 - t0] seconds,
+      quantiles of the histograms that recorded observations in
+      between, [w_samples = 2].  [None] unless [t1 > t0].  {!summary}
+      and offline journal replay both compute their windows with
+      it. *)
+
   val summary : t -> summary option
-  (** [None] until two samples with distinct timestamps exist. *)
+  (** {!between} the oldest and newest retained samples, with
+      [w_samples] the number retained.  [None] until two samples with
+      distinct timestamps exist. *)
 
   val summary_to_json : summary -> Json.t
 

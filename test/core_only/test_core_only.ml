@@ -49,14 +49,15 @@ let () =
     (verdicts Validate.Compiled = reference);
   (* <Contact> is an alternative between different arcs, outside the
      SORBE fragment, so Auto compiles it to a DFA. *)
-  let auto = Validate.session ~engine:Validate.Auto schema graph in
+  let tele = Telemetry.create () in
+  let auto =
+    Validate.session ~engine:Validate.Auto ~telemetry:tele schema graph
+  in
   check "Auto agrees with Derivatives"
     (List.map (fun (n, l) -> Validate.check_bool auto n l) associations
     = reference);
   check "Auto built DFA states"
-    (match Validate.compiled_stats auto with
-    | Some s -> s.Dfa.states > 0
-    | None -> false);
+    (Telemetry.Counter.value (Telemetry.gauge tele "compiled_states") > 0);
   check "check_all at 2 domains = at 1 domain"
     (verdicts ~domains:2 Validate.Derivatives = reference);
   if !failures > 0 then exit 1

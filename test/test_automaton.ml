@@ -111,17 +111,20 @@ let test_dfa_examples () =
 let test_dfa_cache_reuse () =
   (* Matching many nodes with identical neighbourhood structure must
      hit the shared transition table, not rebuild derivatives. *)
-  let auto = Dfa.compile example5 in
+  let tele = Telemetry.create () in
+  let auto = Dfa.compile ~instr:(Dfa.instruments tele) example5 in
   let graphs =
     List.init 50 (fun k ->
         ignore k;
         example8_graph)
   in
   List.iter (fun g -> check_bool "match" true (Dfa.matches auto (node "n") g)) graphs;
-  let s = Dfa.stats auto in
-  check_bool "some transitions built" true (s.Dfa.misses > 0);
-  check_bool "cache reused across nodes" true (s.Dfa.hits > 3 * s.Dfa.misses);
-  check_bool "state table stays small" true (s.Dfa.states < 10)
+  let reading name = Telemetry.Counter.value (Telemetry.counter tele name) in
+  let hits = reading "compiled_hits" and misses = reading "compiled_misses" in
+  check_bool "some transitions built" true (misses > 0);
+  check_bool "cache reused across nodes" true (hits > 3 * misses);
+  check_bool "state table stays small" true
+    (Telemetry.Counter.value (Telemetry.gauge tele "compiled_states") < 10)
 
 (* ------------------------------------------------------------------ *)
 (* Engine equivalence on the conformance suite                         *)
@@ -235,19 +238,27 @@ let test_session_stats () =
         knows_degree = 3;
         seed = 7 }
   in
-  let session = Validate.session ~engine:Validate.Compiled schema graph in
+  let session =
+    Validate.session ~engine:Validate.Compiled ~telemetry:(Telemetry.create ())
+      schema graph
+  in
   let result = Validate.validate_graph session in
   check_int "typed persons" (List.length valid) (Typing.cardinal result);
-  (match Validate.compiled_stats session with
-  | None -> Alcotest.fail "compiled session must expose stats"
-  | Some s ->
-      check_bool "states materialised" true (s.Dfa.states > 0);
-      check_bool "transitions reused across nodes" true
-        (s.Dfa.hits > 10 * s.Dfa.misses));
-  (* A derivative session has no automaton store. *)
-  let plain = Validate.session schema graph in
+  let reading snap name =
+    Option.value ~default:0 (Telemetry.find_counter snap name)
+  in
+  let snap = Validate.metrics session in
+  check_bool "states materialised" true (reading snap "compiled_states" > 0);
+  check_bool "transitions reused across nodes" true
+    (reading snap "compiled_hits" > 10 * reading snap "compiled_misses");
+  (* A derivative session has no automaton store, so its registry has
+     no automaton counters. *)
+  let plain = Validate.session ~telemetry:(Telemetry.create ()) schema graph in
+  ignore (Validate.validate_graph plain);
   check_bool "no stats on a derivatives session" true
-    (Option.is_none (Validate.compiled_stats plain));
+    (List.for_all
+       (fun (name, _) -> not (String.starts_with ~prefix:"compiled_" name))
+       (Telemetry.counters (Validate.metrics plain)));
   (* check/typing parity on a single node, via the public one-shot API. *)
   match valid with
   | [] -> ()
@@ -256,6 +267,48 @@ let test_session_stats () =
       let d = Validate.validate schema graph n person in
       check_bool "ok parity" d.Validate.ok c.Validate.ok;
       Alcotest.check typing "typing parity" d.Validate.typing c.Validate.typing
+
+(* The DFA pushes its counters as it steps, so a slow-check bracket sees
+   them like any engine's: with a zero threshold every check is
+   captured, and the entries' DFA deltas add up to the session's
+   registry (no DFA work happens outside a check). *)
+let test_slowlog_counts_dfa_work () =
+  let schema, person = Workload.Foaf_gen.person_schema () in
+  let { Workload.Foaf_gen.graph; valid; invalid } =
+    Workload.Foaf_gen.generate
+      { Workload.Foaf_gen.n_persons = 20;
+        invalid_fraction = 0.2;
+        knows_degree = 2;
+        seed = 11 }
+  in
+  let tele = Telemetry.create () in
+  let st =
+    Validate.session ~engine:Validate.Compiled ~telemetry:tele ~slow_ms:0.
+      schema graph
+  in
+  let nodes = valid @ invalid in
+  List.iter (fun n -> ignore (Validate.check st n person)) nodes;
+  List.iter (fun n -> ignore (Validate.check_bool st n person)) invalid;
+  let entries =
+    match Validate.slowlog st with
+    | Some slog -> Slowlog.entries slog
+    | None -> Alcotest.fail "a slow-ms session must keep a slowlog"
+  in
+  check_int "every check captured"
+    (List.length nodes + List.length invalid)
+    (List.length entries);
+  let captured name =
+    List.fold_left
+      (fun acc (e : Slowlog.entry) ->
+        acc + Option.value ~default:0 (List.assoc_opt name e.work))
+      0 entries
+  in
+  List.iter
+    (fun name ->
+      let total = Telemetry.Counter.value (Telemetry.counter tele name) in
+      check_bool (name ^ " moved") true (total > 0);
+      check_int (name ^ " deltas sum to the registry") total (captured name))
+    [ "compiled_hits"; "compiled_misses" ]
 
 let suites =
   [ ( "automaton",
@@ -275,5 +328,7 @@ let suites =
         Alcotest.test_case "Compiled ≡ Derivatives on the suite schemas"
           `Quick test_suite_equivalence;
         Alcotest.test_case "session cache stats" `Quick test_session_stats;
+        Alcotest.test_case "slowlog deltas carry the DFA's work" `Quick
+          test_slowlog_counts_dfa_work;
         QCheck_alcotest.to_alcotest prop_dfa_equals_deriv;
         QCheck_alcotest.to_alcotest prop_engines_agree_on_portals ] ) ]

@@ -186,6 +186,50 @@ let tick ts counters lat_count lat_buckets =
           ] )
     ]
 
+(* A tick carries only what the test helper writes: counters and one
+   histogram without sum or max.  Decoding keeps those readings and
+   reads every missing member as empty. *)
+let test_partial_tick_decodes () =
+  let telemetry =
+    match
+      Json.find "telemetry"
+        (tick 5. [ ("serve_requests", 7); ("serve_errors", 1) ] 3
+           [ (16, 2); (256, 1) ])
+    with
+    | Some j -> j
+    | None -> Alcotest.fail "tick helper lost its telemetry"
+  in
+  let snap = Telemetry.snapshot_of_json telemetry in
+  Alcotest.(check (list (pair string int)))
+    "counters kept"
+    [ ("serve_errors", 1); ("serve_requests", 7) ]
+    (Telemetry.counters snap);
+  Alcotest.(check string)
+    "missing members read as empty"
+    (Json.to_string ~minify:true
+       (Json.Object
+          [ ( "counters",
+              Json.Object
+                [ ("serve_errors", Json.int 1); ("serve_requests", Json.int 7) ]
+            );
+            ("gauges", Json.Object []);
+            ( "histograms",
+              Json.Object
+                [ ( "serve_latency_us",
+                    Json.Object
+                      [ ("count", Json.int 3);
+                        ("sum", Json.int 0);
+                        ("max", Json.int 0);
+                        ( "buckets",
+                          Json.Object
+                            [ ("16", Json.int 2); ("256", Json.int 1) ] ) ] )
+                ] );
+            ("spans", Json.Object []) ]))
+    (Json.to_string ~minify:true (Telemetry.to_json snap));
+  Alcotest.(check bool)
+    "no telemetry at all decodes as the empty snapshot" true
+    (Telemetry.is_empty (Telemetry.snapshot_of_json Json.Null))
+
 (* Replay across a rotation: cumulative ticks written through the
    rotating writer diff into one continuous window series — the file
    boundary is invisible in the reconstruction.  Rotation keeps only
@@ -307,6 +351,8 @@ let suites =
     ( "obs.journal",
       [ Alcotest.test_case "rotation keeps a parseable suffix" `Quick
           test_journal_rotation;
+        Alcotest.test_case "partial tick decodes with missing members empty"
+          `Quick test_partial_tick_decodes;
         Alcotest.test_case "replay spans the rotation boundary" `Quick
           test_replay_spans_rotation;
         Alcotest.test_case "torn line and restart degrade gracefully" `Quick

@@ -210,19 +210,26 @@ let test_compiled_session_scoped () =
   let schema_a = Schema.make_exn [ (s, arc_num "a" [ 1 ]) ] in
   let schema_b = Schema.make_exn [ (s, arc_num "b" [ 2 ]) ] in
   let g = graph_of [ t3 "n" "a" (num 1); t3 "m" "b" (num 2) ] in
-  let st_a = Validate.session ~engine:Validate.Compiled schema_a g in
-  let st_b = Validate.session ~engine:Validate.Compiled schema_b g in
+  let tele_a = Telemetry.create () and tele_b = Telemetry.create () in
+  let st_a =
+    Validate.session ~engine:Validate.Compiled ~telemetry:tele_a schema_a g
+  in
+  let st_b =
+    Validate.session ~engine:Validate.Compiled ~telemetry:tele_b schema_b g
+  in
   check_bool "session A: n matches a->1" true (Validate.check_bool st_a (node "n") s);
   check_bool "session B: n fails b->2" false (Validate.check_bool st_b (node "n") s);
   check_bool "session B: m matches b->2" true (Validate.check_bool st_b (node "m") s);
   check_bool "session A: m fails a->1" false (Validate.check_bool st_a (node "m") s);
-  match (Validate.compiled_stats st_a, Validate.compiled_stats st_b) with
-  | Some a, Some b ->
-      check_bool "A materialised its own states" true (a.Dfa.states > 0);
-      check_bool "B materialised its own states" true (b.Dfa.states > 0);
-      check_int "A interned exactly its own shape's atom" 1 a.Dfa.atoms;
-      check_int "B interned exactly its own shape's atom" 1 b.Dfa.atoms
-  | _ -> Alcotest.fail "compiled sessions must expose cache stats"
+  let gauge tele name = Telemetry.Counter.value (Telemetry.gauge tele name) in
+  check_bool "A materialised its own states" true
+    (gauge tele_a "compiled_states" > 0);
+  check_bool "B materialised its own states" true
+    (gauge tele_b "compiled_states" > 0);
+  check_int "A interned exactly its own shape's atom" 1
+    (gauge tele_a "compiled_atoms");
+  check_int "B interned exactly its own shape's atom" 1
+    (gauge tele_b "compiled_atoms")
 
 (* ------------------------------------------------------------------ *)
 (* Session caches survive repeated checks and bulk runs               *)
@@ -239,6 +246,7 @@ let test_session_cache_lifetime () =
   let g = graph_of [ t3 "n" "a" (num 1); t3 "m" "a" (num 2) ] in
   let tele = Telemetry.create () in
   let iterations = Telemetry.counter tele "fixpoint_iterations" in
+  let states = Telemetry.gauge tele "compiled_states" in
   let st =
     Validate.session ~engine:Validate.Compiled ~telemetry:tele ~domains:2
       schema g
@@ -247,12 +255,9 @@ let test_session_cache_lifetime () =
   check_bool "m fails" false (Validate.check_bool st (node "m") s);
   let warm_iters = Telemetry.Counter.value iterations in
   let warm_memo = Validate.memo_size st in
-  let warm_states =
-    match Validate.compiled_stats st with
-    | Some stats -> stats.Dfa.states
-    | None -> Alcotest.fail "compiled session must expose cache stats"
-  in
+  let warm_states = Telemetry.Counter.value states in
   check_bool "first checks did evaluate" true (warm_iters > 0);
+  check_bool "first checks built DFA states" true (warm_states > 0);
   check_int "both verdicts memoised" 2 warm_memo;
   (* Re-checking answers from the memo: no further evaluations, no
      further compiled states. *)
@@ -260,9 +265,7 @@ let test_session_cache_lifetime () =
   check_bool "m still fails" false (Validate.check_bool st (node "m") s);
   check_int "repeat checks hit the memo" warm_iters
     (Telemetry.Counter.value iterations);
-  (match Validate.compiled_stats st with
-  | Some stats -> check_int "no new DFA states" warm_states stats.Dfa.states
-  | None -> Alcotest.fail "compiled session must expose cache stats");
+  check_int "no new DFA states" warm_states (Telemetry.Counter.value states);
   (* A sharded bulk run builds private sub-sessions; the shared memo
      is neither clobbered nor grown behind the session's back. *)
   let outcomes = Validate.check_all st [ (node "n", s); (node "m", s) ] in

@@ -475,6 +475,92 @@ let test_example3_contrast () =
     | None -> 0)
 
 (* ------------------------------------------------------------------ *)
+(* Profile attribution                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* <Top> negates a reference to <Base>, a lower stratum, so evaluating
+   a Top pair settles Base pairs inline: their work happens inside the
+   Top evaluation's window and must be charged to Base alone.  <Alt>
+   is outside the SORBE fragment, so Auto runs the counting matcher and
+   the DFA side by side. *)
+let strat_schema =
+  Shexc.Shexc_parser.parse_schema_exn
+    {|PREFIX ex: <http://example.org/>
+      <Base> { ex:name . , ex:age . ? }
+      <Alt> { ex:email . | ex:phone . }
+      <Top> { ex:knows @<Top>* , ex:contact @<Alt> ? , !(ex:bad @<Base>) }|}
+
+let strat_graph =
+  match
+    Turtle.Parse.parse_graph
+      {|@prefix ex: <http://example.org/> .
+        ex:a ex:knows ex:b ; ex:contact ex:c ; ex:bad ex:d .
+        ex:b ex:knows ex:a ; ex:bad ex:e .
+        ex:c ex:email "c@x" .
+        ex:d ex:name "D" ; ex:age 4 .
+        ex:e ex:name "E" ; ex:age 5 ; ex:age 6 .
+        ex:f ex:knows ex:a ; ex:contact ex:g .
+        ex:g ex:email "g@x" ; ex:phone "1" .
+        ex:h ex:bad ex:d ; ex:bad ex:e .|}
+  with
+  | Ok g -> g
+  | Error msg -> failwith msg
+
+(* Every attributed family sums to the global counter it attributes,
+   on every engine: self-costs are charged exactly once even when a
+   nested solve runs inside an outer evaluation. *)
+let test_profile_attribution () =
+  let families =
+    [ (Profile.deriv_family, [ "deriv_steps" ]);
+      (Profile.backtrack_family, [ "backtrack_branches" ]);
+      (Profile.sorbe_family, [ "sorbe_counter_updates" ]);
+      (Profile.compiled_family, [ "compiled_hits"; "compiled_misses" ]);
+      (Profile.checks_family, [ "fixpoint_iterations" ]);
+      (Profile.flips_family, [ "fixpoint_flips" ]) ]
+  in
+  List.iter
+    (fun (engine, name, worked) ->
+      let st =
+        Validate.session ~engine ~telemetry:(Telemetry.create ())
+          ~profile:true strat_schema strat_graph
+      in
+      ignore (Validate.validate_graph st);
+      let snap = Validate.metrics st in
+      let global names =
+        List.fold_left
+          (fun acc n ->
+            acc + Option.value ~default:0 (Telemetry.find_counter snap n))
+          0 names
+      in
+      List.iter
+        (fun (family, names) ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s: %s sums to %s" name family
+               (String.concat " + " names))
+            (global names)
+            (List.fold_left
+               (fun acc (_, v) -> acc + v)
+               0
+               (Telemetry.labelled_counter_values snap family)))
+        families;
+      List.iter
+        (fun names ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s moved" name (String.concat " + " names))
+            true
+            (global names > 0))
+        worked)
+    [ (Validate.Derivatives, "derivatives", [ [ "deriv_steps" ] ]);
+      (Validate.Backtracking, "backtracking", [ [ "backtrack_branches" ] ]);
+      ( Validate.Auto,
+        "auto",
+        [ [ "sorbe_counter_updates" ]; [ "compiled_hits"; "compiled_misses" ] ]
+      );
+      ( Validate.Compiled,
+        "compiled",
+        [ [ "compiled_hits"; "compiled_misses" ] ] ) ]
+
+(* ------------------------------------------------------------------ *)
 (* Telemetry is observation-only                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -495,6 +581,77 @@ let prop_observation_only =
       in
       Bool.equal instrumented_deriv (Deriv.matches node g e)
       && Bool.equal instrumented_back (Backtrack.matches node g e))
+
+(* ------------------------------------------------------------------ *)
+(* Snapshots read back from JSON                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* One registry write: plain instruments under two names per kind, and
+   one labelled family per kind under a few labels (one needs
+   escaping in the exposition, not here). *)
+type write =
+  | Count of string * int
+  | Gauge of string * int
+  | Observe of string * int
+  | Time of string * int  (* milliseconds *)
+  | Count_by of string * int
+  | Observe_by of string * int
+  | Time_by of string * int
+
+let gen_write =
+  let open QCheck.Gen in
+  let name = oneofl [ "one"; "two" ] in
+  let label = oneofl [ "Person"; "<http://example.org/n>"; "q\"uote" ] in
+  let amount = int_bound 5000 in
+  oneof
+    [ map2 (fun n v -> Count (n, v)) name amount;
+      map2 (fun n v -> Gauge (n, v)) name amount;
+      map2 (fun n v -> Observe (n, v)) name amount;
+      map2 (fun n v -> Time (n, v)) name amount;
+      map2 (fun l v -> Count_by (l, v)) label amount;
+      map2 (fun l v -> Observe_by (l, v)) label amount;
+      map2 (fun l v -> Time_by (l, v)) label amount ]
+
+let registry_of writes =
+  let t = Telemetry.create () in
+  let seconds ms = float_of_int ms /. 1000. in
+  List.iter
+    (function
+      | Count (n, v) -> Telemetry.Counter.add (Telemetry.counter t ("c_" ^ n)) v
+      | Gauge (n, v) -> Telemetry.Counter.set (Telemetry.gauge t ("g_" ^ n)) v
+      | Observe (n, v) ->
+          Telemetry.Histogram.observe (Telemetry.histogram t ("h_" ^ n)) v
+      | Time (n, v) ->
+          Telemetry.Span.record (Telemetry.span t ("s_" ^ n)) (seconds v)
+      | Count_by (l, v) ->
+          Telemetry.Counter.add
+            (Telemetry.labelled
+               (Telemetry.counter_family t ~key:"shape" "c_by_shape") l)
+            v
+      | Observe_by (l, v) ->
+          Telemetry.Histogram.observe
+            (Telemetry.labelled
+               (Telemetry.histogram_family t ~key:"shape" "h_by_shape") l)
+            v
+      | Time_by (l, v) ->
+          Telemetry.Span.record
+            (Telemetry.labelled
+               (Telemetry.span_family t ~key:"node" "s_by_node") l)
+            (seconds v))
+    writes;
+  t
+
+let prop_snapshot_json_roundtrip =
+  QCheck.Test.make ~count:300
+    ~name:"snapshot_of_json inverts to_json"
+    (QCheck.make
+       ~print:(fun ws ->
+         Json.to_string
+           (Telemetry.to_json (Telemetry.snapshot (registry_of ws))))
+       QCheck.Gen.(list_size (int_bound 40) gen_write))
+    (fun writes ->
+      let json = Telemetry.to_json (Telemetry.snapshot (registry_of writes)) in
+      Telemetry.to_json (Telemetry.snapshot_of_json json) = json)
 
 let suites =
   [ ( "telemetry.registry",
@@ -519,7 +676,10 @@ let suites =
           test_deriv_linear;
         Alcotest.test_case "backtracking decompositions are 2^n" `Quick
           test_backtrack_exponential;
-        Alcotest.test_case "Example 3 contrast" `Quick test_example3_contrast
+        Alcotest.test_case "Example 3 contrast" `Quick test_example3_contrast;
+        Alcotest.test_case "profile families sum to the global counters"
+          `Quick test_profile_attribution
       ] );
     ( "telemetry.properties",
-      [ QCheck_alcotest.to_alcotest prop_observation_only ] ) ]
+      [ QCheck_alcotest.to_alcotest prop_observation_only;
+        QCheck_alcotest.to_alcotest prop_snapshot_json_roundtrip ] ) ]
