@@ -158,6 +158,34 @@ let e1 () =
      factor explodes with n.@."
 
 (* ------------------------------------------------------------------ *)
+(* Counted bounds {1,n} (rows of E2 and E4)                            *)
+(* ------------------------------------------------------------------ *)
+
+(* [<S> { ex:p . {1,n} }] against the one triple ⟨n, p, o⟩.  e{m,n} is
+   one node, so neither the schema's size nor the work to parse,
+   compile and match it should depend on n. *)
+let counted_ns () =
+  if !smoke then [ 10; 100_000 ]
+  else if !quick then [ 10; 1_000; 100_000 ]
+  else [ 10; 100; 1_000; 10_000; 100_000; 1_000_000 ]
+
+let counted_parse n =
+  let src =
+    Printf.sprintf "PREFIX ex: <http://example.org/>\n<S> { ex:p . {1,%d} }\n"
+      n
+  in
+  match Shexc.Shexc_parser.parse_schema src with
+  | Ok s -> Shex.Schema.find_exn s (Shex.Label.of_string "S")
+  | Error msg -> failwith msg
+
+let counted_graph =
+  lazy
+    (let ex l = Rdf.Iri.of_string_exn ("http://example.org/" ^ l) in
+     Rdf.Graph.of_list
+       [ Rdf.Triple.make Workload.Micro_gen.focus (ex "p") (Rdf.Term.Iri (ex "o"))
+       ])
+
+(* ------------------------------------------------------------------ *)
 (* E2: derivative expression growth (Example 10)                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -203,7 +231,25 @@ let e2 () =
   row
     "@.  Expectation (\xc2\xa76, Example 10): consuming an a-arc leaves a \
      pending b-obligation,@.  so the intermediate expression grows with \
-     the number of open obligations.@."
+     the number of open obligations.@.";
+  row "@.  Counted bound p{1,n} and one p-triple:@.@.";
+  row "  %-9s %-6s %-14s %-14s@." "n" "size" "parse" "match";
+  let focus = Workload.Micro_gen.focus and g = Lazy.force counted_graph in
+  List.iter
+    (fun n ->
+      let shape = counted_parse n in
+      assert (Shex.Deriv.matches focus g shape);
+      let t_parse = time_per_run (fun () -> counted_parse n) in
+      let t_match = time_per_run (fun () -> Shex.Deriv.matches focus g shape) in
+      jrow
+        [ ("counted_n", jint n); ("size", jint (Shex.Rse.size shape));
+          ("parse_us", jflt (us t_parse)); ("match_us", jflt (us t_match)) ];
+      row "  %-9d %-6d %11.2f us %11.2f us@." n (Shex.Rse.size shape)
+        (us t_parse) (us t_match))
+    (counted_ns ());
+  row
+    "@.  Expectation: e{m,n} is one node \xe2\x80\x94 size, parse and \
+     match time are flat in n.@."
 
 (* ------------------------------------------------------------------ *)
 (* E3: whole-graph validation throughput                               *)
@@ -304,7 +350,34 @@ let e4 () =
   row
     "@.  Expectation: the generic matcher rebuilds an O(f)-size \
      expression per consumed triple@.  (O(f\xc2\xb2) total), while counting \
-     is O(f) per triple lookup-free \xe2\x80\x94 the gap widens with f.@."
+     is O(f) per triple lookup-free \xe2\x80\x94 the gap widens with f.@.";
+  row "@.  Counted bound p{1,n} and one p-triple, compile then match:@.@.";
+  row "  %-9s %-14s %-14s %-14s %-14s@." "n" "sorbe-compile" "dfa-compile"
+    "counting" "dfa";
+  let focus = Workload.Micro_gen.focus and g = Lazy.force counted_graph in
+  List.iter
+    (fun n ->
+      let shape = counted_parse n in
+      let sorbe = Option.get (Shex.Sorbe.of_rse shape) in
+      let dfa = Shex.Dfa.compile shape in
+      assert (Shex.Sorbe.matches focus g sorbe && Shex.Dfa.matches dfa focus g);
+      (* A DFA compiles lazily: its compile cost includes the first
+         transition. *)
+      let t_sc = time_per_run (fun () -> Shex.Sorbe.of_rse shape) in
+      let t_dc =
+        time_per_run (fun () ->
+            Shex.Dfa.matches (Shex.Dfa.compile shape) focus g)
+      in
+      let t_s = time_per_run (fun () -> Shex.Sorbe.matches focus g sorbe) in
+      let t_d = time_per_run (fun () -> Shex.Dfa.matches dfa focus g) in
+      jrow
+        [ ("counted_n", jint n); ("sorbe_compile_us", jflt (us t_sc));
+          ("dfa_compile_us", jflt (us t_dc)); ("counting_us", jflt (us t_s));
+          ("dfa_us", jflt (us t_d)) ];
+      row "  %-9d %11.2f us %11.2f us %11.2f us %11.2f us@." n (us t_sc)
+        (us t_dc) (us t_s) (us t_d))
+    (counted_ns ());
+  row "@.  Expectation: compile and match times are flat in n.@."
 
 (* ------------------------------------------------------------------ *)
 (* E5: simplification ablation                                         *)
@@ -354,37 +427,49 @@ let e5 () =
       row "  %-4d %-12d %-12d %11.2f us %11.2f us@." n smart_size raw_size
         (us t_smart) (us t_raw))
     sizes;
-  row
-    "@.  -- Balance checker (factoring is what keeps sizes linear) --@.";
   let ks = if !quick then [ 2; 4; 6 ] else [ 2; 4; 6; 8; 10 ] in
-  row "  %-4s %-14s %-14s %-14s@." "k" "factored-size" "aci-size"
-    "raw-size";
-  List.iter
+  let balance ?(aci_cap = 8) title shape_of =
+    row "@.  -- %s --@." title;
+    row "  %-4s %-14s %-14s %-14s@." "k" "factored-size" "aci-size"
+      "raw-size";
+    List.iter
+      (fun k ->
+        let shape = shape_of k in
+        let dts =
+          Shex.Neigh.of_node focus (Workload.Micro_gen.balanced_neighbourhood k)
+        in
+        (* The unfactored variants explode; beyond these caps they
+           exhaust memory, which is the point of the ablation. *)
+        let aci =
+          if k <= aci_cap then
+            string_of_int (max_size Shex.Rse.aci_ctors shape dts)
+          else "(>10^8)"
+        in
+        let raw =
+          if k <= 6 then
+            string_of_int (max_size Shex.Rse.raw_ctors shape dts)
+          else "(>10^8)"
+        in
+        jrow
+          [ ("k", jint k);
+            ("factored_size", jint (max_size Shex.Rse.smart_ctors shape dts));
+            ("aci_size", jstr aci); ("raw_size", jstr raw) ];
+        row "  %-4d %-14d %-14s %-14s@." k
+          (max_size Shex.Rse.smart_ctors shape dts)
+          aci raw)
+      ks
+  in
+  balance "Balance checker (factoring is what keeps sizes linear)"
+    Workload.Micro_gen.balanced_shape;
+  (* The same checker with its star counted, (a ‖ b){0,k}: each step
+     also lowers the bound, so the counted residuals must stay linear
+     too.  Once the bound reaches 0 no alternative is left open, so ACI
+     alone keeps them small and needs no cap. *)
+  balance ~aci_cap:max_int "Counted balance checker (a \xe2\x80\x96 b){0,k}"
     (fun k ->
-      let shape = Workload.Micro_gen.balanced_shape k in
-      let dts =
-        Shex.Neigh.of_node focus (Workload.Micro_gen.balanced_neighbourhood k)
-      in
-      (* The unfactored variants explode; beyond these caps they
-         exhaust memory, which is the point of the ablation. *)
-      let aci =
-        if k <= 8 then
-          string_of_int (max_size Shex.Rse.aci_ctors shape dts)
-        else "(>10^8)"
-      in
-      let raw =
-        if k <= 6 then
-          string_of_int (max_size Shex.Rse.raw_ctors shape dts)
-        else "(>10^8)"
-      in
-      jrow
-        [ ("k", jint k);
-          ("factored_size", jint (max_size Shex.Rse.smart_ctors shape dts));
-          ("aci_size", jstr aci); ("raw_size", jstr raw) ];
-      row "  %-4d %-14d %-14s %-14s@." k
-        (max_size Shex.Rse.smart_ctors shape dts)
-        aci raw)
-    ks;
+      match Workload.Micro_gen.balanced_shape k with
+      | Shex.Rse.Star body -> Shex.Rse.repeat 0 (Some k) body
+      | _ -> assert false);
   row
     "@.  Expectation: raw constructors explode exponentially even on \
      Example 5; ACI alone@.  still explodes on counting shapes; \

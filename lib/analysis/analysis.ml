@@ -510,59 +510,13 @@ let atom_ix env side (a : Rse.arc) =
   in
   find 0
 
-let rec conv env side (e : Rse.t) =
-  match e with
-  | Rse.Empty -> Hrse.empty env.tbl
-  | Rse.Epsilon -> Hrse.epsilon env.tbl
-  | Rse.Arc a -> Hrse.atom env.tbl (atom_ix env side a)
-  | Rse.Star inner -> Hrse.star env.tbl (conv env side inner)
-  | Rse.And (e1, e2) -> Hrse.and_ env.tbl (conv env side e1) (conv env side e2)
-  | Rse.Or (e1, e2) -> Hrse.or_ env.tbl (conv env side e1) (conv env side e2)
-  | Rse.Not inner -> Hrse.not_ env.tbl (conv env side inner)
-
-(* ∂letter(e) — Deriv.deriv with arc matching replaced by the letter's
-   atom bitset; memoised per hash-consed node (same construction as
-   Dfa.deriv, over the analysis alphabet). *)
-let sderiv env member state =
-  let tbl = env.tbl in
-  let memo : (int, Hrse.t) Hashtbl.t = Hashtbl.create 16 in
-  let rec d (e : Hrse.t) =
-    match Hashtbl.find_opt memo e.Hrse.id with
-    | Some r -> r
-    | None ->
-        let r =
-          match e.Hrse.node with
-          | Hrse.Empty | Hrse.Epsilon -> Hrse.empty tbl
-          | Hrse.Atom i ->
-              if member.(i) then Hrse.epsilon tbl else Hrse.empty tbl
-          | Hrse.Star inner -> Hrse.and_ tbl (d inner) e
-          | Hrse.And es ->
-              let rec splits acc before = function
-                | [] -> acc
-                | e :: rest ->
-                    let acc =
-                      match before with
-                      | b :: _ when Hrse.equal b e -> acc
-                      | _ ->
-                          Hrse.and_all tbl (d e :: List.rev_append before rest)
-                          :: acc
-                    in
-                    splits acc (e :: before) rest
-              in
-              Hrse.or_all tbl (splits [] [] es)
-          | Hrse.Or es -> Hrse.or_all tbl (List.map d es)
-          | Hrse.Not inner -> Hrse.not_ tbl (d inner)
-        in
-        Hashtbl.replace memo e.Hrse.id r;
-        r
-  in
-  d state
+let conv env side e = Hrse.of_rse env.tbl (atom_ix env side) e
 
 let step env (state : Hrse.t) li =
   match Hashtbl.find_opt env.trans (state.Hrse.id, li) with
   | Some s -> s
   | None ->
-      let s' = sderiv env env.letters.(li).bits state in
+      let s' = Hrse.deriv env.tbl env.letters.(li).bits state in
       Hashtbl.replace env.trans (state.Hrse.id, li) s';
       s'
 
@@ -1047,7 +1001,7 @@ let rec refs_under_not ~neg (e : Rse.t) =
   | Rse.Empty | Rse.Epsilon -> false
   | Rse.Arc a -> (
       match a.Rse.obj with Rse.Ref _ -> neg | Rse.Values _ -> false)
-  | Rse.Star inner -> refs_under_not ~neg inner
+  | Rse.Star inner | Rse.Repeat (inner, _, _) -> refs_under_not ~neg inner
   | Rse.And (a, b) | Rse.Or (a, b) ->
       refs_under_not ~neg a || refs_under_not ~neg b
   | Rse.Not inner -> refs_under_not ~neg:true inner
@@ -1346,6 +1300,7 @@ let rec opt_expr env (e : Rse.t) =
           | parts -> Rse.star (opt_expr env (Rse.or_all parts)))
       | _ -> Rse.star (opt_expr env inner))
   | Rse.Not inner -> Rse.not_ (opt_expr env inner)
+  | Rse.Repeat (inner, m, n) -> Rse.repeat m n (opt_expr env inner)
   | Rse.And (a, b) -> Rse.and_ (opt_expr env a) (opt_expr env b)
   | Rse.Or _ -> (
       let parts = disjuncts e in

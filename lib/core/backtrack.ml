@@ -32,19 +32,6 @@ let decompose dts =
   in
   go dts
 
-let arc_matches ~check_ref (a : Rse.arc) (dt : Neigh.dtriple) =
-  match a.obj with
-  | Rse.Values vo -> Neigh.arc_matches_values a vo dt
-  | Rse.Ref l ->
-      Bool.equal a.inverse dt.inverse
-      && Value_set.pred_mem a.pred (Rdf.Triple.predicate dt.triple)
-      &&
-      let far =
-        if dt.inverse then Rdf.Triple.subject dt.triple
-        else Rdf.Triple.obj dt.triple
-      in
-      check_ref l far
-
 let matches_counted ~check_ref ~instr dts e =
   let work = ref 0 in
   let counting = Telemetry.Counter.active instr.branches in
@@ -63,7 +50,10 @@ let matches_counted ~check_ref ~instr dts e =
     match e with
     | Empty -> false
     | Epsilon -> dts = []
-    | Arc a -> ( match dts with [ dt ] -> arc_matches ~check_ref a dt | _ -> false)
+    | Arc a -> (
+        match dts with
+        | [ dt ] -> Neigh.arc_matches ~check_ref a dt
+        | _ -> false)
     | Or (e1, e2) -> go e1 dts || go e2 dts
     | And (e1, e2) ->
         List.exists (fun (g1, g2) -> go e1 g1 && go e2 g2) (decompositions dts)
@@ -72,6 +62,18 @@ let matches_counted ~check_ref ~instr dts e =
         || List.exists
              (fun (g1, g2) -> g1 <> [] && go inner g1 && go e g2)
              (decompositions dts)
+    | Repeat (inner, m, n) ->
+        (* Like Star: one copy takes a non-empty part, the other m∸1 to
+           n−1 copies the rest, so the recursion is as deep as the
+           neighbourhood is large, whatever the bounds. *)
+        if dts = [] then m = 0 || go inner []
+        else
+          List.exists
+            (fun (g1, g2) ->
+              g1 <> []
+              && go inner g1
+              && go (Rse.repeat (max 0 (m - 1)) (Option.map pred n) inner) g2)
+            (decompositions dts)
     | Not inner -> not (go inner dts)
   in
   let result = go e dts in

@@ -57,29 +57,20 @@ let record_nullable instr n residual verdict =
            [ ("residual", Telemetry.String (Rse.to_string residual)) ]
          else []))
 
-let arc_matches ~check_ref (a : Rse.arc) (dt : Neigh.dtriple) =
-  match a.obj with
-  | Rse.Values vo -> Neigh.arc_matches_values a vo dt
-  | Rse.Ref l ->
-      Bool.equal a.inverse dt.inverse
-      && Value_set.pred_mem a.pred (Rdf.Triple.predicate dt.triple)
-      &&
-      let far =
-        if dt.inverse then Rdf.Triple.subject dt.triple
-        else Rdf.Triple.obj dt.triple
-      in
-      check_ref l far
-
 let deriv ?(ctors = Rse.smart_ctors) ?(check_ref = no_refs) dt e =
   let { Rse.mk_and; mk_or; mk_not } = ctors in
   let rec d (e : Rse.t) =
     match e with
     | Empty | Epsilon -> Rse.empty
-    | Arc a -> if arc_matches ~check_ref a dt then Rse.epsilon else Rse.empty
+    | Arc a ->
+        if Neigh.arc_matches ~check_ref a dt then Rse.epsilon else Rse.empty
     | Star inner -> mk_and (d inner) e
     | And (e1, e2) -> mk_or (mk_and (d e1) e2) (mk_and (d e2) e1)
     | Or (e1, e2) -> mk_or (d e1) (d e2)
     | Not inner -> mk_not (d inner)
+    | Repeat (inner, m, n) ->
+        mk_and (d inner)
+          (Rse.repeat (max 0 (m - 1)) (Option.map pred n) inner)
   in
   d e
 
@@ -153,47 +144,3 @@ let pp_trace ppf t =
   Format.fprintf ppf "\xe2\x87\x94 \xce\xbd(%a) \xe2\x87\x94 %b" Rse.pp final
     t.result;
   Format.pp_close_box ppf ()
-
-let explain_failure t =
-  if t.result then None
-  else
-    (* Find the first step whose derivative collapsed to ∅: the
-       consumed triple is the culprit (Example 12). *)
-    let rec first_empty = function
-      | [] -> None
-      | s :: _ when Rse.equal s.after Rse.empty -> Some s
-      | _ :: rest -> first_empty rest
-    in
-    match first_empty t.steps with
-    | Some s ->
-        Some
-          (Format.asprintf
-             "triple %a matches no arc of the remaining expression (it \
-              reduces the expression to \xe2\x88\x85)"
-             Neigh.pp s.consumed)
-    | None ->
-        let final =
-          match List.rev t.steps with [] -> t.initial | s :: _ -> s.after
-        in
-        Some
-          (Format.asprintf
-             "all triples were consumed but obligations remain: the residual \
-              expression %a is not nullable (some required arc is missing)"
-             Rse.pp final)
-
-(* The structured form of a trace: what {!pp_trace} and
-   {!explain_failure} render is derived from these values, and
-   [--trace-json] streams the equivalent per-step events. *)
-let step_to_json s =
-  Json.Object
-    [ ("triple", Json.String (Format.asprintf "%a" Neigh.pp s.consumed));
-      ("after", Json.String (Rse.to_string s.after));
-      ("size_after", Json.int (Rse.size s.after));
-      ("nullable", Json.Bool (Rse.nullable s.after));
-      ("empty", Json.Bool (Rse.equal s.after Rse.empty)) ]
-
-let trace_to_json t =
-  Json.Object
-    [ ("initial", Json.String (Rse.to_string t.initial));
-      ("steps", Json.Array (List.map step_to_json t.steps));
-      ("result", Json.Bool t.result) ]

@@ -12,6 +12,7 @@
     ∂t(e⋆)       = ∂t(e) ‖ e*
     ∂t(e₁ ‖ e₂)  = ∂t(e₁) ‖ e₂  |  ∂t(e₂) ‖ e₁
     ∂t(e₁ | e₂)  = ∂t(e₁) | ∂t(e₂)
+    ∂t(e{m,n})   = ∂t(e) ‖ e{m∸1,n−1}
     ∂t(¬e)       = ¬∂t(e)                        (extension)
     v}
 
@@ -132,16 +133,5 @@ val matches_trace_dts :
 
 val pp_trace : Format.formatter -> trace -> unit
 (** Renders the trace in the paper's style:
-    [e ≃ {t₁, …} ⇔ ∂t₁(e) ≃ {…} ⇔ … ⇔ ν(e') ⇔ true]. *)
-
-val explain_failure : trace -> string option
-(** For a failed trace, a human-readable account of where matching
-    broke: either the triple whose derivative collapsed to ∅, or the
-    residual obligations left unfulfilled.  [None] if the trace
-    succeeded. *)
-
-val step_to_json : step -> Json.t
-val trace_to_json : trace -> Json.t
-(** The machine-readable form of a trace — the structured source both
-    {!explain_failure} and the CLI's [--trace-json] stream render
-    from. *)
+    [e ≃ {t₁, …} ⇔ ∂t₁(e) ≃ {…} ⇔ … ⇔ ν(e') ⇔ true].  {!Explain.of_trace}
+    says where a failed trace broke. *)

@@ -42,10 +42,10 @@ type t = {
 (* ------------------------------------------------------------------ *)
 
 let compile ?(instr = no_instruments) (e : Rse.t) =
-  (* The alphabet: one atom per distinct arc constraint.  Duplicated
-     arcs (e.g. the two copies [repeat] expands) share an atom, which
-     both shrinks the classification bitset and lets hash-consing
-     identify the sub-expressions built from them. *)
+  (* The alphabet: one atom per distinct arc constraint.  An arc that
+     occurs twice (as in [a ‖ a]) is one atom, which both shrinks the
+     classification bitset and lets hash-consing identify the
+     sub-expressions built from it. *)
   let atoms = ref [] and n_atoms = ref 0 in
   let atom_id (a : Rse.arc) =
     match List.find_opt (fun (b, _) -> Rse.arc_equal a b) !atoms with
@@ -57,17 +57,7 @@ let compile ?(instr = no_instruments) (e : Rse.t) =
         i
   in
   let table = Hrse.create () in
-  let rec conv (e : Rse.t) =
-    match e with
-    | Rse.Empty -> Hrse.empty table
-    | Rse.Epsilon -> Hrse.epsilon table
-    | Rse.Arc a -> Hrse.atom table (atom_id a)
-    | Rse.Star inner -> Hrse.star table (conv inner)
-    | Rse.And (e1, e2) -> Hrse.and_ table (conv e1) (conv e2)
-    | Rse.Or (e1, e2) -> Hrse.or_ table (conv e1) (conv e2)
-    | Rse.Not inner -> Hrse.not_ table (conv inner)
-  in
-  let start = conv e in
+  let start = Hrse.of_rse table atom_id e in
   (* [!atoms] holds (arc, id) in reverse insertion order and ids were
      assigned consecutively, so reversing recovers index order. *)
   let atom_array = Array.of_list (List.rev_map fst !atoms) in
@@ -148,50 +138,8 @@ let classify auto ~check_ref dt =
       s
 
 (* ------------------------------------------------------------------ *)
-(* Lazy transitions: hash-consed symbolic derivative                   *)
+(* Lazy transitions                                                    *)
 (* ------------------------------------------------------------------ *)
-
-(* ∂symbol(e), where the symbol is the set of atoms the consumed
-   triple matches.  Identical to Deriv.deriv with [arc_matches]
-   replaced by bitset membership; memoised per hash-consed node within
-   one transition computation (sub-expressions are shared, so the memo
-   prevents re-deriving them). *)
-let deriv auto member state =
-  let tbl = auto.table in
-  let memo : (int, Hrse.t) Hashtbl.t = Hashtbl.create 16 in
-  let rec d (e : Hrse.t) =
-    match Hashtbl.find_opt memo e.Hrse.id with
-    | Some r -> r
-    | None ->
-        let r =
-          match e.Hrse.node with
-          | Hrse.Empty | Hrse.Epsilon -> Hrse.empty tbl
-          | Hrse.Atom i ->
-              if member.(i) then Hrse.epsilon tbl else Hrse.empty tbl
-          | Hrse.Star inner -> Hrse.and_ tbl (d inner) e
-          | Hrse.And es ->
-              (* ∂(e₁ ‖ … ‖ eₖ) = ⋁ᵢ ∂eᵢ ‖ rest.  Duplicate conjuncts
-                 (a bag) yield identical disjuncts; skip them. *)
-              let rec splits acc before = function
-                | [] -> acc
-                | e :: rest ->
-                    let acc =
-                      match before with
-                      | b :: _ when Hrse.equal b e -> acc
-                      | _ ->
-                          Hrse.and_all tbl (d e :: List.rev_append before rest)
-                          :: acc
-                    in
-                    splits acc (e :: before) rest
-              in
-              Hrse.or_all tbl (splits [] [] es)
-          | Hrse.Or es -> Hrse.or_all tbl (List.map d es)
-          | Hrse.Not inner -> Hrse.not_ tbl (d inner)
-        in
-        Hashtbl.replace memo e.Hrse.id r;
-        r
-  in
-  d state
 
 let step auto (state : Hrse.t) sym =
   match Hashtbl.find_opt auto.trans (state.Hrse.id, sym) with
@@ -200,7 +148,7 @@ let step auto (state : Hrse.t) sym =
       s'
   | None ->
       Telemetry.Counter.incr auto.instr.misses;
-      let s' = deriv auto auto.members.(sym) state in
+      let s' = Hrse.deriv auto.table auto.members.(sym) state in
       Hashtbl.replace auto.trans (state.Hrse.id, sym) s';
       if not (Hashtbl.mem auto.states s'.Hrse.id) then begin
         Hashtbl.replace auto.states s'.Hrse.id ();

@@ -23,7 +23,7 @@ type t =
    concrete" — it has too much, not too little), so they contribute
    none.  And demands the arcs of each non-nullable conjunct; a
    non-nullable Or (both sides non-nullable) offers the arcs of either
-   alternative as candidates. *)
+   alternative as candidates, and a non-nullable e{m,n} those of e. *)
 let required_arcs e =
   let rec go (e : Rse.t) =
     match e with
@@ -34,6 +34,7 @@ let required_arcs e =
         @ if Rse.nullable e2 then [] else go e2
     | Or (e1, e2) ->
         if Rse.nullable e1 || Rse.nullable e2 then [] else go e1 @ go e2
+    | Repeat (inner, _, _) -> if Rse.nullable e then [] else go inner
   in
   List.sort_uniq Rse.arc_compare (go e)
 

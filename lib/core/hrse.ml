@@ -8,6 +8,7 @@ and node =
   | And of t list
   | Or of t list
   | Not of t
+  | Repeat of t * int * int option
 
 (* Structural key of a candidate node with children replaced by their
    ids.  Keys contain only integers, so polymorphic equality is
@@ -20,6 +21,7 @@ type key =
   | KAnd of int list
   | KOr of int list
   | KNot of int
+  | KRepeat of int * int * int  (* body id, min, max (−1 = unbounded) *)
 
 (* The generic [Hashtbl.hash] reads only the first ten ids of a list,
    and the conjuncts of an interleaving's derivatives share their
@@ -39,6 +41,7 @@ module Key_tbl = Hashtbl.Make (struct
     | KAtom i -> Hashtbl.hash (2, i)
     | KStar i -> Hashtbl.hash (3, i)
     | KNot i -> Hashtbl.hash (4, i)
+    | KRepeat (i, m, n) -> Hashtbl.hash (7, i, m, n)
     | KAnd ids -> hash_ids 5 ids
     | KOr ids -> hash_ids 6 ids
 end)
@@ -207,10 +210,79 @@ let not_ table e =
   | Not inner -> inner
   | _ -> intern table (KNot e.id) (Not e) (not e.nullable)
 
+(* The same degenerate bounds as [Rse.repeat]. *)
+let repeat table m n e =
+  match (m, n, e.node) with
+  | _, Some 0, _ | _, _, Epsilon | 0, _, Empty -> epsilon table
+  | _, _, Empty -> empty table
+  | 1, Some 1, _ -> e
+  | 0, None, _ -> star table e
+  | 0, Some 1, _ -> or_ table e (epsilon table)
+  | m, n, _ ->
+      intern table
+        (KRepeat (e.id, m, Option.value n ~default:(-1)))
+        (Repeat (e, m, n))
+        (m = 0 || e.nullable)
+
+let of_rse table atom_of e =
+  let rec conv (e : Rse.t) =
+    match e with
+    | Rse.Empty -> empty table
+    | Rse.Epsilon -> epsilon table
+    | Rse.Arc a -> atom table (atom_of a)
+    | Rse.Star inner -> star table (conv inner)
+    | Rse.And (e1, e2) -> and_ table (conv e1) (conv e2)
+    | Rse.Or (e1, e2) -> or_ table (conv e1) (conv e2)
+    | Rse.Not inner -> not_ table (conv inner)
+    | Rse.Repeat (inner, m, n) -> repeat table m n (conv inner)
+  in
+  conv e
+
+(* [Deriv.deriv] with arc matching replaced by atom membership,
+   memoised per node within one call: derivatives share
+   sub-expressions, so the memo keeps each from being derived twice. *)
+let deriv table member e =
+  let memo : (int, t) Hashtbl.t = Hashtbl.create 16 in
+  let rec d e =
+    match Hashtbl.find_opt memo e.id with
+    | Some r -> r
+    | None ->
+        let r =
+          match e.node with
+          | Empty | Epsilon -> empty table
+          | Atom i -> if member.(i) then epsilon table else empty table
+          | Star inner -> and_ table (d inner) e
+          | And es ->
+              (* ∂(e₁ ‖ … ‖ eₖ) = ⋁ᵢ ∂eᵢ ‖ rest.  Duplicate conjuncts
+                 (a bag) yield identical disjuncts; skip them. *)
+              let rec splits acc before = function
+                | [] -> acc
+                | e :: rest ->
+                    let acc =
+                      match before with
+                      | b :: _ when equal b e -> acc
+                      | _ ->
+                          and_all table (d e :: List.rev_append before rest)
+                          :: acc
+                    in
+                    splits acc (e :: before) rest
+              in
+              or_all table (splits [] [] es)
+          | Or es -> or_all table (List.map d es)
+          | Not inner -> not_ table (d inner)
+          | Repeat (inner, m, n) ->
+              and_ table (d inner)
+                (repeat table (max 0 (m - 1)) (Option.map pred n) inner)
+        in
+        Hashtbl.replace memo e.id r;
+        r
+  in
+  d e
+
 let rec size e =
   match e.node with
   | Empty | Epsilon | Atom _ -> 1
-  | Star e | Not e -> 1 + size e
+  | Star e | Not e | Repeat (e, _, _) -> 1 + size e
   | And es | Or es ->
       List.length es - 1 + List.fold_left (fun acc e -> acc + size e) 0 es
 
@@ -230,6 +302,9 @@ let rec pp_prec prec ppf e =
   | Atom i -> Format.fprintf ppf "#%d" i
   | Star e -> Format.fprintf ppf "(%a)*" (pp_prec 0) e
   | Not e -> Format.fprintf ppf "\xc2\xac(%a)" (pp_prec 0) e
+  | Repeat (e, m, n) ->
+      Format.fprintf ppf "(%a){%d,%s}" (pp_prec 0) e m
+        (match n with Some n -> string_of_int n | None -> "*")
   | And es -> pp_nary "\xe2\x80\x96" 2 es
   | Or es -> pp_nary "|" 1 es
 

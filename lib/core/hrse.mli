@@ -10,9 +10,11 @@
     {!table} and identified by a unique [id]; two expressions are
     equal iff their ids are equal (physically equal, in fact).
 
-    Arc leaves are abstracted to integer {e atoms} — indices into the
-    alphabet built by {!Dfa} — which keeps this module independent of
-    the RDF layer and makes derivative computation purely symbolic.
+    Arc leaves are abstracted to integer {e atoms} — indices into an
+    alphabet its user builds ({!Dfa}, the schema analysis) — so the
+    derivative computation here is purely symbolic: {!of_rse} is the one
+    translation from {!Rse} and {!deriv} the one derivative, both
+    shared by every user.
 
     The smart constructors reproduce the full normalisation of
     {!Rse}: the §4 simplification rules, ACI normal form ([‖] and
@@ -40,6 +42,8 @@ and node = private
   | And of t list  (** ≥ 2 children, sorted by id; a bag (duplicates kept) *)
   | Or of t list  (** ≥ 2 children, sorted by id, deduplicated *)
   | Not of t
+  | Repeat of t * int * int option
+      (** [e{m,n}], [None] = unbounded; bounds as in {!Rse.Repeat} *)
 
 type table
 (** The interning table.  All expressions combined by the constructors
@@ -74,6 +78,22 @@ val or_ : table -> t -> t -> t
 val not_ : table -> t -> t
 val and_all : table -> t list -> t
 val or_all : table -> t list -> t
+
+val repeat : table -> int -> int option -> t -> t
+(** [e{m,n}] with the degenerate bounds of {!Rse.repeat}; the caller
+    guarantees [0 ≤ m ≤ n]. *)
+
+(** {1 From shape expressions, and derivatives} *)
+
+val of_rse : table -> (Rse.arc -> int) -> Rse.t -> t
+(** [of_rse tbl atom e] interns [e], each arc leaf as the atom [atom]
+    assigns it. *)
+
+val deriv : table -> bool array -> t -> t
+(** [deriv tbl member e] is [∂(e)] for a consumed triple that matches
+    exactly the atoms [i] with [member.(i)]: {!Deriv.deriv} with arc
+    matching replaced by membership, including
+    [∂(e{m,n}) = ∂e ‖ e{m∸1,n−1}]. *)
 
 (** {1 Observations} *)
 

@@ -24,7 +24,7 @@ let of_columnar ?(include_inverse = false) n c =
   if not include_inverse then out_list
   else out_list @ List.map inc (Rdf.Columnar.in_triples c n)
 
-let arc_matches_values (a : Rse.arc) vo dt =
+let arc_matches ~check_ref (a : Rse.arc) dt =
   Bool.equal a.inverse dt.inverse
   && Value_set.pred_mem a.pred (Rdf.Triple.predicate dt.triple)
   &&
@@ -32,7 +32,9 @@ let arc_matches_values (a : Rse.arc) vo dt =
     if dt.inverse then Rdf.Triple.subject dt.triple
     else Rdf.Triple.obj dt.triple
   in
-  Value_set.obj_mem vo far
+  match a.obj with
+  | Rse.Values vo -> Value_set.obj_mem vo far
+  | Rse.Ref l -> check_ref l far
 
 let pp ppf dt =
   if dt.inverse then Format.fprintf ppf "^%a" Rdf.Triple.pp dt.triple

@@ -32,11 +32,13 @@ val of_columnar :
     the exact list {!of_node} returns on [Rdf.Columnar.to_graph c]
     (canonical ids make slice order triple order). *)
 
-val arc_matches_values :
-  Rse.arc -> Value_set.obj -> dtriple -> bool
-(** [arc_matches_values arc vo dt]: direction agrees, the predicate is
-    in [arc.pred] and the far-end term is in [vo].  (The far end of an
-    outgoing triple is its object; of an incoming one, its subject.) *)
+val arc_matches :
+  check_ref:(Label.t -> Rdf.Term.t -> bool) -> Rse.arc -> dtriple -> bool
+(** [arc_matches ~check_ref arc dt]: direction agrees, the predicate is
+    in [arc.pred] and the far-end term satisfies the arc's object: is in
+    its value set, or has the referenced shape by [check_ref].  (The far
+    end of an outgoing triple is its object; of an incoming one, its
+    subject.) *)
 
 val pp : Format.formatter -> dtriple -> unit
 

@@ -12,6 +12,7 @@ type t =
   | And of t * t
   | Or of t * t
   | Not of t
+  | Repeat of t * int * int option
 
 let empty = Empty
 let epsilon = Epsilon
@@ -66,7 +67,10 @@ let rec equal a b =
   | And (x1, x2), And (y1, y2) | Or (x1, x2), Or (y1, y2) ->
       equal x1 y1 && equal x2 y2
   | Not x, Not y -> equal x y
-  | (Empty | Epsilon | Arc _ | Star _ | And _ | Or _ | Not _), _ -> false
+  | Repeat (x, m, n), Repeat (y, m', n') ->
+      m = m' && Option.equal Int.equal n n' && equal x y
+  | (Empty | Epsilon | Arc _ | Star _ | And _ | Or _ | Not _ | Repeat _), _ ->
+      false
 
 let rank = function
   | Empty -> 0
@@ -76,6 +80,7 @@ let rank = function
   | And _ -> 4
   | Or _ -> 5
   | Not _ -> 6
+  | Repeat _ -> 7
 
 let rec compare a b =
   if a == b then 0
@@ -87,7 +92,14 @@ let rec compare a b =
     | And (x1, x2), And (y1, y2) | Or (x1, x2), Or (y1, y2) ->
         let c = compare x1 y1 in
         if c <> 0 then c else compare x2 y2
-    | (Empty | Epsilon | Arc _ | Star _ | And _ | Or _ | Not _), _ ->
+    | Repeat (x, m, n), Repeat (y, m', n') ->
+        let c = compare x y in
+        if c <> 0 then c
+        else
+          let c = Int.compare m m' in
+          if c <> 0 then c else Option.compare Int.compare n n'
+    | (Empty | Epsilon | Arc _ | Star _ | And _ | Or _ | Not _ | Repeat _), _
+      ->
         Int.compare (rank a) (rank b)
 
 (* Simplification rules of §4 plus the standard star/complement laws,
@@ -206,7 +218,8 @@ let rec or_ e1 e2 =
           in
           match (eps, core) with
           | [], _ -> core
-          | _, (Epsilon | Star _) -> core (* already nullable *)
+          | _, (Epsilon | Star _ | Repeat (_, 0, _)) ->
+              core (* already nullable *)
           | _, core -> Or (Epsilon, core)))
 
 let not_ = function Not e -> e | e -> Not e
@@ -224,30 +237,34 @@ let or_aci e1 e2 =
 let and_all es = List.fold_left and_ Epsilon es
 let or_all = function [] -> Empty | e :: es -> List.fold_left or_ e es
 
-let plus e = and_ e (star e)
 let opt e = or_ e Epsilon
 
+(* e{m,n} is one node whatever its bounds.  The degenerate bounds keep
+   their own forms, so an expression reads the same however its
+   cardinality was written. *)
 let repeat m n e =
   if m < 0 then invalid_arg "Rse.repeat: negative minimum";
-  let rec copies k acc = if k <= 0 then acc else copies (k - 1) (e :: acc) in
-  let required = copies m [] in
-  match n with
-  | None -> and_all (star e :: required)
-  | Some n ->
-      if n < m then invalid_arg "Rse.repeat: max < min";
-      let rec optionals k acc =
-        if k <= 0 then acc else optionals (k - 1) (opt e :: acc)
-      in
-      and_all (required @ optionals (n - m) [])
+  (match n with
+  | Some n when n < m -> invalid_arg "Rse.repeat: max < min"
+  | _ -> ());
+  match (m, n, e) with
+  | _, Some 0, _ | _, _, Epsilon | 0, _, Empty -> Epsilon
+  | _, _, Empty -> Empty
+  | 1, Some 1, e -> e
+  | 0, None, e -> star e
+  | 0, Some 1, e -> opt e
+  | m, n, e -> Repeat (e, m, n)
+
+let plus e = repeat 1 None e
 
 let rec size = function
   | Empty | Epsilon | Arc _ -> 1
-  | Star e | Not e -> 1 + size e
+  | Star e | Not e | Repeat (e, _, _) -> 1 + size e
   | And (e1, e2) | Or (e1, e2) -> 1 + size e1 + size e2
 
 let rec height = function
   | Empty | Epsilon | Arc _ -> 1
-  | Star e | Not e -> 1 + height e
+  | Star e | Not e | Repeat (e, _, _) -> 1 + height e
   | And (e1, e2) | Or (e1, e2) -> 1 + max (height e1) (height e2)
 
 let rec nullable = function
@@ -258,12 +275,13 @@ let rec nullable = function
   | And (e1, e2) -> nullable e1 && nullable e2
   | Or (e1, e2) -> nullable e1 || nullable e2
   | Not e -> not (nullable e)
+  | Repeat (e, m, _) -> m = 0 || nullable e
 
 let rec refs = function
   | Empty | Epsilon -> Label.Set.empty
   | Arc { obj = Ref l; _ } -> Label.Set.singleton l
   | Arc { obj = Values _; _ } -> Label.Set.empty
-  | Star e | Not e -> refs e
+  | Star e | Not e | Repeat (e, _, _) -> refs e
   | And (e1, e2) | Or (e1, e2) -> Label.Set.union (refs e1) (refs e2)
 
 let has_ref e = not (Label.Set.is_empty (refs e))
@@ -271,26 +289,26 @@ let has_ref e = not (Label.Set.is_empty (refs e))
 let rec refs_under_not = function
   | Empty | Epsilon | Arc _ -> Label.Set.empty
   | Not e -> refs e
-  | Star e -> refs_under_not e
+  | Star e | Repeat (e, _, _) -> refs_under_not e
   | And (e1, e2) | Or (e1, e2) ->
       Label.Set.union (refs_under_not e1) (refs_under_not e2)
 
 let rec has_inverse = function
   | Empty | Epsilon -> false
   | Arc a -> a.inverse
-  | Star e | Not e -> has_inverse e
+  | Star e | Not e | Repeat (e, _, _) -> has_inverse e
   | And (e1, e2) | Or (e1, e2) -> has_inverse e1 || has_inverse e2
 
 let rec has_not = function
   | Empty | Epsilon | Arc _ -> false
   | Not _ -> true
-  | Star e -> has_not e
+  | Star e | Repeat (e, _, _) -> has_not e
   | And (e1, e2) | Or (e1, e2) -> has_not e1 || has_not e2
 
 let rec arcs = function
   | Empty | Epsilon -> []
   | Arc a -> [ a ]
-  | Star e | Not e -> arcs e
+  | Star e | Not e | Repeat (e, _, _) -> arcs e
   | And (e1, e2) | Or (e1, e2) -> arcs e1 @ arcs e2
 
 let mentioned_preds ~inverse e =
@@ -346,6 +364,9 @@ let rec pp_prec prec ppf e =
   | Not ((Empty | Epsilon) as e) ->
       Format.fprintf ppf "\xc2\xac%a" (pp_prec 3) e
   | Not e -> Format.fprintf ppf "\xc2\xac(%a)" (pp_prec 0) e
+  | Repeat (e, m, n) ->
+      Format.fprintf ppf "(%a){%d,%s}" (pp_prec 0) e m
+        (match n with Some n -> string_of_int n | None -> "*")
   | And (e1, e2) ->
       paren 2 (fun ppf ->
           Format.fprintf ppf "%a \xe2\x80\x96 %a" (pp_prec 1) e1 (pp_prec 1)

@@ -7,7 +7,15 @@
            | E*       Kleene closure (0 or more E)
            | E ‖ F    And (unordered concatenation)
            | E | F    Alternative
+           | E{m,n}   between m and n occurrences of E (n may be ∞)
     v}
+
+    The paper defines [E{m,n}] as sugar for copies of [E]; here it is
+    one node, the counted repetition of the interval-based bag
+    expressions (RBE) of Boneva et al., {e Shape Expressions Schemas}.
+    Its size does not depend on the bounds, and its derivative counts
+    down: [ν(e{m,n}) = (m = 0 ∨ ν(e))],
+    [∂t(e{m,n}) = ∂t(e) ‖ e{m∸1,n−1}].
 
     plus the extensions the paper names (§8, §10): shape references in
     object position, inverse arcs and negation (complement), which is
@@ -38,6 +46,10 @@ type t = private
   | And of t * t
   | Or of t * t
   | Not of t
+  | Repeat of t * int * int option
+      (** [e{m,n}], [None] = unbounded.  Built by {!repeat} only, so the
+          bounds are never {0,0}, {1,1}, {0,*} or {0,1}, and the body is
+          neither ∅ nor ε. *)
 
 (** {1 Constructors} *)
 
@@ -69,18 +81,18 @@ val or_all : t list -> t
 (** {1 Derived operators (§4)} *)
 
 val plus : t -> t
-(** [e⁺ = e ‖ e*]. *)
+(** [e⁺ = e{1,*}]. *)
 
 val opt : t -> t
 (** [e? = e | ε]. *)
 
 val repeat : int -> int option -> t -> t
 (** [repeat m (Some n) e] is the range operator [e{m,n}]: between [m]
-    and [n] occurrences, expanded as [e ‖ … ‖ e ‖ e? ‖ … ‖ e?] ([m]
-    copies then [n−m] optionals) — equivalent to the paper's recurrence
-    but linear in [n].  [repeat m None e] is [e{m,}]: [m] copies
-    followed by [e*].  Raises [Invalid_argument] if [m < 0] or
-    [n < m]. *)
+    and [n] occurrences; [repeat m None e] is [e{m,}].  One {!Repeat}
+    node of constant size, except for the bounds with a form of their
+    own: {0,0} is ε, {1,1} is [e], {0,*} is [e*] and {0,1} is [e?]
+    (and ε or ∅ repeated is ε or ∅).  Raises [Invalid_argument] if
+    [m < 0] or [n < m]. *)
 
 (** {1 Observations} *)
 
@@ -94,8 +106,9 @@ val compare : t -> t -> int
 val nullable : t -> bool
 (** ν(e): whether [e] matches the empty neighbourhood (§6).  [ν(∅) =
     false], [ν(ε) = true], [ν(vp→vo) = false], [ν(e⋆) = true],
-    [ν(e₁‖e₂) = ν(e₁) ∧ ν(e₂)], [ν(e₁|e₂) = ν(e₁) ∨ ν(e₂)], and for
-    the complement extension [ν(¬e) = ¬ν(e)]. *)
+    [ν(e₁‖e₂) = ν(e₁) ∧ ν(e₂)], [ν(e₁|e₂) = ν(e₁) ∨ ν(e₂)],
+    [ν(e{m,n}) = (m = 0 ∨ ν(e))], and for the complement extension
+    [ν(¬e) = ¬ν(e)]. *)
 
 val refs : t -> Label.Set.t
 (** Labels referenced anywhere in the expression. *)
@@ -136,7 +149,7 @@ val with_extra : Value_set.pred -> t -> t
     [e ‖ (p→.)⋆]. *)
 
 val pp : Format.formatter -> t -> unit
-(** Paper-style notation: [a→1 ‖ (b→{1, 2})⋆]. *)
+(** Paper-style notation: [a→1 ‖ (b→{1, 2})⋆ ‖ (c→1){2,*}]. *)
 
 val to_string : t -> string
 

@@ -68,6 +68,20 @@ let enumerate ~node ~max_card e =
           if Graph_set.equal next acc then acc else fix next
         in
         fix (Graph_set.singleton Rdf.Triple.Set.empty)
+    | Repeat (inner, m, n) ->
+        (* ⋃ L(e)ᵏ over m ≤ k ≤ n.  Under the cap the powers are empty
+           past max_card when ∅ ∉ L(e), and stationary from max_card on
+           when ∅ ∈ L(e), so the walk stops whatever the bounds. *)
+        let base = go inner in
+        let rec powers k lk acc =
+          let acc = if k >= m then Graph_set.union lk acc else acc in
+          if n = Some k || Graph_set.is_empty lk then acc
+          else
+            let next = combine ~max_card base lk in
+            if Graph_set.equal next lk then Graph_set.union lk acc
+            else powers (k + 1) next acc
+        in
+        powers 0 (Graph_set.singleton Rdf.Triple.Set.empty) Graph_set.empty
     | And (e1, e2) -> combine ~max_card (go e1) (go e2)
     | Or (e1, e2) -> Graph_set.union (go e1) (go e2)
     | Not _ -> raise (Not_enumerable "negation is not enumerable")

@@ -18,62 +18,29 @@ let instruments tele =
 let no_instruments = instruments Telemetry.disabled
 let counters instr = [ instr.matches_run; instr.updates ]
 
-let arc_equal (a : Rse.arc) (b : Rse.arc) =
-  Value_set.pred_equal a.pred b.pred
-  && Bool.equal a.inverse b.inverse
-  &&
-  match (a.obj, b.obj) with
-  | Rse.Values x, Rse.Values y -> Value_set.obj_equal x y
-  | Rse.Ref x, Rse.Ref y -> Label.equal x y
-  | (Rse.Values _ | Rse.Ref _), _ -> false
-
-let add_interval i1 i2 =
-  { min = i1.min + i2.min;
-    max = (match (i1.max, i2.max) with
-          | Some m1, Some m2 -> Some (m1 + m2)
-          | None, _ | _, None -> None) }
-
-(* Merge a new constraint into an accumulated list: same arc → sum the
-   intervals; different arc → predicates must be provably disjoint. *)
-let merge acc c =
-  let rec go = function
-    | [] -> Some [ c ]
-    | c' :: rest ->
-        if arc_equal c'.arc c.arc then
-          Some ({ c' with card = add_interval c'.card c.card } :: rest)
-        else if Value_set.pred_disjoint c'.arc.pred c.arc.pred then
-          Option.map (fun rest' -> c' :: rest') (go rest)
-        else None
-  in
-  go acc
+(* Append a constraint whose predicates are provably disjoint from
+   every constraint so far. *)
+let add acc c =
+  if
+    List.for_all
+      (fun c' -> Value_set.pred_disjoint c'.arc.pred c.arc.pred)
+      acc
+  then Some (acc @ [ c ])
+  else None
 
 let of_rse e =
   let rec collect (e : Rse.t) acc =
+    let counted arc min max = add acc { arc; card = { min; max } } in
     match e with
     | Epsilon -> Some acc
-    | Arc a -> merge acc { arc = a; card = { min = 1; max = Some 1 } }
-    | Star (Arc a) -> merge acc { arc = a; card = { min = 0; max = None } }
-    | And (Arc a, Star (Arc a')) when arc_equal a a' ->
-        merge acc { arc = a; card = { min = 1; max = None } }
-    | Or (Arc a, Epsilon) | Or (Epsilon, Arc a) ->
-        merge acc { arc = a; card = { min = 0; max = Some 1 } }
-    | And (e1, e2) -> (
-        match collect e1 acc with
-        | Some acc -> collect e2 acc
-        | None -> None)
-    | Empty | Star _ | Or _ | Not _ -> None
+    | Arc a -> counted a 1 (Some 1)
+    | Star (Arc a) -> counted a 0 None
+    | Repeat (Arc a, m, n) -> counted a m n
+    | Or (Arc a, Epsilon) | Or (Epsilon, Arc a) -> counted a 0 (Some 1)
+    | And (e1, e2) -> Option.bind (collect e1 acc) (collect e2)
+    | Empty | Star _ | Or _ | Not _ | Repeat _ -> None
   in
-  (* [merge] appends at the tail, so the accumulator is already in
-     encounter order. *)
   collect e []
-
-let to_rse t =
-  Rse.and_all
-    (List.map
-       (fun c ->
-         Rse.repeat c.card.min c.card.max
-           (Rse.arc ~inverse:c.arc.inverse c.arc.pred c.arc.obj))
-       t)
 
 let has_inverse t = List.exists (fun c -> c.arc.inverse) t
 

@@ -24,17 +24,12 @@ type t = constr list
 
 val of_rse : Rse.t -> t option
 (** Recognises (smart-constructed) expressions in the subset:
-    [arc] (1,1), [(arc)⋆] (0,∞), [arc ‖ (arc)⋆] i.e. [arc⁺] (1,∞),
-    [arc | ε] i.e. [arc?] (0,1), [ε], and [‖]-compositions thereof.
-    Adjacent constraints over the {e same} arc are merged by summing
-    intervals (so [repeat]-expansions are recognised); constraints
-    over different arcs must have provably disjoint predicate sets.
-    Returns [None] for anything else (alternatives between different
-    arcs, negation, nested stars, …). *)
-
-val to_rse : t -> Rse.t
-(** The equivalent general regular shape expression, via
-    {!Rse.repeat}. *)
+    [arc] (1,1), [(arc)⋆] (0,∞), [arc{m,n}] (m,n), [arc | ε] i.e.
+    [arc?] (0,1), [ε], and [‖]-compositions thereof whose constraints
+    have provably disjoint predicate sets (so an arc that occurs twice,
+    as in [a ‖ a], is refused).  Returns [None] for anything else
+    (alternatives between different arcs, negation, nested stars,
+    counted groups, …). *)
 
 (** {1 Telemetry}
 

@@ -265,6 +265,9 @@ let rec shrink_expr (e : Shex.Rse.t) =
         @ List.map (fun c -> Shex.Rse.or_ c e2) (shrink_expr e1)
         @ List.map (fun c -> Shex.Rse.or_ e1 c) (shrink_expr e2)
     | Shex.Rse.Not e1 -> e1 :: List.map Shex.Rse.not_ (shrink_expr e1)
+    | Shex.Rse.Repeat (e1, m, n) ->
+        (e1 :: List.map (Shex.Rse.repeat m n) (shrink_expr e1))
+        @ [ Shex.Rse.epsilon ]
   in
   List.sort_uniq Shex.Rse.compare
     (List.filter (fun c -> Shex.Rse.size c < Shex.Rse.size e) cands)

@@ -88,20 +88,26 @@ let arc_text ctx (a : Shex.Rse.arc) =
   in
   Printf.sprintf "%s%s %s" dir (pred_text ctx a.pred) obj
 
-let cardinality_suffix (card : Shex.Sorbe.interval) =
-  match (card.min, card.max) with
-  | 1, Some 1 -> ""
-  | 0, None -> " *"
+(* The bounds {0,*}, {0,1} and {1,1} never reach a counted node; they
+   print through Star, e? and the bare body. *)
+let cardinality_suffix m n =
+  match (m, n) with
   | 1, None -> " +"
-  | 0, Some 1 -> " ?"
   | m, Some n when m = n -> Printf.sprintf " {%d}" m
   | m, Some n -> Printf.sprintf " {%d,%d}" m n
   | m, None -> Printf.sprintf " {%d,}" m
 
 (* Precedence: Or < And < unary.  Cardinality suffixes apply to a
-   parenthesised group unless the body is a bare arc. *)
+   parenthesised group unless the body is a bare arc.  Every node
+   prints as itself, so printing then parsing gives the expression
+   back. *)
 let rec expr_text ctx prec (e : Shex.Rse.t) =
   let parens p body = if prec >= p then "(" ^ body ^ ")" else body in
+  let counted inner suffix =
+    match inner with
+    | Shex.Rse.Arc a -> arc_text ctx a ^ suffix
+    | _ -> Printf.sprintf "(%s)%s" (expr_text ctx 0 inner) suffix
+  in
   match e with
   | Shex.Rse.Empty ->
       (* ∅ has no direct ShExC notation; an unsatisfiable value set is
@@ -109,38 +115,14 @@ let rec expr_text ctx prec (e : Shex.Rse.t) =
       invalid_arg "Shexc_printer: the empty shape has no ShExC notation"
   | Shex.Rse.Epsilon -> ""
   | Shex.Rse.Arc a -> arc_text ctx a
-  | Shex.Rse.Star (Shex.Rse.Arc a) -> arc_text ctx a ^ " *"
-  | Shex.Rse.Star inner ->
-      Printf.sprintf "(%s) *" (expr_text ctx 0 inner)
-  | Shex.Rse.And (Shex.Rse.Arc a, Shex.Rse.Star (Shex.Rse.Arc a'))
-    when Shex.Rse.arc_equal a a' ->
-      arc_text ctx a ^ " +"
+  | Shex.Rse.Star inner -> counted inner " *"
   | Shex.Rse.Or (inner, Shex.Rse.Epsilon)
   | Shex.Rse.Or (Shex.Rse.Epsilon, inner) ->
-      (match inner with
-      | Shex.Rse.Arc a -> arc_text ctx a ^ " ?"
-      | _ -> Printf.sprintf "(%s) ?" (expr_text ctx 0 inner))
-  | Shex.Rse.And (e1, e2) -> (
-      (* Single-occurrence concatenations print with merged {m,n}
-         cardinalities, so [repeat] expansions round-trip compactly.
-         The merge sums intervals of duplicate conjuncts (a⋆ ‖ a⋆
-         becomes one a{0,*}), which parses back to a different
-         conjunct bag — so merged printing is only used when it is
-         lossless, i.e. re-expanding the constraints reconstructs the
-         expression exactly. *)
-      match Shex.Sorbe.of_rse e with
-      | Some constrs
-        when constrs <> [] && Shex.Rse.equal (Shex.Sorbe.to_rse constrs) e ->
-          parens 2
-            (String.concat " , "
-               (List.map
-                  (fun (c : Shex.Sorbe.constr) ->
-                    arc_text ctx c.arc ^ cardinality_suffix c.card)
-                  constrs))
-      | _ ->
-          parens 2
-            (Printf.sprintf "%s , %s" (expr_text ctx 1 e1)
-               (expr_text ctx 1 e2)))
+      counted inner " ?"
+  | Shex.Rse.Repeat (inner, m, n) -> counted inner (cardinality_suffix m n)
+  | Shex.Rse.And (e1, e2) ->
+      parens 2
+        (Printf.sprintf "%s , %s" (expr_text ctx 1 e1) (expr_text ctx 1 e2))
   | Shex.Rse.Or (e1, e2) ->
       parens 1
         (Printf.sprintf "%s | %s" (expr_text ctx 0 e1) (expr_text ctx 0 e2))

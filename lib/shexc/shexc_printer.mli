@@ -1,8 +1,8 @@
 (** Printer from core schemas back to ShEx compact syntax.
 
-    Covers every construct the parser can produce (so
-    parse ∘ print ∘ parse is the identity on schemas up to the
-    [repeat] expansion, which prints as its expansion).  Value sets
+    Covers every construct the parser can produce, each printed as
+    the node it is, [{m,n}] included, so parse ∘ print is the identity
+    on parsed schemas.  Value sets
     built programmatically with {!Shex.Value_set.Obj_not} have no
     ShExC notation and raise [Invalid_argument]. *)
 

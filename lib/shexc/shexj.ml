@@ -133,8 +133,6 @@ let with_card json min max =
             ("max", Json.int (match max with Some n -> n | None -> -1)) ])
   | other -> other
 
-let arc_equal (a : R.arc) (b : R.arc) = a = b
-
 let rec flatten_and acc (e : R.t) =
   match e with
   | R.And (e1, e2) -> flatten_and (flatten_and acc e2) e1
@@ -153,13 +151,13 @@ let rec expr_json (e : R.t) : Json.t =
         [ ("type", Json.String "EachOf"); ("expressions", Json.Array []) ]
   | R.Arc a -> triple_constraint a ~min:1 ~max:(Some 1)
   | R.Star (R.Arc a) -> triple_constraint a ~min:0 ~max:None
-  | R.And (R.Arc a, R.Star (R.Arc a')) when arc_equal a a' ->
-      triple_constraint a ~min:1 ~max:None
   | R.Or (R.Arc a, R.Epsilon) | R.Or (R.Epsilon, R.Arc a) ->
       triple_constraint a ~min:0 ~max:(Some 1)
-  | R.Star inner -> with_card (group_json inner) 0 None
+  | R.Repeat (R.Arc a, min, max) -> triple_constraint a ~min ~max
+  | R.Star inner -> with_card (expr_json inner) 0 None
   | R.Or (R.Epsilon, inner) | R.Or (inner, R.Epsilon) ->
-      with_card (group_json inner) 0 (Some 1)
+      with_card (expr_json inner) 0 (Some 1)
+  | R.Repeat (inner, min, max) -> with_card (expr_json inner) min max
   | R.And _ ->
       Json.Object
         [ ("type", Json.String "EachOf");
@@ -173,13 +171,6 @@ let rec expr_json (e : R.t) : Json.t =
   | R.Not inner ->
       Json.Object
         [ ("type", Json.String "Not"); ("expression", expr_json inner) ]
-
-(* A starred/optional group needs its own node so min/max are
-   unambiguous. *)
-and group_json (e : R.t) : Json.t =
-  match e with
-  | R.And _ | R.Or _ | R.Arc _ | R.Not _ -> expr_json e
-  | R.Empty | R.Epsilon | R.Star _ -> expr_json e
 
 let export schema =
   let shape (l, { Shex.Schema.focus; expr }) =

@@ -109,10 +109,9 @@ let gen_pred rng mode =
 type arc_key = Shex.Value_set.pred * Shex.Rse.obj_spec * bool
 
 (* Within one shape expression every generated arc is a distinct
-   (pred, obj, inverse) triple.  Identical arcs in one conjunction
-   would be interval-summed by [Sorbe.of_rse] — semantically sound but
-   structure-destroying, which the printer round-trip property (and
-   repro-file replay) cannot tolerate.  Overlap still happens through
+   (pred, obj, inverse) triple, so shapes stay single-occurrence often
+   enough for the SORBE arm to see them ([Sorbe.of_rse] refuses an arc
+   that occurs twice).  Overlap still happens through
    same-predicate/different-object arcs and (Extended) predicate
    stems. *)
 let gen_arc rng mode ~labels ~used =

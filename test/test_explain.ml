@@ -8,11 +8,6 @@ open Shex
 let focus = node "n"
 let s_label = Label.of_string "S"
 
-let contains s sub =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  n = 0 || go 0
-
 (* ------------------------------------------------------------------ *)
 (* Explain: required arcs and blame-set extraction                    *)
 (* ------------------------------------------------------------------ *)
@@ -40,11 +35,13 @@ let test_blame_triple () =
   (* Example 12: the second a-triple drives the residual to ∅. *)
   let tr = Deriv.matches_trace focus example12_graph example5 in
   match Explain.of_trace ~node:focus ~label:s_label tr with
-  | Some (Explain.Blame_triple { node = n; triple; ref_failures; _ }) ->
+  | Some (Explain.Blame_triple { node = n; triple; ref_failures; _ } as ex) ->
       Alcotest.check term "blames the focus node" focus n;
       check_string "blames an a-triple" "http://example.org/a"
         (Rdf.Iri.to_string (Rdf.Triple.predicate triple.Neigh.triple));
-      check_int "no reference failures" 0 (List.length ref_failures)
+      check_int "no reference failures" 0 (List.length ref_failures);
+      check_bool "message names the collapse" true
+        (contains (Explain.to_string ex) "matches no arc")
   | _ -> Alcotest.fail "expected Blame_triple"
 
 let test_missing_arcs () =
@@ -55,12 +52,14 @@ let test_missing_arcs () =
   | Some (Explain.Missing_arcs { missing; residual; _ }) ->
       check_bool "residual is not nullable" false (Rse.nullable residual);
       check_int "exactly the b-arc is missing" 1 (List.length missing);
-      check_bool "message names the missing arc" true
-        (contains
-           (Explain.to_string
-              (Explain.Missing_arcs
-                 { node = focus; label = s_label; residual; missing }))
-           "missing:")
+      let msg =
+        Explain.to_string
+          (Explain.Missing_arcs
+             { node = focus; label = s_label; residual; missing })
+      in
+      check_bool "message says obligations remain" true
+        (contains msg "obligations remain");
+      check_bool "message names the missing arc" true (contains msg "missing:")
   | _ -> Alcotest.fail "expected Missing_arcs"
 
 let test_no_shape_names_node () =

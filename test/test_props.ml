@@ -53,7 +53,18 @@ let gen_rse =
                  ( 3,
                    self (size / 2) >>= fun e1 ->
                    self (size / 2) >|= fun e2 -> Rse.or_ e1 e2 );
-                 (1, self (size - 1) >|= Rse.opt) ]))
+                 (1, self (size - 1) >|= Rse.opt);
+                 (* Counted nodes.  Their bodies get half the budget: a
+                    counted body is derived afresh at every count, so
+                    deep ones make the exhaustive properties below
+                    slow. *)
+                 ( 1,
+                   self (size / 2) >>= fun e ->
+                   oneof
+                     [ return (Rse.plus e);
+                       ( int_bound 2 >>= fun m ->
+                         opt (int_bound 2) >|= fun extra ->
+                         Rse.repeat m (Option.map (( + ) m) extra) e ) ] ) ]))
 
 let arb_rse = QCheck.make ~print:Rse.to_string gen_rse
 
@@ -216,6 +227,16 @@ let prop_repeat_counts =
       let e = Rse.repeat m (Some n) (arc_num "b" [ 1; 2; 3 ]) in
       let g = graph_of (List.init k (fun j -> t3 "n" "b" (num (j + 1)))) in
       Bool.equal (k >= m && k <= n) (Deriv.matches (node "n") g e))
+
+let prop_repeat_matches_expansion =
+  (* e{m,n} as one node ≡ §4's reading as copies of e. *)
+  QCheck.Test.make ~count
+    ~name:"counted node ≡ its expansion into copies"
+    arb_rse_graph (fun (e, g) ->
+      QCheck.assume (small_enough g);
+      Bool.equal
+        (Deriv.matches (node "n") g e)
+        (Deriv.matches (node "n") g (expand_repeat e)))
 
 let prop_size_positive =
   QCheck.Test.make ~count ~name:"size ≥ 1 and height ≤ size" arb_rse
@@ -746,6 +767,7 @@ let tests =
       prop_bulk_filter_fold;
       prop_cardinal_is_kept;
       prop_columnar_roundtrip;
-      prop_columnar_builder_any_order ]
+      prop_columnar_builder_any_order;
+      prop_repeat_matches_expansion ]
 
 let suites = [ ("properties", tests) ]

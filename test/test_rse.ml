@@ -51,8 +51,10 @@ let test_shared_subterm_compares_at_once () =
 (* Derived operators *)
 
 let test_plus () =
-  (* e+ = e ‖ e* *)
-  Alcotest.check rse "plus" (Rse.and_ a1 (Rse.star a1)) (Rse.plus a1)
+  (* e+ = e{1,*}, one node over e *)
+  Alcotest.check rse "plus" (Rse.repeat 1 None a1) (Rse.plus a1);
+  check_int "plus is one node" 2 (Rse.size (Rse.plus a1));
+  check_bool "plus is not nullable" false (Rse.nullable (Rse.plus a1))
 
 let test_opt () =
   Alcotest.check rse "opt" (Rse.or_ a1 Rse.epsilon) (Rse.opt a1)
@@ -61,12 +63,20 @@ let test_repeat () =
   Alcotest.check rse "{0,0} = ε" Rse.epsilon (Rse.repeat 0 (Some 0) a1);
   Alcotest.check rse "{1,1} = e" a1 (Rse.repeat 1 (Some 1) a1);
   Alcotest.check rse "{0,1} = e?" (Rse.opt a1) (Rse.repeat 0 (Some 1) a1);
-  Alcotest.check rse "{2,2} = e ‖ e" (Rse.and_ a1 a1)
-    (Rse.repeat 2 (Some 2) a1);
   Alcotest.check rse "{0,} = e*" (Rse.star a1) (Rse.repeat 0 None a1);
-  Alcotest.check rse "{1,} = e+ (modulo assoc)"
-    (Rse.and_ (Rse.star a1) a1)
-    (Rse.repeat 1 None a1);
+  Alcotest.check rse "{1,} = e+" (Rse.plus a1) (Rse.repeat 1 None a1);
+  Alcotest.check rse "ε{2,3} = ε" Rse.epsilon (Rse.repeat 2 (Some 3) Rse.epsilon);
+  Alcotest.check rse "∅{0,3} = ε" Rse.epsilon (Rse.repeat 0 (Some 3) Rse.empty);
+  Alcotest.check rse "∅{2,3} = ∅" Rse.empty (Rse.repeat 2 (Some 3) Rse.empty);
+  (* Other bounds are one node whose size does not depend on them. *)
+  check_bool "{2,2} is not e ‖ e" false
+    (Rse.equal (Rse.and_ a1 a1) (Rse.repeat 2 (Some 2) a1));
+  check_int "{2,2} is one node" 2 (Rse.size (Rse.repeat 2 (Some 2) a1));
+  check_int "{1000000,} is one node" 2 (Rse.size (Rse.repeat 1_000_000 None a1));
+  check_bool "ν(e{0,3})" true (Rse.nullable (Rse.repeat 0 (Some 3) a1));
+  check_bool "ν(e{2,3})" false (Rse.nullable (Rse.repeat 2 (Some 3) a1));
+  check_bool "ν(e*{2,3})" true
+    (Rse.nullable (Rse.repeat 2 (Some 3) (Rse.and_ (Rse.star a1) (Rse.star a1))));
   Alcotest.check_raises "negative min"
     (Invalid_argument "Rse.repeat: negative minimum") (fun () ->
       ignore (Rse.repeat (-1) None a1));

@@ -34,8 +34,8 @@ let test_example1 () =
   let s = parse example1_src in
   check_int "one shape" 1 (List.length (Schema.labels s));
   let e = Schema.find_exn s person in
-  (* arc leaves: age, name (+ expands to two leaves), knows *)
-  check_int "four arc leaves" 4 (List.length (Rse.arcs e));
+  (* arc leaves: age, name (+ is one counted node), knows *)
+  check_int "three arc leaves" 3 (List.length (Rse.arcs e));
   check_bool "recursive" true (Schema.is_recursive s person)
 
 let test_example1_validates_example2 () =
@@ -66,8 +66,18 @@ let test_cardinalities () =
          .{1,3} , ex:g .{2,} }")
   in
   let e = Schema.find_exn s (Label.of_string "T") in
-  (* leaves: a:1 + b*:1 + c+:2 + d?:1 + e{2}:2 + f{1,3}:3 + g{2,}:3 *)
-  check_int "expanded arcs" 13 (List.length (Rse.arcs e))
+  (* Every cardinality is one node over one arc leaf. *)
+  check_int "one leaf per constraint" 7 (List.length (Rse.arcs e))
+
+let test_counted_size () =
+  (* A counted bound is stored, not expanded: the size of e{m,n} does
+     not depend on m and n. *)
+  let size card =
+    let s = parse (prelude ^ "<T> { ex:p . " ^ card ^ " }") in
+    Rse.size (Schema.find_exn s (Label.of_string "T"))
+  in
+  check_int "{1,1000000} is as big as {1,2}" (size "{1,2}") (size "{1,1000000}");
+  check_int "{1000000,} is as big as {2,}" (size "{2,}") (size "{1000000,}")
 
 let test_value_set () =
   let s = parse (prelude ^ "<T> { ex:p [ 1 2 \"three\" ex:four ] }") in
@@ -230,14 +240,25 @@ let test_print_roundtrip_duplicate_conjuncts () =
   (* Oracle-found printer bug: merged-cardinality printing summed the
      intervals of duplicate conjuncts, so (p→int)⋆ ‖ (p→int)⋆ printed
      as a single `p xsd:integer *` and parsed back to a smaller
-     conjunct bag.  Merged printing is now guarded by a losslessness
-     check. *)
+     conjunct bag.  The printer now prints each conjunct as it is. *)
   let a = Rse.arc_v (Value_set.Pred (ex "p")) Value_set.xsd_integer in
   let e = Rse.and_ (Rse.star a) (Rse.star a) in
   let s = Schema.make_exn [ (Label.of_string "T", e) ] in
   let printed = Shexc.Shexc_printer.schema_to_string s in
   let s' = parse printed in
   check_bool ("roundtrip:\n" ^ printed) true (schemas_equal s s')
+
+let test_print_roundtrip_repeated_arc () =
+  (* a ‖ a is two conjuncts, not a{2}: it prints as two and parses back
+     to the same expression. *)
+  let a = Rse.arc_v (Value_set.Pred (ex "p")) Value_set.xsd_integer in
+  let e = Rse.and_ a a in
+  let s = Schema.make_exn [ (Label.of_string "T", e) ] in
+  let printed = Shexc.Shexc_printer.schema_to_string s in
+  check_bool ("two conjuncts:\n" ^ printed) true
+    (contains printed ":p xsd:integer , :p xsd:integer");
+  check_bool ("roundtrip:\n" ^ printed) true
+    (Rse.equal e (Schema.find_exn (parse printed) (Label.of_string "T")))
 
 (* Full-schema round-trip over the oracle's Surface-mode generator,
    including focus constraints (which [schemas_equal] above ignores).
@@ -272,6 +293,8 @@ let suites =
         Alcotest.test_case "Example 1 validates Example 2" `Quick
           test_example1_validates_example2;
         Alcotest.test_case "cardinalities" `Quick test_cardinalities;
+        Alcotest.test_case "counted bounds have constant size" `Quick
+          test_counted_size;
         Alcotest.test_case "value sets" `Quick test_value_set;
         Alcotest.test_case "value set stems" `Quick test_value_set_with_stem;
         Alcotest.test_case "node kinds" `Quick test_node_kinds;
@@ -300,4 +323,6 @@ let suites =
           test_print_roundtrip_empty;
         Alcotest.test_case "roundtrip duplicate conjuncts" `Quick
           test_print_roundtrip_duplicate_conjuncts;
+        Alcotest.test_case "roundtrip repeated arc" `Quick
+          test_print_roundtrip_repeated_arc;
         QCheck_alcotest.to_alcotest prop_print_parse_roundtrip ] ) ]

@@ -90,6 +90,44 @@ let test_export_structure () =
       | None -> Alcotest.fail "expected an expression")
   | _ -> Alcotest.fail "expected one shape"
 
+let test_counted_constraint_roundtrip () =
+  (* A min/max constraint is one counted node: it exports as one
+     TripleConstraint with the bounds as written, and imports back to
+     the same node, however large the bounds. *)
+  let tc min max =
+    Printf.sprintf
+      {|{"type": "Schema", "shapes": [{"type": "Shape", "id": "S",
+         "expression": {"type": "TripleConstraint",
+                        "predicate": "http://example.org/p",
+                        "min": %d, "max": %d}}]}|}
+      min max
+  in
+  let import src =
+    match Shexc.Shexj.import_string src with
+    | Ok s -> s
+    | Error msg -> Alcotest.fail msg
+  in
+  let expr s = Schema.find_exn s (Label.of_string "S") in
+  let big = import (tc 1 1_000_000) in
+  let p = Rse.arc_v (Value_set.Pred (ex "p")) Value_set.Obj_any in
+  Alcotest.check rse "imports to one node" (Rse.repeat 1 (Some 1_000_000) p)
+    (expr big);
+  check_int "as big as {1,2}" (Rse.size (expr (import (tc 1 2))))
+    (Rse.size (expr big));
+  match Json.find_list "shapes" (Shexc.Shexj.export big) with
+  | Some [ shape ] -> (
+      match Json.find "expression" shape with
+      | Some e ->
+          Alcotest.(check (option string))
+            "one TripleConstraint" (Some "TripleConstraint")
+            (Json.find_string "type" e);
+          Alcotest.(check (option int)) "min" (Some 1) (Json.find_int "min" e);
+          Alcotest.(check (option int))
+            "max" (Some 1_000_000) (Json.find_int "max" e);
+          check_bool "roundtrip" true (schemas_equal big (roundtrip big))
+      | None -> Alcotest.fail "expected an expression")
+  | _ -> Alcotest.fail "expected one shape"
+
 let test_export_json_is_valid () =
   let schema =
     parse_shexc (prelude ^ "<T> { ex:p [ 1 \"s\" ] , ex:q @<T>? }")
@@ -197,6 +235,8 @@ let suites =
         Alcotest.test_case "roundtrip negation" `Quick
           test_roundtrip_negation;
         Alcotest.test_case "export structure" `Quick test_export_structure;
+        Alcotest.test_case "counted constraint roundtrip" `Quick
+          test_counted_constraint_roundtrip;
         Alcotest.test_case "export is valid JSON" `Quick
           test_export_json_is_valid;
         Alcotest.test_case "import hand-written ShExJ" `Quick

@@ -54,6 +54,33 @@ let chorded_ring =
                   triple o (foaf "name") (Rdf.Term.str ("o" ^ string_of_int j)) ])
               (List.init 5 Fun.id)))
 
+(* [contains s sub]: does [sub] occur in [s]? *)
+let contains s sub =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  n = 0 || go 0
+
+(* The paper's reading of e{m,n} (§4) as sugar for copies of e: m
+   copies, then n−m optionals or, unbounded, e*.  The library keeps
+   e{m,n} as one node; this is the reference it must agree with. *)
+let rec expand_repeat (e : Shex.Rse.t) =
+  let module R = Shex.Rse in
+  match e with
+  | R.Empty | R.Epsilon | R.Arc _ -> e
+  | R.Star e -> R.star (expand_repeat e)
+  | R.Not e -> R.not_ (expand_repeat e)
+  | R.And (e1, e2) -> R.and_ (expand_repeat e1) (expand_repeat e2)
+  | R.Or (e1, e2) -> R.or_ (expand_repeat e1) (expand_repeat e2)
+  | R.Repeat (e, m, n) ->
+      let e = expand_repeat e in
+      let copies k x = List.init k (fun _ -> x) in
+      R.and_all
+        (copies m e
+        @
+        match n with
+        | None -> [ R.star e ]
+        | Some n -> copies (n - m) (R.opt e))
+
 (* Arc vp → vo with singleton predicate and finite values. *)
 let arc_num p values =
   Shex.Rse.arc_v (Shex.Value_set.Pred (ex p))
