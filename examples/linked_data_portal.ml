@@ -86,9 +86,8 @@ let () =
 
   (* Export the invalid persons' neighbourhoods as Turtle for triage. *)
   let invalid_subgraph =
-    List.fold_left
-      (fun acc n -> Rdf.Graph.union acc (Rdf.Graph.neighbourhood n graph))
-      Rdf.Graph.empty invalid
+    Rdf.Graph.of_list
+      (List.concat_map (fun n -> Rdf.Graph.out_triples n graph) invalid)
   in
   let turtle = Turtle.Write.to_string invalid_subgraph in
   Format.printf "@.Invalid subgraph (Turtle, first 400 chars):@.%s@."

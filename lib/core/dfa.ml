@@ -28,6 +28,10 @@ type t = {
   can_prune : bool;  (* negation-free: ∅ is a dead (rejecting) state *)
   symbols : (string, int) Hashtbl.t;  (* arc-class bitset -> symbol id *)
   mutable members : bool array array;  (* symbol id -> atom membership *)
+  mutable memos : Hrse.memo array;
+      (* symbol id -> its derivatives so far, kept for the automaton's
+         life: a state's sub-expressions recur in later states, and
+         each is derived once per symbol *)
   trans : (int * int, Hrse.t) Hashtbl.t;  (* (state id, symbol id) -> state *)
   states : (int, unit) Hashtbl.t;  (* ids of materialised DFA states *)
   dispatch : (bool * Rdf.Iri.t, int array) Hashtbl.t;
@@ -73,6 +77,7 @@ let compile ?(instr = no_instruments) (e : Rse.t) =
     can_prune = not (Rse.has_not e);
     symbols = Hashtbl.create 16;
     members = [||];
+    memos = [||];
     trans = Hashtbl.create 64;
     states;
     dispatch = Hashtbl.create 16;
@@ -135,6 +140,7 @@ let classify auto ~check_ref dt =
       Telemetry.Counter.incr auto.instr.symbols;
       let member = Array.init n (fun i -> key.[i] = '1') in
       auto.members <- Array.append auto.members [| member |];
+      auto.memos <- Array.append auto.memos [| Hrse.memo () |];
       s
 
 (* ------------------------------------------------------------------ *)
@@ -148,7 +154,9 @@ let step auto (state : Hrse.t) sym =
       s'
   | None ->
       Telemetry.Counter.incr auto.instr.misses;
-      let s' = Hrse.deriv auto.table auto.members.(sym) state in
+      let s' =
+        Hrse.deriv ~memo:auto.memos.(sym) auto.table auto.members.(sym) state
+      in
       Hashtbl.replace auto.trans (state.Hrse.id, sym) s';
       if not (Hashtbl.mem auto.states s'.Hrse.id) then begin
         Hashtbl.replace auto.states s'.Hrse.id ();

@@ -32,11 +32,14 @@
 
     [∂symbol(state)] is computed on first demand through the
     hash-consed derivative and memoised in the transition table; every
-    later traversal is a hash lookup.  Nullability is precomputed per
-    state, so acceptance is a field read.  The cache counters (states
-    materialised, symbols interned, transition hits / misses) that E9
-    uses to demonstrate cross-node reuse are pushed into a telemetry
-    registry as the automaton works, like every other engine's. *)
+    later traversal is a hash lookup.  A miss derives the whole state,
+    but the automaton keeps one {!Hrse.memo} per symbol for its life, so
+    a sub-expression shared by many states is derived once per symbol.
+    Nullability is precomputed per state, so acceptance is a field
+    read.  The cache counters (states materialised, symbols interned,
+    transition hits / misses) that E9 uses to demonstrate cross-node
+    reuse are pushed into a telemetry registry as the automaton works,
+    like every other engine's. *)
 
 type instruments
 

@@ -238,13 +238,20 @@ let of_rse table atom_of e =
   in
   conv e
 
+module Int_tbl = Hashtbl.Make (Int)
+
+type memo = t Int_tbl.t
+
+let memo () = Int_tbl.create 16
+
 (* [Deriv.deriv] with arc matching replaced by atom membership,
-   memoised per node within one call: derivatives share
-   sub-expressions, so the memo keeps each from being derived twice. *)
-let deriv table member e =
-  let memo : (int, t) Hashtbl.t = Hashtbl.create 16 in
+   memoised per node: derivatives share sub-expressions, so the memo
+   keeps each from being derived twice — within one call, or across
+   calls when the caller keeps one memo per (table, member vector). *)
+let deriv ?memo:kept table member e =
+  let memo = match kept with Some m -> m | None -> memo () in
   let rec d e =
-    match Hashtbl.find_opt memo e.id with
+    match Int_tbl.find_opt memo e.id with
     | Some r -> r
     | None ->
         let r =
@@ -254,7 +261,8 @@ let deriv table member e =
           | Star inner -> and_ table (d inner) e
           | And es ->
               (* ∂(e₁ ‖ … ‖ eₖ) = ⋁ᵢ ∂eᵢ ‖ rest.  Duplicate conjuncts
-                 (a bag) yield identical disjuncts; skip them. *)
+                 (a bag) yield identical disjuncts, and a split whose
+                 ∂eᵢ is ∅ is ∅, which [or_all] drops: skip both. *)
               let rec splits acc before = function
                 | [] -> acc
                 | e :: rest ->
@@ -262,8 +270,11 @@ let deriv table member e =
                       match before with
                       | b :: _ when equal b e -> acc
                       | _ ->
-                          and_all table (d e :: List.rev_append before rest)
-                          :: acc
+                          let de = d e in
+                          if is_empty de then acc
+                          else
+                            and_all table (de :: List.rev_append before rest)
+                            :: acc
                     in
                     splits acc (e :: before) rest
               in
@@ -274,7 +285,7 @@ let deriv table member e =
               and_ table (d inner)
                 (repeat table (max 0 (m - 1)) (Option.map pred n) inner)
         in
-        Hashtbl.replace memo e.id r;
+        Int_tbl.replace memo e.id r;
         r
   in
   d e

@@ -89,11 +89,27 @@ val of_rse : table -> (Rse.arc -> int) -> Rse.t -> t
 (** [of_rse tbl atom e] interns [e], each arc leaf as the atom [atom]
     assigns it. *)
 
-val deriv : table -> bool array -> t -> t
+type memo
+(** Derivatives already computed, by expression id. *)
+
+val memo : unit -> memo
+(** A fresh, empty memo. *)
+
+val deriv : ?memo:memo -> table -> bool array -> t -> t
 (** [deriv tbl member e] is [∂(e)] for a consumed triple that matches
     exactly the atoms [i] with [member.(i)]: {!Deriv.deriv} with arc
     matching replaced by membership, including
-    [∂(e{m,n}) = ∂e ‖ e{m∸1,n−1}]. *)
+    [∂(e{m,n}) = ∂e ‖ e{m∸1,n−1}].
+
+    Every sub-derivative is memoised by expression id.  Without [memo]
+    the memo lives for this call only.  With [memo] it persists across
+    calls, so a sub-expression met again — in a later state of the
+    same automaton — is derived once.  Sound only when the memo is
+    used with {e one} member vector and {e one} table throughout: ids
+    are unique only within a table, and a derivative is a function of
+    (expression, member vector).  Under that condition the result is
+    the one a memo-less call returns (physically equal) and interns
+    nothing extra. *)
 
 (** {1 Observations} *)
 

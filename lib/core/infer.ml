@@ -6,13 +6,13 @@ module Iri_map = Map.Make (Rdf.Iri)
 
 (* objects of each predicate, per node *)
 let profile g node =
-  Rdf.Graph.fold
-    (fun tr acc ->
+  List.fold_left
+    (fun acc tr ->
       let p = Rdf.Triple.predicate tr in
       let prev = Option.value (Iri_map.find_opt p acc) ~default:[] in
       Iri_map.add p (Rdf.Triple.obj tr :: prev) acc)
-    (Rdf.Graph.neighbourhood node g)
     Iri_map.empty
+    (Rdf.Graph.out_triples node g)
 
 let distinct_terms terms =
   List.fold_left

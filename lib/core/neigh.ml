@@ -7,18 +7,16 @@ let focus_other_end _n dt =
   if dt.inverse then Rdf.Triple.subject dt.triple
   else Rdf.Triple.obj dt.triple
 
+(* Both stores list a node's arcs in Triple.compare order (the
+   structural indexes hold sets; canonical columnar ids sort like
+   terms), so [of_node] and [of_columnar] produce the exact same list
+   over the same triples — the ordering the byte-identity guarantees
+   lean on. *)
 let of_node ?(include_inverse = false) n g =
-  let outgoing = Rdf.Graph.neighbourhood n g in
-  let out_list = List.map out (Rdf.Graph.to_list outgoing) in
+  let out_list = List.map out (Rdf.Graph.out_triples n g) in
   if not include_inverse then out_list
-  else
-    let incoming = Rdf.Graph.triples_with_object n g in
-    out_list @ List.map inc (Rdf.Graph.to_list incoming)
+  else out_list @ List.map inc (Rdf.Graph.in_triples n g)
 
-(* Columnar slices come back in Triple.compare order (canonical ids),
-   so this produces the exact list [of_node] produces on the
-   structural view of the same store — the ordering the byte-identity
-   guarantees lean on. *)
 let of_columnar ?(include_inverse = false) n c =
   let out_list = List.map out (Rdf.Columnar.out_triples c n) in
   if not include_inverse then out_list

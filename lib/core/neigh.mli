@@ -23,7 +23,10 @@ val of_node :
   ?include_inverse:bool -> Rdf.Term.t -> Rdf.Graph.t -> dtriple list
 (** [of_node n g] is Σgn as directed triples, in triple order.  With
     [~include_inverse:true], incoming triples ⟨s,p,n⟩ follow the
-    outgoing ones (self-loops appear in both directions). *)
+    outgoing ones (self-loops appear in both directions).  Reads the
+    graph's subject (and object) index through
+    {!Rdf.Graph.out_triples} ({!Rdf.Graph.in_triples}): allocation is a
+    few words per listed triple, whatever the size of [g]. *)
 
 val of_columnar :
   ?include_inverse:bool -> Rdf.Term.t -> Rdf.Columnar.t -> dtriple list

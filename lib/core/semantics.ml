@@ -94,7 +94,7 @@ let language ~node ~max_card e =
   | exception Not_enumerable msg -> Error msg
 
 let mem ~node g e =
-  let sigma = Rdf.Graph.to_set (Rdf.Graph.neighbourhood node g) in
+  let sigma = Rdf.Triple.Set.of_list (Rdf.Graph.out_triples node g) in
   let max_card = Rdf.Triple.Set.cardinal sigma in
   match enumerate ~node ~max_card e with
   | s -> Ok (Graph_set.mem sigma s)

@@ -118,7 +118,7 @@ let sparql_arm schema graph assocs ref_oks =
         match List.assoc_opt l compiled with
         | None -> first_mismatch assocs' oks'
         | Some nodes ->
-            if Rdf.Graph.is_empty (Rdf.Graph.neighbourhood n graph) then
+            if Rdf.Graph.out_triples n graph = [] then
               first_mismatch assocs' oks'
             else
               let sparql_ok = List.exists (Rdf.Term.equal n) nodes in

@@ -12,8 +12,8 @@
     {!freeze} time — so int order {e is} term order and every slice
     comes back in exactly the order the structural indexes produce:
     {!out_triples} agrees triple-for-triple with
-    [Graph.to_list (Graph.neighbourhood n g)], {!in_triples} with
-    [Graph.to_list (Graph.triples_with_object n g)].  That ordering
+    [Graph.out_triples n g], {!in_triples} with
+    [Graph.in_triples n g].  That ordering
     guarantee is what makes reports, explanations and traces
     byte-identical whichever representation a session validates
     against.

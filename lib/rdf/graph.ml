@@ -49,7 +49,6 @@ let remove tr g =
 
 let singleton tr = add tr empty
 let to_list g = Triple.Set.elements g.triples
-let to_set g = g.triples
 
 (* Bulk (re)indexing: build both secondary indexes in one ordered pass
    over an already-constructed triple set, instead of one [add] — two
@@ -134,12 +133,11 @@ let index_find key index =
   | None -> Triple.Set.empty
   | Some set -> set
 
-let neighbourhood n g = of_set (index_find n g.by_subject)
-let triples_with_object o g = of_set (index_find o g.by_object)
+let out_triples n g = Triple.Set.elements (index_find n g.by_subject)
+let in_triples o g = Triple.Set.elements (index_find o g.by_object)
 
 let objects_of s p g =
-  index_find s g.by_subject
-  |> Triple.Set.elements
+  out_triples s g
   |> List.filter_map (fun tr ->
          if Iri.equal (Triple.predicate tr) p then Some (Triple.obj tr)
          else None)
@@ -154,13 +152,22 @@ let predicates g =
     g.triples Iri_set.empty
   |> Iri_set.elements
 
+(* The keys of the two indexes are the distinct subjects and objects:
+   a merge-unique of them is the node list, with no pass over the
+   triples.  Both key lists descend, so consing the larger head builds
+   [acc] in ascending term order. *)
 let nodes g =
-  let add_node t acc = Term.Set.add t acc in
-  Triple.Set.fold
-    (fun tr acc ->
-      acc |> add_node (Triple.subject tr) |> add_node (Triple.obj tr))
-    g.triples Term.Set.empty
-  |> Term.Set.elements
+  let descending index = Term.Map.fold (fun k _ acc -> k :: acc) index [] in
+  let rec merge acc ss os =
+    match (ss, os) with
+    | [], rest | rest, [] -> List.rev_append rest acc
+    | s :: ss', o :: os' ->
+        let c = Term.compare s o in
+        if c = 0 then merge (s :: acc) ss' os'
+        else if c > 0 then merge (s :: acc) ss' os
+        else merge (o :: acc) ss os'
+  in
+  merge [] (descending g.by_subject) (descending g.by_object)
 
 let match_pattern ?s ?p ?o g =
   let candidates =

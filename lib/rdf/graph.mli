@@ -2,7 +2,7 @@
 
     This is the paper's Σ (§2).  The operations mirror the paper's
     notation: [add] is the [t o ts] triple addition, {!union} is [⊕]
-    (identity-preserving union, not merge), {!neighbourhood} is [Σgn]
+    (identity-preserving union, not merge), {!out_triples} lists [Σgn]
     (all triples with subject [n]) and {!decompositions} enumerates the
     2ⁿ ordered pairs [(g₁, g₂)] with [g₁ ⊕ g₂ = g] that the
     backtracking matcher of Fig. 1 explores (Example 3).
@@ -32,7 +32,6 @@ val of_set : Triple.Set.t -> t
     instead of per-triple [add]s. *)
 
 val of_seq : Triple.t Seq.t -> t
-val to_set : t -> Triple.Set.t
 
 val union : t -> t -> t
 (** [⊕]: set union preserving blank node identity. *)
@@ -51,12 +50,15 @@ val choose_opt : t -> Triple.t option
 (** Smallest triple, if any — the deterministic "consume one triple"
     choice used by the derivative matcher. *)
 
-val neighbourhood : Term.t -> t -> t
-(** [neighbourhood n g] is Σgn: the triples of [g] whose subject is
-    [n].  O(log |g|) lookup thanks to the subject index. *)
+val out_triples : Term.t -> t -> Triple.t list
+(** [out_triples n g] is Σgn: the triples of [g] whose subject is [n],
+    in {!Triple.compare} order.  An O(log |g|) subject-index lookup,
+    then O(|Σgn|) to list the index's set. *)
 
-val triples_with_object : Term.t -> t -> t
-(** Incoming arcs — used by the inverse-arc extension. *)
+val in_triples : Term.t -> t -> Triple.t list
+(** [in_triples o g]: the triples of [g] whose object is [o], in
+    {!Triple.compare} order — the incoming arcs of the inverse-arc
+    extension.  Costs as {!out_triples}, through the object index. *)
 
 val objects_of : Term.t -> Iri.t -> t -> Term.t list
 (** [objects_of s p g] lists the [o] with ⟨s,p,o⟩ ∈ g, in term order. *)
@@ -68,7 +70,9 @@ val predicates : t -> Iri.t list
 (** Distinct predicates, in term order. *)
 
 val nodes : t -> Term.t list
-(** Distinct subjects and objects, in term order. *)
+(** Distinct subjects and objects, in term order.  Merges the keys of
+    the subject and object indexes, so it costs O(distinct nodes), not
+    O(triples). *)
 
 val match_pattern :
   ?s:Term.t -> ?p:Iri.t -> ?o:Term.t -> t -> Triple.t list

@@ -57,8 +57,7 @@ let to_string ?(namespaces = Rdf.Namespace.default) g =
   let subjects = Rdf.Graph.subjects g in
   List.iter
     (fun s ->
-      let triples = Rdf.Graph.to_list (Rdf.Graph.neighbourhood s g) in
-      let groups = grouped_by_predicate triples in
+      let groups = grouped_by_predicate (Rdf.Graph.out_triples s g) in
       Buffer.add_string body (term_text ctx s);
       let n_groups = List.length groups in
       List.iteri

@@ -303,7 +303,7 @@ let edit_script rng schema graph n =
       (Shex.Schema.shapes schema)
   in
   let node () = Prng.pick rng node_terms in
-  let degree t g = Rdf.Graph.cardinal (Rdf.Graph.neighbourhood t g) in
+  let degree t g = List.length (Rdf.Graph.out_triples t g) in
   let gen_insert g =
     let candidate () =
       if arcs <> [] && Prng.bool rng 0.7 then begin

@@ -108,17 +108,16 @@ let test_columnar_slices_agree () =
   List.iter
     (fun n ->
       Alcotest.check triples "out slice ≡ structural neighbourhood"
-        (Rdf.Graph.to_list (Rdf.Graph.neighbourhood n sample_graph))
+        (Rdf.Graph.out_triples n sample_graph)
         (Rdf.Columnar.out_triples c n);
       Alcotest.check triples "in slice ≡ structural incoming"
-        (Rdf.Graph.to_list (Rdf.Graph.triples_with_object n sample_graph))
+        (Rdf.Graph.in_triples n sample_graph)
         (Rdf.Columnar.in_triples c n);
       check_int "out_degree"
-        (Rdf.Graph.cardinal (Rdf.Graph.neighbourhood n sample_graph))
+        (List.length (Rdf.Graph.out_triples n sample_graph))
         (Rdf.Columnar.out_degree c n);
       check_int "in_degree"
-        (Rdf.Graph.cardinal
-           (Rdf.Graph.triples_with_object n sample_graph))
+        (List.length (Rdf.Graph.in_triples n sample_graph))
         (Rdf.Columnar.in_degree c n))
     (Rdf.Graph.nodes sample_graph);
   List.iter
@@ -179,7 +178,7 @@ let test_columnar_hub_subject () =
   let c = Rdf.Columnar.freeze b in
   check_int "duplicates collapse" 1000 (Rdf.Columnar.cardinal c);
   Alcotest.check triples "out slice ≡ structural neighbourhood"
-    (Rdf.Graph.to_list (Rdf.Graph.neighbourhood hub g))
+    (Rdf.Graph.out_triples hub g)
     (Rdf.Columnar.out_triples c hub);
   check_bool "every reader ≡ structural graph" true (columnar_agrees c g)
 
@@ -201,6 +200,36 @@ let test_neigh_of_columnar () =
                (Shex.Neigh.of_columnar ~include_inverse n c)))
         [ false; true ])
     (Rdf.Graph.nodes sample_graph)
+
+(* Σgn is read from the graph's indexes, not rebuilt: listing a
+   1 000-arc node's neighbourhood costs a few words per listed triple
+   (a list cell for the index's elements, a directed triple and its
+   cell: 9; 12 for an outgoing triple followed by incoming ones), not
+   a re-indexed graph of it (149 words per triple). *)
+let test_neigh_of_node_allocation () =
+  let hub = node "hub" in
+  let g =
+    graph_of
+      (List.init 1000 (fun k ->
+           triple hub (ex ("p" ^ string_of_int (k mod 7))) (num k))
+      @ List.concat
+          (List.init 200 (fun i ->
+               let s = node ("n" ^ string_of_int i) in
+               List.init 10 (fun k ->
+                   triple s (ex "q")
+                     (if k = 0 && i < 100 then hub else num ((i * 10) + k))))))
+  in
+  List.iter
+    (fun (include_inverse, expected) ->
+      let before = Gc.minor_words () in
+      let dts = Shex.Neigh.of_node ~include_inverse hub g in
+      let words = Gc.minor_words () -. before in
+      check_int "listed triples" expected (List.length dts);
+      let per_triple = words /. float expected in
+      check_bool
+        (Printf.sprintf "%.1f words per triple (at most 12)" per_triple)
+        true (per_triple <= 12.))
+    [ (false, 1000); (true, 1100) ]
 
 (* ------------------------------------------------------------------ *)
 (* Interned validation ≡ structural validation                         *)
@@ -395,7 +424,9 @@ let columnar_tests =
     Alcotest.test_case "interned session ≡ structural" `Quick
       test_interned_session_agrees;
     Alcotest.test_case "columnar-primary session" `Quick
-      test_session_columnar ]
+      test_session_columnar;
+    Alcotest.test_case "Neigh.of_node allocates per listed triple" `Quick
+      test_neigh_of_node_allocation ]
 
 let streaming_tests =
   [ Alcotest.test_case "fold_file ≡ parse_file" `Quick

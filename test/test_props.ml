@@ -108,7 +108,7 @@ let prop_order_independence =
     (fun (e, g, seed) ->
       QCheck.assume (small_enough g);
       let dts =
-        List.map Neigh.out (Rdf.Graph.to_list (Rdf.Graph.neighbourhood (node "n") g))
+        List.map Neigh.out (Rdf.Graph.out_triples (node "n") g)
       in
       let shuffled =
         let st = Random.State.make [| seed |] in
@@ -237,6 +237,48 @@ let prop_repeat_matches_expansion =
       Bool.equal
         (Deriv.matches (node "n") g e)
         (Deriv.matches (node "n") g (expand_repeat e)))
+
+(* A memo kept across derivatives is sound when it serves one member
+   vector and one table: walking the same derivatives with one memo per
+   vector, every step is physically the derivative a memo-less call
+   returns, and the table interns exactly the expressions — with the
+   same ids — that a second table walked without memos does. *)
+let prop_deriv_memo_sound =
+  QCheck.Test.make ~count ~name:"Hrse.deriv with a kept memo ≡ without"
+    (QCheck.triple arb_rse
+       QCheck.(
+         list_of_size Gen.(int_range 1 3) (list_of_size (Gen.return 8) bool))
+       QCheck.(list_of_size Gen.(int_bound 6) small_nat))
+    (fun (e, vectors, walk) ->
+      let arcs = Rse.arcs e in
+      let atom (a : Rse.arc) =
+        let rec index i = function
+          | [] -> invalid_arg "atom"
+          | b :: rest -> if Rse.arc_equal a b then i else index (i + 1) rest
+        in
+        index 0 arcs
+      in
+      let members =
+        Array.of_list
+          (List.map
+             (fun bits ->
+               Array.init (List.length arcs) (fun i -> List.nth bits (i mod 8)))
+             vectors)
+      in
+      let memos = Array.map (fun _ -> Hrse.memo ()) members in
+      let kept = Hrse.create () and fresh = Hrse.create () in
+      let rec go a b = function
+        | [] -> true
+        | sym :: rest ->
+            let i = sym mod Array.length members in
+            let a' = Hrse.deriv ~memo:memos.(i) kept members.(i) a in
+            let b' = Hrse.deriv fresh members.(i) b in
+            a' == Hrse.deriv kept members.(i) a
+            && a'.Hrse.id = b'.Hrse.id
+            && Hrse.cardinal kept = Hrse.cardinal fresh
+            && go a' b' rest
+      in
+      go (Hrse.of_rse kept atom e) (Hrse.of_rse fresh atom e) walk)
 
 let prop_size_positive =
   QCheck.Test.make ~count ~name:"size ≥ 1 and height ≤ size" arb_rse
@@ -522,12 +564,12 @@ let well_indexed g =
   List.for_all
     (fun n ->
       List.equal Rdf.Triple.equal
-        (Rdf.Graph.to_list (Rdf.Graph.neighbourhood n g))
+        (Rdf.Graph.out_triples n g)
         (List.filter
            (fun tr -> Rdf.Term.equal (Rdf.Triple.subject tr) n)
            trs)
       && List.equal Rdf.Triple.equal
-           (Rdf.Graph.to_list (Rdf.Graph.triples_with_object n g))
+           (Rdf.Graph.in_triples n g)
            (List.filter
               (fun tr -> Rdf.Term.equal (Rdf.Triple.obj tr) n)
               trs))
@@ -768,6 +810,7 @@ let tests =
       prop_cardinal_is_kept;
       prop_columnar_roundtrip;
       prop_columnar_builder_any_order;
-      prop_repeat_matches_expansion ]
+      prop_repeat_matches_expansion;
+      prop_deriv_memo_sound ]
 
 let suites = [ ("properties", tests) ]
