@@ -445,7 +445,7 @@ let oracle_cmd spec =
       end
 
 let run_validate schema_path data_path node_opt shape_opt shape_map_opt
-    engine domains interned profile slow_ms engine_stats metrics trace_json
+    engine domains profile slow_ms engine_stats metrics trace_json
     trace_chrome trace_folded explain trace show_sparql export_shexj json
     result_map quiet infer_nodes infer_label =
   (match infer_nodes with
@@ -542,7 +542,7 @@ let run_validate schema_path data_path node_opt shape_opt shape_map_opt
   | fs -> Telemetry.set_sink tele (Some (fun ev -> List.iter (fun f -> f ev) fs)));
   let session =
     Shex.Validate.session ~engine:(engine_of_choice engine) ~telemetry:tele
-      ~domains ~interned ~profile ?slow_ms schema graph
+      ~domains ~profile ?slow_ms schema graph
   in
   let maybe_stats () =
     if engine_stats then print_engine_stats session;
@@ -596,7 +596,14 @@ let run_validate schema_path data_path node_opt shape_opt shape_map_opt
                 ?profile:(session_profile session) report));
         exit 0
       end;
-      let typing = report.Shex.Report.typing in
+      (* Every node is asked about every label, so the union of the
+         conformant pairs' typings is the conformant pairs. *)
+      let typing =
+        List.fold_left
+          (fun acc (e : Shex.Report.entry) -> Shex.Typing.add e.node e.label acc)
+          Shex.Typing.empty
+          (Shex.Report.conformant report)
+      in
       if Shex.Typing.is_empty typing then begin
         if not quiet then print_endline "no node conforms to any shape";
         print_metrics session metrics;
@@ -636,7 +643,7 @@ let obs_get_cmd url =
 let validate_cmd oracle analyze check_compat optimize serve obs_port
     obs_interval journal journal_max_kb
     journal_replay obs_get schema_path data_path node_opt shape_opt
-    shape_map_opt engine domains interned profile slow_ms engine_stats metrics
+    shape_map_opt engine domains profile slow_ms engine_stats metrics
     trace_json trace_chrome trace_folded explain trace show_sparql
     export_shexj json result_map quiet infer_nodes infer_label =
   try
@@ -665,7 +672,7 @@ let validate_cmd oracle analyze check_compat optimize serve obs_port
         ()
     else
       run_validate schema_path data_path node_opt shape_opt shape_map_opt
-        engine domains interned profile slow_ms engine_stats metrics
+        engine domains profile slow_ms engine_stats metrics
         trace_json trace_chrome trace_folded explain trace show_sparql
         export_shexj json result_map quiet infer_nodes infer_label
   with
@@ -753,19 +760,6 @@ let domains_arg =
            totals are identical to sequential mode; trace sinks \
            ($(b,--trace-json), $(b,--trace-chrome), $(b,--trace-folded)) \
            force the sequential path so event streams stay ordered.")
-
-let interned_arg =
-  Arg.(
-    value & flag
-    & info [ "interned" ]
-        ~doc:
-          "Validate against the int-interned columnar store: terms are \
-           interned to dense ids and neighbourhoods come from \
-           binary-searched sorted int columns instead of structural \
-           index walks.  Verdicts, reports and explanations are \
-           byte-identical to the default representation (the \
-           differential oracle pins this); the win is load and lookup \
-           speed on large graphs.")
 
 let profile_arg =
   Arg.(
@@ -1056,7 +1050,7 @@ let cmd =
       $ journal_replay_arg $ obs_get_arg $ schema_arg $ data_arg
       $ node_arg
       $ shape_arg $ shape_map_arg $ engine_arg $ domains_arg
-      $ interned_arg $ profile_arg $ slow_ms_arg
+      $ profile_arg $ slow_ms_arg
       $ engine_stats_arg
       $ metrics_arg
       $ trace_json_arg $ trace_chrome_arg $ trace_folded_arg $ explain_arg

@@ -7,20 +7,26 @@ let focus_other_end _n dt =
   if dt.inverse then Rdf.Triple.subject dt.triple
   else Rdf.Triple.obj dt.triple
 
+(* [List.map out outs @ tail] without the copy [@] makes. *)
+let[@tail_mod_cons] rec outs_onto tail = function
+  | [] -> tail
+  | tr :: trs -> out tr :: outs_onto tail trs
+
 (* Both stores list a node's arcs in Triple.compare order (the
    structural indexes hold sets; canonical columnar ids sort like
    terms), so [of_node] and [of_columnar] produce the exact same list
    over the same triples — the ordering the byte-identity guarantees
    lean on. *)
 let of_node ?(include_inverse = false) n g =
-  let out_list = List.map out (Rdf.Graph.out_triples n g) in
-  if not include_inverse then out_list
-  else out_list @ List.map inc (Rdf.Graph.in_triples n g)
+  outs_onto
+    (if include_inverse then List.map inc (Rdf.Graph.in_triples n g) else [])
+    (Rdf.Graph.out_triples n g)
 
 let of_columnar ?(include_inverse = false) n c =
-  let out_list = List.map out (Rdf.Columnar.out_triples c n) in
-  if not include_inverse then out_list
-  else out_list @ List.map inc (Rdf.Columnar.in_triples c n)
+  outs_onto
+    (if include_inverse then List.map inc (Rdf.Columnar.in_triples c n)
+     else [])
+    (Rdf.Columnar.out_triples c n)
 
 let arc_matches ~check_ref (a : Rse.arc) dt =
   Bool.equal a.inverse dt.inverse

@@ -9,28 +9,20 @@ type entry = {
 
 let reason e = Option.map Explain.to_string e.explain
 
-type t = { entries : entry list; typing : Typing.t }
+type t = { entries : entry list }
 
 (* Routed through {!Validate.check_all} so every report — CLI shape
    maps included — honours the session's [?domains] sharding; at
-   [domains = 1] check_all is exactly the sequential fold this used
+   [domains = 1] check_all is exactly the sequential map this used
    to be. *)
 let run session associations =
   let outcomes = Validate.check_all session associations in
-  let entries, typing =
-    List.fold_left2
-      (fun (entries, typing) (node, label) outcome ->
-        let entry =
-          if outcome.Validate.ok then
-            { node; label; status = Conformant; explain = None }
-          else
-            { node; label; status = Nonconformant;
-              explain = outcome.Validate.explain }
-        in
-        (entry :: entries, Typing.combine typing outcome.Validate.typing))
-      ([], Typing.empty) associations outcomes
-  in
-  { entries = List.rev entries; typing }
+  { entries =
+      List.map2
+        (fun (node, label) { Validate.ok; explain } ->
+          { node; label; status = (if ok then Conformant else Nonconformant);
+            explain })
+        associations outcomes }
 
 let run_shape_map session shape_map graph =
   run session (Shape_map.resolve shape_map graph)

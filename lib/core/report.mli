@@ -3,7 +3,10 @@
     A report is the result of checking a set of (node, label)
     associations — typically obtained from a {!Shape_map} — against a
     graph: one entry per association with the verdict and, on failure,
-    the human-readable reason from the derivative trace.
+    the human-readable reason from the derivative trace.  A report
+    carries no typing: the typing of a whole-graph report is its
+    conformant entries, and the typing of one entry is
+    {!Validate.typing}.
 
     Reports render as a text table, as a result shape map
     ([node@<Shape>] / [node@!<Shape>], the ShEx convention), and as
@@ -23,11 +26,7 @@ type entry = {
 val reason : entry -> string option
 (** The rendered form of [explain] ({!Explain.to_string}). *)
 
-type t = {
-  entries : entry list;
-  typing : Typing.t;
-      (** all (node, label) facts established by the conformant checks *)
-}
+type t = { entries : entry list }
 
 val run : Validate.session -> (Rdf.Term.t * Label.t) list -> t
 (** Check every association and collect the outcomes.  Runs through

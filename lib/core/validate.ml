@@ -142,11 +142,11 @@ type session = {
          memo entries) and [None] until demanded on columnar-primary
          sessions ({!session_columnar}), which materialise it lazily *)
   mutable columnar : Rdf.Columnar.t option;
-      (* the interned accelerator: when present, neighbourhoods are
-         binary-searched slices of the frozen int columns instead of
-         structural index walks.  Canonical ids keep the slices in
-         triple order, so verdicts, traces and reports are
-         byte-identical either way (the oracle's interned arm pins
+      (* the frozen store of a {!session_columnar} session:
+         neighbourhoods are then binary-searched slices of its int
+         columns instead of structural index walks.  Canonical ids keep
+         the slices in triple order, so verdicts, traces and reports
+         are byte-identical either way (the oracle's interned arms pin
          this). *)
   domains : int;
       (* requested bulk-validation parallelism; 1 = sequential *)
@@ -161,10 +161,6 @@ type session = {
       (* id → ids whose evaluation consulted it while it was a
          candidate; filled for the running solve's candidates only and
          cleared when that solve ends *)
-  mutable consulted : int list option array;
-      (* settled-true id → what one evaluation of it under the settled
-         verdicts consulted; filled by {!typing_of} only, and dropped
-         with the pair's verdict *)
   mutable count : int;                 (* ids handed out *)
   mutable settled : int;               (* ids in a settled state *)
   mutable labels : Label.Set.t;
@@ -210,7 +206,6 @@ let make_session ~engine ~telemetry ~domains ~record_deps ~profile ~slow_ms
     pairs = [||];
     state = Bytes.empty;
     dependents = [||];
-    consulted = [||];
     count = 0;
     settled = 0;
     labels = Label.Set.empty;
@@ -230,12 +225,10 @@ let make_session ~engine ~telemetry ~domains ~record_deps ~profile ~slow_ms
           [ fix_evals; fix_flips; fix_demands ] ] }
 
 let session ?(engine = Derivatives) ?(telemetry = Telemetry.disabled)
-    ?(domains = 1) ?(record_deps = false) ?(profile = false) ?slow_ms
-    ?(interned = false) schema graph =
+    ?(domains = 1) ?(record_deps = false) ?(profile = false) ?slow_ms schema
+    graph =
   make_session ~engine ~telemetry ~domains ~record_deps ~profile ~slow_ms
-    ~graph:(Some graph)
-    ~columnar:(if interned then Some (Rdf.Columnar.of_graph graph) else None)
-    schema
+    ~graph:(Some graph) ~columnar:None schema
 
 let session_columnar ?(engine = Derivatives) ?(telemetry = Telemetry.disabled)
     ?(domains = 1) ?(profile = false) ?slow_ms schema columnar =
@@ -257,7 +250,6 @@ let graph st =
       st.graph <- Some g;
       g
 
-let interned st = Option.is_some st.columnar
 let columnar_store st = st.columnar
 let engine st = st.engine
 let domains st = st.domains
@@ -279,7 +271,7 @@ let set_graph st graph =
     Option.map (fun _ -> Rdf.Columnar.of_graph graph) st.columnar
 
 (* Σgn through whichever representation the session holds: a
-   binary-searched columnar slice when the accelerator is present, the
+   binary-searched slice of the frozen store on columnar sessions, the
    structural indexes otherwise.  Either way the list is in triple
    order, so every engine sees the same consumption sequence. *)
 let neighbourhood st ~include_inverse n =
@@ -310,7 +302,6 @@ let new_id st p =
     in
     st.pairs <- extend st.pairs p;
     st.dependents <- extend st.dependents [];
-    st.consulted <- extend st.consulted None;
     let state = Bytes.make cap (Char.chr unknown) in
     Bytes.blit st.state 0 state 0 id;
     st.state <- state;
@@ -408,7 +399,7 @@ let metrics st =
   sample_resources st;
   Telemetry.snapshot st.tele
 
-type outcome = { ok : bool; typing : Typing.t; explain : Explain.t option }
+type outcome = { ok : bool; explain : Explain.t option }
 
 let reason o = Option.map Explain.to_string o.explain
 
@@ -514,7 +505,7 @@ let rec evaluate st ~value ~demand id =
       (* The neighbourhood is computed inside the matcher closure (so
          profiled runs charge it to the shape, as when the engines
          computed it themselves) through {!neighbourhood} — one binary
-         search per evaluation on interned sessions. *)
+         search per evaluation on columnar sessions. *)
       let matcher_name, run =
         match st.engine with
         | Derivatives ->
@@ -704,7 +695,6 @@ let invalidate_nodes st nodes =
     let was = state st id = settled_true in
     set_state st id unknown;
     st.settled <- st.settled - 1;
-    st.consulted.(id) <- None;
     (st.pairs.(id), was)
   in
   match st.dep_record with
@@ -756,33 +746,26 @@ let invalidate_nodes st nodes =
           drop p)
         !frontier
 
-(* The typing τ produced by a successful check: the root fact plus the
-   facts its (final) match relies on, transitively — mirroring how the
-   typed derivative of §8 combines sub-typings with ⊎.  What a settled
-   pair relies on is a property of the graph, not of the root asking,
-   so each pair is matched once per session and its consultations are
-   kept for as long as its verdict is ({!invalidate_nodes} drops both
-   together; DESIGN.md §8). *)
-let typing_of st root =
-  let consultations p =
-    match st.consulted.(p) with
-    | Some used -> used
-    | None ->
-        let _, used =
-          evaluate st ~value:(verdict_id st) ~demand:(fun _ -> ()) p
-        in
-        st.consulted.(p) <- Some used;
-        used
-  in
+(* The typing τ of §8's judgement Γ ⊢ n ≃ l ⇒ τ: the root fact plus
+   the facts its match relies on, transitively — how the typed
+   derivative combines sub-typings with ⊎.  Each pair of the closure
+   is matched once under the settled verdicts to list what it
+   consults; nothing is kept, so a typing is paid for only when asked
+   for (DESIGN.md §8). *)
+let typing st n l =
   let rec closure visited p =
     if Int_set.mem p visited || not (verdict_id st p) then visited
-    else List.fold_left closure (Int_set.add p visited) (consultations p)
+    else
+      let _, used =
+        evaluate st ~value:(verdict_id st) ~demand:(fun _ -> ()) p
+      in
+      List.fold_left closure (Int_set.add p visited) used
   in
   Int_set.fold
     (fun id acc ->
-      let n, l = st.pairs.(id) in
-      Typing.add n l acc)
-    (closure Int_set.empty root)
+      let node, label = st.pairs.(id) in
+      Typing.add node label acc)
+    (closure Int_set.empty (intern st (n, l)))
     Typing.empty
 
 let failure_explain st n l =
@@ -797,10 +780,8 @@ let failure_explain st n l =
       Explain.of_trace ~check_ref ~node:n ~label:l trace
 
 let plain_check st n l =
-  let id = intern st (n, l) in
-  if verdict_id st id then
-    { ok = true; typing = typing_of st id; explain = None }
-  else { ok = false; typing = Typing.empty; explain = failure_explain st n l }
+  if verdict st (n, l) then { ok = true; explain = None }
+  else { ok = false; explain = failure_explain st n l }
 
 (* Slow-validation capture: time the whole check (first checks of a
    pair include the fixpoint solve they trigger — the honest cost of

@@ -10,8 +10,9 @@
 
     The implementation follows §8's typed derivatives
     [∂t(e, Γ) = (e', τ)]: arcs whose object is a shape reference
-    trigger a recursive check of the object node, and the typings of
-    all sub-checks are combined with ⊎.
+    trigger a recursive check of the object node.  A check returns
+    only its verdict; the typing τ, the sub-typings of all recursive
+    checks combined with ⊎, is computed on demand by {!typing}.
 
     Recursion is resolved by a {e greatest-fixpoint} (chaotic
     iteration) solver: every demanded (node, label) pair starts
@@ -49,7 +50,6 @@ val session :
   ?record_deps:bool ->
   ?profile:bool ->
   ?slow_ms:float ->
-  ?interned:bool ->
   Schema.t ->
   Rdf.Graph.t ->
   session
@@ -120,15 +120,8 @@ val session :
     Bulk shards ([domains > 1] in {!check_all}) are not individually
     timed.
 
-    [interned] (default [false]) builds the columnar accelerator
-    ({!Rdf.Columnar}) from the graph at session creation: every
-    neighbourhood the matchers consume then comes from binary-searched
-    slices of frozen int columns instead of structural index walks.
-    Canonical interning keeps the slices in exactly {!Triple.compare}
-    order, so verdicts, typings, explanations and report JSON are
-    byte-identical to a structural session (the differential oracle's
-    [interned] arm pins this).  The Backtracking baseline keeps
-    reading the structural view. *)
+    The session reads the graph's structural indexes; for the frozen
+    columnar store use {!session_columnar}. *)
 
 val session_columnar :
   ?engine:engine ->
@@ -141,10 +134,16 @@ val session_columnar :
   session
 (** A session over an already-frozen columnar store (e.g. straight
     from the streaming N-Triples bulk loader), skipping the structural
-    graph entirely: the structural view is only materialised if
-    something demands it ({!graph}, the Backtracking engine).
-    [record_deps] is not offered — incremental sessions edit the
-    graph, which is exactly what a frozen store is not for. *)
+    graph entirely: every neighbourhood the matchers consume comes from
+    binary-searched slices of the store's int columns, and the
+    structural view is only materialised if something demands it
+    ({!graph}, the Backtracking engine).  Canonical interning keeps
+    the slices in exactly {!Rdf.Triple.compare} order, so verdicts,
+    typings, explanations and report JSON are byte-identical to a
+    {!session} over the same triples (the differential oracle's
+    [interned] arms pin this).  [record_deps] is not offered —
+    incremental sessions edit the graph, which is exactly what a
+    frozen store is not for. *)
 
 val telemetry : session -> Telemetry.t
 val schema : session -> Schema.t
@@ -154,13 +153,10 @@ val graph : session -> Rdf.Graph.t
     {!session_columnar} session the first call materialises it from
     the store (linear time and memory) and caches it. *)
 
-val interned : session -> bool
-(** Whether the session validates against a columnar accelerator. *)
-
 val columnar_store : session -> Rdf.Columnar.t option
-(** The session's frozen columnar store, when interned.  Immutable and
-    safe to share across domains — the parallel bulk runner hands it
-    to its shard sessions directly. *)
+(** The frozen store of a {!session_columnar} session, [None] on a
+    {!session}.  Immutable and safe to share across domains — the
+    parallel bulk runner hands it to its shard sessions directly. *)
 
 val engine : session -> engine
 val domains : session -> int
@@ -205,8 +201,6 @@ val invalidate_nodes :
     pair anchored on one of [nodes] plus, transitively backwards along
     the recorded dependency edges, every pair whose evaluation
     consulted one of them — the {e dependency frontier} of the edit.
-    The consultation lists {!check} builds typings from are kept per
-    settled pair and dropped together with it.
     Returns the dropped pairs with their old verdicts (the incremental
     layer re-solves them and reports verdict flips).  Verdicts outside
     the frontier were computed from unchanged neighbourhoods and
@@ -230,12 +224,10 @@ val metrics : session -> Telemetry.snapshot
     other reader of the registry (a scrape, a window tick) sees too,
     minus the resource sample.  Empty when telemetry is disabled. *)
 
-(** Result of checking one node against one label. *)
+(** Result of checking one node against one label.  It carries no
+    typing: ask {!typing} for one. *)
 type outcome = {
   ok : bool;
-  typing : Typing.t;
-      (** all (node, label) facts established by the check, including
-          those of recursively visited neighbours; empty on failure *)
   explain : Explain.t option;
       (** on failure, the structured blame set extracted from the
           derivative trace — the fatal triple, the missing arcs, or
@@ -259,17 +251,29 @@ val check_all : session -> (Rdf.Term.t * Label.t) list -> outcome list
     ({!Pool.run}), each shard validated in a private sub-session, and
     the outcomes re-assembled in input order; per-shard telemetry is
     folded back into the session registry with {!Telemetry.merge}.
-    Verdicts, typings and explanations are identical either way
+    Verdicts and explanations are identical either way
     (the greatest fixpoint is canonical, independent of evaluation
     order).  Tracing sessions (a telemetry sink installed) always run
     sequentially so the event stream stays single-threaded and
     byte-identical. *)
 
+val typing : session -> Rdf.Term.t -> Label.t -> Typing.t
+(** [typing session n l] is the typing τ of §8's judgement
+    [Γ ⊢ n ≃ l ⇒ τ]: empty when [n] does not conform to [l], otherwise
+    the pair itself plus every conformant (node, label) pair its match
+    relies on, transitively (the sub-typings combined with ⊎).  The
+    closure is walked afresh on every call: each conformant pair in it
+    is matched once, under the session's settled verdicts, to list the
+    references it consults, and nothing of the walk is kept.  Checks,
+    bulk runs and reports never walk a closure; this is the only place
+    one is walked. *)
+
 val validate_graph : session -> Typing.t
 (** Checks every node of the graph against every label of the schema
-    and combines the typings of the successful checks — the “shape
-    typing assigned to the nodes in the graph” of §8.  Reproduces
-    Example 2: [:john] and [:bob] get [<Person>], [:mary] does not. *)
+    and collects the conformant pairs — the “shape typing assigned to
+    the nodes in the graph” of §8, which is the union of the typings
+    of all of them.  Reproduces Example 2: [:john] and [:bob] get
+    [<Person>], [:mary] does not. *)
 
 val validate :
   ?engine:engine ->

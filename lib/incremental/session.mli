@@ -71,9 +71,10 @@ val graph : t -> Rdf.Graph.t
 val schema : t -> Shex.Schema.t
 
 val validation : t -> Shex.Validate.session
-(** The live inner session — for {!Shex.Report.run}, explanations, or
-    direct metrics access.  Replaced wholesale by {!set_schema}; do
-    not cache across schema changes. *)
+(** The live inner session — for {!Shex.Report.run}, typings
+    ({!Shex.Validate.typing}), explanations, or direct metrics access.
+    Replaced wholesale by {!set_schema}; do not cache across schema
+    changes. *)
 
 val apply : t -> delta -> stats
 (** Apply the batch: update the graph, invalidate the dependency
@@ -81,6 +82,11 @@ val apply : t -> delta -> stats
     (or fully no-op) delta touches nothing and returns zero stats. *)
 
 val check : t -> Rdf.Term.t -> Shex.Label.t -> Shex.Validate.outcome
+(** Verdict and, on failure, explanation against the current graph.
+    Nothing typing-related is kept per pair, so an edit has only
+    verdicts to invalidate; ask {!Shex.Validate.typing} on
+    {!validation} for a typing. *)
+
 val check_bool : t -> Rdf.Term.t -> Shex.Label.t -> bool
 
 val set_schema : t -> Shex.Schema.t -> unit

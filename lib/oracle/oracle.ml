@@ -24,10 +24,10 @@ let reference schema graph assocs =
    association list, so verdicts, blame sets and JSON rendering are
    compared in one shot. *)
 (* Arms are (name, engine, domains, interned).  The interned arms
-   re-run reference engines against the columnar accelerator: any
-   ordering or lookup discrepancy between the int-column slices and
-   the structural indexes shows up as a verdict or report-JSON
-   divergence here. *)
+   re-run reference engines on a {!Shex.Validate.session_columnar}
+   over the frozen graph: any ordering or lookup discrepancy between
+   the int-column slices and the structural indexes shows up as a
+   verdict or report-JSON divergence here. *)
 let engine_arms =
   [ ("backtrack", Shex.Validate.Backtracking, 1, false);
     ("auto", Shex.Validate.Auto, 1, false);
@@ -134,14 +134,20 @@ let sparql_arm schema graph assocs ref_oks =
   in
   if compiled = [] then None else first_mismatch assocs ref_oks
 
+(* A session over the structural graph, or over its frozen columnar
+   store when [interned]. *)
+let session_on ?engine ?domains ~interned schema graph =
+  if interned then
+    Shex.Validate.session_columnar ?engine ?domains schema
+      (Rdf.Columnar.of_graph graph)
+  else Shex.Validate.session ?engine ?domains schema graph
+
 let divergences schema graph assocs =
   let ref_oks, ref_json = reference schema graph assocs in
   let engine_findings =
     List.filter_map
       (fun (arm, engine, domains, interned) ->
-        let session =
-          Shex.Validate.session ~engine ~domains ~interned schema graph
-        in
+        let session = session_on ~engine ~domains ~interned schema graph in
         let report = Shex.Report.run session assocs in
         let oks =
           List.map
@@ -160,17 +166,20 @@ let divergences schema graph assocs =
   in
   engine_findings @ extra
 
-(* How an incremental outcome differs from the from-scratch one:
-   [Verdict] when the conformance bit does, [Report] when only the
-   typing or the explanation does. *)
-let outcome_mismatch (inc : Shex.Validate.outcome)
-    (scratch : Shex.Validate.outcome) =
-  if inc.ok <> scratch.ok then Some Verdict
+(* How an incremental session's answer for (n, l) differs from a
+   from-scratch session's: [Verdict] when the conformance bit does,
+   [Report] when only the typing ({!Shex.Validate.typing}) or the
+   explanation does. *)
+let outcome_mismatch inc scratch n l =
+  let i = Shex.Validate.check inc n l and s = Shex.Validate.check scratch n l in
+  if i.ok <> s.ok then Some Verdict
   else if
-    Shex.Typing.equal inc.typing scratch.typing
+    Shex.Typing.equal
+      (Shex.Validate.typing inc n l)
+      (Shex.Validate.typing scratch n l)
     && Option.equal
          (fun a b -> Shex.Explain.to_json a = Shex.Explain.to_json b)
-         inc.explain scratch.explain
+         i.explain s.explain
   then None
   else Some Report
 
@@ -179,9 +188,9 @@ let outcome_mismatch (inc : Shex.Validate.outcome)
    (verdict, typing and explanation) against a from-scratch session
    over the same graph.  This is the differential check behind
    lib/incremental's frontier-invalidation soundness argument
-   (DESIGN.md §11): any pair the invalidation walk wrongly retains —
-   a verdict, or the consultation list a typing is built from — shows
-   up here as a stale outcome. *)
+   (DESIGN.md §11): any verdict the invalidation walk wrongly retains
+   shows up here as a stale verdict, or as a stale typing when the
+   retained verdict is one a typing closure passes through. *)
 let edits_divergence schema graph script assocs =
   let total = List.length script in
   let inc = Shex_incremental.Session.create schema graph in
@@ -205,8 +214,8 @@ let edits_divergence schema graph script assocs =
               Option.map
                 (fun kind -> (a, kind))
                 (outcome_mismatch
-                   (Shex_incremental.Session.check inc n l)
-                   (Shex.Validate.check scratch n l)))
+                   (Shex_incremental.Session.validation inc)
+                   scratch n l))
             assocs
         in
         match mismatch with
@@ -880,7 +889,7 @@ let run_optimizer_campaign ?(log = fun _ -> ()) ?(mode = Workload.Rand_gen.Surfa
     List.iter
       (fun (arm, interned) ->
         let report schema =
-          let session = Shex.Validate.session ~interned schema case.graph in
+          let session = session_on ~interned schema case.graph in
           Json.to_string ~minify:true
             (blank_residuals
                (Shex.Report.to_json (Shex.Report.run session case.associations)))

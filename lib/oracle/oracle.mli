@@ -112,8 +112,8 @@ val replay_file : string -> (unit, string) result
     Differential testing of [Shex_incremental.Session]: replay a
     seeded edit script ({!Workload.Rand_gen.edit_script}) through an
     incremental session and compare every association's outcome —
-    verdict, typing and explanation — after every edit, against a
-    from-scratch session over the same graph.
+    verdict, typing ({!Shex.Validate.typing}) and explanation — after
+    every edit, against a from-scratch session over the same graph.
     This mechanically checks the frontier-invalidation soundness
     argument of DESIGN.md §11. *)
 

@@ -366,8 +366,11 @@ let engines = [ Validate.Derivatives; Backtracking; Auto; Compiled ]
 
 let verdicts ?(interned = false) ~engine schema (case : Workload.Rand_gen.case)
     =
+  let graph = case.Workload.Rand_gen.graph in
   let sess =
-    Validate.session ~engine ~interned schema case.Workload.Rand_gen.graph
+    if interned then
+      Validate.session_columnar ~engine schema (Rdf.Columnar.of_graph graph)
+    else Validate.session ~engine schema graph
   in
   List.map
     (fun (n, l) -> Validate.check_bool sess n l)

@@ -259,14 +259,20 @@ let test_session_stats () =
     (List.for_all
        (fun (name, _) -> not (String.starts_with ~prefix:"compiled_" name))
        (Telemetry.counters (Validate.metrics plain)));
-  (* check/typing parity on a single node, via the public one-shot API. *)
+  (* check/typing parity on a single node: the verdict via the public
+     one-shot API, the typing via {!Validate.typing}. *)
   match valid with
   | [] -> ()
   | n :: _ ->
       let c = Validate.validate ~engine:Validate.Compiled schema graph n person in
       let d = Validate.validate schema graph n person in
       check_bool "ok parity" d.Validate.ok c.Validate.ok;
-      Alcotest.check typing "typing parity" d.Validate.typing c.Validate.typing
+      let typing_of engine =
+        Validate.typing (Validate.session ~engine schema graph) n person
+      in
+      Alcotest.check typing "typing parity"
+        (typing_of Validate.Derivatives)
+        (typing_of Validate.Compiled)
 
 (* The DFA pushes its counters as it steps, so a slow-check bracket sees
    them like any engine's: with a zero threshold every check is

@@ -204,8 +204,8 @@ let test_neigh_of_columnar () =
 (* Σgn is read from the graph's indexes, not rebuilt: listing a
    1 000-arc node's neighbourhood costs a few words per listed triple
    (a list cell for the index's elements, a directed triple and its
-   cell: 9; 12 for an outgoing triple followed by incoming ones), not
-   a re-indexed graph of it (149 words per triple). *)
+   cell: 9, the outgoing run built straight onto the incoming one),
+   not a re-indexed graph of it (149 words per triple). *)
 let test_neigh_of_node_allocation () =
   let hub = node "hub" in
   let g =
@@ -227,8 +227,8 @@ let test_neigh_of_node_allocation () =
       check_int "listed triples" expected (List.length dts);
       let per_triple = words /. float expected in
       check_bool
-        (Printf.sprintf "%.1f words per triple (at most 12)" per_triple)
-        true (per_triple <= 12.))
+        (Printf.sprintf "%.1f words per triple (at most 10)" per_triple)
+        true (per_triple <= 10.))
     [ (false, 1000); (true, 1100) ]
 
 (* ------------------------------------------------------------------ *)
@@ -247,12 +247,13 @@ let person_schema =
 let test_interned_session_agrees () =
   let structural = Shex.Validate.session person_schema sample_graph in
   let interned =
-    Shex.Validate.session ~interned:true person_schema sample_graph
+    Shex.Validate.session_columnar person_schema
+      (Rdf.Columnar.of_graph sample_graph)
   in
-  check_bool "structural session not interned" false
-    (Shex.Validate.interned structural);
-  check_bool "interned session interned" true
-    (Shex.Validate.interned interned);
+  check_bool "structural session has no store" true
+    (Shex.Validate.columnar_store structural = None);
+  check_bool "interned session has its store" true
+    (Shex.Validate.columnar_store interned <> None);
   Alcotest.check typing "validate_graph agrees"
     (Shex.Validate.validate_graph structural)
     (Shex.Validate.validate_graph interned)

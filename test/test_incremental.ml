@@ -141,14 +141,14 @@ let test_unaffected_memo_retained () =
   Alcotest.(check bool) "invalidations counted" true
     (get (Telemetry.snapshot tele) "incremental_invalidated" >= 2)
 
-(* Typings are built from consultation lists the session keeps per
-   settled pair.  An edit that drops john's knows arc leaves john
-   valid but no longer relying on bob, so the list must go with the
-   invalidated verdict. *)
+(* A typing is walked afresh from the retained verdicts on every
+   call.  An edit that drops john's knows arc leaves john valid but no
+   longer relying on bob, and one that adds a knows arc to carol makes
+   him rely on her. *)
 let test_typing_follows_edits () =
   let s = Shex_incremental.Session.create person_schema base_graph in
   let typing_of n =
-    (Shex_incremental.Session.check s n person).Validate.typing
+    Validate.typing (Shex_incremental.Session.validation s) n person
   in
   Alcotest.check typing "john relies on bob"
     (Typing.add (node "bob") person (Typing.singleton (node "john") person))
@@ -259,15 +259,17 @@ let incremental_equals_scratch seed =
       let scratch =
         Validate.session case.schema (Shex_incremental.Session.graph inc)
       in
-      (* The whole outcome, not just the verdict: typings are built
-         from consultation lists the session keeps across edits, so
-         one kept past an invalidation shows up as a stale typing. *)
+      (* The whole outcome, not just the verdict: a typing walks the
+         retained verdicts, so a verdict kept past an invalidation that
+         a closure passes through shows up as a stale typing. *)
       List.for_all
         (fun (n, l) ->
           let i = Shex_incremental.Session.check inc n l
           and s = Validate.check scratch n l in
           Bool.equal i.ok s.ok
-          && Typing.equal i.typing s.typing
+          && Typing.equal
+               (Validate.typing (Shex_incremental.Session.validation inc) n l)
+               (Validate.typing scratch n l)
           && Option.equal
                (fun a b -> Explain.to_json a = Explain.to_json b)
                i.explain s.explain)

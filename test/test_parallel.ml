@@ -354,9 +354,15 @@ let observe ~domains schema g associations =
   let st = Validate.session ~telemetry ~domains schema g in
   let outcomes = Validate.check_all st associations in
   let metrics = Json.to_string (Telemetry.to_json (Validate.metrics st)) in
+  (* Typings are asked for after the snapshot: sharded runs leave the
+     session's own memo cold, so computing them costs different work
+     at each [domains]. *)
+  let typings =
+    List.map (fun (n, l) -> Validate.typing st n l) associations
+  in
   ( List.map (fun (o : Validate.outcome) -> o.Validate.ok) outcomes,
     List.map Validate.reason outcomes,
-    List.map (fun (o : Validate.outcome) -> o.Validate.typing) outcomes,
+    typings,
     metrics )
 
 let prop_parallel_equals_sequential =

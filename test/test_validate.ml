@@ -105,13 +105,13 @@ let test_example2_typing () =
   let session = Validate.session person_schema example2_graph in
   let outcome = Validate.check session (node "john") person in
   check_bool "ok" true outcome.Validate.ok;
-  (* Checking john also certifies bob (through foaf:knows). *)
-  check_bool "john typed" true
-    (Typing.mem (node "john") person outcome.Validate.typing);
-  check_bool "bob typed" true
-    (Typing.mem (node "bob") person outcome.Validate.typing);
-  check_bool "mary not typed" false
-    (Typing.mem (node "mary") person outcome.Validate.typing)
+  (* John's typing also certifies bob (through foaf:knows). *)
+  let typing = Validate.typing session (node "john") person in
+  check_bool "john typed" true (Typing.mem (node "john") person typing);
+  check_bool "bob typed" true (Typing.mem (node "bob") person typing);
+  check_bool "mary not typed" false (Typing.mem (node "mary") person typing);
+  check_bool "a failing check types nothing" true
+    (Typing.is_empty (Validate.typing session (node "mary") person))
 
 let test_validate_graph () =
   let session = Validate.session person_schema example2_graph in
@@ -265,11 +265,10 @@ let test_missing_label () =
 (* ------------------------------------------------------------------ *)
 
 (* A k-clique of valid persons: every root's typing closure is all k
-   pairs, so closures that re-matched each pair they reach would take
-   k matches per root, k²·(k+1) derivative steps over the report.  Once
-   the verdicts are settled, the report may add no more than the
-   verdict pass's own k·(k+1): each pair is matched at most once per
-   session for typings. *)
+   pairs.  Once the verdicts are settled, a report builds no typing,
+   so it adds no more than the verdict pass's own k·(k+1) derivative
+   steps.  A typing asked for afterwards walks its closure once: each
+   of the k pairs matched once, k·(k+1) steps. *)
 let test_clique_typing_matches_once () =
   let k = 6 in
   let who i = node ("p" ^ string_of_int i) in
@@ -301,17 +300,19 @@ let test_clique_typing_matches_once () =
   let report = Report.run session pairs in
   check_int "every root conforms" k
     (List.length (Report.conformant report));
-  check_int "typing covers the clique" k (Typing.cardinal report.typing);
   check_bool
     (Printf.sprintf "report added %d steps, verdicts took %d"
        (steps () - verdict_steps) verdict_steps)
     true
     (steps () - verdict_steps <= verdict_steps);
-  (* Every per-root typing is still the whole clique. *)
+  (* Every per-root typing is the whole clique. *)
   List.iter
     (fun (n, l) ->
+      let before = steps () in
       check_int "per-root closure" k
-        (Typing.cardinal (Validate.check session n l).Validate.typing))
+        (Typing.cardinal (Validate.typing session n l));
+      check_int "each pair of the closure matched once" (k * (k + 1))
+        (steps () - before))
     pairs
 
 (* ------------------------------------------------------------------ *)
@@ -360,8 +361,7 @@ let test_aborted_solve_rolls_back () =
   let answers st =
     List.map
       (fun (n, l) ->
-        let o = Validate.check st n l in
-        (o.Validate.ok, o.Validate.typing))
+        ((Validate.check st n l).Validate.ok, Validate.typing st n l))
       pairs
   in
   let fresh = Validate.session stratified_schema g in
@@ -401,7 +401,7 @@ let test_aborted_solve_rolls_back () =
 
 (* Each storage path does the same fixpoint work on {!Util.chorded_ring},
    in the same order, and reaches the same typing; the constants pin
-   all three.  The order is the sequence of evaluation spans. *)
+   both.  The order is the sequence of evaluation spans. *)
 let test_same_work_same_order () =
   let g = Lazy.force chorded_ring in
   let run name make =
@@ -439,8 +439,6 @@ let test_same_work_same_order () =
   in
   run "structural" (fun telemetry ->
       Validate.session ~telemetry person_schema g);
-  run "interned" (fun telemetry ->
-      Validate.session ~telemetry ~interned:true person_schema g);
   run "columnar" (fun telemetry ->
       Validate.session_columnar ~telemetry person_schema
         (Rdf.Columnar.of_graph g))
@@ -468,6 +466,24 @@ let test_memo_hits_allocate_the_key_only () =
     (Printf.sprintf "%.3f words per memo hit (at most 3)" per_call)
     true
     (per_call <= 3.001)
+
+(* Once every verdict is settled, a report is a memo lookup and an
+   entry per association: the key tuple, the check_all cell, the entry
+   and its cell, 14 words.  Nothing in it grows with what the verdict
+   relies on — each person's typing here is the whole 2 000-person
+   ring. *)
+let test_settled_report_allocation () =
+  let k = 2000 in
+  let st = Validate.session person_schema (graph_of (knows_ring "p" k)) in
+  ignore (Validate.validate_graph st);
+  let pairs = List.init k (fun i -> (node ("p" ^ string_of_int i), person)) in
+  let before = Gc.minor_words () in
+  let report = Report.run st pairs in
+  let per_pair = (Gc.minor_words () -. before) /. float k in
+  check_int "every person conforms" k (List.length (Report.conformant report));
+  check_bool
+    (Printf.sprintf "%.1f words per association (at most 16)" per_pair)
+    true (per_pair <= 16.)
 
 (* ------------------------------------------------------------------ *)
 (* Typing operations                                                  *)
@@ -524,4 +540,6 @@ let suites =
         Alcotest.test_case "same work, same order on every store" `Quick
           test_same_work_same_order;
         Alcotest.test_case "memo hits allocate the key only" `Quick
-          test_memo_hits_allocate_the_key_only ] ) ]
+          test_memo_hits_allocate_the_key_only;
+        Alcotest.test_case "a settled report allocates O(1) per pair" `Quick
+          test_settled_report_allocation ] ) ]
