@@ -14,7 +14,8 @@
      dune exec bench/main.exe -- --baseline FILE
                                               # perf ratchet: exit 3 when a
                                                 timing regresses past FILE's
-                                                tolerance band
+                                                tolerance band or a work
+                                                count differs from FILE's
      dune exec bench/main.exe -- --micro      # bechamel micro-benchmarks
      dune exec bench/main.exe -- --trace-chrome FILE
                                               # export one traced portal
@@ -66,6 +67,40 @@ let us t = t *. 1e6
 
 let header title = Format.printf "@.=== %s ===@.@." title
 let row fmt = Format.printf fmt
+
+(* ------------------------------------------------------------------ *)
+(* Matchers over one neighbourhood                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Every engine matches Σgn of the focus, read here the way Validate
+   reads it: incoming triples included exactly when the shape has an
+   inverse arc.  Each call extracts the neighbourhood itself, so timed
+   closures pay for extraction as well as matching. *)
+let neigh n g e =
+  Shex.Neigh.of_node ~include_inverse:(Shex.Rse.has_inverse e) n g
+
+let deriv_matches ?instr n g e = Shex.Deriv.matches_dts ?instr n (neigh n g e) e
+
+let backtrack_matches ?instr n g e =
+  Shex.Backtrack.matches_dts ?instr n (neigh n g e) e
+
+(* [s] and [d] compiled from [e]. *)
+let sorbe_matches ?instr n g e s =
+  Shex.Sorbe.matches_dts ?instr n (neigh n g e) s
+
+let dfa_matches d n g e = Shex.Dfa.matches_dts d n (neigh n g e)
+
+(* The E5 ablation: fold the derivatives with raw constructors, then ν. *)
+let raw_matches n g e =
+  Shex.Rse.nullable
+    (Shex.Deriv.deriv_graph ~ctors:Shex.Rse.raw_ctors (neigh n g e) e)
+
+(* E1's work count: rule applications, read from a fresh registry's
+   [backtrack_branches]. *)
+let backtrack_ops n g e =
+  let tele = Telemetry.create () in
+  let ok = backtrack_matches ~instr:(Shex.Backtrack.instruments tele) n g e in
+  (ok, Telemetry.Counter.value (Telemetry.counter tele "backtrack_branches"))
 
 (* ------------------------------------------------------------------ *)
 (* JSON output and per-experiment telemetry                            *)
@@ -130,18 +165,18 @@ let e1 () =
     (fun n ->
       List.iter
         (fun (label, g) ->
-          let verdict, ops = Shex.Backtrack.matches_count focus g shape in
+          let verdict, ops = backtrack_ops focus g shape in
           let t_back =
-            time_per_run (fun () -> Shex.Backtrack.matches focus g shape)
+            time_per_run (fun () -> backtrack_matches focus g shape)
           in
           let t_deriv =
-            time_per_run (fun () -> Shex.Deriv.matches focus g shape)
+            time_per_run (fun () -> deriv_matches focus g shape)
           in
           assert (Bool.equal verdict (label = "valid"));
-          assert (Bool.equal verdict (Shex.Deriv.matches focus g shape));
+          assert (Bool.equal verdict (deriv_matches focus g shape));
           observe (fun () ->
-              ignore (Shex.Deriv.matches ~instr:dinstr focus g shape);
-              Shex.Backtrack.matches ~instr:binstr focus g shape);
+              ignore (deriv_matches ~instr:dinstr focus g shape);
+              backtrack_matches ~instr:binstr focus g shape);
           jrow
             [ ("n", jint n); ("verdict", jstr label);
               ("backtrack_ops", jint ops); ("backtrack_us", jflt (us t_back));
@@ -214,10 +249,10 @@ let e2 () =
       assert (Shex.Rse.nullable final);
       let t =
         time_per_run (fun () ->
-            Shex.Deriv.matches Workload.Micro_gen.focus g shape)
+            deriv_matches Workload.Micro_gen.focus g shape)
       in
       observe (fun () ->
-          Shex.Deriv.matches
+          deriv_matches
             ~instr:(Shex.Deriv.instruments (tele ()))
             Workload.Micro_gen.focus g shape);
       jrow
@@ -238,9 +273,9 @@ let e2 () =
   List.iter
     (fun n ->
       let shape = counted_parse n in
-      assert (Shex.Deriv.matches focus g shape);
+      assert (deriv_matches focus g shape);
       let t_parse = time_per_run (fun () -> counted_parse n) in
-      let t_match = time_per_run (fun () -> Shex.Deriv.matches focus g shape) in
+      let t_match = time_per_run (fun () -> deriv_matches focus g shape) in
       jrow
         [ ("counted_n", jint n); ("size", jint (Shex.Rse.size shape));
           ("parse_us", jflt (us t_parse)); ("match_us", jflt (us t_match)) ];
@@ -327,18 +362,18 @@ let e4 () =
       let focus = Workload.Micro_gen.focus in
       assert (
         Bool.equal
-          (Shex.Deriv.matches focus g shape)
-          (Shex.Sorbe.matches focus g sorbe));
-      let t_deriv = time_per_run (fun () -> Shex.Deriv.matches focus g shape) in
-      let t_sorbe = time_per_run (fun () -> Shex.Sorbe.matches focus g sorbe) in
+          (deriv_matches focus g shape)
+          (sorbe_matches focus g shape sorbe));
+      let t_deriv = time_per_run (fun () -> deriv_matches focus g shape) in
+      let t_sorbe = time_per_run (fun () -> sorbe_matches focus g shape sorbe) in
       observe (fun () ->
           ignore
-            (Shex.Deriv.matches
+            (deriv_matches
                ~instr:(Shex.Deriv.instruments (tele ()))
                focus g shape);
-          Shex.Sorbe.matches
+          sorbe_matches
             ~instr:(Shex.Sorbe.instruments (tele ()))
-            focus g sorbe);
+            focus g shape sorbe);
       jrow
         [ ("fan", jint f); ("triples", jint (Rdf.Graph.cardinal g));
           ("derivatives_us", jflt (us t_deriv));
@@ -360,16 +395,16 @@ let e4 () =
       let shape = counted_parse n in
       let sorbe = Option.get (Shex.Sorbe.of_rse shape) in
       let dfa = Shex.Dfa.compile shape in
-      assert (Shex.Sorbe.matches focus g sorbe && Shex.Dfa.matches dfa focus g);
+      assert (sorbe_matches focus g shape sorbe && dfa_matches dfa focus g shape);
       (* A DFA compiles lazily: its compile cost includes the first
          transition. *)
       let t_sc = time_per_run (fun () -> Shex.Sorbe.of_rse shape) in
       let t_dc =
         time_per_run (fun () ->
-            Shex.Dfa.matches (Shex.Dfa.compile shape) focus g)
+            dfa_matches (Shex.Dfa.compile shape) focus g shape)
       in
-      let t_s = time_per_run (fun () -> Shex.Sorbe.matches focus g sorbe) in
-      let t_d = time_per_run (fun () -> Shex.Dfa.matches dfa focus g) in
+      let t_s = time_per_run (fun () -> sorbe_matches focus g shape sorbe) in
+      let t_d = time_per_run (fun () -> dfa_matches dfa focus g shape) in
       jrow
         [ ("counted_n", jint n); ("sorbe_compile_us", jflt (us t_sc));
           ("dfa_compile_us", jflt (us t_dc)); ("counting_us", jflt (us t_s));
@@ -411,13 +446,13 @@ let e5 () =
       let dts = Shex.Neigh.of_node focus g in
       let smart_size = max_size Shex.Rse.smart_ctors shape dts in
       let raw_size = max_size Shex.Rse.raw_ctors shape dts in
-      let t_smart = time_per_run (fun () -> Shex.Deriv.matches focus g shape) in
+      let t_smart = time_per_run (fun () -> deriv_matches focus g shape) in
       let t_raw =
         time_per_run (fun () ->
-            Shex.Deriv.matches ~ctors:Shex.Rse.raw_ctors focus g shape)
+            raw_matches focus g shape)
       in
       observe (fun () ->
-          Shex.Deriv.matches
+          deriv_matches
             ~instr:(Shex.Deriv.instruments (tele ()))
             focus g shape);
       jrow
@@ -509,7 +544,7 @@ let e6 () =
       let { Workload.Foaf_gen.graph; _ } = Workload.Foaf_gen.generate profile in
       let deriv_nodes () =
         List.filter
-          (fun node -> Shex.Deriv.matches node graph shape)
+          (fun node -> deriv_matches node graph shape)
           (Rdf.Graph.subjects graph)
       in
       let sparql_nodes () =
@@ -524,7 +559,7 @@ let e6 () =
       observe (fun () ->
           let instr = Shex.Deriv.instruments (tele ()) in
           List.filter
-            (fun node -> Shex.Deriv.matches ~instr node graph shape)
+            (fun node -> deriv_matches ~instr node graph shape)
             (Rdf.Graph.subjects graph));
       jrow
         [ ("persons", jint n); ("triples", jint (Rdf.Graph.cardinal graph));
@@ -677,13 +712,13 @@ let e9 () =
       let sorbe = Option.get (Shex.Sorbe.of_rse shape) in
       assert (
         Bool.equal
-          (Shex.Deriv.matches focus g shape)
-          (Shex.Dfa.matches auto focus g));
-      let t_deriv = time_per_run (fun () -> Shex.Deriv.matches focus g shape) in
+          (deriv_matches focus g shape)
+          (dfa_matches auto focus g shape));
+      let t_deriv = time_per_run (fun () -> deriv_matches focus g shape) in
       let t_comp =
-        time_per_run (fun () -> Shex.Dfa.matches auto focus g)
+        time_per_run (fun () -> dfa_matches auto focus g shape)
       in
-      let t_sorbe = time_per_run (fun () -> Shex.Sorbe.matches focus g sorbe) in
+      let t_sorbe = time_per_run (fun () -> sorbe_matches focus g shape sorbe) in
       (* The cache column, untimed: a fresh automaton reporting into a
          registry of its own over a fixed number of matches. *)
       let probe = Telemetry.create () in
@@ -691,7 +726,7 @@ let e9 () =
         Shex.Dfa.compile ~instr:(Shex.Dfa.instruments probe) shape
       in
       for _ = 1 to 100 do
-        ignore (Shex.Dfa.matches counted focus g)
+        ignore (dfa_matches counted focus g shape)
       done;
       jrow
         [ ("fan", jint f); ("triples", jint (Rdf.Graph.cardinal g));
@@ -745,7 +780,7 @@ let e7 () =
     | Ok gs -> List.length gs = 4
     | Error _ -> false);
   check "Example 8: backtracking accepts {a1, b1, b2}"
-    (Shex.Backtrack.matches (node "n") g8 example5);
+    (backtrack_matches (node "n") g8 example5);
   check "Example 9: \xe2\x88\x82\xe2\x9f\xa8n,a,1\xe2\x9f\xa9(e) = (b\xe2\x86\x92{1,2})*"
     (Shex.Rse.equal
        (Shex.Deriv.deriv
@@ -763,9 +798,9 @@ let e7 () =
           e)
      > Shex.Rse.size e);
   check "Example 11: derivatives accept {a1, b1, b2}"
-    (Shex.Deriv.matches (node "n") g8 example5);
+    (deriv_matches (node "n") g8 example5);
   check "Example 12: derivatives reject {a1, a2, b1}"
-    (not (Shex.Deriv.matches (node "n") g12 example5));
+    (not (deriv_matches (node "n") g12 example5));
   let example2_graph =
     Turtle.Parse.parse_graph_exn
       "@prefix foaf: <http://xmlns.com/foaf/0.1/> .\n\
@@ -1714,14 +1749,19 @@ let e18 () =
 
 (* CI perf ratchet: compare this run's recorded rows against a
    committed baseline document (the harness's own --json output,
-   optionally annotated with tolerances).  Only timing cells — keys
-   ending in [_us] or [_ms], normalised to microseconds — are
-   compared; counts and verdicts are covered by the tests.  A current
-   value is a regression when it exceeds [baseline * tolerance +
-   slack]: the multiplicative band absorbs machine-to-machine speed
-   differences once the tolerance is set generously, and the absolute
-   slack keeps micro-rows (a few microseconds, dominated by timer
-   noise) from tripping the ratchet.
+   optionally annotated with tolerances).  Two kinds of cell are
+   compared; verdicts and other counts are covered by the tests.
+
+   - Work counts — keys ending in [_ops], such as E1's
+     [backtrack_ops] — are deterministic, so each must equal the
+     baseline exactly, whatever the tolerance.
+   - Timing cells — keys ending in [_us] or [_ms], normalised to
+     microseconds.  A current value is a regression when it exceeds
+     [baseline * tolerance + slack]: the multiplicative band absorbs
+     machine-to-machine speed differences once the tolerance is set
+     generously, and the absolute slack keeps micro-rows (a few
+     microseconds, dominated by timer noise) from tripping the
+     ratchet.
 
    Baseline documents may carry:
      "tolerance": N             document-wide ratio band (default 1.5)
@@ -1731,11 +1771,11 @@ let e18 () =
 
 let baseline_slack_us = 500.
 
+let ends_with suffix s =
+  let n = String.length s and m = String.length suffix in
+  n >= m && String.sub s (n - m) m = suffix
+
 let timing_us key v =
-  let ends_with suffix s =
-    let n = String.length s and m = String.length suffix in
-    n >= m && String.sub s (n - m) m = suffix
-  in
   match v with
   | Json.Number x when ends_with "_us" key -> Some x
   | Json.Number x when ends_with "_ms" key -> Some (x *. 1000.)
@@ -1770,7 +1810,7 @@ let compare_baseline file =
         exit 2
   in
   let problems = ref [] in
-  let compared = ref 0 in
+  let compared = ref 0 and counted = ref 0 in
   let problem fmt =
     Printf.ksprintf (fun s -> problems := s :: !problems) fmt
   in
@@ -1804,29 +1844,44 @@ let compare_baseline file =
                 | Json.Object cells ->
                     List.iter
                       (fun (key, bv) ->
-                        match timing_us key bv with
-                        | None -> ()
-                        | Some base_us -> (
-                            match
-                              Option.bind (Json.find key cur_row)
-                                (fun v -> timing_us key v)
-                            with
-                            | None ->
-                                problem "%s row %d: %S missing from this \
-                                         run (%s)"
-                                  id i key regenerate
-                            | Some cur_us ->
-                                incr compared;
-                                if
-                                  cur_us
-                                  > (base_us *. tol) +. baseline_slack_us
-                                then
-                                  problem
-                                    "%s row %d %s: %.1f us vs baseline \
-                                     %.1f us (%.2fx > %.2fx band)"
-                                    id i key cur_us base_us
-                                    (cur_us /. Float.max 1e-9 base_us)
-                                    tol))
+                        if ends_with "_ops" key then begin
+                          incr counted;
+                          match (bv, Json.find key cur_row) with
+                          | Json.Number b, Some (Json.Number c) when c = b -> ()
+                          | _, Some cv ->
+                              problem "%s row %d %s: %s vs baseline %s \
+                                       (work counts must match exactly)"
+                                id i key (Json.to_string cv)
+                                (Json.to_string bv)
+                          | _, None ->
+                              problem "%s row %d: %S missing from this \
+                                       run (%s)"
+                                id i key regenerate
+                        end
+                        else
+                          match timing_us key bv with
+                          | None -> ()
+                          | Some base_us -> (
+                              match
+                                Option.bind (Json.find key cur_row)
+                                  (fun v -> timing_us key v)
+                              with
+                              | None ->
+                                  problem "%s row %d: %S missing from this \
+                                           run (%s)"
+                                    id i key regenerate
+                              | Some cur_us ->
+                                  incr compared;
+                                  if
+                                    cur_us
+                                    > (base_us *. tol) +. baseline_slack_us
+                                  then
+                                    problem
+                                      "%s row %d %s: %.1f us vs baseline \
+                                       %.1f us (%.2fx > %.2fx band)"
+                                      id i key cur_us base_us
+                                      (cur_us /. Float.max 1e-9 base_us)
+                                      tol))
                       cells
                 | _ -> ())
               (List.combine base_rows cur_rows)
@@ -1835,13 +1890,15 @@ let compare_baseline file =
   match List.rev !problems with
   | [] ->
       Format.printf
-        "@.Baseline check: %d timing cells within tolerance of %s.@."
-        !compared file
+        "@.Baseline check: %d timing cells within tolerance of %s, %d work \
+         counts equal to it.@."
+        !compared file !counted
   | ps ->
       Format.printf "@.Baseline check against %s FAILED:@." file;
       List.iter (fun p -> Format.printf "  REGRESSION %s@." p) ps;
-      Format.printf "%d timing cells compared, %d regressed.@." !compared
-        (List.length ps);
+      Format.printf "%d timing cells and %d work counts compared, %d \
+                     regressed.@."
+        !compared !counted (List.length ps);
       exit 3
 
 (* ------------------------------------------------------------------ *)
@@ -1897,20 +1954,20 @@ let micro () =
   in
   let tests =
     [ Test.make ~name:"E1/deriv-n8" (Staged.stage (fun () ->
-          Shex.Deriv.matches focus e5_graph e5_shape));
+          deriv_matches focus e5_graph e5_shape));
       Test.make ~name:"E1/backtrack-n8" (Staged.stage (fun () ->
-          Shex.Backtrack.matches focus e5_bad e5_shape));
+          backtrack_matches focus e5_bad e5_shape));
       Test.make ~name:"E2/balanced-k16" (Staged.stage (fun () ->
-          Shex.Deriv.matches focus bal_graph bal_shape));
+          deriv_matches focus bal_graph bal_shape));
       Test.make ~name:"E3/portal-300" (Staged.stage (fun () ->
           let session = Shex.Validate.session schema portal.Workload.Foaf_gen.graph in
           Shex.Validate.validate_graph session));
       Test.make ~name:"E4/deriv-wide64" (Staged.stage (fun () ->
-          Shex.Deriv.matches focus wide_graph wide_shape));
+          deriv_matches focus wide_graph wide_shape));
       Test.make ~name:"E4/sorbe-wide64" (Staged.stage (fun () ->
-          Shex.Sorbe.matches focus wide_graph wide_sorbe));
+          sorbe_matches focus wide_graph wide_shape wide_sorbe));
       Test.make ~name:"E5/raw-ctors-n8" (Staged.stage (fun () ->
-          Shex.Deriv.matches ~ctors:Shex.Rse.raw_ctors focus e5_graph e5_shape))
+          raw_matches focus e5_graph e5_shape))
     ]
   in
   let grouped = Test.make_grouped ~name:"shex" ~fmt:"%s %s" tests in

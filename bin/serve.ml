@@ -87,46 +87,13 @@ type obs = {
    runs in the loop, not in signal context. *)
 let stop_reason : string option ref = ref None
 
-(* Schemas are small; data graphs are not.  Schema files are still
-   read whole (the ShExC/ShExJ parsers want a string), but graph
-   loading streams through the Turtle lexer's sliding window so the
-   daemon's peak memory during [load] is bounded by the graph, never
-   graph + source text. *)
-let read_file path =
-  try In_channel.with_open_bin path In_channel.input_all
-  with Sys_error msg -> bad "%s" msg
-
-let load_schema path =
-  let src = read_file path in
-  let result =
-    if Filename.check_suffix path ".json" then Shexc.Shexj.import_string src
-    else Shexc.Shexc_parser.parse_schema src
-  in
-  match result with Ok s -> s | Error msg -> bad "%s: %s" path msg
-
-let load_graph path =
-  match Turtle.Parse.parse_file path with
-  | Ok d -> d.Turtle.Parse.graph
-  | Error msg -> bad "%s: %s" path msg
+(* Load failures answer an "error: ..." line, like any bad command. *)
+let or_bad = function Ok v -> v | Error msg -> raise (Bad msg)
+let load_schema path = or_bad (Load.schema path)
+let load_graph path = or_bad (Load.graph path)
 
 (* Same convention as --shape: exact label or suffix match. *)
-let resolve_label schema name =
-  let exact = Shex.Label.of_string name in
-  if Shex.Schema.mem schema exact then exact
-  else
-    let labels = Shex.Schema.labels schema in
-    match
-      List.find_opt
-        (fun l ->
-          let s = Shex.Label.to_string l in
-          let n = String.length s and m = String.length name in
-          n >= m && String.sub s (n - m) m = name)
-        labels
-    with
-    | Some l -> l
-    | None ->
-        bad "unknown shape label %S (known: %s)" name
-          (String.concat ", " (List.map Shex.Label.to_string labels))
+let resolve_label schema name = or_bad (Load.label schema name)
 
 let require_session st =
   match st.session with

@@ -12,9 +12,6 @@
 
 open Cmdliner
 
-let read_file path =
-  In_channel.with_open_bin path In_channel.input_all
-
 type engine_choice = Deriv | Back | AutoE | CompiledE
 
 let engine_of_choice = function
@@ -25,45 +22,14 @@ let engine_of_choice = function
 
 type metrics_mode = Mtext | Mjson
 
-let load_schema path =
-  let src = read_file path in
-  let result =
-    if Filename.check_suffix path ".json" then
-      Shexc.Shexj.import_string src
-    else Shexc.Shexc_parser.parse_schema src
-  in
-  match result with
-  | Ok s -> s
-  | Error msg -> Printf.eprintf "%s: %s\n" path msg; exit 2
+(* Load failures are usage errors: the message on stderr, exit 2. *)
+let or_exit = function
+  | Ok v -> v
+  | Error msg -> Printf.eprintf "%s\n" msg; exit 2
 
-let load_graph path =
-  (* Streams: the lexer slides a window over the channel, so loading a
-     multi-GB data file never materialises the source text. *)
-  match Turtle.Parse.parse_file path with
-  | Ok d -> d.Turtle.Parse.graph
-  | Error msg -> Printf.eprintf "%s: %s\n" path msg; exit 2
-
-let resolve_label schema name =
-  (* Accept both the exact label and a suffix match, so users can say
-     "Person" for <http://…/Person>. *)
-  let exact = Shex.Label.of_string name in
-  if Shex.Schema.mem schema exact then Some exact
-  else
-    List.find_opt
-      (fun l ->
-        let s = Shex.Label.to_string l in
-        let n = String.length s and m = String.length name in
-        n >= m && String.sub s (n - m) m = name)
-      (Shex.Schema.labels schema)
-
-let require_label schema name =
-  match resolve_label schema name with
-  | Some l -> l
-  | None ->
-      Printf.eprintf "unknown shape label %S (known: %s)\n" name
-        (String.concat ", "
-           (List.map Shex.Label.to_string (Shex.Schema.labels schema)));
-      exit 2
+let load_schema path = or_exit (Load.schema path)
+let load_graph path = or_exit (Load.graph path)
+let require_label schema name = or_exit (Load.label schema name)
 
 let require_data = function
   | Some p -> p
@@ -71,14 +37,10 @@ let require_data = function
       Printf.eprintf "--data is required for validation\n";
       exit 2
 
-let print_trace session schema graph node label =
-  let shape = Shex.Schema.find_exn schema label in
-  let trace =
-    Shex.Deriv.matches_trace
-      ~check_ref:(fun l o -> Shex.Validate.check_bool session o l)
-      node graph shape
-  in
-  Format.printf "%a@." Shex.Deriv.pp_trace trace
+let print_trace session node label =
+  Option.iter
+    (Format.printf "%a@." Shex.Deriv.pp_trace)
+    (Shex.Validate.trace session node label)
 
 (* One code path for every engine: the unified telemetry snapshot
    (folding in the automaton cache when one is active) on stderr. *)
@@ -569,7 +531,7 @@ let run_validate schema_path data_path node_opt shape_opt shape_map_opt
       let label = require_label schema shape_name in
       let node = Rdf.Term.iri node_iri in
       let report = Shex.Report.run session [ (node, label) ] in
-      if trace then print_trace session schema graph node label;
+      if trace then print_trace session node label;
       if explain then print_explain session [ (node, label) ];
       maybe_stats ();
       emit_report session report ~json ~result_map ~quiet ~metrics

@@ -19,9 +19,9 @@ let no_instruments = instruments Telemetry.disabled
 let counters instr = [ instr.branches; instr.decompositions ]
 
 (* All ordered pairs (l, r) of disjoint sublists whose union is the
-   input — the list counterpart of Graph.decompositions.  Pairs come
-   in Example 3's order, ({}, everything) first, so the left component
-   grows as the search proceeds. *)
+   input — a neighbourhood's decompositions.  Pairs come in Example
+   3's order, ({}, everything) first, so the left component grows as
+   the search proceeds. *)
 let decompose dts =
   let rec go = function
     | [] -> [ ([], []) ]
@@ -32,7 +32,7 @@ let decompose dts =
   in
   go dts
 
-let matches_counted ~check_ref ~instr dts e =
+let matches_dts ?(check_ref = no_refs) ?(instr = no_instruments) n dts e =
   let work = ref 0 in
   let counting = Telemetry.Counter.active instr.branches in
   (* Each [decompose] call materialises every ordered pair — Example
@@ -77,22 +77,11 @@ let matches_counted ~check_ref ~instr dts e =
     | Not inner -> not (go inner dts)
   in
   let result = go e dts in
-  (result, !work)
-
-let matches_list ?(check_ref = no_refs) ?(instr = no_instruments) dts e =
-  fst (matches_counted ~check_ref ~instr dts e)
-
-let matches_count ?(check_ref = no_refs) ?(instr = no_instruments) n g e =
-  let dts = Neigh.of_node ~include_inverse:(Rse.has_inverse e) n g in
-  let (result, work) as r = matches_counted ~check_ref ~instr dts e in
   if Telemetry.tracing instr.tele then
     Telemetry.emit instr.tele
       (Telemetry.instant "backtrack_match"
          [ ("focus", Telemetry.String (Rdf.Term.to_string n));
            ("triples", Telemetry.Int (List.length dts));
-           ("branches", Telemetry.Int work);
+           ("branches", Telemetry.Int !work);
            ("ok", Telemetry.Bool result) ]);
-  r
-
-let matches ?check_ref ?instr n g e =
-  fst (matches_count ?check_ref ?instr n g e)
+  result

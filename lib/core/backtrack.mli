@@ -14,7 +14,7 @@ type check_ref = Label.t -> Rdf.Term.t -> bool
 (** {1 Telemetry}
 
     The matcher reports [backtrack_branches] (one per inference-rule
-    application, the same quantity {!matches_count} returns) and
+    application — the work counter of experiment E1) and
     [backtrack_decompositions] (one per ordered pair generated while
     splitting a neighbourhood for [‖] or [⋆] — Example 3's 2ⁿ). *)
 
@@ -27,31 +27,17 @@ val counters : instruments -> Telemetry.Counter.t list
 (** The monotone counters resolved, in order: [backtrack_branches],
     [backtrack_decompositions]. *)
 
-val matches :
+val matches_dts :
   ?check_ref:check_ref ->
   ?instr:instruments ->
   Rdf.Term.t ->
-  Rdf.Graph.t ->
-  Rse.t ->
-  bool
-(** [matches n g e]: does Σgn (plus incoming arcs if [e] uses inverse
-    arcs) satisfy [e] under the Fig. 1 rules? *)
-
-val matches_count :
-  ?check_ref:check_ref ->
-  ?instr:instruments ->
-  Rdf.Term.t ->
-  Rdf.Graph.t ->
-  Rse.t ->
-  bool * int
-(** Like {!matches} but also returns the number of rule applications
-    explored — the work counter reported in experiment E1. *)
-
-val matches_list :
-  ?check_ref:check_ref ->
-  ?instr:instruments ->
   Neigh.dtriple list ->
   Rse.t ->
   bool
-(** Match an explicit neighbourhood (used by tests that exercise
-    Example 8 directly). *)
+(** [matches_dts n dts e]: does the neighbourhood [dts] of [n] satisfy
+    [e] under the Fig. 1 rules?  The neighbourhood is Σgn as
+    {!Validate} extracts it for every engine: incoming triples included
+    exactly when [Rse.has_inverse e].  When the registry has a sink,
+    each call emits one [backtrack_match] event with the focus, the
+    number of triples, the rule applications explored and the
+    verdict. *)

@@ -77,7 +77,7 @@ let deriv ?(ctors = Rse.smart_ctors) ?(check_ref = no_refs) dt e =
 let deriv_graph ?ctors ?check_ref dts e =
   List.fold_left (fun e dt -> deriv ?ctors ?check_ref dt e) e dts
 
-let matches_dts ?ctors ?check_ref ?(instr = no_instruments) n dts e =
+let matches_dts ?check_ref ?(instr = no_instruments) n dts e =
   (* Early exit on ∅ is sound only without negation: under ¬, ∅ can
      still become accepting. *)
   let can_prune = not (Rse.has_not e) in
@@ -87,25 +87,21 @@ let matches_dts ?ctors ?check_ref ?(instr = no_instruments) n dts e =
         if Telemetry.tracing instr.tele then record_nullable instr n e ok;
         ok
     | dt :: rest ->
-        let e' = deriv ?ctors ?check_ref dt e in
+        let e' = deriv ?check_ref dt e in
         if Telemetry.Counter.active instr.steps then record instr n dt e e';
         if can_prune && Rse.equal e' Rse.empty then false
         else consume e' rest
   in
   consume e dts
 
-let matches ?ctors ?check_ref ?instr n g e =
-  let dts = Neigh.of_node ~include_inverse:(Rse.has_inverse e) n g in
-  matches_dts ?ctors ?check_ref ?instr n dts e
-
 type step = { consumed : Neigh.dtriple; after : Rse.t }
 type trace = { initial : Rse.t; steps : step list; result : bool }
 
-let matches_trace_dts ?ctors ?check_ref ?(instr = no_instruments) n dts e =
+let matches_trace_dts ?check_ref ?(instr = no_instruments) n dts e =
   let final, rev_steps =
     List.fold_left
       (fun (e, acc) dt ->
-        let e' = deriv ?ctors ?check_ref dt e in
+        let e' = deriv ?check_ref dt e in
         if Telemetry.Counter.active instr.steps then record instr n dt e e';
         (e', { consumed = dt; after = e' } :: acc))
       (e, []) dts
@@ -113,10 +109,6 @@ let matches_trace_dts ?ctors ?check_ref ?(instr = no_instruments) n dts e =
   let result = Rse.nullable final in
   if Telemetry.tracing instr.tele then record_nullable instr n final result;
   { initial = e; steps = List.rev rev_steps; result }
-
-let matches_trace ?ctors ?check_ref ?instr n g e =
-  let dts = Neigh.of_node ~include_inverse:(Rse.has_inverse e) n g in
-  matches_trace_dts ?ctors ?check_ref ?instr n dts e
 
 let pp_trace ppf t =
   Format.pp_open_vbox ppf 0;

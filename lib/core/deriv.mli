@@ -59,7 +59,9 @@ val deriv :
   Rse.t ->
   Rse.t
 (** One derivative step, [∂t(e)].  [ctors] selects simplifying
-    (default) or raw constructors — experiment E5. *)
+    (default) or raw constructors — experiment E5.  The matchers below
+    always simplify; raw constructors are for the ablation only, which
+    folds {!deriv_graph} itself. *)
 
 val deriv_graph :
   ?ctors:Rse.ctors ->
@@ -70,32 +72,23 @@ val deriv_graph :
 (** [∂ts(e)]: left fold of {!deriv} over the triples, i.e. the
     extension to graphs [∂{} (e) = e], [∂(t⊎ts)(e) = ∂ts(∂t(e))]. *)
 
-val matches :
-  ?ctors:Rse.ctors ->
-  ?check_ref:check_ref ->
-  ?instr:instruments ->
-  Rdf.Term.t ->
-  Rdf.Graph.t ->
-  Rse.t ->
-  bool
-(** [matches n g e] = [ν(∂Σgn(e))]: does the neighbourhood of [n] in
-    [g] have shape [e]?  Includes incoming triples exactly when [e]
-    contains an inverse arc.  Stops early when the expression
-    collapses to ∅ (no possible continuation, Example 12). *)
-
 val matches_dts :
-  ?ctors:Rse.ctors ->
   ?check_ref:check_ref ->
   ?instr:instruments ->
   Rdf.Term.t ->
   Neigh.dtriple list ->
   Rse.t ->
   bool
-(** {!matches} over an already-computed neighbourhood — the hot-path
-    entry point: {!Validate} computes Σgn once per evaluation (from
-    the structural indexes or a columnar slice) and hands it to
-    whichever engine runs.  The caller must have included incoming
-    triples exactly when [Rse.has_inverse e]. *)
+(** [matches_dts n dts e] = [ν(∂dts(e))]: does the neighbourhood
+    [dts] of [n] have shape [e]?  Stops early when the expression
+    collapses to ∅ (no possible continuation, Example 12) — sound only
+    without negation, so shapes with [¬] consume every triple.
+
+    The neighbourhood is Σgn as {!Validate} extracts it (from the
+    structural indexes or a columnar slice): incoming triples included
+    exactly when [Rse.has_inverse e].  {!Validate} applies that rule
+    for every engine, so this is the derivative engine's only
+    matcher. *)
 
 (** {1 Traced matching}
 
@@ -111,25 +104,17 @@ type trace = {
   result : bool;  (** ν of the final expression *)
 }
 
-val matches_trace :
-  ?ctors:Rse.ctors ->
-  ?check_ref:check_ref ->
-  ?instr:instruments ->
-  Rdf.Term.t ->
-  Rdf.Graph.t ->
-  Rse.t ->
-  trace
-
 val matches_trace_dts :
-  ?ctors:Rse.ctors ->
   ?check_ref:check_ref ->
   ?instr:instruments ->
   Rdf.Term.t ->
   Neigh.dtriple list ->
   Rse.t ->
   trace
-(** {!matches_trace} over an already-computed neighbourhood (same
-    contract as {!matches_dts}). *)
+(** {!matches_dts} with every step recorded, under the same
+    neighbourhood contract.  It never stops early, so a failed trace
+    shows every triple; [result] is the same verdict.  Callers holding
+    a session read it through {!Validate.trace}. *)
 
 val pp_trace : Format.formatter -> trace -> unit
 (** Renders the trace in the paper's style:

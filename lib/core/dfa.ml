@@ -24,7 +24,6 @@ type t = {
   table : Hrse.table;
   atoms : Rse.arc array;  (* atom id -> the arc constraint it stands for *)
   start : Hrse.t;
-  has_inverse : bool;  (* include incoming triples in neighbourhoods *)
   can_prune : bool;  (* negation-free: ∅ is a dead (rejecting) state *)
   symbols : (string, int) Hashtbl.t;  (* arc-class bitset -> symbol id *)
   mutable members : bool array array;  (* symbol id -> atom membership *)
@@ -73,7 +72,6 @@ let compile ?(instr = no_instruments) (e : Rse.t) =
     table;
     atoms = atom_array;
     start;
-    has_inverse = Rse.has_inverse e;
     can_prune = not (Rse.has_not e);
     symbols = Hashtbl.create 16;
     members = [||];
@@ -217,7 +215,3 @@ let matches_dts ?(check_ref = no_refs) auto n dts =
         else consume state' rest
   in
   consume auto.start dts
-
-let matches ?check_ref auto n g =
-  let dts = Neigh.of_node ~include_inverse:auto.has_inverse n g in
-  matches_dts ?check_ref auto n dts

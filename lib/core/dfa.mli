@@ -1,6 +1,6 @@
 (** Lazily built derivative automata for regular shape expressions.
 
-    {!Deriv.matches} recomputes a derivative {e expression} for
+    {!Deriv.matches_dts} recomputes a derivative {e expression} for
     every consumed triple of every node it checks.  Within one
     validation run the same shape is matched against thousands of
     neighbourhoods, and the derivatives it steps through are massively
@@ -66,19 +66,22 @@ val compile : ?instr:instruments -> Rse.t -> t
     reports into [instr] (and traces through its registry) for the
     rest of its life. *)
 
-val matches :
+val matches_dts :
   ?check_ref:(Label.t -> Rdf.Term.t -> bool) ->
   t ->
   Rdf.Term.t ->
-  Rdf.Graph.t ->
+  Neigh.dtriple list ->
   bool
-(** [matches a n g] — does the neighbourhood of [n] in [g] match the
-    compiled shape?  Equivalent to {!Deriv.matches} on the source
-    expression (the property suite asserts this).  Consumes the
-    neighbourhood triple by triple: classify into an arc class, step
-    the DFA, and finally read the state's nullability.  Stops early in
-    the dead state ∅ — sound exactly when the shape is negation-free,
-    as in the derivative engine.
+(** [matches_dts a n dts] — does the neighbourhood [dts] of [n] match
+    the compiled shape?  Equivalent to {!Deriv.matches_dts} on the
+    source expression (the property suite asserts this), under the
+    same neighbourhood contract: Σgn as {!Validate} extracts it for
+    every engine, incoming triples included exactly when the source
+    expression has inverse arcs.  Consumes the neighbourhood triple by
+    triple: classify into an arc class, step the DFA, and finally read
+    the state's nullability.  Stops early in the dead state ∅ — sound
+    exactly when the shape is negation-free, as in the derivative
+    engine.
 
     When the automaton's registry has a sink, each DFA edge emits a
     [deriv_step] event (with hash-consed state ids in place of
@@ -91,14 +94,3 @@ val matches :
     predicate set contains that predicate have their object
     constraints evaluated, so wide schemas pay one table lookup per
     triple instead of a full atom scan. *)
-
-val matches_dts :
-  ?check_ref:(Label.t -> Rdf.Term.t -> bool) ->
-  t ->
-  Rdf.Term.t ->
-  Neigh.dtriple list ->
-  bool
-(** {!matches} over an already-computed neighbourhood (what
-    {!Validate} calls on [Auto] and [Compiled] sessions).  The caller must have
-    included incoming triples exactly when the source expression has
-    inverse arcs. *)

@@ -42,8 +42,6 @@ let of_rse e =
   in
   collect e []
 
-let has_inverse t = List.exists (fun c -> c.arc.inverse) t
-
 let matches_dts ?(check_ref = fun _ _ -> false) ?(instr = no_instruments) n dts
     t =
   Telemetry.Counter.incr instr.matches_run;
@@ -95,10 +93,6 @@ let matches_dts ?(check_ref = fun _ _ -> false) ?(instr = no_instruments) n dts
            ("constraints", Telemetry.Int (Array.length constrs));
            ("ok", Telemetry.Bool result) ]);
   result
-
-let matches ?check_ref ?instr n g t =
-  let dts = Neigh.of_node ~include_inverse:(has_inverse t) n g in
-  matches_dts ?check_ref ?instr n dts t
 
 let pp_interval ppf i =
   match i.max with

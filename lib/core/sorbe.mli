@@ -46,24 +46,6 @@ val counters : instruments -> Telemetry.Counter.t list
 (** The monotone counters resolved, in order: [sorbe_matches],
     [sorbe_counter_updates]. *)
 
-val matches :
-  ?check_ref:(Label.t -> Rdf.Term.t -> bool) ->
-  ?instr:instruments ->
-  Rdf.Term.t ->
-  Rdf.Graph.t ->
-  t ->
-  bool
-(** Counting matcher: attribute each triple of the neighbourhood to
-    the (unique) constraint whose predicate set contains its
-    predicate; fail if some triple matches no constraint or fails its
-    constraint's object test; finally check every tally against its
-    interval. *)
-
-val has_inverse : t -> bool
-(** Whether any constraint carries an inverse arc — the
-    [include_inverse] a caller precomputing the neighbourhood for
-    {!matches_dts} must use. *)
-
 val matches_dts :
   ?check_ref:(Label.t -> Rdf.Term.t -> bool) ->
   ?instr:instruments ->
@@ -71,8 +53,15 @@ val matches_dts :
   Neigh.dtriple list ->
   t ->
   bool
-(** {!matches} over an already-computed neighbourhood; the caller must
-    have included incoming triples exactly when {!has_inverse}. *)
+(** Counting matcher: attribute each triple of the neighbourhood to
+    the (unique) constraint whose predicate set contains its
+    predicate; fail if some triple matches no constraint or fails its
+    constraint's object test; finally check every tally against its
+    interval.  The neighbourhood is Σgn as {!Validate} extracts it for
+    every engine: incoming triples included exactly when the source
+    expression has an inverse arc ([Rse.has_inverse]), which for an
+    expression {!of_rse} accepts is exactly when some constraint's arc
+    is inverse. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints [a→1{1,1} ‖ b→{1, 2}{0,*}]. *)

@@ -20,7 +20,19 @@ end)
 
 module Int_set = Set.Make (Int)
 
-type compiled = Counting of Sorbe.t | Table of Dfa.t
+type store = Structural of Rdf.Graph.t | Frozen of Rdf.Columnar.t
+
+(* One label's matcher, built once per session: the engine that runs
+   (its name labels the label's [check] spans — Auto resolves per
+   shape), whether its neighbourhoods include incoming triples (the
+   shape has an inverse arc), and the run itself over that
+   neighbourhood.  Every engine matches the Σgn the session reads, so
+   {!evaluate} has one path whatever the engine or the store. *)
+type matcher = {
+  name : string;
+  inverse : bool;
+  run : check_ref:Deriv.check_ref -> Rdf.Term.t -> Neigh.dtriple list -> bool;
+}
 
 (* First-class dependency record of the fixpoint (PR 3 only emitted
    these edges as telemetry events; incremental revalidation needs
@@ -136,18 +148,14 @@ let make_prof tele dfa_instr =
 type session = {
   engine : engine;
   schema : Schema.t;
-  mutable graph : Rdf.Graph.t option;
-      (* the structural view; mutable for {!set_graph} (incremental
-         sessions swap in the edited graph and invalidate the affected
-         memo entries) and [None] until demanded on columnar-primary
-         sessions ({!session_columnar}), which materialise it lazily *)
-  mutable columnar : Rdf.Columnar.t option;
-      (* the frozen store of a {!session_columnar} session:
-         neighbourhoods are then binary-searched slices of its int
-         columns instead of structural index walks.  Canonical ids keep
-         the slices in triple order, so verdicts, traces and reports
-         are byte-identical either way (the oracle's interned arms pin
-         this). *)
+  mutable store : store;
+      (* what every neighbourhood is read from: the structural indexes
+         of a graph, or binary-searched slices of a frozen columnar
+         store's int columns.  Canonical ids keep the slices in triple
+         order, so verdicts, traces and reports are byte-identical
+         either way (the oracle's interned arms pin this).  Mutable for
+         {!set_graph}: incremental sessions swap in the edited graph and
+         invalidate the affected memo entries. *)
   domains : int;
       (* requested bulk-validation parallelism; 1 = sequential *)
   (* The verdict memo, indexed by pair id (see {!intern}).  Ids are
@@ -167,8 +175,9 @@ type session = {
       (* every label interned so far: what {!invalidate_nodes} probes an
          edited node with *)
   dep_record : dep_record option;     (* Some iff [record_deps] *)
-  compiled : (Label.t, compiled) Hashtbl.t;
-      (* per-label compilation: SORBE counting matcher or lazy DFA *)
+  matchers : (Label.t, matcher) Hashtbl.t;
+      (* per label, built on first evaluation: the SORBE counters and
+         DFA transition tables live here *)
   tele : Telemetry.t;
   deriv_instr : Deriv.instruments;
   back_instr : Backtrack.instruments;
@@ -185,7 +194,7 @@ type session = {
 }
 
 let make_session ~engine ~telemetry ~domains ~record_deps ~profile ~slow_ms
-    ~graph ~columnar schema =
+    store schema =
   (* Instruments are resolved once here; on the default (disabled)
      registry every later use is a single branch.  Only the engines
      that compile shapes to automata resolve the DFA's, so other
@@ -200,7 +209,7 @@ let make_session ~engine ~telemetry ~domains ~record_deps ~profile ~slow_ms
   and fix_evals = Telemetry.counter telemetry "fixpoint_iterations"
   and fix_flips = Telemetry.counter telemetry "fixpoint_flips"
   and fix_demands = Telemetry.counter telemetry "fixpoint_demands" in
-  { engine; schema; graph; columnar;
+  { engine; schema; store;
     domains = max 1 domains;
     ids = Pair_tbl.create 256;
     pairs = [||];
@@ -211,7 +220,7 @@ let make_session ~engine ~telemetry ~domains ~record_deps ~profile ~slow_ms
     labels = Label.Set.empty;
     dep_record =
       (if record_deps then Some { deps = [||]; rdeps = [||] } else None);
-    compiled = Hashtbl.create 16;
+    matchers = Hashtbl.create 16;
     tele = telemetry;
     deriv_instr; back_instr; sorbe_instr; dfa_instr;
     fix_evals; fix_flips; fix_demands;
@@ -228,32 +237,24 @@ let session ?(engine = Derivatives) ?(telemetry = Telemetry.disabled)
     ?(domains = 1) ?(record_deps = false) ?(profile = false) ?slow_ms schema
     graph =
   make_session ~engine ~telemetry ~domains ~record_deps ~profile ~slow_ms
-    ~graph:(Some graph) ~columnar:None schema
+    (Structural graph) schema
 
 let session_columnar ?(engine = Derivatives) ?(telemetry = Telemetry.disabled)
     ?(domains = 1) ?(profile = false) ?slow_ms schema columnar =
   make_session ~engine ~telemetry ~domains ~record_deps:false ~profile
-    ~slow_ms ~graph:None ~columnar:(Some columnar) schema
+    ~slow_ms (Frozen columnar) schema
 
-let telemetry st = st.tele
 let schema st = st.schema
 
 let graph st =
-  match st.graph with
-  | Some g -> g
-  | None ->
-      (* Columnar-primary session: materialise the structural view on
-         first demand (the Backtracking baseline, incremental swaps
-         and external callers want a {!Rdf.Graph.t}).  The hot
-         validation paths never reach this. *)
-      let g = Rdf.Columnar.to_graph (Option.get st.columnar) in
-      st.graph <- Some g;
-      g
+  match st.store with
+  | Structural g -> g
+  | Frozen c -> Rdf.Columnar.to_graph c
 
-let columnar_store st = st.columnar
+let columnar_store st =
+  match st.store with Frozen c -> Some c | Structural _ -> None
+
 let engine st = st.engine
-let domains st = st.domains
-let record_deps st = Option.is_some st.dep_record
 let memo_size st = st.settled
 let profiling st = Option.is_some st.profile
 let slowlog st = st.slowlog
@@ -265,19 +266,17 @@ let set_slow_ms st = function
       | Some slog -> Slowlog.set_threshold_ms slog ms
       | None -> st.slowlog <- Some (Slowlog.create ~threshold_ms:ms ()))
 
-let set_graph st graph =
-  st.graph <- Some graph;
-  st.columnar <-
-    Option.map (fun _ -> Rdf.Columnar.of_graph graph) st.columnar
+let set_graph st graph = st.store <- Structural graph
 
-(* Σgn through whichever representation the session holds: a
-   binary-searched slice of the frozen store on columnar sessions, the
-   structural indexes otherwise.  Either way the list is in triple
-   order, so every engine sees the same consumption sequence. *)
+(* Σgn through whichever store the session holds: a binary-searched
+   slice of the frozen store, or the structural indexes.  Either way
+   the list is in triple order, so every engine sees the same
+   consumption sequence.  The only place a session reads its store
+   for matching. *)
 let neighbourhood st ~include_inverse n =
-  match st.columnar with
-  | Some c -> Neigh.of_columnar ~include_inverse n c
-  | None -> Neigh.of_node ~include_inverse n (graph st)
+  match st.store with
+  | Frozen c -> Neigh.of_columnar ~include_inverse n c
+  | Structural g -> Neigh.of_node ~include_inverse n g
 
 (* Pair states.  A solve marks the pairs it demands candidate-true,
    flips refuted ones to candidate-false, and settles every one of them
@@ -333,14 +332,6 @@ let intern st p =
 let in_pair_order st ids =
   List.sort_uniq (fun a b -> Pair.compare st.pairs.(a) st.pairs.(b)) ids
 
-let dependencies_of st p =
-  match (st.dep_record, Pair_tbl.find_opt st.ids p) with
-  | Some r, Some id ->
-      List.map
-        (fun q -> st.pairs.(q))
-        (in_pair_order st (Int_set.elements r.deps.(id)))
-  | _ -> []
-
 (* Replace the recorded edge set of [p] with the consultations of its
    latest evaluation, keeping [rdeps] exact (stale reverse edges would
    make later invalidations walk — and kill — verdicts that no longer
@@ -356,21 +347,41 @@ let record_edges r p used =
     (Int_set.diff now before);
   r.deps.(p) <- now
 
-let compile st l e =
-  match Hashtbl.find_opt st.compiled l with
-  | Some c -> c
-  | None ->
-      let table () = Table (Dfa.compile ~instr:st.dfa_instr e) in
-      let c =
+(* The label's matcher, built on first demand (experiments E4, E9):
+   Auto uses the linear counting matcher when the shape is in the
+   single-occurrence fragment and the lazy DFA otherwise; Compiled
+   always uses the DFA.  [find], not [find_opt], as in {!intern}. *)
+let matcher st l e =
+  match Hashtbl.find st.matchers l with
+  | m -> m
+  | exception Not_found ->
+      let table () =
+        let dfa = Dfa.compile ~instr:st.dfa_instr e in
+        ("compiled", fun ~check_ref n dts -> Dfa.matches_dts ~check_ref dfa n dts)
+      in
+      let name, run =
         match st.engine with
+        | Derivatives ->
+            ( "derivatives",
+              fun ~check_ref n dts ->
+                Deriv.matches_dts ~check_ref ~instr:st.deriv_instr n dts e )
+        | Backtracking ->
+            ( "backtracking",
+              fun ~check_ref n dts ->
+                Backtrack.matches_dts ~check_ref ~instr:st.back_instr n dts e )
         | Compiled -> table ()
-        | _ -> (
+        | Auto -> (
             match Sorbe.of_rse e with
-            | Some sorbe -> Counting sorbe
+            | Some sorbe ->
+                ( "sorbe",
+                  fun ~check_ref n dts ->
+                    Sorbe.matches_dts ~check_ref ~instr:st.sorbe_instr n dts
+                      sorbe )
             | None -> table ())
       in
-      Hashtbl.replace st.compiled l c;
-      c
+      let m = { name; inverse = Rse.has_inverse e; run } in
+      Hashtbl.replace st.matchers l m;
+      m
 
 (* Runtime resource gauges ("where is the memory"): GC words/heap/
    compactions plus the verdict-memo size, sampled into the registry at
@@ -499,51 +510,11 @@ let rec evaluate st ~value ~demand id =
                  ("settled", Telemetry.Bool settled) ]);
         answer
       in
-      (* One provenance span per (node, shape) evaluation, labelled
-         with the matcher that actually ran (Auto resolves per
-         shape). *)
-      (* The neighbourhood is computed inside the matcher closure (so
-         profiled runs charge it to the shape, as when the engines
-         computed it themselves) through {!neighbourhood} — one binary
-         search per evaluation on columnar sessions. *)
-      let matcher_name, run =
-        match st.engine with
-        | Derivatives ->
-            ( "derivatives",
-              fun () ->
-                let dts =
-                  neighbourhood st ~include_inverse:(Rse.has_inverse e) n
-                in
-                Deriv.matches_dts ~check_ref ~instr:st.deriv_instr n dts e )
-        | Backtracking ->
-            (* The Fig.-1 baseline decomposes whole neighbourhood
-               graphs, so it stays on the structural view. *)
-            ( "backtracking",
-              fun () ->
-                Backtrack.matches ~check_ref ~instr:st.back_instr n (graph st)
-                  e )
-        | Auto | Compiled -> (
-            (* Per-label compilation (experiments E4, E9): Auto uses
-               the linear counting matcher when the shape is in the
-               single-occurrence fragment and the lazy DFA otherwise;
-               Compiled always uses the DFA. *)
-            match compile st l e with
-            | Counting sorbe ->
-                ( "sorbe",
-                  fun () ->
-                    let dts =
-                      neighbourhood st
-                        ~include_inverse:(Sorbe.has_inverse sorbe) n
-                    in
-                    Sorbe.matches_dts ~check_ref ~instr:st.sorbe_instr n dts
-                      sorbe )
-            | Table dfa ->
-                ( "compiled",
-                  fun () ->
-                    let dts =
-                      neighbourhood st ~include_inverse:(Rse.has_inverse e) n
-                    in
-                    Dfa.matches_dts ~check_ref dfa n dts ))
+      (* The neighbourhood is read inside [run], so profiled runs
+         charge its extraction to the shape. *)
+      let m = matcher st l e in
+      let run () =
+        m.run ~check_ref n (neighbourhood st ~include_inverse:m.inverse n)
       in
       let run =
         match st.profile with
@@ -555,7 +526,7 @@ let rec evaluate st ~value ~demand id =
           (Telemetry.span_begin "check"
              [ ("node", Telemetry.String (Rdf.Term.to_string n));
                ("shape", Telemetry.String (Label.to_string l));
-               ("engine", Telemetry.String matcher_name) ]);
+               ("engine", Telemetry.String m.name) ]);
       (* The span must close even when the matcher raises (a user
          value-set predicate, an out-of-memory shard worker): an
          unbalanced begin would corrupt the span tree of every later
@@ -768,16 +739,25 @@ let typing st n l =
     (closure Int_set.empty (intern st (n, l)))
     Typing.empty
 
+(* References answered by settled verdicts, solving a pair on first
+   demand: what traces and explanations consult. *)
+let settled_ref st l' o = verdict st (o, l')
+
+let trace st n l =
+  Option.map
+    (fun { Schema.expr = e; _ } ->
+      let dts = neighbourhood st ~include_inverse:(Rse.has_inverse e) n in
+      Deriv.matches_trace_dts ~check_ref:(settled_ref st) n dts e)
+    (Schema.find_shape st.schema l)
+
 let failure_explain st n l =
   match Schema.find_shape st.schema l with
   | None -> Some (Explain.No_shape { node = n; label = l })
   | Some { Schema.focus = Some vo; _ } when not (Value_set.obj_mem vo n) ->
       Some (Explain.Node_constraint { node = n; constraint_ = vo })
-  | Some { Schema.expr = e; _ } ->
-      let check_ref l' o = verdict st (o, l') in
-      let dts = neighbourhood st ~include_inverse:(Rse.has_inverse e) n in
-      let trace = Deriv.matches_trace_dts ~check_ref n dts e in
-      Explain.of_trace ~check_ref ~node:n ~label:l trace
+  | Some _ ->
+      Option.bind (trace st n l)
+        (Explain.of_trace ~check_ref:(settled_ref st) ~node:n ~label:l)
 
 let plain_check st n l =
   if verdict st (n, l) then { ok = true; explain = None }
@@ -842,13 +822,9 @@ let check_sharded st associations =
   let engine = st.engine and schema = st.schema in
   let profile = Option.is_some st.profile in
   let instrumented = Telemetry.enabled st.tele in
-  let sub_session =
-    match st.columnar with
-    | Some c ->
-        fun telemetry -> session_columnar ~engine ~telemetry ~profile schema c
-    | None ->
-        let g = graph st in
-        fun telemetry -> session ~engine ~telemetry ~profile schema g
+  let sub_session telemetry =
+    make_session ~engine ~telemetry ~domains:1 ~record_deps:false ~profile
+      ~slow_ms:None st.store schema
   in
   let per_shard =
     Pool.run
@@ -881,9 +857,9 @@ let check_all st associations =
 
 let validate_graph st =
   let nodes =
-    match st.columnar with
-    | Some c -> Rdf.Columnar.nodes c
-    | None -> Rdf.Graph.nodes (graph st)
+    match st.store with
+    | Frozen c -> Rdf.Columnar.nodes c
+    | Structural g -> Rdf.Graph.nodes g
   in
   let labels = Schema.labels st.schema in
   let typing =

@@ -57,11 +57,11 @@ val session :
     the session and are shared by {e every} check made through it: the
     (node, shape) verdict memo persists across {!check}/{!check_bool}/
     {!check_all}/{!validate_graph} calls (re-checking a settled pair
-    re-evaluates nothing), and the per-label compilations — the SORBE
-    counters and the {!Dfa} transition tables — are built once per
-    label and reused by all later calls.
+    re-evaluates nothing), and the per-label matchers — with the SORBE
+    counters and the {!Dfa} transition tables they compile — are built
+    once per label and reused by all later calls.
     Bulk runs with [domains > 1] validate their shards in {e private}
-    sub-sessions: they read the shared session's schema and graph but
+    sub-sessions: they read the shared session's schema and store but
     neither consult nor write its memo, so a warm session's memo is
     never clobbered (and never extended) by a parallel bulk call —
     sequential calls on the same session afterwards still see every
@@ -121,7 +121,17 @@ val session :
     timed.
 
     The session reads the graph's structural indexes; for the frozen
-    columnar store use {!session_columnar}. *)
+    columnar store use {!session_columnar}.
+
+    {b One matcher path.}  Each label gets one matcher, built on its
+    first evaluation from the session's engine: the derivative
+    matcher, the Fig.-1 backtracking baseline, or on [Auto] the SORBE
+    counting matcher when the shape is single-occurrence and the
+    {!Dfa} otherwise ([Compiled] always the {!Dfa}).  Every evaluation
+    reads the focus node's neighbourhood Σgn from the session's store —
+    with its incoming triples exactly when the shape has an inverse
+    arc — and hands that list to the label's matcher, whatever the
+    engine or the store. *)
 
 val session_columnar :
   ?engine:engine ->
@@ -134,10 +144,10 @@ val session_columnar :
   session
 (** A session over an already-frozen columnar store (e.g. straight
     from the streaming N-Triples bulk loader), skipping the structural
-    graph entirely: every neighbourhood the matchers consume comes from
-    binary-searched slices of the store's int columns, and the
-    structural view is only materialised if something demands it
-    ({!graph}, the Backtracking engine).  Canonical interning keeps
+    graph entirely: every neighbourhood every engine consumes comes
+    from binary-searched slices of the store's int columns, so a check
+    allocates in proportion to the neighbourhoods it reads, never to
+    the store.  Canonical interning keeps
     the slices in exactly {!Rdf.Triple.compare} order, so verdicts,
     typings, explanations and report JSON are byte-identical to a
     {!session} over the same triples (the differential oracle's
@@ -145,13 +155,14 @@ val session_columnar :
     incremental sessions edit the graph, which is exactly what a
     frozen store is not for. *)
 
-val telemetry : session -> Telemetry.t
 val schema : session -> Schema.t
 
 val graph : session -> Rdf.Graph.t
 (** The structural view of the session's data.  On a
-    {!session_columnar} session the first call materialises it from
-    the store (linear time and memory) and caches it. *)
+    {!session_columnar} session every call converts the whole store
+    ({!Rdf.Columnar.to_graph}: linear time and memory) and keeps
+    nothing; nothing in the library calls it on such a session —
+    validation, traces and reports read the store directly. *)
 
 val columnar_store : session -> Rdf.Columnar.t option
 (** The frozen store of a {!session_columnar} session, [None] on a
@@ -159,17 +170,13 @@ val columnar_store : session -> Rdf.Columnar.t option
     parallel bulk runner hands it to its shard sessions directly. *)
 
 val engine : session -> engine
-val domains : session -> int
 
 (** {1 Incremental revalidation primitives}
 
     The building blocks of [Shex_incremental.Session]: swap the graph,
     invalidate the memoised verdicts a set of edited nodes can reach,
-    keep everything else — the retained memo, the per-label
-    compilations and their DFA transition tables all stay warm. *)
-
-val record_deps : session -> bool
-(** Whether the session retains fixpoint dependency edges. *)
+    keep everything else — the retained memo, the per-label matchers
+    and their DFA transition tables all stay warm. *)
 
 val profiling : session -> bool
 (** Whether the session attributes costs per shape ([?profile]). *)
@@ -187,13 +194,14 @@ val memo_size : session -> int
 (** Number of memoised (node, shape) verdicts. *)
 
 val set_graph : session -> Rdf.Graph.t -> unit
-(** Replace the session's graph.  The memo is {e not} touched: the
-    caller must follow with {!invalidate_nodes} over every node whose
-    incident triples (as subject or object) differ between the old and
-    new graphs, or retained verdicts may be stale.  Matchers read only
-    the focus node's outgoing and incoming triples ({!Neigh.of_node}),
-    so that node set is exactly the subjects and objects of the edited
-    triples. *)
+(** Replace the session's store with the graph (a
+    {!session_columnar} session becomes a structural one).  The memo
+    is {e not} touched: the caller must follow with
+    {!invalidate_nodes} over every node whose incident triples (as
+    subject or object) differ between the old and new graphs, or
+    retained verdicts may be stale.  Every engine reads only the focus
+    node's outgoing and incoming triples, so that node set is exactly
+    the subjects and objects of the edited triples. *)
 
 val invalidate_nodes :
   session -> Rdf.Term.t list -> ((Rdf.Term.t * Label.t) * bool) list
@@ -209,11 +217,6 @@ val invalidate_nodes :
 
     On a session without [record_deps] there are no edges to walk, so
     the whole memo is dropped (sound, not incremental). *)
-
-val dependencies_of :
-  session -> Rdf.Term.t * Label.t -> (Rdf.Term.t * Label.t) list
-(** The (node, shape) hypotheses the pair's latest evaluation
-    consulted — empty when unrecorded or never evaluated. *)
 
 val metrics : session -> Telemetry.snapshot
 (** The session's unified metrics snapshot: on a profiled session the
@@ -256,6 +259,18 @@ val check_all : session -> (Rdf.Term.t * Label.t) list -> outcome list
     order).  Tracing sessions (a telemetry sink installed) always run
     sequentially so the event stream stays single-threaded and
     byte-identical. *)
+
+val trace : session -> Rdf.Term.t -> Label.t -> Deriv.trace option
+(** [trace session n l] is the derivative walk of δ(l) over [n]'s
+    neighbourhood in the session's store (incoming triples included
+    exactly when the shape has an inverse arc), with every shape
+    reference answered by the session's settled verdict — solved on
+    first demand, like {!check_bool}, but never timed into the
+    slowlog.  [None] when [l] has no shape.  The walk ignores the
+    shape's focus constraint, which refuses a node before any triple
+    is consumed.  This is the one traced walk: failure explanations
+    ({!outcome.explain}), the [--explain] tables and the CLI's
+    [--trace] all render it. *)
 
 val typing : session -> Rdf.Term.t -> Label.t -> Typing.t
 (** [typing session n l] is the typing τ of §8's judgement

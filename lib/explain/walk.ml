@@ -8,21 +8,18 @@ let pp_verdict ppf (outcome : Validate.outcome) =
     | None -> Format.pp_print_string ppf "FAIL"
 
 let pp_check ppf ~session n l =
-  let schema = Validate.schema session in
-  let graph = Validate.graph session in
   Format.fprintf ppf "@[<v>check %a@@%a@," Rdf.Term.pp n Label.pp l;
-  (match Schema.find_shape schema l with
+  (match Schema.find_shape (Validate.schema session) l with
   | None -> ()
   | Some { Schema.focus = Some vo; _ } when not (Value_set.obj_mem vo n) ->
       Format.fprintf ppf "  node constraint %a refuses the focus node@,"
         Value_set.pp_obj vo
-  | Some { Schema.expr = e; _ } ->
-      (* Replay the derivative walk with the session's settled
-         verdicts answering the shape references — the table form of
-         Examples 8-12. *)
-      let check_ref l' o = Validate.check_bool session o l' in
-      let trace = Deriv.matches_trace ~check_ref n graph e in
-      Format.fprintf ppf "  @[<v>%a@]@," Deriv.pp_trace trace);
+  | Some _ ->
+      (* The session's derivative walk, references answered by its
+         settled verdicts — the table form of Examples 8-12. *)
+      Option.iter
+        (Format.fprintf ppf "  @[<v>%a@]@," Deriv.pp_trace)
+        (Validate.trace session n l));
   let outcome = Validate.check session n l in
   Format.fprintf ppf "  %a@]" pp_verdict outcome
 

@@ -1,9 +1,9 @@
 (** The [--explain] mode: pretty-print the derivative walk behind a
     verdict, in the style of the paper's Example 8–12 tables.
 
-    For each (node, shape) association the walk replays
-    {!Shex.Deriv.matches_trace} against the session's settled
-    reference verdicts and renders
+    For each (node, shape) association the walk renders
+    {!Shex.Validate.trace} (the session's own neighbourhood, its
+    settled verdicts answering the shape references) as
 
     {v
     check <node>@<Shape>

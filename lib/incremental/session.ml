@@ -44,7 +44,6 @@ let create ?(engine = Shex.Validate.Derivatives)
 let graph t = Shex.Validate.graph t.vs
 let schema t = Shex.Validate.schema t.vs
 let validation t = t.vs
-let check t n l = Shex.Validate.check t.vs n l
 let check_bool t n l = Shex.Validate.check_bool t.vs n l
 let metrics t = Shex.Validate.metrics t.vs
 

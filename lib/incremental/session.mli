@@ -81,13 +81,11 @@ val apply : t -> delta -> stats
     frontier, re-solve it, report the work done.  Applying an empty
     (or fully no-op) delta touches nothing and returns zero stats. *)
 
-val check : t -> Rdf.Term.t -> Shex.Label.t -> Shex.Validate.outcome
-(** Verdict and, on failure, explanation against the current graph.
-    Nothing typing-related is kept per pair, so an edit has only
-    verdicts to invalidate; ask {!Shex.Validate.typing} on
-    {!validation} for a typing. *)
-
 val check_bool : t -> Rdf.Term.t -> Shex.Label.t -> bool
+(** The verdict against the current graph.  Nothing typing-related is
+    kept per pair, so an edit has only verdicts to invalidate; ask
+    {!Shex.Validate.check} or {!Shex.Validate.typing} on {!validation}
+    for an explanation or a typing. *)
 
 val set_schema : t -> Shex.Schema.t -> unit
 (** Full fallback: schema deltas are not localised, so the inner

@@ -30,6 +30,7 @@ let reference schema graph assocs =
    verdict or report-JSON divergence here. *)
 let engine_arms =
   [ ("backtrack", Shex.Validate.Backtracking, 1, false);
+    ("interned-backtrack", Shex.Validate.Backtracking, 1, true);
     ("auto", Shex.Validate.Auto, 1, false);
     ("interned", Shex.Validate.Derivatives, 1, true);
     ("interned-auto", Shex.Validate.Auto, 1, true);
@@ -64,16 +65,19 @@ let compare_full ~arm ~ref_oks ~ref_json assocs (oks, json) =
   else None
 
 (* Direct SORBE arm: shapes in the counting fragment (no focus
-   constraint, no shape references) matched by [Sorbe.matches] alone,
-   outside the Auto dispatch — this is what pins the [Sorbe.of_rse]
-   applicability analysis itself. *)
+   constraint, no shape references) matched by [Sorbe.matches_dts]
+   alone, outside the Auto dispatch and its per-label matchers — this
+   is what pins the [Sorbe.of_rse] applicability analysis itself.  It
+   reads each neighbourhood straight from the graph. *)
 let sorbe_arm schema graph assocs ref_oks =
   let compiled =
     List.filter_map
       (fun (l, (s : Shex.Schema.shape)) ->
         if s.focus <> None || Shex.Rse.has_ref s.expr then None
         else
-          Option.map (fun constrs -> (l, constrs)) (Shex.Sorbe.of_rse s.expr))
+          Option.map
+            (fun constrs -> (l, (Shex.Rse.has_inverse s.expr, constrs)))
+            (Shex.Sorbe.of_rse s.expr))
       (Shex.Schema.shapes schema)
   in
   let rec first_mismatch assocs oks =
@@ -82,8 +86,9 @@ let sorbe_arm schema graph assocs ref_oks =
     | ((n, l) as a) :: assocs', ok :: oks' -> (
         match List.assoc_opt l compiled with
         | None -> first_mismatch assocs' oks'
-        | Some constrs ->
-            let sorbe_ok = Shex.Sorbe.matches n graph constrs in
+        | Some (include_inverse, constrs) ->
+            let dts = Shex.Neigh.of_node ~include_inverse n graph in
+            let sorbe_ok = Shex.Sorbe.matches_dts n dts constrs in
             if sorbe_ok <> ok then
               Some
                 { arm = "sorbe";

@@ -31,7 +31,7 @@ val divergences :
   (Rdf.Term.t * Shex.Label.t) list ->
   divergence list
 (** Run every applicable arm over the associations and report each
-    disagreement with the derivative reference.  The nine engine and
+    disagreement with the derivative reference.  The ten engine and
     domain arms always run; the SORBE and SPARQL arms restrict
     themselves to the shapes (and, for SPARQL, focus nodes) inside
     their fragments. *)

@@ -93,8 +93,8 @@ let agree_on shape graphs =
     (fun g ->
       check_bool
         (Format.asprintf "agree on %a" Rdf.Graph.pp g)
-        (Deriv.matches (node "n") g shape)
-        (Dfa.matches auto (node "n") g))
+        (deriv_matches (node "n") g shape)
+        (dfa_matches auto (node "n") g shape))
     graphs
 
 let test_dfa_examples () =
@@ -118,7 +118,9 @@ let test_dfa_cache_reuse () =
         ignore k;
         example8_graph)
   in
-  List.iter (fun g -> check_bool "match" true (Dfa.matches auto (node "n") g)) graphs;
+  List.iter
+    (fun g -> check_bool "match" true (dfa_matches auto (node "n") g example5))
+    graphs;
   let reading name = Telemetry.Counter.value (Telemetry.counter tele name) in
   let hits = reading "compiled_hits" and misses = reading "compiled_misses" in
   check_bool "some transitions built" true (misses > 0);
@@ -192,7 +194,7 @@ let prop_dfa_equals_deriv =
     Test_props.arb_rse_graph
     (fun (e, g) ->
       let auto = Dfa.compile e in
-      Bool.equal (Deriv.matches (node "n") g e) (Dfa.matches auto (node "n") g))
+      Bool.equal (deriv_matches (node "n") g e) (dfa_matches auto (node "n") g e))
 
 let gen_profile =
   QCheck.Gen.(

@@ -7,27 +7,27 @@ open Shex
 (* Example 8: the backtracking matcher accepts via decomposition. *)
 let test_example8 () =
   check_bool "matches" true
-    (Backtrack.matches (node "n") example8_graph example5)
+    (backtrack_matches (node "n") example8_graph example5)
 
 let test_example12_rejected () =
   check_bool "fails" false
-    (Backtrack.matches (node "n") example12_graph example5)
+    (backtrack_matches (node "n") example12_graph example5)
 
 let test_empty_graph () =
   check_bool "ε" true
-    (Backtrack.matches (node "n") Rdf.Graph.empty Rse.epsilon);
+    (backtrack_matches (node "n") Rdf.Graph.empty Rse.epsilon);
   check_bool "∅" false
-    (Backtrack.matches (node "n") Rdf.Graph.empty Rse.empty);
+    (backtrack_matches (node "n") Rdf.Graph.empty Rse.empty);
   check_bool "star" true
-    (Backtrack.matches (node "n") Rdf.Graph.empty
+    (backtrack_matches (node "n") Rdf.Graph.empty
        (Rse.star (arc_num "a" [ 1 ])))
 
 let test_arc_exactly_one () =
   let e = arc_num "a" [ 1 ] in
   check_bool "one triple" true
-    (Backtrack.matches (node "n") (graph_of [ t3 "n" "a" (num 1) ]) e);
+    (backtrack_matches (node "n") (graph_of [ t3 "n" "a" (num 1) ]) e);
   check_bool "two triples" false
-    (Backtrack.matches (node "n")
+    (backtrack_matches (node "n")
        (graph_of [ t3 "n" "a" (num 1); t3 "n" "b" (num 1) ])
        e)
 
@@ -35,31 +35,41 @@ let test_star_terminates () =
   (* Star2 requires a non-empty g1, so matching terminates. *)
   let e = Rse.star (arc_num "b" [ 1; 2; 3 ]) in
   let g = graph_of (List.init 3 (fun j -> t3 "n" "b" (num (j + 1)))) in
-  check_bool "b* on 3 arcs" true (Backtrack.matches (node "n") g e)
+  check_bool "b* on 3 arcs" true (backtrack_matches (node "n") g e)
 
 let test_work_counter_grows () =
-  (* The explored-rule counter must grow steeply with the
-     neighbourhood: a failing ‖-match explores all 2^n
-     decompositions (Example 3). *)
-  let graph k = graph_of (List.init k (fun j -> t3 "n" "b" (num (j + 1)))) in
-  let e =
-    Rse.and_ (arc_num "a" [ 0 ])
-      (Rse.star (arc_num "b" (List.init 10 (fun j -> j + 1))))
+  (* The explored-rule counter, exactly: E1's backtrack_ops column.  On
+     Example 5's shape a valid neighbourhood of n triples takes 2n + 2
+     rule applications; a failing one (no a-arc) explores all 2^n
+     decompositions of the top-level ‖ (Example 3), one more each. *)
+  let shape = Workload.Micro_gen.example5_shape () in
+  let branches g =
+    let tele = Telemetry.create () in
+    let ok =
+      backtrack_matches ~instr:(Backtrack.instruments tele)
+        Workload.Micro_gen.focus g shape
+    in
+    (ok, Telemetry.Counter.value (Telemetry.counter tele "backtrack_branches"))
   in
-  (* No a-arc in the graph, so the match fails after exhausting every
-     decomposition. *)
-  let work k = snd (Backtrack.matches_count (node "n") (graph k) e) in
-  let w3 = work 3 and w9 = work 9 in
-  check_bool "match fails" false (Backtrack.matches (node "n") (graph 9) e);
-  check_bool "exponential-ish growth" true (w9 > 8 * w3)
+  List.iter
+    (fun n ->
+      let ok, work = branches (Workload.Micro_gen.example5_neighbourhood n) in
+      check_bool "valid matches" true ok;
+      check_int (Printf.sprintf "valid n=%d" n) ((2 * n) + 2) work;
+      let ok, work =
+        branches (Workload.Micro_gen.example5_neighbourhood_invalid n)
+      in
+      check_bool "invalid fails" false ok;
+      check_int (Printf.sprintf "invalid n=%d" n) ((1 lsl n) + 1) work)
+    [ 2; 4; 6; 8; 10 ]
 
 let test_agreement_on_examples () =
   List.iter
     (fun (e, g) ->
       check_bool "backtrack = deriv" true
         (Bool.equal
-           (Backtrack.matches (node "n") g e)
-           (Deriv.matches (node "n") g e)))
+           (backtrack_matches (node "n") g e)
+           (deriv_matches (node "n") g e)))
     [ (example5, example8_graph);
       (example5, example12_graph);
       (example10, example8_graph);
@@ -70,13 +80,13 @@ let test_agreement_on_examples () =
 let test_negation () =
   let e = Rse.not_ (arc_num "a" [ 1 ]) in
   check_bool "¬ empty ok" true
-    (Backtrack.matches (node "n") Rdf.Graph.empty e);
+    (backtrack_matches (node "n") Rdf.Graph.empty e);
   check_bool "¬ exact rejected" false
-    (Backtrack.matches (node "n") (graph_of [ t3 "n" "a" (num 1) ]) e)
+    (backtrack_matches (node "n") (graph_of [ t3 "n" "a" (num 1) ]) e)
 
-let test_matches_list () =
+let test_explicit_neighbourhood () =
   let dts = List.map Neigh.out (Rdf.Graph.to_list example8_graph) in
-  check_bool "list API" true (Backtrack.matches_list dts example5)
+  check_bool "list API" true (Backtrack.matches_dts (node "n") dts example5)
 
 let suites =
   [ ( "backtrack",
@@ -93,4 +103,4 @@ let suites =
           test_agreement_on_examples;
         Alcotest.test_case "negation" `Quick test_negation;
         Alcotest.test_case "explicit neighbourhood API" `Quick
-          test_matches_list ] ) ]
+          test_explicit_neighbourhood ] ) ]

@@ -265,9 +265,88 @@ let test_session_columnar () =
     (Shex.Validate.validate_graph
        (Shex.Validate.session person_schema sample_graph))
     (Shex.Validate.validate_graph st);
-  (* The structural view materialises on demand and matches. *)
-  Alcotest.check graph "lazy structural view" sample_graph
+  (* The structural view is converted from the store and matches. *)
+  Alcotest.check graph "structural view" sample_graph
     (Shex.Validate.graph st)
+
+(* Every engine reads the frozen store's slices, the Fig.-1 baseline
+   too: one Backtracking check on a 100 003-triple store allocates in
+   proportion to the focus node's three triples and the session's
+   first pair, not to the store (building a graph of the store for the
+   baseline cost 34.6 M words). *)
+let test_frozen_backtracking_allocation () =
+  let b = Rdf.Columnar.builder () in
+  Rdf.Graph.iter (Rdf.Columnar.add_triple b) example8_graph;
+  for i = 0 to 99_999 do
+    Rdf.Columnar.add b (node ("s" ^ string_of_int (i / 10))) (ex "b") (num i)
+  done;
+  let c = Rdf.Columnar.freeze b in
+  check_int "store size" 100_003 (Rdf.Columnar.cardinal c);
+  let st =
+    Shex.Validate.session_columnar ~engine:Shex.Validate.Backtracking
+      person_schema c
+  in
+  let before = Gc.minor_words () in
+  let ok = Shex.Validate.check_bool st (node "n") (Shex.Label.of_string "S") in
+  let words = Gc.minor_words () -. before in
+  check_bool "conforms" true ok;
+  check_bool
+    (Printf.sprintf "%.0f words (at most 5 000)" words)
+    true (words <= 5000.)
+
+(* The one traced walk reads the session's store: on a frozen store and
+   on a graph of the same triples, {!Shex.Validate.trace} and the
+   [--explain] tables print the same thing for every association —
+   through an inverse arc (<Managed>), a shape reference, and a focus
+   constraint that refuses the blank node (<Boss>). *)
+let test_trace_agrees_across_stores () =
+  let schema =
+    match
+      Shexc.Shexc_parser.parse_schema
+        "PREFIX ex: <http://example.org/>\n\
+         <S> { ex:a [1], ex:b [1 2]* }\n\
+         <Managed> { ^ex:manages @<Boss>+, ex:a [1], ex:b [1 2]* }\n\
+         <Boss> IRI { ex:manages .+ }"
+    with
+    | Ok s -> s
+    | Error msg -> failwith msg
+  in
+  let manages = ex "manages" and b = Rdf.Term.Bnode (Rdf.Bnode.of_string "b") in
+  let g =
+    Rdf.Graph.union example8_graph
+      (graph_of
+         [ t3 "m" "a" (num 1); t3 "m" "b" (num 2);
+           triple (node "boss") manages (node "n");
+           triple (node "boss") manages (node "m");
+           triple b manages (node "m") ])
+  in
+  let structural = Shex.Validate.session schema g
+  and frozen = Shex.Validate.session_columnar schema (Rdf.Columnar.of_graph g) in
+  let associations =
+    List.concat_map
+      (fun n -> List.map (fun l -> (n, l)) (Shex.Schema.labels schema))
+      (Rdf.Graph.nodes g)
+  in
+  let walk st =
+    Format.asprintf "%a" (fun ppf () ->
+        Shex_explain.Walk.pp_report ppf ~session:st associations) ()
+  in
+  let text = walk structural in
+  check_string "--explain tables" text (walk frozen);
+  List.iter
+    (fun word -> check_bool word true (contains text word))
+    [ "PASS"; "FAIL"; "refuses the focus node" ];
+  List.iter
+    (fun (n, l) ->
+      let trace st =
+        Option.map
+          (Format.asprintf "%a" Shex.Deriv.pp_trace)
+          (Shex.Validate.trace st n l)
+      in
+      Alcotest.(check (option string))
+        (Format.asprintf "trace %a@%a" Rdf.Term.pp n Shex.Label.pp l)
+        (trace structural) (trace frozen))
+    ((node "n", Shex.Label.of_string "Nowhere") :: associations)
 
 (* ------------------------------------------------------------------ *)
 (* Streaming N-Triples loading                                         *)
@@ -427,7 +506,11 @@ let columnar_tests =
     Alcotest.test_case "columnar-primary session" `Quick
       test_session_columnar;
     Alcotest.test_case "Neigh.of_node allocates per listed triple" `Quick
-      test_neigh_of_node_allocation ]
+      test_neigh_of_node_allocation;
+    Alcotest.test_case "frozen Backtracking check allocates per neighbourhood"
+      `Quick test_frozen_backtracking_allocation;
+    Alcotest.test_case "trace and --explain agree across stores" `Quick
+      test_trace_agrees_across_stores ]
 
 let streaming_tests =
   [ Alcotest.test_case "fold_file ≡ parse_file" `Quick

@@ -14,13 +14,13 @@ let test_example9 () =
 (* Example 11: e ≃ {⟨n,a,1⟩, ⟨n,b,1⟩, ⟨n,b,2⟩} succeeds *)
 let test_example11 () =
   check_bool "matches" true
-    (Deriv.matches (node "n") example8_graph example5)
+    (deriv_matches (node "n") example8_graph example5)
 
 (* Example 12: e ≄ {⟨n,a,1⟩, ⟨n,a,2⟩, ⟨n,b,1⟩} — the second a-arc has
    no matching arc and the derivative collapses to ∅. *)
 let test_example12 () =
   check_bool "fails" false
-    (Deriv.matches (node "n") example12_graph example5)
+    (deriv_matches (node "n") example12_graph example5)
 
 (* Example 10: the derivative of the balance-checker grows:
    ∂⟨n,a,1⟩(e) = b→{1,2} ‖ e. *)
@@ -63,36 +63,36 @@ let test_deriv_graph_empty () =
 
 let test_match_empty_graph () =
   check_bool "ε matches empty" true
-    (Deriv.matches (node "n") Rdf.Graph.empty Rse.epsilon);
+    (deriv_matches (node "n") Rdf.Graph.empty Rse.epsilon);
   check_bool "∅ rejects empty" false
-    (Deriv.matches (node "n") Rdf.Graph.empty Rse.empty);
+    (deriv_matches (node "n") Rdf.Graph.empty Rse.empty);
   check_bool "e* matches empty" true
-    (Deriv.matches (node "n") Rdf.Graph.empty (Rse.star (arc_num "a" [ 1 ])));
+    (deriv_matches (node "n") Rdf.Graph.empty (Rse.star (arc_num "a" [ 1 ])));
   check_bool "arc rejects empty" false
-    (Deriv.matches (node "n") Rdf.Graph.empty (arc_num "a" [ 1 ]))
+    (deriv_matches (node "n") Rdf.Graph.empty (arc_num "a" [ 1 ]))
 
 let test_match_ignores_other_subjects () =
   (* Only Σgn (subject = n) is consumed. *)
   let g = Rdf.Graph.add (t3 "m" "z" (num 9)) example8_graph in
   check_bool "other subjects irrelevant" true
-    (Deriv.matches (node "n") g example5)
+    (deriv_matches (node "n") g example5)
 
 let test_match_plus () =
   let e = Rse.plus (arc_num "b" [ 1; 2 ]) in
   let g1 = graph_of [ t3 "n" "b" (num 1) ] in
   let g0 = Rdf.Graph.empty in
-  check_bool "one b" true (Deriv.matches (node "n") g1 e);
-  check_bool "zero b" false (Deriv.matches (node "n") g0 e);
+  check_bool "one b" true (deriv_matches (node "n") g1 e);
+  check_bool "zero b" false (deriv_matches (node "n") g0 e);
   let g2 = graph_of [ t3 "n" "b" (num 1); t3 "n" "b" (num 2) ] in
-  check_bool "two b" true (Deriv.matches (node "n") g2 e)
+  check_bool "two b" true (deriv_matches (node "n") g2 e)
 
 let test_match_repeat () =
   let e = Rse.repeat 1 (Some 2) (arc_num "b" [ 1; 2; 3 ]) in
   let g k = graph_of (List.init k (fun j -> t3 "n" "b" (num (j + 1)))) in
-  check_bool "0 fails" false (Deriv.matches (node "n") (g 0) e);
-  check_bool "1 ok" true (Deriv.matches (node "n") (g 1) e);
-  check_bool "2 ok" true (Deriv.matches (node "n") (g 2) e);
-  check_bool "3 fails" false (Deriv.matches (node "n") (g 3) e)
+  check_bool "0 fails" false (deriv_matches (node "n") (g 0) e);
+  check_bool "1 ok" true (deriv_matches (node "n") (g 1) e);
+  check_bool "2 ok" true (deriv_matches (node "n") (g 2) e);
+  check_bool "3 fails" false (deriv_matches (node "n") (g 3) e)
 
 let test_deriv_repeat_counts_down () =
   (* ∂t(e{m,n}) = ∂t(e) ‖ e{m∸1,n−1}: a matching triple lowers both
@@ -115,7 +115,7 @@ let test_bag_semantics () =
   let e = Rse.and_ (arc_num "a" [ 1 ]) (arc_num "a" [ 1 ]) in
   let g = graph_of [ t3 "n" "a" (num 1) ] in
   check_bool "single triple can't satisfy a ‖ a" false
-    (Deriv.matches (node "n") g e)
+    (deriv_matches (node "n") g e)
 
 (* Value set machinery through matching *)
 
@@ -134,15 +134,15 @@ let test_match_datatype () =
       [ t3 "n" "age" (Rdf.Term.str "old");
         t3 "n" "name" (Rdf.Term.str "John") ]
   in
-  check_bool "well-typed" true (Deriv.matches (node "n") good e);
-  check_bool "age not integer" false (Deriv.matches (node "n") bad_type e)
+  check_bool "well-typed" true (deriv_matches (node "n") good e);
+  check_bool "age not integer" false (deriv_matches (node "n") bad_type e)
 
 let test_match_node_kinds () =
   let e = Rse.arc_v (Value_set.Pred (ex "p")) (Value_set.Obj_kind Value_set.Iri_kind) in
   let g_iri = graph_of [ t3 "n" "p" (node "x") ] in
   let g_lit = graph_of [ t3 "n" "p" (num 1) ] in
-  check_bool "iri ok" true (Deriv.matches (node "n") g_iri e);
-  check_bool "literal not iri" false (Deriv.matches (node "n") g_lit e)
+  check_bool "iri ok" true (deriv_matches (node "n") g_iri e);
+  check_bool "literal not iri" false (deriv_matches (node "n") g_lit e)
 
 (* Extensions: inverse arcs and negation *)
 
@@ -152,9 +152,9 @@ let test_inverse_arcs () =
     Rse.arc_v ~inverse:true (Value_set.Pred (ex "manages")) Value_set.Obj_any
   in
   let g = graph_of [ triple (node "boss") (ex "manages") (node "n") ] in
-  check_bool "incoming arc found" true (Deriv.matches (node "n") g e);
+  check_bool "incoming arc found" true (deriv_matches (node "n") g e);
   check_bool "outgoing arc is not incoming" false
-    (Deriv.matches (node "boss") g e)
+    (deriv_matches (node "boss") g e)
 
 let test_inverse_mixed () =
   let e =
@@ -166,17 +166,17 @@ let test_inverse_mixed () =
     graph_of
       [ t3 "n" "a" (num 1); triple (node "m") (ex "r") (node "n") ]
   in
-  check_bool "outgoing + incoming" true (Deriv.matches (node "n") g e)
+  check_bool "outgoing + incoming" true (deriv_matches (node "n") g e)
 
 let test_negation () =
   (* ¬(a→1): any neighbourhood except exactly {⟨n,a,1⟩} *)
   let e = Rse.not_ (arc_num "a" [ 1 ]) in
   check_bool "empty neighbourhood ok" true
-    (Deriv.matches (node "n") Rdf.Graph.empty e);
+    (deriv_matches (node "n") Rdf.Graph.empty e);
   check_bool "the single a-arc rejected" false
-    (Deriv.matches (node "n") (graph_of [ t3 "n" "a" (num 1) ]) e);
+    (deriv_matches (node "n") (graph_of [ t3 "n" "a" (num 1) ]) e);
   check_bool "two arcs ok" true
-    (Deriv.matches (node "n")
+    (deriv_matches (node "n")
        (graph_of [ t3 "n" "a" (num 1); t3 "n" "b" (num 1) ])
        e)
 
@@ -185,21 +185,21 @@ let test_negation_combined () =
      With bag semantics the rest is the remaining triples. *)
   let e = Rse.and_ (arc_num "a" [ 1 ]) (Rse.not_ Rse.empty) in
   check_bool "a plus anything" true
-    (Deriv.matches (node "n") example8_graph e);
+    (deriv_matches (node "n") example8_graph e);
   check_bool "missing a" false
-    (Deriv.matches (node "n") (graph_of [ t3 "n" "b" (num 1) ]) e)
+    (deriv_matches (node "n") (graph_of [ t3 "n" "b" (num 1) ]) e)
 
 (* Traces *)
 
 let test_trace_success () =
-  let tr = Deriv.matches_trace (node "n") example8_graph example5 in
+  let tr = deriv_trace (node "n") example8_graph example5 in
   check_bool "result" true tr.Deriv.result;
   check_int "3 steps" 3 (List.length tr.Deriv.steps)
 
 (* The rendered explanations of failed traces are Explain's
    (test_explain.ml); these check the trace records where it broke. *)
 let test_trace_failure_collapse () =
-  let tr = Deriv.matches_trace (node "n") example12_graph example5 in
+  let tr = deriv_trace (node "n") example12_graph example5 in
   check_bool "result" false tr.Deriv.result;
   check_bool "a step collapses to ∅" true
     (List.exists (fun s -> Rse.equal s.Deriv.after Rse.empty) tr.Deriv.steps)
@@ -208,7 +208,7 @@ let test_trace_failure_residual () =
   (* Missing required arc: all triples consumed, residual not nullable. *)
   let e = Rse.and_ (arc_num "a" [ 1 ]) (arc_num "b" [ 1 ]) in
   let tr =
-    Deriv.matches_trace (node "n") (graph_of [ t3 "n" "a" (num 1) ]) e
+    deriv_trace (node "n") (graph_of [ t3 "n" "a" (num 1) ]) e
   in
   check_bool "result" false tr.Deriv.result;
   match List.rev tr.Deriv.steps with
@@ -218,7 +218,7 @@ let test_trace_failure_residual () =
       check_bool "residual not nullable" false (Rse.nullable last.Deriv.after)
 
 let test_trace_pp () =
-  let tr = Deriv.matches_trace (node "n") example8_graph example5 in
+  let tr = deriv_trace (node "n") example8_graph example5 in
   let s = Format.asprintf "%a" Deriv.pp_trace tr in
   check_bool "non-empty rendering" true (String.length s > 40)
 
@@ -228,7 +228,10 @@ let test_raw_ctors_same_verdict () =
   List.iter
     (fun (g, expected) ->
       check_bool "raw verdict" expected
-        (Deriv.matches ~ctors:Rse.raw_ctors (node "n") g example5))
+        (Rse.nullable
+           (Deriv.deriv_graph ~ctors:Rse.raw_ctors
+              (neigh (node "n") g example5)
+              example5)))
     [ (example8_graph, true); (example12_graph, false) ]
 
 let test_raw_ctors_blowup () =

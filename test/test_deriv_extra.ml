@@ -20,8 +20,8 @@ let test_example6 () =
         triple (node "n") (foaf "name") (Rdf.Term.str "N") ]
   in
   let missing_name = graph_of [ triple (node "n") (foaf "age") (num 30) ] in
-  check_bool "conforms" true (Deriv.matches (node "n") ok e);
-  check_bool "missing name" false (Deriv.matches (node "n") missing_name e)
+  check_bool "conforms" true (deriv_matches (node "n") ok e);
+  check_bool "missing name" false (deriv_matches (node "n") missing_name e)
 
 let test_pred_compl_arc () =
   (* Arc over a complement predicate set: anything but a or b. *)
@@ -32,9 +32,9 @@ let test_pred_compl_arc () =
          Value_set.Obj_any)
   in
   check_bool "c-arc matches complement" true
-    (Deriv.matches (node "n") (graph_of [ t3 "n" "c" (num 1) ]) e);
+    (deriv_matches (node "n") (graph_of [ t3 "n" "c" (num 1) ]) e);
   check_bool "a-arc excluded" false
-    (Deriv.matches (node "n") (graph_of [ t3 "n" "a" (num 1) ]) e)
+    (deriv_matches (node "n") (graph_of [ t3 "n" "a" (num 1) ]) e)
 
 let test_pred_in_arc () =
   let e =
@@ -44,11 +44,11 @@ let test_pred_in_arc () =
          Value_set.Obj_any)
   in
   check_bool "a or b" true
-    (Deriv.matches (node "n")
+    (deriv_matches (node "n")
        (graph_of [ t3 "n" "a" (num 1); t3 "n" "b" (num 2) ])
        e);
   check_bool "c rejected" false
-    (Deriv.matches (node "n") (graph_of [ t3 "n" "c" (num 1) ]) e)
+    (deriv_matches (node "n") (graph_of [ t3 "n" "c" (num 1) ]) e)
 
 let test_pred_stem_arc () =
   let e =
@@ -62,9 +62,9 @@ let test_pred_stem_arc () =
           (Rdf.Iri.of_string_exn "http://example.org/ns/anything")
           (num 1) ]
   in
-  check_bool "stem predicate" true (Deriv.matches (node "n") g e);
+  check_bool "stem predicate" true (deriv_matches (node "n") g e);
   check_bool "outside stem" false
-    (Deriv.matches (node "n") (graph_of [ t3 "n" "x" (num 1) ]) e)
+    (deriv_matches (node "n") (graph_of [ t3 "n" "x" (num 1) ]) e)
 
 (* Open shapes stay in the SORBE fragment: the complement star merges
    cleanly with the explicit constraints, so the counting matcher
@@ -80,9 +80,9 @@ let test_open_shape_is_sorbe () =
       List.iter
         (fun (g, expected) ->
           check_bool "counting verdict" expected
-            (Sorbe.matches (node "n") g sorbe);
+            (sorbe_matches (node "n") g sorbe);
           check_bool "deriv agrees" expected
-            (Deriv.matches (node "n") g opened))
+            (deriv_matches (node "n") g opened))
         [ (graph_of [ t3 "n" "a" (num 1) ], true);
           (graph_of [ t3 "n" "a" (num 1); t3 "n" "zz" (num 9) ], true);
           (graph_of [ t3 "n" "zz" (num 9) ], false) ]
@@ -100,9 +100,9 @@ let test_bidirectional_shape () =
       [ triple (node "mid") (ex "manages") (node "low");
         triple (node "top") (ex "manages") (node "mid") ]
   in
-  check_bool "middle manager" true (Deriv.matches (node "mid") g e);
-  check_bool "top has no boss" false (Deriv.matches (node "top") g e);
-  check_bool "low manages nobody" false (Deriv.matches (node "low") g e)
+  check_bool "middle manager" true (deriv_matches (node "mid") g e);
+  check_bool "top has no boss" false (deriv_matches (node "top") g e);
+  check_bool "low manages nobody" false (deriv_matches (node "low") g e)
 
 (* A self-loop triple appears both as outgoing and incoming. *)
 let test_self_loop_directions () =
@@ -114,7 +114,7 @@ let test_self_loop_directions () =
   in
   let g = graph_of [ triple (node "n") (ex "p") (node "n") ] in
   check_bool "self-loop satisfies both directions" true
-    (Deriv.matches (node "n") g e)
+    (deriv_matches (node "n") g e)
 
 let suites =
   [ ( "deriv.extra",

@@ -27,13 +27,13 @@ let test_required_arcs () =
     (List.length (Explain.required_arcs (Rse.or_ a b)))
 
 let test_of_trace_pass () =
-  let tr = Deriv.matches_trace focus example8_graph example5 in
+  let tr = deriv_trace focus example8_graph example5 in
   check_bool "no explanation for an accepting trace" true
     (Explain.of_trace ~node:focus ~label:s_label tr = None)
 
 let test_blame_triple () =
   (* Example 12: the second a-triple drives the residual to ∅. *)
-  let tr = Deriv.matches_trace focus example12_graph example5 in
+  let tr = deriv_trace focus example12_graph example5 in
   match Explain.of_trace ~node:focus ~label:s_label tr with
   | Some (Explain.Blame_triple { node = n; triple; ref_failures; _ } as ex) ->
       Alcotest.check term "blames the focus node" focus n;
@@ -47,7 +47,7 @@ let test_blame_triple () =
 let test_missing_arcs () =
   let e = Rse.and_ (arc_num "a" [ 1 ]) (arc_num "b" [ 1 ]) in
   let g = graph_of [ t3 "n" "a" (num 1) ] in
-  let tr = Deriv.matches_trace focus g e in
+  let tr = deriv_trace focus g e in
   match Explain.of_trace ~node:focus ~label:s_label tr with
   | Some (Explain.Missing_arcs { missing; residual; _ }) ->
       check_bool "residual is not nullable" false (Rse.nullable residual);
@@ -77,7 +77,7 @@ let test_to_json_kinds () =
     (contains
        (json (Explain.No_shape { node = focus; label = s_label }))
        {|"kind":"no_shape"|});
-  let tr = Deriv.matches_trace focus example12_graph example5 in
+  let tr = deriv_trace focus example12_graph example5 in
   match Explain.of_trace ~node:focus ~label:s_label tr with
   | Some ex ->
       let s = json ex in
@@ -215,9 +215,9 @@ let prop_matcher_tracing_preserves_verdict =
   QCheck.Test.make ~count:300
     ~name:"matcher verdicts identical with tracing on/off"
     Test_props.arb_rse_graph (fun (e, g) ->
-      let plain = Deriv.matches focus g e in
+      let plain = deriv_matches focus g e in
       let traced =
-        Deriv.matches ~instr:(Deriv.instruments (traced_registry ())) focus g e
+        deriv_matches ~instr:(Deriv.instruments (traced_registry ())) focus g e
       in
       Bool.equal plain traced)
 

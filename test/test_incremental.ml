@@ -262,14 +262,12 @@ let incremental_equals_scratch seed =
       (* The whole outcome, not just the verdict: a typing walks the
          retained verdicts, so a verdict kept past an invalidation that
          a closure passes through shows up as a stale typing. *)
+      let vs = Shex_incremental.Session.validation inc in
       List.for_all
         (fun (n, l) ->
-          let i = Shex_incremental.Session.check inc n l
-          and s = Validate.check scratch n l in
+          let i = Validate.check vs n l and s = Validate.check scratch n l in
           Bool.equal i.ok s.ok
-          && Typing.equal
-               (Validate.typing (Shex_incremental.Session.validation inc) n l)
-               (Validate.typing scratch n l)
+          && Typing.equal (Validate.typing vs n l) (Validate.typing scratch n l)
           && Option.equal
                (fun a b -> Explain.to_json a = Explain.to_json b)
                i.explain s.explain)

@@ -33,22 +33,22 @@ let closed_shape =
 
 let test_closed_rejects_extra () =
   check_bool "closed ok on exact" true
-    (Deriv.matches (node "john") base_graph closed_shape);
+    (deriv_matches (node "john") base_graph closed_shape);
   check_bool "closed rejects extra" false
-    (Deriv.matches (node "john") with_extra_triple closed_shape)
+    (deriv_matches (node "john") with_extra_triple closed_shape)
 
 let test_open_up_tolerates_unmentioned () =
   let open_shape = Rse.open_up closed_shape in
   check_bool "open ok on exact" true
-    (Deriv.matches (node "john") base_graph open_shape);
+    (deriv_matches (node "john") base_graph open_shape);
   check_bool "open tolerates extra predicate" true
-    (Deriv.matches (node "john") with_extra_triple open_shape);
+    (deriv_matches (node "john") with_extra_triple open_shape);
   (* Mentioned predicates are still constrained: a second age fails. *)
   let two_ages =
     Rdf.Graph.add (triple (node "john") (foaf "age") (num 99)) base_graph
   in
   check_bool "open still counts mentioned arcs" false
-    (Deriv.matches (node "john") two_ages open_shape);
+    (deriv_matches (node "john") two_ages open_shape);
   (* And a bad value on a mentioned predicate still fails. *)
   let bad_age =
     graph_of
@@ -56,7 +56,7 @@ let test_open_up_tolerates_unmentioned () =
         triple (node "john") (foaf "name") (Rdf.Term.str "John") ]
   in
   check_bool "open still checks values" false
-    (Deriv.matches (node "john") bad_age open_shape)
+    (deriv_matches (node "john") bad_age open_shape)
 
 let test_with_extra () =
   let shape =
@@ -69,10 +69,10 @@ let test_with_extra () =
       base_graph
   in
   check_bool "extra age tolerated" true
-    (Deriv.matches (node "john") two_ages shape);
+    (deriv_matches (node "john") two_ages shape);
   (* ...but unrelated predicates are still rejected. *)
   check_bool "other extras rejected" false
-    (Deriv.matches (node "john") with_extra_triple shape)
+    (deriv_matches (node "john") with_extra_triple shape)
 
 let test_open_backtrack_agrees () =
   let open_shape = Rse.open_up closed_shape in
@@ -80,17 +80,17 @@ let test_open_backtrack_agrees () =
     (fun g ->
       check_bool "engines agree" true
         (Bool.equal
-           (Deriv.matches (node "john") g open_shape)
-           (Backtrack.matches (node "john") g open_shape)))
+           (deriv_matches (node "john") g open_shape)
+           (backtrack_matches (node "john") g open_shape)))
     [ base_graph; with_extra_triple ]
 
 let test_open_with_empty_shape () =
   (* An open empty shape accepts anything. *)
   let open_eps = Rse.open_up Rse.epsilon in
   check_bool "accepts empty" true
-    (Deriv.matches (node "john") Rdf.Graph.empty open_eps);
+    (deriv_matches (node "john") Rdf.Graph.empty open_eps);
   check_bool "accepts anything" true
-    (Deriv.matches (node "john") with_extra_triple open_eps)
+    (deriv_matches (node "john") with_extra_triple open_eps)
 
 (* ------------------------------------------------------------------ *)
 (* Surface syntax                                                     *)

@@ -94,7 +94,7 @@ let test_open_up_no_outgoing () =
   (* Opening a shape with no outgoing arcs tolerates any outgoing arc. *)
   let opened = Rse.open_up Rse.epsilon in
   check_bool "matches arbitrary neighbourhood" true
-    (Deriv.matches (node "n")
+    (deriv_matches (node "n")
        (graph_of [ t3 "n" "whatever" (num 5) ])
        opened)
 
@@ -104,10 +104,10 @@ let test_with_extra_values_ignored () =
   let g_two_a =
     graph_of [ t3 "n" "a" (num 1); t3 "n" "a" (num 99) ]
   in
-  check_bool "extra a tolerated" true (Deriv.matches (node "n") g_two_a e);
+  check_bool "extra a tolerated" true (deriv_matches (node "n") g_two_a e);
   let g_no_valid_a = graph_of [ t3 "n" "a" (num 99) ] in
   check_bool "required a still required" false
-    (Deriv.matches (node "n") g_no_valid_a e)
+    (deriv_matches (node "n") g_no_valid_a e)
 
 (* ------------------------------------------------------------------ *)
 (* repeat at larger sizes                                             *)
@@ -118,7 +118,7 @@ let test_repeat_large () =
   let g k = graph_of (List.init k (fun j -> t3 "n" "b" (num (j + 1)))) in
   List.iter
     (fun (k, expected) ->
-      check_bool (string_of_int k) expected (Deriv.matches (node "n") (g k) e))
+      check_bool (string_of_int k) expected (deriv_matches (node "n") (g k) e))
     [ (4, false); (5, true); (7, true); (10, true); (11, false) ]
 
 let test_repeat_exact () =
@@ -126,7 +126,7 @@ let test_repeat_exact () =
   let g k = graph_of (List.init k (fun j -> t3 "n" "b" (num (j + 1)))) in
   List.iter
     (fun (k, expected) ->
-      check_bool (string_of_int k) expected (Deriv.matches (node "n") (g k) e))
+      check_bool (string_of_int k) expected (deriv_matches (node "n") (g k) e))
     [ (2, false); (3, true); (4, false) ]
 
 let suites =

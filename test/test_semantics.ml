@@ -64,7 +64,7 @@ let test_mem_agrees_with_deriv () =
       match Semantics.mem ~node:(node "n") g e with
       | Ok verdict ->
           check_bool "mem = deriv" true
-            (Bool.equal verdict (Deriv.matches (node "n") g e))
+            (Bool.equal verdict (deriv_matches (node "n") g e))
       | Error msg -> Alcotest.fail msg)
     [ (example5, example8_graph);
       (example5, example12_graph);

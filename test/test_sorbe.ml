@@ -65,7 +65,7 @@ let test_counting_matcher () =
   List.iter
     (fun (g, expected) ->
       check_bool "verdict" expected
-        (Sorbe.matches (node "n") g (analyze example5)))
+        (sorbe_matches (node "n") g (analyze example5)))
     [ (example8_graph, true);
       (example12_graph, false);
       (graph_of [ t3 "n" "a" (num 1) ], true);
@@ -94,8 +94,8 @@ let test_counting_agrees_with_deriv () =
         (fun g ->
           check_bool
             (Format.asprintf "%a" Rse.pp e)
-            (Deriv.matches (node "n") g e)
-            (Sorbe.matches (node "n") g s))
+            (deriv_matches (node "n") g e)
+            (sorbe_matches (node "n") g s))
         graphs)
     shapes
 
@@ -104,7 +104,7 @@ let test_counting_obj_mismatch () =
      the whole match (closed semantics). *)
   let s = analyze (Rse.star b12) in
   check_bool "b out of range" false
-    (Sorbe.matches (node "n") (graph_of [ t3 "n" "b" (num 7) ]) s)
+    (sorbe_matches (node "n") (graph_of [ t3 "n" "b" (num 7) ]) s)
 
 let test_overlapping_stem_refused () =
   (* The applicability edge the oracle's Extended mode probes:
@@ -159,9 +159,9 @@ let test_counting_with_refs () =
   in
   let g = graph_of [ t3 "n" "knows" (node "m") ] in
   check_bool "ref accepted by callback" true
-    (Sorbe.matches ~check_ref:(fun _ _ -> true) (node "n") g s);
+    (sorbe_matches ~check_ref:(fun _ _ -> true) (node "n") g s);
   check_bool "ref refused by callback" false
-    (Sorbe.matches ~check_ref:(fun _ _ -> false) (node "n") g s)
+    (sorbe_matches ~check_ref:(fun _ _ -> false) (node "n") g s)
 
 let suites =
   [ ( "sorbe",

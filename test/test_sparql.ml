@@ -199,7 +199,7 @@ let test_gen_agrees_with_derivatives () =
       Alcotest.(check (list term))
         "sparql nodes = derivative nodes"
         (List.filter
-           (fun n -> Shex.Deriv.matches n example2_graph person_shape)
+           (fun n -> deriv_matches n example2_graph person_shape)
            (Rdf.Graph.subjects example2_graph))
         nodes
 

@@ -392,7 +392,7 @@ let test_exposition_sanitization () =
 let deriv_counters n =
   let tele = Telemetry.create () in
   let ok =
-    Deriv.matches
+    Util.deriv_matches
       ~instr:(Deriv.instruments tele)
       Workload.Micro_gen.focus
       (Workload.Micro_gen.example5_neighbourhood n)
@@ -416,7 +416,7 @@ let test_deriv_linear () =
 let backtrack_counters g =
   let tele = Telemetry.create () in
   let verdict =
-    Backtrack.matches
+    Util.backtrack_matches
       ~instr:(Backtrack.instruments tele)
       Workload.Micro_gen.focus g
       (Workload.Micro_gen.example5_shape ())
@@ -574,13 +574,13 @@ let prop_observation_only =
       let tele = Telemetry.create () in
       Telemetry.set_sink tele (Some ignore);
       let instrumented_deriv =
-        Deriv.matches ~instr:(Deriv.instruments tele) node g e
+        Util.deriv_matches ~instr:(Deriv.instruments tele) node g e
       in
       let instrumented_back =
-        Backtrack.matches ~instr:(Backtrack.instruments tele) node g e
+        Util.backtrack_matches ~instr:(Backtrack.instruments tele) node g e
       in
-      Bool.equal instrumented_deriv (Deriv.matches node g e)
-      && Bool.equal instrumented_back (Backtrack.matches node g e))
+      Bool.equal instrumented_deriv (Util.deriv_matches node g e)
+      && Bool.equal instrumented_back (Util.backtrack_matches node g e))
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots read back from JSON                                       *)

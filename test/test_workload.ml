@@ -82,11 +82,11 @@ let test_micro_example5 () =
   List.iter
     (fun n ->
       check_bool "valid neighbourhood matches" true
-        (Shex.Deriv.matches Workload.Micro_gen.focus
+        (deriv_matches Workload.Micro_gen.focus
            (Workload.Micro_gen.example5_neighbourhood n)
            shape);
       check_bool "invalid neighbourhood fails" false
-        (Shex.Deriv.matches Workload.Micro_gen.focus
+        (deriv_matches Workload.Micro_gen.focus
            (Workload.Micro_gen.example5_neighbourhood_invalid n)
            shape))
     [ 1; 2; 5; 10 ]
@@ -96,7 +96,7 @@ let test_micro_balanced () =
     (fun k ->
       let shape = Workload.Micro_gen.balanced_shape k in
       check_bool "balanced matches" true
-        (Shex.Deriv.matches Workload.Micro_gen.focus
+        (deriv_matches Workload.Micro_gen.focus
            (Workload.Micro_gen.balanced_neighbourhood k)
            shape);
       (* drop one b-arc: unbalanced fails *)
@@ -109,7 +109,7 @@ let test_micro_balanced () =
           (Rdf.Graph.to_list g)
       in
       check_bool "unbalanced fails" false
-        (Shex.Deriv.matches Workload.Micro_gen.focus
+        (deriv_matches Workload.Micro_gen.focus
            (Rdf.Graph.remove some_b g) shape))
     [ 1; 2; 4 ]
 
@@ -118,7 +118,7 @@ let test_micro_wide () =
     (fun f ->
       let shape = Workload.Micro_gen.wide_shape f in
       check_bool "wide matches" true
-        (Shex.Deriv.matches Workload.Micro_gen.focus
+        (deriv_matches Workload.Micro_gen.focus
            (Workload.Micro_gen.wide_neighbourhood f)
            shape);
       check_bool "is SORBE" true (Shex.Sorbe.of_rse shape <> None))

@@ -104,6 +104,34 @@ let example8_graph =
 let example12_graph =
   graph_of [ t3 "n" "a" (num 1); t3 "n" "a" (num 2); t3 "n" "b" (num 1) ]
 
+(* Σgn of [n] in [g] as [Validate] reads it for every engine: incoming
+   triples included exactly when [e] has an inverse arc. *)
+let neigh n g e =
+  Shex.Neigh.of_node ~include_inverse:(Shex.Rse.has_inverse e) n g
+
+(* Each engine's matcher over [n]'s neighbourhood in [g]. *)
+let deriv_matches ?check_ref ?instr n g e =
+  Shex.Deriv.matches_dts ?check_ref ?instr n (neigh n g e) e
+
+let deriv_trace ?check_ref n g e =
+  Shex.Deriv.matches_trace_dts ?check_ref n (neigh n g e) e
+
+let backtrack_matches ?check_ref ?instr n g e =
+  Shex.Backtrack.matches_dts ?check_ref ?instr n (neigh n g e) e
+
+(* A SORBE shape has an inverse arc iff one of its constraints does. *)
+let sorbe_matches ?check_ref ?instr n g s =
+  let include_inverse =
+    List.exists (fun (c : Shex.Sorbe.constr) -> c.arc.Shex.Rse.inverse) s
+  in
+  Shex.Sorbe.matches_dts ?check_ref ?instr n
+    (Shex.Neigh.of_node ~include_inverse n g)
+    s
+
+(* [auto] compiled from [e]. *)
+let dfa_matches ?check_ref auto n g e =
+  Shex.Dfa.matches_dts ?check_ref auto n (neigh n g e)
+
 (* Every reader of a frozen columnar store agrees with the structural
    graph over the same triples: cardinal, iteration order, nodes,
    per-node slices and degrees, and per-predicate slices. *)
