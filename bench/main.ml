@@ -1049,7 +1049,7 @@ let e13 () =
   List.iter
     (fun (name, mode) ->
       let t0 = Unix.gettimeofday () in
-      let summary = Oracle.run_campaign ~mode ~first_seed:0 ~count () in
+      let summary = Oracle.run mode ~first_seed:0 ~count in
       let dt = Unix.gettimeofday () -. t0 in
       (* The acceptance criterion: a campaign over the fixed seed range
          must find nothing — any divergence is a cross-engine bug. *)
@@ -1058,7 +1058,7 @@ let e13 () =
       | f :: _ ->
           failwith
             (Printf.sprintf "E13: %s-mode divergence at seed %d: %s" name
-               f.Oracle.seed f.Oracle.divergence.Oracle.detail));
+               f.Oracle.seed f.Oracle.detail));
       jrow
         [ ("mode", jstr name); ("seeds", jint count);
           ("wall_ms", jflt (ms dt));
@@ -1067,8 +1067,7 @@ let e13 () =
       row "  %-10s %-7d %9.1f ms %9.0f %-11d@." name count (ms dt)
         (float_of_int count /. dt)
         0)
-    [ ("surface", Workload.Rand_gen.Surface);
-      ("extended", Workload.Rand_gen.Extended) ];
+    [ ("surface", Oracle.Surface); ("extended", Oracle.Extended) ];
   row
     "@.  Expectation: zero divergences \xe2\x80\x94 the arms (backtracking, \
      SORBE, compiled automata,@.  2- and 4-domain bulk, SPARQL on its \

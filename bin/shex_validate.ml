@@ -228,26 +228,17 @@ let optimize_cmd schema =
     (if n = 1 then "" else "s");
   exit 0
 
-(* --oracle seeds=N[,start=S][,mode=surface|extended|edits|containment|
-   optimizer][,dir=DIR]: run a differential campaign and exit — 0 when
-   every arm agreed on every seed, 1 when divergences were found
-   (shrunk repro files land in DIR when given).  mode=edits replays
-   seeded insert/delete scripts through an incremental session and
-   diffs every verdict against a from-scratch run after each edit;
-   mode=containment attacks the static-analysis containment verdicts;
-   mode=optimizer pins optimised ≡ unoptimised validation reports.
-   --oracle replay=FILE re-runs a repro document instead: 0 when every
-   arm now agrees. *)
-type oracle_mode =
-  | Gen of Workload.Rand_gen.mode
-  | Edits
-  | Containment
-  | Optimizer
+(* The --oracle mode names as usage text lists them. *)
+let oracle_modes = List.map fst Oracle.modes
 
+(* --oracle seeds=N[,start=S][,mode=M][,dir=DIR]: run a differential
+   campaign and exit — 0 when it found nothing, 1 otherwise (shrunk
+   repro files land in DIR when given).  --oracle replay=FILE re-runs
+   a repro document instead: 0 when every arm now agrees. *)
 let oracle_cmd spec =
   let seeds = ref None
   and start = ref 0
-  and mode = ref (Gen Workload.Rand_gen.Surface)
+  and mode = ref Oracle.Surface
   and dir = ref None
   and replay = ref None in
   let int_value key v =
@@ -271,18 +262,20 @@ let oracle_cmd spec =
           let k = String.sub part 0 i
           and v = String.sub part (i + 1) (String.length part - i - 1) in
           (match (k, v) with
-          | "seeds", v -> seeds := Some (int_value "seeds" v)
+          | "seeds", v -> (
+              match int_value "seeds" v with
+              | 0 -> failwith "--oracle: seeds must be at least 1 (got \"0\")"
+              | n -> seeds := Some n)
           | "start", v -> start := int_value "start" v
-          | "mode", "surface" -> mode := Gen Workload.Rand_gen.Surface
-          | "mode", "extended" -> mode := Gen Workload.Rand_gen.Extended
-          | "mode", "edits" -> mode := Edits
-          | "mode", "containment" -> mode := Containment
-          | "mode", "optimizer" -> mode := Optimizer
-          | "mode", v ->
-              failwith
-                (Printf.sprintf
-                   "--oracle: mode must be surface, extended, edits, \
-                    containment or optimizer (got %S)" v)
+          | "mode", v -> (
+              match List.assoc_opt v Oracle.modes with
+              | Some m -> mode := m
+              | None ->
+                  let rev = List.rev oracle_modes in
+                  failwith
+                    (Printf.sprintf "--oracle: mode must be %s or %s (got %S)"
+                       (String.concat ", " (List.rev (List.tl rev)))
+                       (List.hd rev) v))
           | "dir", v -> dir := Some v
           | "replay", v -> replay := Some v
           | k, _ ->
@@ -313,98 +306,11 @@ let oracle_cmd spec =
   Option.iter
     (fun d -> if not (Sys.file_exists d) then Sys.mkdir d 0o755)
     !dir;
-  match !mode with
-  | Containment ->
-      let s =
-        Oracle.run_containment_campaign ~log:prerr_endline ~first_seed:!start
-          ~count ()
-      in
-      Printf.printf
-        "oracle: %d seeds checked (containment arm, seeds %d-%d): %d \
-         contained fuzz-checked, %d counterexamples re-verified, %d \
-         inconclusive, %d finding%s\n"
-        count !start
-        (!start + count - 1)
-        s.Oracle.Analysis_arm.contained s.Oracle.Analysis_arm.refuted
-        s.Oracle.Analysis_arm.inconclusive
-        (List.length s.Oracle.Analysis_arm.findings)
-        (if List.length s.Oracle.Analysis_arm.findings = 1 then "" else "s");
-      List.iter
-        (fun (f : Oracle.Analysis_arm.finding) ->
-          Printf.printf "  seed %d: %s\n" f.seed f.detail)
-        s.Oracle.Analysis_arm.findings;
-      exit (if s.Oracle.Analysis_arm.findings = [] then 0 else 1)
-  | Optimizer ->
-      let s =
-        Oracle.run_optimizer_campaign ~log:prerr_endline ~first_seed:!start
-          ~count ()
-      in
-      Printf.printf
-        "oracle: %d seeds checked (optimizer arm, seeds %d-%d): %d \
-         rewritten, reports byte-compared, %d finding%s\n"
-        count !start
-        (!start + count - 1)
-        s.Oracle.Analysis_arm.rewritten
-        (List.length s.Oracle.Analysis_arm.findings)
-        (if List.length s.Oracle.Analysis_arm.findings = 1 then "" else "s");
-      List.iter
-        (fun (f : Oracle.Analysis_arm.finding) ->
-          Printf.printf "  seed %d: %s\n" f.seed f.detail)
-        s.Oracle.Analysis_arm.findings;
-      exit (if s.Oracle.Analysis_arm.findings = [] then 0 else 1)
-  | Edits ->
-      let summary =
-        Oracle.run_edits_campaign ?dir:!dir ~log:prerr_endline
-          ~first_seed:!start ~count ()
-      in
-      if summary.findings = [] then begin
-        Printf.printf
-          "oracle: %d edit scripts checked (seeds %d-%d): no divergences\n"
-          count !start
-          (!start + count - 1);
-        exit 0
-      end
-      else begin
-        Printf.printf "oracle: %d edit scripts checked: %d divergence%s\n"
-          count
-          (List.length summary.findings)
-          (if List.length summary.findings = 1 then "" else "s");
-        List.iter
-          (fun (f : Oracle.Edits.finding) ->
-            Printf.printf "  seed %d: %s%s\n" f.seed f.divergence.detail
-              (match f.repro with Some p -> " [" ^ p ^ "]" | None -> ""))
-          summary.findings;
-        exit 1
-      end
-  | Gen gen_mode ->
-      let summary =
-        Oracle.run_campaign ~mode:gen_mode ?dir:!dir ~log:prerr_endline
-          ~first_seed:!start ~count ()
-      in
-      let mode_text =
-        match gen_mode with
-        | Workload.Rand_gen.Surface -> "surface"
-        | Workload.Rand_gen.Extended -> "extended"
-      in
-      if summary.findings = [] then begin
-        Printf.printf "oracle: %d seeds checked (%s mode, seeds %d-%d): no \
-                       divergences\n"
-          count mode_text !start
-          (!start + count - 1);
-        exit 0
-      end
-      else begin
-        Printf.printf "oracle: %d seeds checked (%s mode): %d divergence%s\n"
-          count mode_text
-          (List.length summary.findings)
-          (if List.length summary.findings = 1 then "" else "s");
-        List.iter
-          (fun (f : Oracle.finding) ->
-            Printf.printf "  seed %d: %s%s\n" f.seed f.divergence.detail
-              (match f.repro with Some p -> " [" ^ p ^ "]" | None -> ""))
-          summary.findings;
-        exit 1
-      end
+  let summary =
+    Oracle.run ?dir:!dir ~log:prerr_endline !mode ~first_seed:!start ~count
+  in
+  List.iter print_endline (Oracle.render summary);
+  exit (if summary.findings = [] then 0 else 1)
 
 let run_validate schema_path data_path node_opt shape_opt shape_map_opt
     engine domains profile slow_ms engine_stats metrics trace_json
@@ -857,19 +763,23 @@ let oracle_arg =
     & opt (some string) None
     & info [ "oracle" ] ~docv:"SPEC"
         ~doc:
-          "Run the cross-engine differential oracle instead of \
-           validating: generate seeded random workloads, run every \
-           applicable engine (derivatives, backtracking, SORBE, \
-           compiled automata, SPARQL, 2- and 4-domain bulk), and \
-           delta-shrink any disagreement.  $(docv) is \
-           $(b,seeds=N)[$(b,,start=S)][$(b,,mode=surface|extended|edits)]\
-           [$(b,,dir=DIR)]; shrunk repro files are written to \
-           $(b,DIR).  $(b,mode=edits) replays seeded insert/delete \
-           scripts through an incremental session and diffs every \
-           verdict against a from-scratch run after each edit.  Exits \
-           0 when every arm agreed on every seed, 1 otherwise.  \
-           $(b,replay=FILE) re-runs a previously written repro \
-           document instead.")
+          (Printf.sprintf
+             "Run the cross-engine differential oracle instead of \
+              validating: generate seeded random workloads, run every \
+              applicable engine (derivatives, backtracking, SORBE, \
+              compiled automata, SPARQL, 2- and 4-domain bulk), and \
+              delta-shrink any disagreement.  $(docv) is \
+              $(b,seeds=N)[$(b,,start=S)][$(b,,mode=%s)][$(b,,dir=DIR)]; \
+              shrunk repro files are written to $(b,DIR).  \
+              $(b,mode=edits) replays seeded insert/delete scripts through \
+              an incremental session and diffs every verdict against a \
+              from-scratch run after each edit; $(b,mode=containment) \
+              attacks the static-analysis containment verdicts and \
+              $(b,mode=optimizer) checks that optimised schemas validate \
+              identically.  Exits 0 when the campaign found nothing, 1 \
+              otherwise.  $(b,replay=FILE) re-runs a previously written \
+              repro document instead."
+             (String.concat "|" oracle_modes)))
 
 let analyze_arg =
   Arg.(

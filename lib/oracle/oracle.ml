@@ -9,20 +9,6 @@ let assoc_text (n, l) =
 (* Arms                                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* The reference arm: the paper's derivative engine, sequential. *)
-let reference schema graph assocs =
-  let session = Shex.Validate.session ~engine:Shex.Validate.Derivatives schema graph in
-  let report = Shex.Report.run session assocs in
-  let oks =
-    List.map
-      (fun (e : Shex.Report.entry) -> e.status = Shex.Report.Conformant)
-      report.entries
-  in
-  (oks, Json.to_string ~minify:true (Shex.Report.to_json report))
-
-(* Engine/domain arms all produce a full report over the same
-   association list, so verdicts, blame sets and JSON rendering are
-   compared in one shot. *)
 (* Arms are (name, engine, domains, interned).  The interned arms
    re-run reference engines on a {!Shex.Validate.session_columnar}
    over the frozen graph: any ordering or lookup discrepancy between
@@ -40,36 +26,47 @@ let engine_arms =
     ("domains=4", Shex.Validate.Derivatives, 4, false);
     ("interned-domains=2", Shex.Validate.Derivatives, 2, true) ]
 
-let compare_full ~arm ~ref_oks ~ref_json assocs (oks, json) =
-  let rec first_mismatch assocs ref_oks oks =
-    match (assocs, ref_oks, oks) with
-    | a :: _, r :: _, o :: _ when r <> o -> Some (a, r, o)
-    | _ :: assocs', _ :: ref', _ :: oks' -> first_mismatch assocs' ref' oks'
-    | _, _, _ -> None
+(* A session over the structural graph, or over its frozen columnar
+   store when [interned]. *)
+let session_on ?engine ?domains ~interned schema graph =
+  if interned then
+    Shex.Validate.session_columnar ?engine ?domains schema
+      (Rdf.Columnar.of_graph graph)
+  else Shex.Validate.session ?engine ?domains schema graph
+
+(* Engine arms all produce a full report over the same association
+   list, so verdicts, blame sets and JSON rendering are compared in
+   one shot. *)
+let report_of session assocs =
+  let report = Shex.Report.run session assocs in
+  ( List.map
+      (fun (e : Shex.Report.entry) -> e.status = Shex.Report.Conformant)
+      report.entries,
+    Json.to_string ~minify:true (Shex.Report.to_json report) )
+
+(* The one verdict comparison every arm shares: the first association
+   where the arm's verdict differs from the reference's.  [None] in
+   [arm_oks] marks an association outside the arm's fragment. *)
+let verdict_mismatch arm assocs ref_oks arm_oks =
+  let rec go = function
+    | a :: _, r :: _, Some o :: _ when r <> o ->
+        Some
+          { arm;
+            kind = Verdict;
+            detail =
+              Printf.sprintf "%s: verdict mismatch at %s (deriv=%b %s=%b)" arm
+                (assoc_text a) r arm o }
+    | _ :: assocs, _ :: refs, _ :: oks -> go (assocs, refs, oks)
+    | _ -> None
   in
-  match first_mismatch assocs ref_oks oks with
-  | Some (a, r, o) ->
-      Some
-        { arm;
-          kind = Verdict;
-          detail =
-            Printf.sprintf "%s: verdict mismatch at %s (deriv=%b %s=%b)" arm
-              (assoc_text a) r arm o }
-  | None ->
-  if json <> ref_json then
-    Some
-      { arm;
-        kind = Report;
-        detail =
-          Printf.sprintf "%s: verdicts agree but report JSON differs" arm }
-  else None
+  go (assocs, ref_oks, arm_oks)
 
 (* Direct SORBE arm: shapes in the counting fragment (no focus
    constraint, no shape references) matched by [Sorbe.matches_dts]
    alone, outside the Auto dispatch and its per-label matchers — this
    is what pins the [Sorbe.of_rse] applicability analysis itself.  It
    reads each neighbourhood straight from the graph. *)
-let sorbe_arm schema graph assocs ref_oks =
+let sorbe_oks schema graph assocs =
   let compiled =
     List.filter_map
       (fun (l, (s : Shex.Schema.shape)) ->
@@ -80,32 +77,21 @@ let sorbe_arm schema graph assocs ref_oks =
             (Shex.Sorbe.of_rse s.expr))
       (Shex.Schema.shapes schema)
   in
-  let rec first_mismatch assocs oks =
-    match (assocs, oks) with
-    | [], _ | _, [] -> None
-    | ((n, l) as a) :: assocs', ok :: oks' -> (
-        match List.assoc_opt l compiled with
-        | None -> first_mismatch assocs' oks'
-        | Some (include_inverse, constrs) ->
-            let dts = Shex.Neigh.of_node ~include_inverse n graph in
-            let sorbe_ok = Shex.Sorbe.matches_dts n dts constrs in
-            if sorbe_ok <> ok then
-              Some
-                { arm = "sorbe";
-                  kind = Verdict;
-                  detail =
-                    Printf.sprintf
-                      "sorbe: verdict mismatch at %s (deriv=%b sorbe=%b)"
-                      (assoc_text a) ok sorbe_ok }
-            else first_mismatch assocs' oks')
-  in
-  if compiled = [] then None else first_mismatch assocs ref_oks
+  List.map
+    (fun (n, l) ->
+      Option.map
+        (fun (include_inverse, constrs) ->
+          Shex.Sorbe.matches_dts n
+            (Shex.Neigh.of_node ~include_inverse n graph)
+            constrs)
+        (List.assoc_opt l compiled))
+    assocs
 
 (* SPARQL arm: reference-free, non-inverse, singleton-predicate shapes
    without focus constraints, compiled per §3 and evaluated over the
    graph.  The generated query anchors the focus as a subject, so only
    nodes with at least one outgoing triple are comparable. *)
-let sparql_arm schema graph assocs ref_oks =
+let sparql_oks schema graph assocs =
   let compiled =
     List.filter_map
       (fun (l, (s : Shex.Schema.shape)) ->
@@ -116,60 +102,44 @@ let sparql_arm schema graph assocs ref_oks =
           | Error _ -> None)
       (Shex.Schema.shapes schema)
   in
-  let rec first_mismatch assocs oks =
-    match (assocs, oks) with
-    | [], _ | _, [] -> None
-    | ((n, l) as a) :: assocs', ok :: oks' -> (
-        match List.assoc_opt l compiled with
-        | None -> first_mismatch assocs' oks'
-        | Some nodes ->
-            if Rdf.Graph.out_triples n graph = [] then
-              first_mismatch assocs' oks'
-            else
-              let sparql_ok = List.exists (Rdf.Term.equal n) nodes in
-              if sparql_ok <> ok then
-                Some
-                  { arm = "sparql";
-                    kind = Verdict;
-                    detail =
-                      Printf.sprintf
-                        "sparql: verdict mismatch at %s (deriv=%b sparql=%b)"
-                        (assoc_text a) ok sparql_ok }
-              else first_mismatch assocs' oks')
-  in
-  if compiled = [] then None else first_mismatch assocs ref_oks
+  List.map
+    (fun (n, l) ->
+      match List.assoc_opt l compiled with
+      | Some nodes when Rdf.Graph.out_triples n graph <> [] ->
+          Some (List.exists (Rdf.Term.equal n) nodes)
+      | Some _ | None -> None)
+    assocs
 
-(* A session over the structural graph, or over its frozen columnar
-   store when [interned]. *)
-let session_on ?engine ?domains ~interned schema graph =
-  if interned then
-    Shex.Validate.session_columnar ?engine ?domains schema
-      (Rdf.Columnar.of_graph graph)
-  else Shex.Validate.session ?engine ?domains schema graph
-
+(* The reference arm is the paper's derivative engine, sequential, on
+   the structural graph. *)
 let divergences schema graph assocs =
-  let ref_oks, ref_json = reference schema graph assocs in
+  let ref_oks, ref_json =
+    report_of (session_on ~interned:false schema graph) assocs
+  in
   let engine_findings =
     List.filter_map
       (fun (arm, engine, domains, interned) ->
-        let session = session_on ~engine ~domains ~interned schema graph in
-        let report = Shex.Report.run session assocs in
-        let oks =
-          List.map
-            (fun (e : Shex.Report.entry) ->
-              e.status = Shex.Report.Conformant)
-            report.entries
+        let oks, json =
+          report_of (session_on ~engine ~domains ~interned schema graph) assocs
         in
-        let json = Json.to_string ~minify:true (Shex.Report.to_json report) in
-        compare_full ~arm ~ref_oks ~ref_json assocs (oks, json))
+        let arm_oks = List.map Option.some oks in
+        match verdict_mismatch arm assocs ref_oks arm_oks with
+        | Some _ as d -> d
+        | None when json <> ref_json ->
+            Some
+              { arm;
+                kind = Report;
+                detail =
+                  Printf.sprintf "%s: verdicts agree but report JSON differs"
+                    arm }
+        | None -> None)
       engine_arms
   in
-  let extra =
-    List.filter_map
-      (fun f -> f schema graph assocs ref_oks)
-      [ sorbe_arm; sparql_arm ]
-  in
-  engine_findings @ extra
+  engine_findings
+  @ List.filter_map
+      (fun (arm, oks) ->
+        verdict_mismatch arm assocs ref_oks (oks schema graph assocs))
+      [ ("sorbe", sorbe_oks); ("sparql", sparql_oks) ]
 
 (* How an incremental session's answer for (n, l) differs from a
    from-scratch session's: [Verdict] when the conformance bit does,
@@ -244,12 +214,7 @@ let edits_divergence schema graph script assocs =
 (* Shrinking                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let still schema graph assocs (target : divergence) =
-  List.exists
-    (fun d -> d.arm = target.arm && d.kind = target.kind)
-    (divergences schema graph assocs)
-
-(* Drop items one at a time, keeping a drop only when the divergence
+(* Drop items one at a time, keeping a drop only when the property
    survives. *)
 let greedy_drop items survives =
   let rec go kept = function
@@ -260,6 +225,17 @@ let greedy_drop items survives =
         else go (x :: kept) rest
   in
   go [] items
+
+(* The association and triple passes both shrinkers run. *)
+let shrink_assocs keep assocs =
+  match List.find_opt (fun a -> keep [ a ]) assocs with
+  | Some a -> [ a ]
+  | None -> greedy_drop assocs keep
+
+let shrink_triples keep graph =
+  Rdf.Graph.of_list
+    (greedy_drop (Rdf.Graph.to_list graph) (fun triples ->
+         keep (Rdf.Graph.of_list triples)))
 
 (* Structural shrink candidates, strictly smaller, built through the
    smart constructors so candidates stay in normal form. *)
@@ -331,21 +307,13 @@ let drop_unused_rules graph assocs keep shapes =
 
 (* Predicate-driven shrink core.  [keep candidate_schema candidate_graph
    candidate_assocs] decides whether a shrink step preserves the property
-   being minimised; any property works — an engine divergence (see
-   [shrink]), a containment counterexample ("focus satisfies S1 and
-   fails S2", with S2 closed over by the predicate), or anything else a
-   caller wants a minimal exhibit of. *)
+   being minimised; any property works — an engine divergence (the
+   campaign's divergence path), a containment counterexample ("focus
+   satisfies S1 and fails S2", with S2 closed over by the predicate), or
+   anything else a caller wants a minimal exhibit of. *)
 let shrink_with ~keep schema graph assocs =
-  let assocs =
-    match List.find_opt (fun a -> keep schema graph [ a ]) assocs with
-    | Some a -> [ a ]
-    | None -> greedy_drop assocs (fun c -> keep schema graph c)
-  in
-  let shrink_graph schema graph =
-    Rdf.Graph.of_list
-      (greedy_drop (Rdf.Graph.to_list graph) (fun triples ->
-           keep schema (Rdf.Graph.of_list triples) assocs))
-  in
+  let assocs = shrink_assocs (keep schema graph) assocs in
+  let shrink_graph schema = shrink_triples (fun g -> keep schema g assocs) in
   let graph = shrink_graph schema graph in
   let shapes =
     List.fold_left
@@ -360,8 +328,12 @@ let shrink_with ~keep schema graph assocs =
   let graph = shrink_graph schema graph in
   (schema, graph, assocs)
 
-let shrink schema graph assocs target =
-  shrink_with ~keep:(fun s g a -> still s g a target) schema graph assocs
+type case = {
+  schema : Shex.Schema.t;
+  graph : Rdf.Graph.t;
+  associations : (Rdf.Term.t * Shex.Label.t) list;
+  script : Workload.Rand_gen.edit list;
+}
 
 (* Edits shrink: associations, then script entries, then initial
    triples.  [Shex_incremental.Session.apply] treats inserts of
@@ -371,60 +343,80 @@ let shrink schema graph assocs target =
    verdict lives in the dependency bookkeeping, not the expression
    structure, and schema shrinking would invalidate the script's
    arc-instantiation bias anyway. *)
-let shrink_edits schema graph script assocs (target : divergence) =
-  let still g sc a =
-    match edits_divergence schema g sc a with
-    | Some d -> d.arm = target.arm && d.kind = target.kind
-    | None -> false
+let shrink_edits ~keep c =
+  let c =
+    { c with
+      associations =
+        shrink_assocs
+          (fun associations -> keep { c with associations })
+          c.associations }
   in
-  let assocs =
-    match List.find_opt (fun a -> still graph script [ a ]) assocs with
-    | Some a -> [ a ]
-    | None -> greedy_drop assocs (fun c -> still graph script c)
+  let c =
+    { c with
+      script = greedy_drop c.script (fun script -> keep { c with script }) }
   in
-  let script = greedy_drop script (fun sc -> still graph sc assocs) in
-  let graph =
-    Rdf.Graph.of_list
-      (greedy_drop (Rdf.Graph.to_list graph) (fun triples ->
-           still (Rdf.Graph.of_list triples) script assocs))
-  in
-  (graph, script, assocs)
+  { c with graph = shrink_triples (fun graph -> keep { c with graph }) c.graph }
 
 (* ------------------------------------------------------------------ *)
-(* Repro files                                                         *)
+(* Modes and repro documents                                           *)
 (* ------------------------------------------------------------------ *)
 
-type finding = {
-  seed : int;
-  mode : Workload.Rand_gen.mode;
-  divergence : divergence;
-  schema : Shex.Schema.t;
-  graph : Rdf.Graph.t;
-  associations : (Rdf.Term.t * Shex.Label.t) list;
-  repro : string option;
-}
+type mode = Surface | Extended | Edits | Containment | Optimizer
 
-type summary = { seeds_run : int; findings : finding list }
+let modes =
+  [ ("surface", Surface);
+    ("extended", Extended);
+    ("edits", Edits);
+    ("containment", Containment);
+    ("optimizer", Optimizer) ]
 
-let mode_text = function
-  | Workload.Rand_gen.Surface -> "surface"
-  | Workload.Rand_gen.Extended -> "extended"
+let mode_text mode = fst (List.find (fun (_, m) -> m = mode) modes)
 
-let repro_to_string f =
-  let schema_text = Shexc.Shexc_printer.schema_to_string f.schema in
-  let data_text = Turtle.Write.to_string f.graph in
-  let map_text =
-    String.concat ",\n" (List.map assoc_text f.associations)
+(* One edit per line in the [%edits] section: [+]/[-], a space, then a
+   single N-Triples statement — self-contained (no prefixes), so the
+   section stays line-oriented. *)
+let edit_to_line edit =
+  let tr, sign =
+    match edit with
+    | Workload.Rand_gen.Insert tr -> (tr, "+")
+    | Workload.Rand_gen.Delete tr -> (tr, "-")
+  in
+  sign ^ " "
+  ^ String.trim (Turtle.Ntriples.to_string (Rdf.Graph.singleton tr))
+
+let repro_to_string ~seed ~mode ~detail c =
+  let title =
+    match mode with
+    | Edits -> Printf.sprintf "# oracle edits repro: seed %d" seed
+    | _ ->
+        Printf.sprintf "# oracle repro: seed %d (%s mode)" seed
+          (mode_text mode)
+  in
+  let schema_text = Shexc.Shexc_printer.schema_to_string c.schema in
+  let edits =
+    if c.script = [] then []
+    else [ "%edits"; String.concat "\n" (List.map edit_to_line c.script) ]
   in
   String.concat "\n"
-    [ Printf.sprintf "# oracle repro: seed %d (%s mode)" f.seed
-        (mode_text f.mode);
-      Printf.sprintf "# found as: %s" f.divergence.detail;
-      "%schema";
-      schema_text ^ "%data";
-      data_text ^ "%map";
-      map_text;
-      "" ]
+    ([ title;
+       "# found as: " ^ detail;
+       "%schema";
+       schema_text ^ "%data";
+       Turtle.Write.to_string c.graph ^ "%map";
+       String.concat ",\n" (List.map assoc_text c.associations) ]
+    @ edits @ [ "" ])
+
+(* [None] when the schema has no ShExC notation: Extended-mode
+   predicate sets become OCaml regression tests instead of corpus
+   files. *)
+let write_repro dir ~seed ~mode ~detail c =
+  let prefix = if mode = Edits then "oracle-edits-seed" else "oracle-seed" in
+  let path = Filename.concat dir (Printf.sprintf "%s%d.repro" prefix seed) in
+  match repro_to_string ~seed ~mode ~detail c with
+  | text ->
+      Json.write_file_atomic path text;
+      Some path
+  | exception Invalid_argument _ -> None
 
 let split_sections content =
   let lines = String.split_on_char '\n' content in
@@ -465,18 +457,6 @@ let split_sections content =
   | Error _ as e -> e
   | Ok acc ->
       Ok (List.assoc 0 acc, List.assoc 1 acc, List.assoc 2 acc, List.assoc 3 acc)
-
-(* One edit per line in the [%edits] section: [+]/[-], a space, then a
-   single N-Triples statement — self-contained (no prefixes), so the
-   section stays line-oriented. *)
-let edit_to_line edit =
-  let tr, sign =
-    match edit with
-    | Workload.Rand_gen.Insert tr -> (tr, "+")
-    | Workload.Rand_gen.Delete tr -> (tr, "-")
-  in
-  sign ^ " "
-  ^ String.trim (Turtle.Ntriples.to_string (Rdf.Graph.singleton tr))
 
 let parse_edit_lines text =
   let parse_line line =
@@ -551,158 +531,8 @@ let replay_file path =
   | exception Sys_error msg -> Error msg
 
 (* ------------------------------------------------------------------ *)
-(* Campaign                                                            *)
+(* Static-analysis checks                                              *)
 (* ------------------------------------------------------------------ *)
-
-let run_campaign ?(mode = Workload.Rand_gen.Surface) ?dir ?(log = ignore)
-    ~first_seed ~count () =
-  let findings = ref [] in
-  for seed = first_seed to first_seed + count - 1 do
-    let case = Workload.Rand_gen.case ~mode seed in
-    match divergences case.schema case.graph case.associations with
-    | [] -> ()
-    | d :: _ ->
-        log (Printf.sprintf "seed %d: %s" seed d.detail);
-        let schema, graph, assocs =
-          shrink case.schema case.graph case.associations d
-        in
-        let divergence =
-          match
-            List.find_opt
-              (fun d' -> d'.arm = d.arm && d'.kind = d.kind)
-              (divergences schema graph assocs)
-          with
-          | Some d' -> d'
-          | None -> d
-        in
-        let finding =
-          { seed; mode; divergence; schema; graph;
-            associations = assocs; repro = None }
-        in
-        let finding =
-          match dir with
-          | None -> finding
-          | Some dir -> (
-              let path =
-                Filename.concat dir (Printf.sprintf "oracle-seed%d.repro" seed)
-              in
-              match repro_to_string finding with
-              | text ->
-                  Json.write_file_atomic path text;
-                  { finding with repro = Some path }
-              | exception Invalid_argument _ ->
-                  (* Extended-mode predicate sets have no ShExC
-                     notation; such findings become OCaml regression
-                     tests instead of corpus files. *)
-                  finding)
-        in
-        findings := finding :: !findings
-  done;
-  { seeds_run = count; findings = List.rev !findings }
-
-(* ------------------------------------------------------------------ *)
-(* Edits campaign                                                      *)
-(* ------------------------------------------------------------------ *)
-
-module Edits = struct
-  type finding = {
-    seed : int;
-    divergence : divergence;
-    schema : Shex.Schema.t;
-    graph : Rdf.Graph.t;
-    script : Workload.Rand_gen.edit list;
-    associations : (Rdf.Term.t * Shex.Label.t) list;
-    repro : string option;
-  }
-
-  type summary = { seeds_run : int; findings : finding list }
-end
-
-let edits_repro_to_string (f : Edits.finding) =
-  let schema_text = Shexc.Shexc_printer.schema_to_string f.schema in
-  let data_text = Turtle.Write.to_string f.graph in
-  let map_text = String.concat ",\n" (List.map assoc_text f.associations) in
-  let edits_text = String.concat "\n" (List.map edit_to_line f.script) in
-  String.concat "\n"
-    [ Printf.sprintf "# oracle edits repro: seed %d" f.seed;
-      Printf.sprintf "# found as: %s" f.divergence.detail;
-      "%schema";
-      schema_text ^ "%data";
-      data_text ^ "%map";
-      map_text;
-      "%edits";
-      edits_text;
-      "" ]
-
-(* Edit-script seeds are derived from the case seed with a fixed xor
-   so the same integer reproduces both the workload and its script
-   (mirrored by the incremental property test). *)
-let edits_rng seed = Workload.Prng.create (seed lxor 0x5eed)
-
-let run_edits_campaign ?dir ?(log = ignore) ?(script_len = 12) ~first_seed
-    ~count () =
-  let findings = ref [] in
-  for seed = first_seed to first_seed + count - 1 do
-    let case = Workload.Rand_gen.case seed in
-    let script =
-      Workload.Rand_gen.edit_script (edits_rng seed) case.schema case.graph
-        script_len
-    in
-    match edits_divergence case.schema case.graph script case.associations with
-    | None -> ()
-    | Some d ->
-        log (Printf.sprintf "seed %d: %s" seed d.detail);
-        let graph, script, assocs =
-          shrink_edits case.schema case.graph script case.associations d
-        in
-        let divergence =
-          match edits_divergence case.schema graph script assocs with
-          | Some d' -> d'
-          | None -> d
-        in
-        let finding =
-          { Edits.seed; divergence; schema = case.schema; graph; script;
-            associations = assocs; repro = None }
-        in
-        let finding =
-          match dir with
-          | None -> finding
-          | Some dir -> (
-              let path =
-                Filename.concat dir
-                  (Printf.sprintf "oracle-edits-seed%d.repro" seed)
-              in
-              match edits_repro_to_string finding with
-              | text ->
-                  Json.write_file_atomic path text;
-                  { finding with Edits.repro = Some path }
-              | exception Invalid_argument _ -> finding)
-        in
-        findings := finding :: !findings
-  done;
-  { Edits.seeds_run = count; findings = List.rev !findings }
-
-(* ------------------------------------------------------------------ *)
-(* Static-analysis arms                                                 *)
-(* ------------------------------------------------------------------ *)
-
-module Analysis_arm = struct
-  type finding = { seed : int; detail : string }
-
-  type containment_summary = {
-    seeds_run : int;
-    contained : int;
-    refuted : int;
-    inconclusive : int;
-    findings : finding list;
-  }
-
-  type optimizer_summary = {
-    seeds_run : int;
-    rewritten : int;  (** seeds where the optimizer changed ≥ 1 shape *)
-    findings : finding list;
-  }
-end
 
 (* Seeded semantic mutation for containment pairs.  Per rule: keep it
    unchanged (exercising the congruence fast path), widen it — [e?],
@@ -747,7 +577,7 @@ let mutate_schema rng (schema : Shex.Schema.t) =
 
 (* Candidate focus nodes for fuzzing a Contained claim: everything the
    workload generator produced plus every graph node. *)
-let fuzz_nodes (case : Workload.Rand_gen.case) extra_graph =
+let fuzz_nodes c extra_graph =
   let add acc t = if List.exists (Rdf.Term.equal t) acc then acc else t :: acc in
   let of_graph g acc =
     List.fold_left
@@ -755,8 +585,8 @@ let fuzz_nodes (case : Workload.Rand_gen.case) extra_graph =
         add (add acc tr.Rdf.Triple.s) tr.Rdf.Triple.o)
       acc (Rdf.Graph.to_list g)
   in
-  let acc = List.fold_left (fun acc (n, _) -> add acc n) [] case.associations in
-  of_graph extra_graph (of_graph case.graph acc)
+  let acc = List.fold_left (fun acc (n, _) -> add acc n) [] c.associations in
+  of_graph extra_graph (of_graph c.graph acc)
 
 (* Containment arm: derive a mutated v2 from each seeded schema, run
    [Analysis.check_compat], then attack both verdict directions —
@@ -764,100 +594,83 @@ let fuzz_nodes (case : Workload.Rand_gen.case) extra_graph =
    satisfy v1@l and fail v2@l), and a [Refuted] witness must concretely
    validate under v1 and fail v2, directly, after a Turtle round-trip,
    and after delta-shrinking with the witness-preserving predicate. *)
-let run_containment_campaign ?(log = fun _ -> ()) ?(max_states = 2_000)
-    ~first_seed ~count () =
-  let findings = ref [] in
-  let contained = ref 0 and refuted = ref 0 and inconclusive = ref 0 in
-  let fail seed fmt =
-    Printf.ksprintf
-      (fun detail ->
-        log (Printf.sprintf "seed %d: %s" seed detail);
-        findings := { Analysis_arm.seed; detail } :: !findings)
-      fmt
-  in
-  for seed = first_seed to first_seed + count - 1 do
-    let case = Workload.Rand_gen.case seed in
-    let v1 = case.schema in
-    let rng = Workload.Prng.create ((seed * 2) + 1) in
-    let v2 = mutate_schema rng v1 in
-    let fuzz_graph, _ = Workload.Rand_gen.graph_for rng v2 in
-    let compat = Analysis.check_compat ~max_states v1 v2 in
-    List.iter
-      (fun (it : Analysis.compat_item) ->
-        let l = it.Analysis.label in
-        match it.Analysis.verdict with
-        | Analysis.Inconclusive _ -> incr inconclusive
-        | Analysis.Contained ->
-            incr contained;
-            List.iter
-              (fun g ->
-                let s1 = Shex.Validate.session v1 g
-                and s2 = Shex.Validate.session v2 g in
-                List.iter
-                  (fun n ->
-                    if
-                      Shex.Validate.check_bool s1 n l
-                      && not (Shex.Validate.check_bool s2 n l)
-                    then
-                      fail seed
-                        "containment claim v1@<%s> ⊑ v2 refuted by fuzzing \
-                         at node %s"
-                        (Shex.Label.to_string l) (Rdf.Term.to_string n))
-                  (fuzz_nodes case g))
-              [ case.graph; fuzz_graph ]
-        | Analysis.Refuted w ->
-            incr refuted;
-            let holds g focus =
+let containment_check ~tally seed c =
+  let found = ref [] in
+  let fail fmt = Printf.ksprintf (fun detail -> found := detail :: !found) fmt in
+  let v1 = c.schema in
+  let rng = Workload.Prng.create ((seed * 2) + 1) in
+  let v2 = mutate_schema rng v1 in
+  let fuzz_graph, _ = Workload.Rand_gen.graph_for rng v2 in
+  let compat = Analysis.check_compat ~max_states:2_000 v1 v2 in
+  List.iter
+    (fun (it : Analysis.compat_item) ->
+      let l = it.Analysis.label in
+      match it.Analysis.verdict with
+      | Analysis.Inconclusive _ -> tally "inconclusive"
+      | Analysis.Contained ->
+          tally "contained";
+          List.iter
+            (fun g ->
               let s1 = Shex.Validate.session v1 g
               and s2 = Shex.Validate.session v2 g in
-              Shex.Validate.check_bool s1 focus l
-              && not (Shex.Validate.check_bool s2 focus l)
+              List.iter
+                (fun n ->
+                  if
+                    Shex.Validate.check_bool s1 n l
+                    && not (Shex.Validate.check_bool s2 n l)
+                  then
+                    fail
+                      "containment claim v1@<%s> ⊑ v2 refuted by fuzzing \
+                       at node %s"
+                      (Shex.Label.to_string l) (Rdf.Term.to_string n))
+                (fuzz_nodes c g))
+            [ c.graph; fuzz_graph ]
+      | Analysis.Refuted w ->
+          tally "refuted";
+          let holds g focus =
+            let s1 = Shex.Validate.session v1 g
+            and s2 = Shex.Validate.session v2 g in
+            Shex.Validate.check_bool s1 focus l
+            && not (Shex.Validate.check_bool s2 focus l)
+          in
+          if not (holds w.Analysis.graph w.Analysis.focus) then
+            fail
+              "counterexample for <%s> does not replay (must satisfy v1, \
+               fail v2)"
+              (Shex.Label.to_string l)
+          else begin
+            (* Turtle round-trip (blank-node foci are renamed by
+               reserialisation, so only IRI/literal foci replay) *)
+            (match w.Analysis.focus with
+            | Rdf.Term.Bnode _ -> ()
+            | _ -> (
+                match Turtle.Parse.parse_graph (Analysis.witness_turtle w) with
+                | Error e -> fail "witness Turtle does not parse back: %s" e
+                | Ok g ->
+                    if not (holds g w.Analysis.focus) then
+                      fail
+                        "witness for <%s> stops replaying after a Turtle \
+                         round-trip"
+                        (Shex.Label.to_string l)));
+            (* the shrinker must preserve the witness property *)
+            let keep s g assocs =
+              List.for_all
+                (fun (n, l') ->
+                  let s1 = Shex.Validate.session s g
+                  and s2 = Shex.Validate.session v2 g in
+                  Shex.Validate.check_bool s1 n l'
+                  && not (Shex.Validate.check_bool s2 n l'))
+                assocs
             in
-            if not (holds w.Analysis.graph w.Analysis.focus) then
-              fail seed
-                "counterexample for <%s> does not replay (must satisfy v1, \
-                 fail v2)"
+            let s', g', assocs' =
+              shrink_with ~keep v1 w.Analysis.graph [ (w.Analysis.focus, l) ]
+            in
+            if not (keep s' g' assocs') then
+              fail "shrinker destroyed the containment witness for <%s>"
                 (Shex.Label.to_string l)
-            else begin
-              (* Turtle round-trip (blank-node foci are renamed by
-                 reserialisation, so only IRI/literal foci replay) *)
-              (match w.Analysis.focus with
-              | Rdf.Term.Bnode _ -> ()
-              | _ -> (
-                  match Turtle.Parse.parse_graph (Analysis.witness_turtle w) with
-                  | Error e ->
-                      fail seed "witness Turtle does not parse back: %s" e
-                  | Ok g ->
-                      if not (holds g w.Analysis.focus) then
-                        fail seed
-                          "witness for <%s> stops replaying after a Turtle \
-                           round-trip"
-                          (Shex.Label.to_string l)));
-              (* the shrinker must preserve the witness property *)
-              let keep s g assocs =
-                List.for_all
-                  (fun (n, l') ->
-                    let s1 = Shex.Validate.session s g
-                    and s2 = Shex.Validate.session v2 g in
-                    Shex.Validate.check_bool s1 n l'
-                    && not (Shex.Validate.check_bool s2 n l'))
-                  assocs
-              in
-              let s', g', assocs' =
-                shrink_with ~keep v1 w.Analysis.graph [ (w.Analysis.focus, l) ]
-              in
-              if not (keep s' g' assocs') then
-                fail seed
-                  "shrinker destroyed the containment witness for <%s>"
-                  (Shex.Label.to_string l)
-            end)
-      compat.Analysis.items
-  done;
-  { Analysis_arm.seeds_run = count;
-    contained = !contained;
-    refuted = !refuted;
-    inconclusive = !inconclusive;
-    findings = List.rev !findings }
+          end)
+    compat.Analysis.items;
+  List.rev !found
 
 (* Optimizer arm: the pre-validation optimizer must not change the
    validation report — same verdicts, same blame sets — on either the
@@ -883,35 +696,166 @@ let rec blank_residuals = function
   | Json.Array xs -> Json.Array (List.map blank_residuals xs)
   | (Json.Null | Json.Bool _ | Json.Number _ | Json.String _) as j -> j
 
-let run_optimizer_campaign ?(log = fun _ -> ()) ?(mode = Workload.Rand_gen.Surface)
-    ~first_seed ~count () =
-  let findings = ref [] in
-  let rewritten = ref 0 in
-  for seed = first_seed to first_seed + count - 1 do
-    let case = Workload.Rand_gen.case ~mode seed in
-    let opt, changed = Analysis.optimize_stats case.schema in
-    if changed > 0 then incr rewritten;
-    List.iter
-      (fun (arm, interned) ->
-        let report schema =
-          let session = session_on ~interned schema case.graph in
-          Json.to_string ~minify:true
-            (blank_residuals
-               (Shex.Report.to_json (Shex.Report.run session case.associations)))
-        in
-        let j1 = report case.schema and j2 = report opt in
-        if j1 <> j2 then begin
-          let detail =
-            Printf.sprintf
-              "optimizer changed the %s report on seed %d (schemas must \
-               validate identically)"
-              arm seed
+let optimizer_check ~tally seed c =
+  let opt, changed = Analysis.optimize_stats c.schema in
+  if changed > 0 then tally "rewritten";
+  List.filter_map
+    (fun (arm, interned) ->
+      let report schema =
+        let session = session_on ~interned schema c.graph in
+        Json.to_string ~minify:true
+          (blank_residuals
+             (Shex.Report.to_json (Shex.Report.run session c.associations)))
+      in
+      if report c.schema = report opt then None
+      else
+        Some
+          (Printf.sprintf
+             "optimizer changed the %s report on seed %d (schemas must \
+              validate identically)"
+             arm seed))
+    [ ("structural", false); ("interned", true) ]
+
+(* ------------------------------------------------------------------ *)
+(* Campaign                                                            *)
+(* ------------------------------------------------------------------ *)
+
+type finding = { seed : int; detail : string; repro : string option }
+
+type summary = {
+  mode : mode;
+  first_seed : int;
+  seeds_run : int;
+  tallies : (string * int) list;
+  findings : finding list;
+}
+
+(* Edit-script seeds are derived from the case seed with a fixed xor
+   so the same integer reproduces both the workload and its script
+   (mirrored by the incremental property test). *)
+let edits_rng seed = Workload.Prng.create (seed lxor 0x5eed)
+
+(* Every mode but [Extended] checks the printable Surface workload;
+   only [Edits] replays a script over it. *)
+let generate mode seed =
+  let (w : Workload.Rand_gen.case) =
+    Workload.Rand_gen.case
+      ~mode:
+        (if mode = Extended then Workload.Rand_gen.Extended
+         else Workload.Rand_gen.Surface)
+      seed
+  in
+  { schema = w.schema;
+    graph = w.graph;
+    associations = w.associations;
+    script =
+      (if mode = Edits then
+         Workload.Rand_gen.edit_script (edits_rng seed) w.schema w.graph 12
+       else []) }
+
+let case_divergences mode c =
+  if mode = Edits then
+    Option.to_list (edits_divergence c.schema c.graph c.script c.associations)
+  else divergences c.schema c.graph c.associations
+
+(* The divergence path the engine modes and the edits mode share: take
+   the first divergence, shrink the case while one of the same arm and
+   kind survives, find it again on the shrunk case, and write the
+   repro when [dir] is given. *)
+let divergence_check ?dir mode seed c =
+  match case_divergences mode c with
+  | [] -> None
+  | d :: _ ->
+      let same (d' : divergence) = d'.arm = d.arm && d'.kind = d.kind in
+      let keep c = List.exists same (case_divergences mode c) in
+      let c =
+        if mode = Edits then shrink_edits ~keep c
+        else
+          let schema, graph, associations =
+            shrink_with
+              ~keep:(fun schema graph associations ->
+                keep { c with schema; graph; associations })
+              c.schema c.graph c.associations
           in
-          log detail;
-          findings := { Analysis_arm.seed; detail } :: !findings
-        end)
-      [ ("structural", false); ("interned", true) ]
+          { c with schema; graph; associations }
+      in
+      let detail =
+        match List.find_opt same (case_divergences mode c) with
+        | Some d -> d.detail
+        | None -> d.detail
+      in
+      Some
+        { seed;
+          detail;
+          repro =
+            Option.bind dir (fun dir -> write_repro dir ~seed ~mode ~detail c) }
+
+let check ?dir ~tally mode seed =
+  let c = generate mode seed in
+  let unwritten = List.map (fun detail -> { seed; detail; repro = None }) in
+  match mode with
+  | Surface | Extended | Edits ->
+      Option.to_list (divergence_check ?dir mode seed c)
+  | Containment -> unwritten (containment_check ~tally seed c)
+  | Optimizer -> unwritten (optimizer_check ~tally seed c)
+
+let run ?dir ?(log = ignore) mode ~first_seed ~count =
+  let tallies = Hashtbl.create 4 and findings = ref [] in
+  let tally k =
+    Hashtbl.replace tallies k
+      (1 + Option.value ~default:0 (Hashtbl.find_opt tallies k))
+  in
+  for seed = first_seed to first_seed + count - 1 do
+    List.iter
+      (fun f ->
+        log (Printf.sprintf "seed %d: %s" f.seed f.detail);
+        findings := f :: !findings)
+      (check ?dir ~tally mode seed)
   done;
-  { Analysis_arm.seeds_run = count;
-    rewritten = !rewritten;
+  { mode;
+    first_seed;
+    seeds_run = count;
+    tallies = List.sort compare (List.of_seq (Hashtbl.to_seq tallies));
     findings = List.rev !findings }
+
+let render s =
+  let n = List.length s.findings in
+  let plural word =
+    Printf.sprintf "%d %s%s" n word (if n = 1 then "" else "s")
+  in
+  let tally k = Option.value ~default:0 (List.assoc_opt k s.tallies) in
+  let seeds =
+    Printf.sprintf "seeds %d-%d" s.first_seed (s.first_seed + s.seeds_run - 1)
+  in
+  let headline =
+    match s.mode with
+    | Containment ->
+        Printf.sprintf
+          "oracle: %d seeds checked (containment arm, %s): %d contained \
+           fuzz-checked, %d counterexamples re-verified, %d inconclusive, %s"
+          s.seeds_run seeds (tally "contained") (tally "refuted")
+          (tally "inconclusive") (plural "finding")
+    | Optimizer ->
+        Printf.sprintf
+          "oracle: %d seeds checked (optimizer arm, %s): %d rewritten, \
+           reports byte-compared, %s"
+          s.seeds_run seeds (tally "rewritten") (plural "finding")
+    | Edits when n = 0 ->
+        Printf.sprintf "oracle: %d edit scripts checked (%s): no divergences"
+          s.seeds_run seeds
+    | Edits ->
+        Printf.sprintf "oracle: %d edit scripts checked: %s" s.seeds_run
+          (plural "divergence")
+    | mode when n = 0 ->
+        Printf.sprintf "oracle: %d seeds checked (%s mode, %s): no divergences"
+          s.seeds_run (mode_text mode) seeds
+    | mode ->
+        Printf.sprintf "oracle: %d seeds checked (%s mode): %s" s.seeds_run
+          (mode_text mode) (plural "divergence")
+  in
+  headline
+  :: List.map
+       (fun f ->
+         Printf.sprintf "  seed %d: %s%s" f.seed f.detail
+           (match f.repro with Some p -> " [" ^ p ^ "]" | None -> ""))
+       s.findings

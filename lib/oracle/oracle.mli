@@ -17,10 +17,12 @@ type kind =
 
 type divergence = {
   arm : string;
-      (** the disagreeing arm: ["backtrack"], ["auto"], ["compiled"],
-          ["sorbe"], ["domains=2"], ["domains=4"], ["sparql"] or
-          ["edits"]; the reference arm is always the sequential
-          derivative engine *)
+      (** the disagreeing arm: ["backtrack"], ["interned-backtrack"],
+          ["auto"], ["interned"], ["interned-auto"], ["compiled"],
+          ["interned-compiled"], ["domains=2"], ["domains=4"],
+          ["interned-domains=2"], ["sorbe"], ["sparql"] or ["edits"];
+          the reference arm is always the sequential derivative engine
+          on the structural graph *)
   kind : kind;
   detail : string;  (** one-line human-readable description *)
 }
@@ -35,6 +37,23 @@ val divergences :
     domain arms always run; the SORBE and SPARQL arms restrict
     themselves to the shapes (and, for SPARQL, focus nodes) inside
     their fragments. *)
+
+val edits_divergence :
+  Shex.Schema.t ->
+  Rdf.Graph.t ->
+  Workload.Rand_gen.edit list ->
+  (Rdf.Term.t * Shex.Label.t) list ->
+  divergence option
+(** The incremental edits arm: replay the script through a
+    [Shex_incremental.Session] and, after every edit, compare each
+    association's outcome — verdict, typing ({!Shex.Validate.typing})
+    and explanation — against a from-scratch session over the same
+    graph.  This mechanically checks the frontier-invalidation
+    soundness argument of DESIGN.md §11.  The first stale outcome is
+    arm ["edits"], kind {!Verdict} for a stale verdict and {!Report}
+    for a stale typing or explanation. *)
+
+(** {1 Shrinking} *)
 
 val shrink_with :
   keep:
@@ -51,175 +70,104 @@ val shrink_with :
     and drop unreferenced rules, to a local minimum; [keep] is called
     on each candidate and a step is kept only when it returns [true].
     [keep] must hold on the input or the output is just the input.
-    Used by {!shrink} with "the divergence survives", and by the
+    Used by {!run} with "the divergence survives", and by the
     static-analysis containment arm with "the focus still satisfies S1
     and fails S2" (S2 closed over by the predicate) — the witness
     property must survive shrinking, not just some divergence. *)
 
-val shrink :
-  Shex.Schema.t ->
-  Rdf.Graph.t ->
-  (Rdf.Term.t * Shex.Label.t) list ->
-  divergence ->
-  Shex.Schema.t * Rdf.Graph.t * (Rdf.Term.t * Shex.Label.t) list
-(** {!shrink_with} instantiated with "the given divergence (same arm,
-    same kind) survives". *)
+(** A workload under test, as a repro document holds it. *)
+type case = {
+  schema : Shex.Schema.t;
+  graph : Rdf.Graph.t;  (** the initial graph when [script] is non-empty *)
+  associations : (Rdf.Term.t * Shex.Label.t) list;
+  script : Workload.Rand_gen.edit list;
+      (** edits replayed over [graph]; [[]] outside the edits mode *)
+}
 
-(** A shrunk, reproducible divergence from a campaign. *)
+val shrink_edits : keep:(case -> bool) -> case -> case
+(** Greedy shrink preserving [keep]: associations, then script edits,
+    then initial graph triples, through the same association and
+    triple passes as {!shrink_with}.  The schema is left whole. *)
+
+(** {1 Campaigns} *)
+
+(** What a campaign checks on each seed.  The first three run the
+    divergence arms and shrink the first divergence of a seed; the
+    last two attack [lib/analysis]'s one-sided verdicts. *)
+type mode =
+  | Surface  (** every engine and fragment arm on a ShExC-printable workload *)
+  | Extended
+      (** the same on workloads with predicate stems that overlap
+          singleton predicates (the SORBE applicability edge) and
+          object complements; a shrunk case still using them has no
+          ShExC form and gets no repro file *)
+  | Edits  (** {!edits_divergence} over a seeded 12-edit script *)
+  | Containment
+      (** [Analysis.check_compat v1 v2] against a seeded mutation v2
+          (rules kept, widened or narrowed): a [Contained] claim must
+          survive verdict fuzzing over generated graphs, and a
+          [Refuted] witness must validate under v1 and fail v2 —
+          directly, after a Turtle round-trip, and after
+          {!shrink_with} *)
+  | Optimizer
+      (** report JSON over the associations must be byte-identical
+          between the original and the optimised schema, on the
+          structural and the interned session path, once the
+          [explain]/[reason] blame payloads (which render the
+          rewritten expression) are blanked on both sides *)
+
+val modes : (string * mode) list
+(** Every mode under its [mode=] name, in usage order. *)
+
 type finding = {
   seed : int;
-  mode : Workload.Rand_gen.mode;
-  divergence : divergence;  (** re-derived on the shrunk workload *)
-  schema : Shex.Schema.t;
-  graph : Rdf.Graph.t;
-  associations : (Rdf.Term.t * Shex.Label.t) list;
+  detail : string;  (** re-derived on the shrunk case for divergences *)
   repro : string option;  (** path of the written repro file, if any *)
 }
 
-type summary = { seeds_run : int; findings : finding list }
+type summary = {
+  mode : mode;
+  first_seed : int;
+  seeds_run : int;
+  tallies : (string * int) list;
+      (** the mode's counts, sorted by name: ["contained"],
+          ["refuted"] and ["inconclusive"] compat verdicts, or
+          ["rewritten"] schemas; absent names count 0 *)
+  findings : finding list;
+}
 
-val run_campaign :
-  ?mode:Workload.Rand_gen.mode ->
+val run :
   ?dir:string ->
   ?log:(string -> unit) ->
+  mode ->
   first_seed:int ->
   count:int ->
-  unit ->
   summary
-(** Generate and check [count] seeded workloads starting at
-    [first_seed].  Each divergence is shrunk; with [?dir] set (and the
-    workload printable, i.e. [Surface] mode) a repro file is written
-    there as [oracle-seed<N>.repro].  [log] receives one line per
-    divergence as it is found. *)
+(** Check [count] seeded workloads starting at [first_seed].  A
+    divergence is shrunk and, with [?dir] set and the case printable,
+    written there as [oracle-seed<N>.repro]
+    ([oracle-edits-seed<N>.repro] in the edits mode).  [log] receives
+    one [seed N: detail] line per finding. *)
 
-val repro_to_string : finding -> string
+val render : summary -> string list
+(** The headline, then one [  seed N: detail[ [path]]] line per
+    finding. *)
+
+(** {1 Repro documents} *)
+
+val repro_to_string : seed:int -> mode:mode -> detail:string -> case -> string
 (** The self-contained repro document: a commented header, then
     [%schema] (ShExC), [%data] (Turtle) and [%map] (fixed shape map)
-    sections.  Raises [Invalid_argument] when the schema is outside
-    the ShExC-printable fragment (Extended-mode predicate sets). *)
+    sections, and an [%edits] section — one [+ <s> <p> <o> .] /
+    [- <s> <p> <o> .] N-Triples line per edit — when the case has a
+    script.  Raises [Invalid_argument] when the schema is outside the
+    ShExC-printable fragment (Extended-mode predicate sets). *)
 
 val replay_string : string -> (unit, string) result
 (** Parse a repro document and re-run {!divergences} on it — plus, when
-    the document carries a non-empty [%edits] section ([+]/[-] prefixed
-    N-Triples lines), the incremental edits arm over that script:
-    [Ok ()] when every arm now agrees (the regression stays fixed),
-    [Error detail] otherwise.  Also [Error] on malformed documents. *)
+    the document carries a non-empty [%edits] section, the edits arm
+    over that script: [Ok ()] when every arm now agrees (the regression
+    stays fixed), [Error detail] otherwise.  Also [Error] on malformed
+    documents. *)
 
 val replay_file : string -> (unit, string) result
-
-(** {1 Incremental edits arm}
-
-    Differential testing of [Shex_incremental.Session]: replay a
-    seeded edit script ({!Workload.Rand_gen.edit_script}) through an
-    incremental session and compare every association's outcome —
-    verdict, typing ({!Shex.Validate.typing}) and explanation — after
-    every edit, against a from-scratch session over the same graph.
-    This mechanically checks the frontier-invalidation soundness
-    argument of DESIGN.md §11. *)
-
-val edits_divergence :
-  Shex.Schema.t ->
-  Rdf.Graph.t ->
-  Workload.Rand_gen.edit list ->
-  (Rdf.Term.t * Shex.Label.t) list ->
-  divergence option
-(** The first stale outcome found while replaying the script, if
-    any — arm ["edits"], kind {!Verdict} for a stale verdict and
-    {!Report} for a stale typing or explanation. *)
-
-val shrink_edits :
-  Shex.Schema.t ->
-  Rdf.Graph.t ->
-  Workload.Rand_gen.edit list ->
-  (Rdf.Term.t * Shex.Label.t) list ->
-  divergence ->
-  Rdf.Graph.t * Workload.Rand_gen.edit list * (Rdf.Term.t * Shex.Label.t) list
-(** Greedy shrink preserving the divergence: associations, then script
-    edits, then initial graph triples.  The schema is left whole. *)
-
-module Edits : sig
-  type finding = {
-    seed : int;
-    divergence : divergence;
-    schema : Shex.Schema.t;
-    graph : Rdf.Graph.t;  (** shrunk initial graph *)
-    script : Workload.Rand_gen.edit list;  (** shrunk script *)
-    associations : (Rdf.Term.t * Shex.Label.t) list;
-    repro : string option;
-  }
-
-  type summary = { seeds_run : int; findings : finding list }
-end
-
-val edits_repro_to_string : Edits.finding -> string
-(** Like {!repro_to_string} with an extra [%edits] section, one
-    [+ <s> <p> <o> .] / [- <s> <p> <o> .] N-Triples line per edit. *)
-
-(** {1 Static-analysis arms}
-
-    Differential checks of [lib/analysis]'s two one-sided verdicts.
-    The containment arm attacks both directions of the soundness
-    contract: a [Contained] claim must survive verdict fuzzing over
-    generated graphs, and a [Refuted] witness must concretely validate
-    under S1 and fail S2 — directly, after a Turtle round-trip, and
-    after delta-shrinking with {!shrink_with}.  The optimizer arm pins
-    optimised ≡ unoptimised down to byte-identical report JSON, modulo
-    one normalisation: the [explain]/[reason] blame payload renders
-    the (rewritten) expression itself and is blanked on both sides;
-    every verdict bit, conformance count, entry node/shape and the
-    entry order are compared byte for byte. *)
-
-module Analysis_arm : sig
-  type finding = { seed : int; detail : string }
-
-  type containment_summary = {
-    seeds_run : int;
-    contained : int;  (** [Contained] verdicts fuzz-checked *)
-    refuted : int;  (** [Refuted] witnesses re-verified *)
-    inconclusive : int;
-    findings : finding list;
-  }
-
-  type optimizer_summary = {
-    seeds_run : int;
-    rewritten : int;  (** seeds where the optimizer changed ≥ 1 shape *)
-    findings : finding list;
-  }
-end
-
-val run_containment_campaign :
-  ?log:(string -> unit) ->
-  ?max_states:int ->
-  first_seed:int ->
-  count:int ->
-  unit ->
-  Analysis_arm.containment_summary
-(** For each seed: generate a workload, derive a semantically mutated
-    v2 (rules kept, widened, or narrowed), run
-    [Analysis.check_compat v1 v2] and attack every verdict as
-    described above.  Any surviving attack is a finding. *)
-
-val run_optimizer_campaign :
-  ?log:(string -> unit) ->
-  ?mode:Workload.Rand_gen.mode ->
-  first_seed:int ->
-  count:int ->
-  unit ->
-  Analysis_arm.optimizer_summary
-(** For each seed: report JSON over the generated associations must be
-    byte-identical (modulo blanked blame payloads, see above) between
-    the original and the optimised schema, on both the structural and
-    interned session paths. *)
-
-val run_edits_campaign :
-  ?dir:string ->
-  ?log:(string -> unit) ->
-  ?script_len:int ->
-  first_seed:int ->
-  count:int ->
-  unit ->
-  Edits.summary
-(** Generate [count] seeded Surface-mode workloads with edit scripts
-    (default [script_len] 12) and check each with
-    {!edits_divergence}.  Findings are shrunk and, with [?dir] set,
-    written as [oracle-edits-seed<N>.repro]. *)

@@ -287,10 +287,6 @@ let graph_for rng schema =
 
 type edit = Insert of Rdf.Triple.t | Delete of Rdf.Triple.t
 
-let apply_edit g = function
-  | Insert tr -> Rdf.Graph.add tr g
-  | Delete tr -> Rdf.Graph.remove tr g
-
 (* Inserts are biased toward instantiating the schema's own arc
    constraints (like [graph_for]) so edits actually flip verdicts
    instead of only adding ignorable noise; the same degree cap keeps

@@ -56,8 +56,6 @@ val graph_for : Prng.t -> Shex.Schema.t -> Rdf.Graph.t * Rdf.Term.t list
 
 type edit = Insert of Rdf.Triple.t | Delete of Rdf.Triple.t
 
-val apply_edit : Rdf.Graph.t -> edit -> Rdf.Graph.t
-
 val edit_script :
   Prng.t -> Shex.Schema.t -> Rdf.Graph.t -> int -> edit list
 (** [edit_script rng schema graph n] is a script of up to [n] edits,

@@ -33,12 +33,11 @@ let test_corpus_replays () =
 
 let no_findings (summary : Oracle.summary) =
   List.iter
-    (fun (f : Oracle.finding) ->
-      Alcotest.failf "seed %d: %s" f.seed f.divergence.detail)
+    (fun (f : Oracle.finding) -> Alcotest.failf "seed %d: %s" f.seed f.detail)
     summary.findings
 
 let test_campaign_surface () =
-  let summary = Oracle.run_campaign ~first_seed:0 ~count:60 () in
+  let summary = Oracle.run Oracle.Surface ~first_seed:0 ~count:60 in
   check_int "seeds run" 60 summary.seeds_run;
   no_findings summary
 
@@ -46,11 +45,7 @@ let test_campaign_extended () =
   (* Extended mode generates predicate stems overlapping singleton
      predicates (the SORBE applicability edge) and object-set
      complements. *)
-  let summary =
-    Oracle.run_campaign ~mode:Workload.Rand_gen.Extended ~first_seed:0
-      ~count:30 ()
-  in
-  no_findings summary
+  no_findings (Oracle.run Oracle.Extended ~first_seed:0 ~count:30)
 
 let test_seed_231_agrees () =
   (* The campaign seed that exposed the syntactic-vs-value literal
@@ -63,26 +58,21 @@ let test_seed_231_agrees () =
 let test_campaign_edits () =
   (* The incremental arm: seeded edit scripts, every verdict diffed
      against a from-scratch session after every edit. *)
-  let summary = Oracle.run_edits_campaign ~first_seed:0 ~count:40 () in
+  let summary = Oracle.run Oracle.Edits ~first_seed:0 ~count:40 in
   check_int "seeds run" 40 summary.seeds_run;
-  List.iter
-    (fun (f : Oracle.Edits.finding) ->
-      Alcotest.failf "seed %d: %s" f.seed f.divergence.detail)
-    summary.findings
+  no_findings summary
 
 (* --------------------------------------------------------------- *)
 (* Repro documents                                                  *)
 (* --------------------------------------------------------------- *)
 
-let synthetic_finding (case : Workload.Rand_gen.case) =
-  { Oracle.seed = case.seed;
-    mode = case.mode;
-    divergence =
-      { Oracle.arm = "none"; kind = Oracle.Verdict; detail = "(synthetic)" };
-    schema = case.schema;
+let oracle_case ?(script = []) (case : Workload.Rand_gen.case) =
+  { Oracle.schema = case.schema;
     graph = case.graph;
     associations = case.associations;
-    repro = None }
+    script }
+
+let has_edits_section doc = List.mem "%edits" (String.split_on_char '\n' doc)
 
 let test_repro_roundtrip () =
   (* Rendering a printable workload yields a self-contained document
@@ -90,7 +80,11 @@ let test_repro_roundtrip () =
   List.iter
     (fun seed ->
       let case = Workload.Rand_gen.case seed in
-      let doc = Oracle.repro_to_string (synthetic_finding case) in
+      let doc =
+        Oracle.repro_to_string ~seed ~mode:Oracle.Surface
+          ~detail:"(synthetic)" (oracle_case case)
+      in
+      check_bool "no %edits without a script" false (has_edits_section doc);
       match Oracle.replay_string doc with
       | Ok () -> ()
       | Error e -> Alcotest.failf "seed %d replay: %s\n%s" seed e doc)
@@ -126,22 +120,108 @@ let test_edits_repro_roundtrip () =
       let script =
         Workload.Rand_gen.edit_script rng case.schema case.graph 8
       in
-      let finding =
-        { Oracle.Edits.seed = case.seed;
-          divergence =
-            { Oracle.arm = "none"; kind = Oracle.Verdict;
-              detail = "(synthetic)" };
-          schema = case.schema;
-          graph = case.graph;
-          script;
-          associations = case.associations;
-          repro = None }
+      let doc =
+        Oracle.repro_to_string ~seed ~mode:Oracle.Edits ~detail:"(synthetic)"
+          (oracle_case ~script case)
       in
-      let doc = Oracle.edits_repro_to_string finding in
+      check_bool "%edits section" true (script <> [] && has_edits_section doc);
       match Oracle.replay_string doc with
       | Ok () -> ()
       | Error e -> Alcotest.failf "seed %d edits replay: %s\n%s" seed e doc)
     [ 0; 7; 42 ]
+
+(* --------------------------------------------------------------- *)
+(* Shrinking and rendering                                          *)
+(* --------------------------------------------------------------- *)
+
+let test_shrink_edits () =
+  (* No campaign has a divergence to shrink, so the edits shrinker is
+     driven by a synthetic property: "the script still has edit 3 and
+     the graph still has its first triple". *)
+  let w = Workload.Rand_gen.case 7 in
+  let script =
+    Workload.Rand_gen.edit_script
+      (Workload.Prng.create (7 lxor 0x5eed))
+      w.schema w.graph 12
+  in
+  let edit = List.nth script 3
+  and triple = List.hd (Rdf.Graph.to_list w.graph) in
+  let keep (c : Oracle.case) =
+    List.mem edit c.script && Rdf.Graph.mem triple c.graph
+  in
+  let case = oracle_case ~script w in
+  check_bool "keep holds on the input" true (keep case);
+  check_bool "something to shrink" true
+    (List.length script > 1 && List.length case.associations > 1);
+  let shrunk = Oracle.shrink_edits ~keep case in
+  check_bool "schema kept whole" true (shrunk.schema == case.schema);
+  check_bool "exactly that edit" true (shrunk.script = [ edit ]);
+  check_bool "exactly that triple" true
+    (Rdf.Graph.to_list shrunk.graph = [ triple ]);
+  check_int "one association" 1 (List.length shrunk.associations)
+
+let test_render_findings () =
+  (* A clean oracle never reaches the with-findings headlines or the
+     finding lines, so they are pinned on synthetic summaries, one per
+     mode, with and without a repro path. *)
+  let summary mode tallies findings =
+    { Oracle.mode; first_seed = 10; seeds_run = 7; tallies; findings }
+  in
+  let finding ?repro seed detail = { Oracle.seed; detail; repro } in
+  let mismatch =
+    "sparql: verdict mismatch at <http://example.org/n3>@<http://example.org/S1> \
+     (deriv=false sparql=true)"
+  and stale =
+    "edits: stale verdict at <http://example.org/n0>@<http://example.org/S0> \
+     after edit 1/2 (incremental \u{2260} from-scratch)"
+  in
+  let check name expected s =
+    Alcotest.(check (list string)) name expected (Oracle.render s)
+  in
+  check "surface"
+    [ "oracle: 7 seeds checked (surface mode): 2 divergences";
+      "  seed 12: " ^ mismatch ^ " [out/oracle-seed12.repro]";
+      "  seed 15: " ^ mismatch ]
+    (summary Oracle.Surface []
+       [ finding ~repro:"out/oracle-seed12.repro" 12 mismatch;
+         finding 15 mismatch ]);
+  check "extended"
+    [ "oracle: 7 seeds checked (extended mode): 1 divergence";
+      "  seed 13: " ^ mismatch ]
+    (summary Oracle.Extended [] [ finding 13 mismatch ]);
+  check "edits"
+    [ "oracle: 7 edit scripts checked: 2 divergences";
+      "  seed 10: " ^ stale ^ " [out/oracle-edits-seed10.repro]";
+      "  seed 16: " ^ stale ]
+    (summary Oracle.Edits []
+       [ finding ~repro:"out/oracle-edits-seed10.repro" 10 stale;
+         finding 16 stale ]);
+  check "edits, one"
+    [ "oracle: 7 edit scripts checked: 1 divergence"; "  seed 11: " ^ stale ]
+    (summary Oracle.Edits [] [ finding 11 stale ]);
+  check "containment"
+    [ "oracle: 7 seeds checked (containment arm, seeds 10-16): 4 contained \
+       fuzz-checked, 2 counterexamples re-verified, 1 inconclusive, 1 finding";
+      "  seed 14: shrinker destroyed the containment witness for \
+       <http://example.org/S1>" ]
+    (summary Oracle.Containment
+       [ ("contained", 4); ("inconclusive", 1); ("refuted", 2) ]
+       [ finding 14
+           "shrinker destroyed the containment witness for \
+            <http://example.org/S1>" ]);
+  let changed arm =
+    Printf.sprintf
+      "optimizer changed the %s report on seed 12 (schemas must validate \
+       identically)"
+      arm
+  in
+  check "optimizer"
+    [ "oracle: 7 seeds checked (optimizer arm, seeds 10-16): 3 rewritten, \
+       reports byte-compared, 2 findings";
+      "  seed 12: " ^ changed "structural";
+      "  seed 12: " ^ changed "interned" ]
+    (summary Oracle.Optimizer [ ("rewritten", 3) ]
+       [ finding 12 (changed "structural"); finding 12 (changed "interned") ])
 
 let suites =
   [ ( "oracle",
@@ -159,4 +239,8 @@ let suites =
         Alcotest.test_case "edits repro round-trip" `Quick
           test_edits_repro_roundtrip;
         Alcotest.test_case "malformed repro documents" `Quick
-          test_replay_malformed ] ) ]
+          test_replay_malformed;
+        Alcotest.test_case "edits shrinker keeps one edit and triple" `Quick
+          test_shrink_edits;
+        Alcotest.test_case "summary lines with findings" `Quick
+          test_render_findings ] ) ]
