@@ -219,6 +219,9 @@ let handle st obs cmd =
   | Some "analyze" -> (
       let session = require_session st in
       let schema = Shex_incremental.Session.schema session in
+      let labels ls =
+        Json.Array (List.map (fun l -> Json.String (Shex.Label.to_string l)) ls)
+      in
       match Json.find_string "compat" cmd with
       | Some path ->
           (* Containment of the *loaded* schema in a proposed
@@ -244,21 +247,16 @@ let handle st obs cmd =
               :: ("verdict", Json.String verdict)
               :: detail)
           in
-          let labels ls =
-            Json.Array
-              (List.map (fun l -> Json.String (Shex.Label.to_string l)) ls)
-          in
           Json.Object
             [ ("ok", Json.Bool true);
               ("shapes", Json.Array (List.map item_json report.Analysis.items));
               ("removed", labels report.Analysis.removed);
               ("added", labels report.Analysis.added) ]
       | None ->
-          let hyg = Analysis.hygiene schema in
-          let mem l ls = List.exists (Shex.Label.equal l) ls in
-          let shape_json l =
+          let hyg = Analysis.hygiene ~tele:st.tele schema in
+          let shape_json (l, verdict) =
             let satisfiable =
-              match Analysis.shape_satisfiable ~tele:st.tele schema l with
+              match verdict with
               | Analysis.Satisfiable _ -> Json.Bool true
               | Analysis.Empty -> Json.Bool false
               | Analysis.Unknown m -> Json.String ("unknown: " ^ m)
@@ -266,16 +264,14 @@ let handle st obs cmd =
             Json.Object
               [ ("shape", Json.String (Shex.Label.to_string l));
                 ("satisfiable", satisfiable);
-                ("unreachable", Json.Bool (mem l hyg.Analysis.unreachable)) ]
-          in
-          let labels ls =
-            Json.Array
-              (List.map (fun l -> Json.String (Shex.Label.to_string l)) ls)
+                ( "unreachable",
+                  Json.Bool
+                    (List.exists (Shex.Label.equal l) hyg.Analysis.unreachable)
+                ) ]
           in
           Json.Object
             [ ("ok", Json.Bool true);
-              ( "shapes",
-                Json.Array (List.map shape_json (Shex.Schema.labels schema)) );
+              ("shapes", Json.Array (List.map shape_json hyg.Analysis.shapes));
               ("dead", labels hyg.Analysis.unsatisfiable);
               ("unreachable", labels hyg.Analysis.unreachable);
               ("roots", labels hyg.Analysis.roots) ])

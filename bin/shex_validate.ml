@@ -142,31 +142,28 @@ let infer_cmd data_path label_name nodes_text =
    were found, 3 when the only findings are Unknown (search capped). *)
 let analyze_cmd schema =
   let h = Analysis.hygiene schema in
-  Printf.printf "roots: %s\n"
-    (String.concat ", " (List.map Shex.Label.to_string h.Analysis.roots));
-  let unknowns = ref 0 in
+  let names ls = String.concat ", " (List.map Shex.Label.to_string ls) in
+  Printf.printf "roots: %s\n" (names h.Analysis.roots);
   List.iter
-    (fun l ->
-      let verdict = Analysis.shape_satisfiable schema l in
-      (match verdict with Analysis.Unknown _ -> incr unknowns | _ -> ());
+    (fun (l, verdict) ->
       Printf.printf "%s: %s%s\n"
         (Shex.Label.to_string l)
         (Format.asprintf "%a" Analysis.pp_emptiness verdict)
         (if List.exists (Shex.Label.equal l) h.Analysis.unreachable then
            " [unreachable]"
          else ""))
-    (Shex.Schema.labels schema);
+    h.Analysis.shapes;
   if h.Analysis.unsatisfiable <> [] then
-    Printf.printf "dead rules: %s\n"
-      (String.concat ", "
-         (List.map Shex.Label.to_string h.Analysis.unsatisfiable));
+    Printf.printf "dead rules: %s\n" (names h.Analysis.unsatisfiable);
   if h.Analysis.unreachable <> [] then
-    Printf.printf "unreachable rules: %s\n"
-      (String.concat ", "
-         (List.map Shex.Label.to_string h.Analysis.unreachable));
+    Printf.printf "unreachable rules: %s\n" (names h.Analysis.unreachable);
   exit
     (if h.Analysis.unsatisfiable <> [] || h.Analysis.unreachable <> [] then 1
-     else if !unknowns > 0 then 3
+     else if
+       List.exists
+         (function _, Analysis.Unknown _ -> true | _ -> false)
+         h.Analysis.shapes
+     then 3
      else 0)
 
 (* --check-compat "OLD NEW" (or OLD,NEW): the deploy gate.  Exit 0
@@ -303,9 +300,6 @@ let oracle_cmd spec =
     | Some n -> n
     | None -> failwith "--oracle: a seeds=N entry is required"
   in
-  Option.iter
-    (fun d -> if not (Sys.file_exists d) then Sys.mkdir d 0o755)
-    !dir;
   let summary =
     Oracle.run ?dir:!dir ~log:prerr_endline !mode ~first_seed:!start ~count
   in
@@ -770,7 +764,8 @@ let oracle_arg =
               compiled automata, SPARQL, 2- and 4-domain bulk), and \
               delta-shrink any disagreement.  $(docv) is \
               $(b,seeds=N)[$(b,,start=S)][$(b,,mode=%s)][$(b,,dir=DIR)]; \
-              shrunk repro files are written to $(b,DIR).  \
+              shrunk repro files are written to $(b,DIR), which only the \
+              surface, extended and edits modes take.  \
               $(b,mode=edits) replays seeded insert/delete scripts through \
               an incremental session and diffs every verdict against a \
               from-scratch run after each edit; $(b,mode=containment) \

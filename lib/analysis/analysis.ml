@@ -16,6 +16,7 @@ type compat = {
 }
 
 type hygiene = {
+  shapes : (Label.t * emptiness) list;
   unreachable : Label.t list;
   unsatisfiable : Label.t list;
   roots : Label.t list;
@@ -264,8 +265,8 @@ let canon_side congruent side l =
    state, so the state cap bounds its time too. *)
 let work_per_state = 200
 
-let make_env ?(tele = Telemetry.disabled) ?(max_states = 20_000)
-    ?(extra_preds = []) ?(extra_objects = []) ?(assume = []) sides =
+let make_env ?(tele = Telemetry.disabled) ?(max_states = 20_000) ?(assume = [])
+    sides =
   let congruent = compute_congruent sides in
   let assumed = Hashtbl.create 8 in
   List.iter (fun (l1, l2) -> Hashtbl.replace assumed (assume_key l1 l2) ()) assume;
@@ -303,10 +304,10 @@ let make_env ?(tele = Telemetry.disabled) ?(max_states = 20_000)
     sides;
   let objs = List.fold_left (fun acc t -> numeric_variants t acc) !objs !objs in
   let obj_samples =
-    take 96 (dedup Rdf.Term.equal (kind_reps @ List.rev objs @ extra_objects))
+    take 96 (dedup Rdf.Term.equal (kind_reps @ List.rev objs))
   in
   let pred_samples =
-    take 48 (dedup Rdf.Iri.equal (fresh_pred :: (List.rev !preds @ extra_preds)))
+    take 48 (dedup Rdf.Iri.equal (fresh_pred :: List.rev !preds))
   in
   let atoms = Array.of_list (List.rev !atoms) in
   let dirs =
@@ -520,112 +521,63 @@ let step env (state : Hrse.t) li =
       Hashtbl.replace env.trans (state.Hrse.id, li) s';
       s'
 
-(* Validation only reads a node's incoming arcs when the expression
-   under test mentions inverse arcs, so inverse letters are invisible
-   (identity transitions) to inverse-free expressions. *)
-let visible_letters env ~has_inv =
-  let out = ref [] in
-  Array.iteri
-    (fun i lt -> if has_inv || not lt.l_inverse then out := i :: !out)
-    env.letters;
-  List.rev !out
-
-type search = Reached of int list | Exhausted | Capped
-
 exception Done
 
-let explore env ~has_inv (start : Hrse.t) ~goal =
-  if goal start then Reached []
-  else begin
-    let letters = visible_letters env ~has_inv in
-    let visited = Hashtbl.create 256 in
-    let parent = Hashtbl.create 256 in
-    let q = Queue.create () in
-    Hashtbl.replace visited start.Hrse.id ();
-    Queue.add start q;
-    let result = ref None and capped = ref false in
-    let work0 = Hrse.work env.tbl in
-    (try
-       while not (Queue.is_empty q) do
-         let s = Queue.pop q in
-         List.iter
-           (fun li ->
-             let s' = step env s li in
-             if not (Hashtbl.mem visited s'.Hrse.id) then begin
-               Hashtbl.replace visited s'.Hrse.id ();
-               Hashtbl.replace parent s'.Hrse.id (s.Hrse.id, li);
-               Telemetry.Counter.incr env.states_counter;
-               if goal s' then begin
-                 result := Some s'.Hrse.id;
-                 raise Done
-               end;
-               if Hashtbl.length visited > env.max_states then begin
-                 capped := true;
-                 raise Done
-               end;
-               Queue.add s' q
-             end;
-             if Hrse.work env.tbl - work0 > env.max_work then begin
-               capped := true;
-               raise Done
-             end)
-           letters
-       done
-     with Done -> ());
-    match !result with
-    | Some id ->
-        let rec back id acc =
-          if id = start.Hrse.id then acc
-          else
-            let p, li = Hashtbl.find parent id in
-            back p (li :: acc)
-        in
-        Reached (back id [])
-    | None -> if !capped then Capped else Exhausted
-  end
-
-(* Product search for containment: find a state pair with the left
-   side nullable and the right side not.  Both sides consume the same
-   letter, each through its own visibility filter. *)
-let explore_product env ~has_inv1 ~has_inv2 (start1 : Hrse.t)
-    (start2 : Hrse.t) ~collect =
-  let goal (s1 : Hrse.t) (s2 : Hrse.t) = s1.Hrse.nullable && not s2.Hrse.nullable in
-  let visited = Hashtbl.create 256 in
-  let parent = Hashtbl.create 256 in
+(* The one derivative-space search, breadth first over states that hold
+   one hash-consed expression per side: emptiness searches one side,
+   containment two.  [lanes] gives each side's schema, start expression
+   and the nullability a goal state needs on that side.  Validation
+   reads a node's incoming arcs only when the expression under test
+   mentions inverse arcs, so an inverse letter leaves an inverse-free
+   side where it is.  Each new state counts against [max_states], and
+   the derivatives computed count against [max_work].  The search stops
+   at its [collect]-th goal or at either cap, and returns the goal
+   paths in discovery order and whether a cap stopped it. *)
+let search env ~collect lanes =
+  let ids = List.map (fun (s : Hrse.t) -> s.Hrse.id) in
+  let start = List.map (fun (side, e, _) -> conv env side e) lanes in
+  let reads_inv = List.map (fun (_, e, _) -> Rse.has_inverse e) lanes in
+  let any_reads_inv = List.mem true reads_inv in
+  let goal states =
+    List.for_all2
+      (fun (s : Hrse.t) (_, _, nullable) -> Bool.equal s.Hrse.nullable nullable)
+      states lanes
+  in
+  let start_key = ids start in
+  let visited = Hashtbl.create 256 and parent = Hashtbl.create 256 in
   let q = Queue.create () in
-  let start_key = (start1.Hrse.id, start2.Hrse.id) in
-  let goals = ref [] and n_goals = ref 0 and capped = ref false in
-  Hashtbl.replace visited start_key ();
-  if goal start1 start2 then begin
-    goals := [ start_key ];
-    incr n_goals
-  end;
-  Queue.add (start1, start2) q;
+  let goals = ref [] and capped = ref false in
+  let reached k =
+    goals := k :: !goals;
+    if List.length !goals >= collect then raise Done
+  in
   let work0 = Hrse.work env.tbl in
   (try
-     while not (Queue.is_empty q) && !n_goals < collect do
-       let s1, s2 = Queue.pop q in
+     Hashtbl.replace visited start_key ();
+     if goal start then reached start_key;
+     Queue.add start q;
+     while not (Queue.is_empty q) do
+       let ss = Queue.pop q in
        Array.iteri
          (fun li lt ->
-           let vis1 = has_inv1 || not lt.l_inverse
-           and vis2 = has_inv2 || not lt.l_inverse in
-           if vis1 || vis2 then begin
-             let t1 = if vis1 then step env s1 li else s1
-             and t2 = if vis2 then step env s2 li else s2 in
-             let k = (t1.Hrse.id, t2.Hrse.id) in
+           if any_reads_inv || not lt.l_inverse then begin
+             let ts =
+               List.map2
+                 (fun s inv ->
+                   if inv || not lt.l_inverse then step env s li else s)
+                 ss reads_inv
+             in
+             let k = ids ts in
              if not (Hashtbl.mem visited k) then begin
                Hashtbl.replace visited k ();
-               Hashtbl.replace parent k ((s1.Hrse.id, s2.Hrse.id), li);
+               Hashtbl.replace parent k (ids ss, li);
                Telemetry.Counter.incr env.states_counter;
-               if goal t1 t2 then begin
-                 goals := k :: !goals;
-                 incr n_goals
-               end;
+               if goal ts then reached k;
                if Hashtbl.length visited > env.max_states then begin
                  capped := true;
                  raise Done
                end;
-               Queue.add (t1, t2) q
+               Queue.add ts q
              end;
              if Hrse.work env.tbl - work0 > env.max_work then begin
                capped := true;
@@ -635,16 +587,13 @@ let explore_product env ~has_inv1 ~has_inv2 (start1 : Hrse.t)
          env.letters
      done
    with Done -> ());
-  let path_of k =
-    let rec back k acc =
-      if fst k = fst start_key && snd k = snd start_key then acc
-      else
-        let p, li = Hashtbl.find parent k in
-        back p (li :: acc)
-    in
-    back k []
+  let rec back k acc =
+    if k = start_key then acc
+    else
+      let p, li = Hashtbl.find parent k in
+      back p (li :: acc)
   in
-  (List.rev_map path_of !goals, if !capped then `Capped else `Complete)
+  (List.rev_map (fun k -> back k []) !goals, !capped)
 
 (* ------------------------------------------------------------------ *)
 (* Capability fixpoint                                                 *)
@@ -691,7 +640,6 @@ let compute_caps env =
           | Some sh -> sh
           | None -> assert false
         in
-        let has_inv = Rse.has_inverse sh.Schema.expr in
         let key = cap_key side l in
         let f_ok =
           match sh.Schema.focus with
@@ -702,28 +650,22 @@ let compute_caps env =
           | None -> false
           | Some vo -> focus_rej env vo
         in
-        let h = conv env side sh.Schema.expr in
-        let sat =
+        (* Can the expression reach a state of this nullability?  A
+           capped search answers yes, the sound direction for both
+           capabilities. *)
+        let reachable nullable record =
           f_ok
           &&
-          match explore env ~has_inv h ~goal:(fun s -> s.Hrse.nullable) with
-          | Reached p ->
-              Hashtbl.replace env.sat_paths key p;
+          match search env ~collect:1 [ (side, sh.Schema.expr, nullable) ] with
+          | p :: _, _ ->
+              record p;
               true
-          | Capped -> true
-          | Exhausted -> false
+          | [], capped -> capped
         in
+        let sat = reachable true (Hashtbl.replace env.sat_paths key) in
         let expr_refut =
-          f_ok
-          &&
-          match
-            explore env ~has_inv h ~goal:(fun s -> not s.Hrse.nullable)
-          with
-          | Reached p ->
-              Hashtbl.replace env.refut_paths key (Refut_expr p);
-              true
-          | Capped -> true
-          | Exhausted -> false
+          reachable false (fun p ->
+              Hashtbl.replace env.refut_paths key (Refut_expr p))
         in
         if f_rej && not (Hashtbl.mem env.refut_paths key) then
           Hashtbl.replace env.refut_paths key Refut_focus;
@@ -891,30 +833,19 @@ let emptiness_of env side schema l =
             if verified_sat schema l w then Satisfiable w
             else Unknown "candidate witness failed verification")
 
-let shape_satisfiable ?(tele = Telemetry.disabled) ?max_states ?extra_preds
-    ?extra_objects schema l =
+(* One capability fixpoint answers the emptiness of every label. *)
+let label_emptiness ~tele ?max_states schema labels =
+  Telemetry.Span.time (Telemetry.span tele "analysis_emptiness") (fun () ->
+      let env = make_env ~tele ?max_states [ (Lft, schema) ] in
+      compute_caps env;
+      List.map (fun l -> (l, emptiness_of env Lft schema l)) labels)
+
+let shape_satisfiable ?(tele = Telemetry.disabled) ?max_states schema l =
   if not (Schema.mem schema l) then
     invalid_arg "Analysis.shape_satisfiable: unknown label";
-  Telemetry.Span.time (Telemetry.span tele "analysis_emptiness") (fun () ->
-      let env =
-        make_env ~tele ?max_states ?extra_preds ?extra_objects
-          [ (Lft, schema) ]
-      in
-      compute_caps env;
-      emptiness_of env Lft schema l)
-
-let probe_label = Label.of_string "http://analysis.invalid/probe"
-
-let expr_satisfiable ?tele ?max_states ?extra_preds ?extra_objects schema expr
-    =
-  match
-    Schema.make_shapes
-      ((probe_label, { Schema.focus = None; expr }) :: Schema.shapes schema)
-  with
-  | Error m -> Unknown ("probe schema rejected: " ^ m)
-  | Ok s ->
-      shape_satisfiable ?tele ?max_states ?extra_preds ?extra_objects s
-        probe_label
+  match label_emptiness ~tele ?max_states schema [ l ] with
+  | [ (_, v) ] -> v
+  | _ -> assert false
 
 (* ------------------------------------------------------------------ *)
 (* Containment                                                         *)
@@ -953,12 +884,9 @@ let contains_in_env env s1 l1 s2 l2 =
             (fun t -> f1_ok t && not (Value_set.obj_mem vo2 t))
             (focus_candidates env)
     in
-    let has_inv1 = Rse.has_inverse sh1.Schema.expr
-    and has_inv2 = Rse.has_inverse sh2.Schema.expr in
-    let h1 = conv env Lft sh1.Schema.expr
-    and h2 = conv env Rgt sh2.Schema.expr in
-    let paths, completeness =
-      explore_product env ~has_inv1 ~has_inv2 h1 h2 ~collect:24
+    let paths, capped =
+      search env ~collect:24
+        [ (Lft, sh1.Schema.expr, true); (Rgt, sh2.Schema.expr, false) ]
     in
     let verify (w : witness) =
       let sess1 = Validate.session s1 w.graph
@@ -983,33 +911,14 @@ let contains_in_env env s1 l1 s2 l2 =
     | Some w -> Refuted w
     | None -> (
         let no_separator = match separator with None -> true | Some _ -> false in
-        match (paths, completeness) with
-        | [], `Complete when no_separator -> Contained
-        | [], `Capped -> Inconclusive "product search hit its state or work cap"
+        match (paths, capped) with
+        | [], false when no_separator -> Contained
+        | [], true -> Inconclusive "product search hit its state or work cap"
         | _ ->
             Inconclusive
               "counterexample candidates found but none survived \
                verification")
   end
-
-(* Does any [Ref] atom occur in the scope of a [Not]?  The coinductive
-   assumption discharge below is justified by an inductive failure
-   witness for the right-hand side, which negation over references
-   would break; such schemas fall back to the assumption-free search. *)
-let rec refs_under_not ~neg (e : Rse.t) =
-  match e with
-  | Rse.Empty | Rse.Epsilon -> false
-  | Rse.Arc a -> (
-      match a.Rse.obj with Rse.Ref _ -> neg | Rse.Values _ -> false)
-  | Rse.Star inner | Rse.Repeat (inner, _, _) -> refs_under_not ~neg inner
-  | Rse.And (a, b) | Rse.Or (a, b) ->
-      refs_under_not ~neg a || refs_under_not ~neg b
-  | Rse.Not inner -> refs_under_not ~neg:true inner
-
-let schema_refs_under_not s =
-  List.exists
-    (fun (_, (sh : Schema.shape)) -> refs_under_not ~neg:false sh.Schema.expr)
-    (Schema.shapes s)
 
 (* Check a set of containment pairs l1 ⊑ l2 simultaneously and
    coinductively, Amadio–Cardelli style: while a pair is assumed,
@@ -1033,16 +942,20 @@ let schema_refs_under_not s =
    forever, so some fixpoint pair has a counterexample within the
    searched alphabet — contradicting that its search was exhaustive
    with no goal. *)
-let check_pairs ~tele ?max_states ?extra_preds ?extra_objects s1 s2 pairs =
+let check_pairs ~tele ?max_states s1 s2 pairs =
   let run assume =
-    let env =
-      make_env ~tele ?max_states ?extra_preds ?extra_objects ~assume
-        [ (Lft, s1); (Rgt, s2) ]
-    in
+    let env = make_env ~tele ?max_states ~assume [ (Lft, s1); (Rgt, s2) ] in
     compute_caps env;
     List.map (fun (l1, l2) -> ((l1, l2), contains_in_env env s1 l1 s2 l2)) pairs
   in
-  if schema_refs_under_not s1 || schema_refs_under_not s2 then run []
+  (* A reference under [Not] breaks the inductive failure witness the
+     discharge needs, so such schemas run without assumptions. *)
+  let refs_under_not s =
+    List.exists
+      (fun (_, e) -> not (Label.Set.is_empty (Rse.refs_under_not e)))
+      (Schema.rules s)
+  in
+  if refs_under_not s1 || refs_under_not s2 then run []
   else
     let pair_eq (a1, a2) (b1, b2) = Label.equal a1 b1 && Label.equal a2 b2 in
     let rec fix assume =
@@ -1059,23 +972,18 @@ let check_pairs ~tele ?max_states ?extra_preds ?extra_objects s1 s2 pairs =
     in
     fix pairs
 
-let contains ?(tele = Telemetry.disabled) ?max_states ?extra_preds
-    ?extra_objects s1 l1 s2 l2 =
+let contains ?(tele = Telemetry.disabled) ?max_states s1 l1 s2 l2 =
   Telemetry.Span.time (Telemetry.span tele "analysis_containment") (fun () ->
-      match
-        check_pairs ~tele ?max_states ?extra_preds ?extra_objects s1 s2
-          [ (l1, l2) ]
-      with
+      match check_pairs ~tele ?max_states s1 s2 [ (l1, l2) ] with
       | [ (_, v) ] -> v
       | _ -> assert false)
 
-let check_compat ?(tele = Telemetry.disabled) ?max_states ?extra_preds
-    ?extra_objects s_old s_new =
+let check_compat ?(tele = Telemetry.disabled) ?max_states s_old s_new =
   Telemetry.Span.time (Telemetry.span tele "analysis_compat") (fun () ->
       let old_ls = Schema.labels s_old and new_ls = Schema.labels s_new in
       let shared = List.filter (Schema.mem s_new) old_ls in
       let results =
-        check_pairs ~tele ?max_states ?extra_preds ?extra_objects s_old s_new
+        check_pairs ~tele ?max_states s_old s_new
           (List.map (fun l -> (l, l)) shared)
       in
       let items =
@@ -1090,7 +998,7 @@ let check_compat ?(tele = Telemetry.disabled) ?max_states ?extra_preds
 (* Hygiene                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let hygiene ?roots schema =
+let hygiene ?(tele = Telemetry.disabled) ?roots schema =
   let labels = Schema.labels schema in
   let roots =
     match roots with
@@ -1116,12 +1024,11 @@ let hygiene ?roots schema =
       Label.Set.empty roots
   in
   let unreachable = List.filter (fun l -> not (Label.Set.mem l reach)) labels in
-  let env = make_env [ (Lft, schema) ] in
-  compute_caps env;
+  let shapes = label_emptiness ~tele schema labels in
   let unsatisfiable =
-    List.filter (fun l -> not (get_cap env Lft l).can_sat) labels
+    List.filter_map (function l, Empty -> Some l | _ -> None) shapes
   in
-  { unreachable; unsatisfiable; roots }
+  { shapes; unreachable; unsatisfiable; roots }
 
 (* ------------------------------------------------------------------ *)
 (* Pre-validation optimizer                                            *)
@@ -1275,13 +1182,7 @@ let merge_arc_disjuncts parts =
   in
   List.fold_left try_merge [] parts
 
-let expr_empty env e =
-  match
-    explore env ~has_inv:(Rse.has_inverse e) (conv env Lft e)
-      ~goal:(fun s -> s.Hrse.nullable)
-  with
-  | Exhausted -> true
-  | Reached _ | Capped -> false
+let expr_empty env e = search env ~collect:1 [ (Lft, e, true) ] = ([], false)
 
 let rec opt_expr env (e : Rse.t) =
   match e with
@@ -1307,7 +1208,8 @@ let rec opt_expr env (e : Rse.t) =
       (* Pruning decides on the original sub-expressions (whose arcs
          are in the compiled alphabet); emptiness under the
          all-capabilities letter alphabet over-approximates
-         reachability, so Exhausted proves real emptiness. *)
+         reachability, so an uncapped search without a goal proves
+         real emptiness. *)
       let kept =
         match
           List.filter
@@ -1325,7 +1227,7 @@ let optimize_stats schema =
   let env = make_env [ (Lft, schema) ] in
   (* Letters with all capabilities at ⊤ over-approximate the real
      alphabet, which is the conservative direction for disjunct
-     pruning (only Exhausted searches prune). *)
+     pruning (only uncapped searches without a goal prune). *)
   build_letters env;
   let changed = ref 0 in
   let shapes' =

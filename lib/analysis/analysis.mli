@@ -20,19 +20,20 @@
     Soundness contract: [Empty] and [Contained] verdicts are decided
     relative to the sampled letter universe — complete whenever every
     value set is a finite union of the sampled families (value
-    enumerations, datatypes, stems, kinds, and anything injected via
-    [extra_objects]/[extra_preds]), which covers the whole ShExC
-    surface this repo generates and parses.  Witnesses run the other
+    enumerations, datatypes, stems and kinds), which covers the whole
+    ShExC surface this repo generates and parses.  Witnesses run the other
     way and are unconditional: every [Satisfiable]/[Refuted] answer
     carries a concrete neighbourhood that has been replayed through
     {!Shex.Validate} before being reported.  The differential oracle's
     containment arm fuzzes exactly this contract.
 
-    Every search stops, answering [Unknown]/[Inconclusive], once it has
-    visited [max_states] states (default 20 000) or spent
-    [200 * max_states] units of {!Shex.Hrse.work}, whichever
-    comes first: derivatives of interleavings and negations can grow
-    with every step, so the state count alone does not bound the time. *)
+    Emptiness and containment run one breadth-first search over states
+    holding one derivative per schema side.  Every search stops,
+    answering [Unknown]/[Inconclusive], once it has visited
+    [max_states] states (default 20 000) or spent [200 * max_states]
+    units of {!Shex.Hrse.work}, whichever comes first: derivatives of
+    interleavings and negations can grow with every step, so the state
+    count alone does not bound the time. *)
 
 (** A concrete witness: a focus node together with a graph whose
     neighbourhood of that node exhibits the claimed behaviour.  The
@@ -62,41 +63,24 @@ type compat = {
 }
 
 type hygiene = {
+  shapes : (Shex.Label.t * emptiness) list;
+      (** every label's emptiness, in schema order *)
   unreachable : Shex.Label.t list;
       (** not reachable from any root through [Ref] edges *)
   unsatisfiable : Shex.Label.t list;
-      (** proven empty: no node can ever conform *)
+      (** the labels [shapes] calls [Empty]: no node can ever conform *)
   roots : Shex.Label.t list;  (** the roots the reachability walk used *)
 }
 
 val shape_satisfiable :
-  ?tele:Telemetry.t ->
-  ?max_states:int ->
-  ?extra_preds:Rdf.Iri.t list ->
-  ?extra_objects:Rdf.Term.t list ->
-  Shex.Schema.t ->
-  Shex.Label.t ->
-  emptiness
+  ?tele:Telemetry.t -> ?max_states:int -> Shex.Schema.t -> Shex.Label.t -> emptiness
 (** Emptiness of δ(l): nullability-guided search of the derivative
-    space.  Raises [Invalid_argument] if the label has no rule. *)
-
-val expr_satisfiable :
-  ?tele:Telemetry.t ->
-  ?max_states:int ->
-  ?extra_preds:Rdf.Iri.t list ->
-  ?extra_objects:Rdf.Term.t list ->
-  Shex.Schema.t ->
-  Shex.Rse.t ->
-  emptiness
-(** Emptiness of an arbitrary expression whose references resolve in
-    the given schema (the expression is probed as an anonymous extra
-    rule). *)
+    space, inside the capability fixpoint over every label of the
+    schema.  Raises [Invalid_argument] if the label has no rule. *)
 
 val contains :
   ?tele:Telemetry.t ->
   ?max_states:int ->
-  ?extra_preds:Rdf.Iri.t list ->
-  ?extra_objects:Rdf.Term.t list ->
   Shex.Schema.t ->
   Shex.Label.t ->
   Shex.Schema.t ->
@@ -110,23 +94,20 @@ val contains :
     on unknown labels. *)
 
 val check_compat :
-  ?tele:Telemetry.t ->
-  ?max_states:int ->
-  ?extra_preds:Rdf.Iri.t list ->
-  ?extra_objects:Rdf.Term.t list ->
-  Shex.Schema.t ->
-  Shex.Schema.t ->
-  compat
+  ?tele:Telemetry.t -> ?max_states:int -> Shex.Schema.t -> Shex.Schema.t -> compat
 (** Deploy gate: [check_compat old_schema new_schema] runs {!contains}
     for every label the two schemas share ("every node valid under v1
     stays valid under v2"). *)
 
-val hygiene : ?roots:Shex.Label.t list -> Shex.Schema.t -> hygiene
-(** Dead-rule and unreachable-shape detection.  Roots default to the
-    labels carrying a focus constraint (the shapes a shape map can
-    target directly); when no label has one, every label is a root of
-    its own reachability check — then only satisfiability findings
-    remain. *)
+val hygiene :
+  ?tele:Telemetry.t -> ?roots:Shex.Label.t list -> Shex.Schema.t -> hygiene
+(** Every label's emptiness, with dead-rule and unreachable-shape
+    detection, from one capability fixpoint: it explores as many
+    states as one {!shape_satisfiable} on the same schema.  Roots
+    default to the labels carrying a focus constraint (the shapes a
+    shape map can target directly); when no label has one, every label
+    is a root of its own reachability check — then only
+    satisfiability findings remain. *)
 
 val optimize : Shex.Schema.t -> Shex.Schema.t
 (** Pre-validation optimizer.  Semantics-preserving rewrites only:

@@ -799,7 +799,21 @@ let check ?dir ~tally mode seed =
   | Containment -> unwritten (containment_check ~tally seed c)
   | Optimizer -> unwritten (optimizer_check ~tally seed c)
 
+(* Only the divergence modes shrink to a case that one repro document
+   holds; an analysis arm's finding concerns a schema pair. *)
+let writes_repros = function
+  | Surface | Extended | Edits -> true
+  | Containment | Optimizer -> false
+
 let run ?dir ?(log = ignore) mode ~first_seed ~count =
+  Option.iter
+    (fun d ->
+      if not (writes_repros mode) then
+        invalid_arg
+          (Printf.sprintf "mode=%s writes no repro files, so it takes no dir="
+             (mode_text mode));
+      if not (Sys.file_exists d) then Sys.mkdir d 0o755)
+    dir;
   let tallies = Hashtbl.create 4 and findings = ref [] in
   let tally k =
     Hashtbl.replace tallies k

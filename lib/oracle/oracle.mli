@@ -146,8 +146,13 @@ val run :
 (** Check [count] seeded workloads starting at [first_seed].  A
     divergence is shrunk and, with [?dir] set and the case printable,
     written there as [oracle-seed<N>.repro]
-    ([oracle-edits-seed<N>.repro] in the edits mode).  [log] receives
-    one [seed N: detail] line per finding. *)
+    ([oracle-edits-seed<N>.repro] in the edits mode); [run] creates
+    [dir] when it is missing.  Only {!Surface}, {!Extended} and
+    {!Edits} write repro files: an analysis arm's finding concerns a
+    schema pair, which a repro document cannot hold, so [?dir] with
+    {!Containment} or {!Optimizer} raises [Invalid_argument] before
+    any seed runs.  [log] receives one [seed N: detail] line per
+    finding. *)
 
 val render : summary -> string list
 (** The headline, then one [  seed N: detail[ [path]]] line per

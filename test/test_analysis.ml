@@ -358,6 +358,39 @@ let test_dead_rules () =
   check_bool "Root is satisfiable" false
     (List.exists (Label.equal (plbl "Root")) h.Analysis.unsatisfiable)
 
+let test_hygiene_one_fixpoint () =
+  (* --analyze and the daemon's analyze make this one hygiene call for
+     every label's verdict: it must search the derivative space once,
+     as much as one shape_satisfiable, not once per label again. *)
+  let s =
+    Schema.make_exn
+      [
+        ( plbl "A",
+          Rse.and_ (arc_num "a" [ 1; 2 ])
+            (Rse.opt (Rse.arc_ref (Value_set.Pred (ex "b")) (plbl "B"))) );
+        (plbl "B", Rse.star (Rse.arc_ref (Value_set.Pred (ex "c")) (plbl "C")));
+        (plbl "C", Rse.plus (arc_num "d" [ 3 ]));
+      ]
+  in
+  let states f =
+    let tele = Telemetry.create () in
+    f tele;
+    Telemetry.Counter.value (Telemetry.counter tele "analysis_states_explored")
+  in
+  let one =
+    states (fun tele -> ignore (Analysis.shape_satisfiable ~tele s (plbl "A")))
+  and all = states (fun tele -> ignore (Analysis.hygiene ~tele s)) in
+  check_bool "the fixpoint explores states" true (one > 0);
+  check_int "hygiene explores what one shape_satisfiable explores" one all;
+  let text = Format.asprintf "%a" Analysis.pp_emptiness in
+  List.iter
+    (fun (l, v) ->
+      check_string
+        (Label.to_string l ^ " as shape_satisfiable answers")
+        (text (Analysis.shape_satisfiable s l))
+        (text v))
+    (Analysis.hygiene s).Analysis.shapes
+
 (* ------------------------------------------------------------------ *)
 (* Optimizer                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -477,6 +510,8 @@ let tests =
       test_shrink_with_keeps_witness_property;
     Alcotest.test_case "dead and unreachable rules detected" `Quick
       test_dead_rules;
+    Alcotest.test_case "hygiene runs one capability fixpoint" `Quick
+      test_hygiene_one_fixpoint;
     Alcotest.test_case "optimizer merges value-set disjuncts" `Quick
       test_optimize_merges_disjuncts;
     Alcotest.test_case "optimizer prunes provably-empty disjuncts" `Quick
