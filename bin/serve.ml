@@ -58,7 +58,6 @@ let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
 
 type state = {
   engine : Shex.Validate.engine;
-  domains : int;
   tele : Telemetry.t;
   started : float;  (* Telemetry.now at daemon startup *)
   requests : Telemetry.Counter.t;
@@ -103,7 +102,7 @@ let require_session st =
 let make_session st schema graph =
   let session =
     Shex_incremental.Session.create ~engine:st.engine ~telemetry:st.tele
-      ~domains:st.domains schema graph
+      schema graph
   in
   (* The slow-validation threshold survives reloads: a fresh inner
      Validate session starts without a slowlog, so re-arm it. *)
@@ -559,10 +558,10 @@ let rec loop st obs reader =
   loop st obs reader
 
 let run ?schema_path ?data_path ?slow_ms ?obs_port ?(obs_interval = 10.)
-    ?journal_path ?journal_max_bytes ~engine ~domains () =
+    ?journal_path ?journal_max_bytes ~engine () =
   let tele = Telemetry.create () in
   let st =
-    { engine; domains; tele; started = Telemetry.now ();
+    { engine; tele; started = Telemetry.now ();
       requests = Telemetry.counter tele "serve_requests";
       errors = Telemetry.counter tele "serve_errors";
       request_span = Telemetry.span tele "serve_request";

@@ -528,7 +528,7 @@ let validate_cmd oracle analyze check_compat optimize serve obs_port
     | None -> ());
     if serve then
       Serve.run ?schema_path ?data_path
-        ~engine:(engine_of_choice engine) ~domains ?slow_ms ?obs_port
+        ~engine:(engine_of_choice engine) ?slow_ms ?obs_port
         ~obs_interval ?journal_path:journal
         ?journal_max_bytes:(Option.map (fun kb -> kb * 1024) journal_max_kb)
         ()

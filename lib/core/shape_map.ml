@@ -11,11 +11,10 @@ type t = association list
 (* ------------------------------------------------------------------ *)
 
 type token =
-  | T_iri of string        (* raw text of <...> *)
+  | T_iri of string        (* decoded text of <...> *)
   | T_pname of string * string
   | T_bnode of string
-  | T_string of string
-  | T_integer of string
+  | T_literal of Rdf.Literal.t
   | T_focus
   | T_wild
   | T_kw_a
@@ -27,89 +26,46 @@ type token =
 
 exception Parse_error of string
 
+module T = Turtle.Lexer
+
+let number_literal = function
+  | T.Integer_lit s -> Rdf.Literal.typed Rdf.Xsd.Integer s
+  | T.Decimal_lit s -> Rdf.Literal.typed Rdf.Xsd.Decimal s
+  | T.Double_lit s -> Rdf.Literal.typed Rdf.Xsd.Double s
+  | _ -> assert false (* read_number returns only number tokens *)
+
+(* Terms through Turtle's scanners; raises [T.Error] with a position. *)
 let tokenize src =
-  let n = String.length src in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some src.[!pos] else None in
-  let advance () = incr pos in
-  let is_ws = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false in
-  let is_name c =
-    (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
-    || c = '_' || c = '-' || c = '.'
-  in
-  let read_while pred =
-    let start = !pos in
-    while (match peek () with Some c -> pred c | None -> false) do
-      advance ()
-    done;
-    String.sub src start (!pos - start)
-  in
-  let rec next () =
-    match peek () with
-    | None -> T_eof
-    | Some c when is_ws c ->
-        advance ();
-        next ()
-    | Some '<' ->
-        advance ();
-        let body = read_while (fun c -> c <> '>') in
-        if peek () = None then raise (Parse_error "unterminated IRI")
-        else begin
-          advance ();
-          T_iri body
-        end
-    | Some '"' ->
-        advance ();
-        let buf = Buffer.create 8 in
-        let rec go () =
-          match peek () with
-          | None -> raise (Parse_error "unterminated string")
-          | Some '"' -> advance ()
-          | Some '\\' ->
-              advance ();
-              (match peek () with
-              | Some c ->
-                  advance ();
-                  Buffer.add_char buf
-                    (match c with
-                    | 'n' -> '\n'
-                    | 't' -> '\t'
-                    | c -> c)
-              | None -> raise (Parse_error "unterminated escape"));
-              go ()
-          | Some c ->
-              advance ();
-              Buffer.add_char buf c;
-              go ()
-        in
-        go ();
-        T_string (Buffer.contents buf)
-    | Some '@' -> advance (); T_at
-    | Some '{' -> advance (); T_lbrace
-    | Some '}' -> advance (); T_rbrace
-    | Some ',' -> advance (); T_comma
-    | Some '_' -> (
-        advance ();
-        match peek () with
-        | Some ':' ->
-            advance ();
-            T_bnode (read_while is_name)
-        | _ -> T_wild)
-    | Some c when c >= '0' && c <= '9' ->
-        T_integer (read_while (fun c -> (c >= '0' && c <= '9') || c = '-'))
-    | Some '-' -> T_integer (read_while (fun c -> (c >= '0' && c <= '9') || c = '-'))
-    | Some c when is_name c || c = ':' -> (
-        let word = read_while is_name in
-        match peek () with
-        | Some ':' ->
-            advance ();
-            let local = read_while (fun c -> is_name c || c = ':') in
-            T_pname (word, local)
-        | _ ->
-            if word = "FOCUS" then T_focus
-            else if word = "a" then T_kw_a
-            else raise (Parse_error (Printf.sprintf "unexpected word %S" word)))
-    | Some c -> raise (Parse_error (Printf.sprintf "unexpected character %C" c))
+  let st = T.stream_of_string src in
+  let punct tok = T.advance st; tok in
+  let next () =
+    T.skip_blank st;
+    let c = T.peek st in
+    if c < 0 then T_eof
+    else
+      match Char.chr c with
+      | '<' -> T_iri (T.read_iriref st)
+      | ('"' | '\'') as quote ->
+          T_literal (Rdf.Literal.string (T.read_string st quote))
+      | '@' -> punct T_at
+      | '{' -> punct T_lbrace
+      | '}' -> punct T_rbrace
+      | ',' -> punct T_comma
+      | '_' ->
+          if T.peek_at st 1 = Char.code ':' then T_bnode (T.read_blank_label st)
+          else punct T_wild
+      | '+' | '-' | '.' | '0' .. '9' ->
+          T_literal (number_literal (T.read_number st))
+      | ':' | 'A' .. 'Z' | 'a' .. 'z' | '\128' .. '\255' ->
+          let word = T.read_pn_prefix st in
+          if T.peek st = Char.code ':' then begin
+            T.advance st;
+            T_pname (word, T.read_pn_local st)
+          end
+          else if word = "FOCUS" then T_focus
+          else if word = "a" then T_kw_a
+          else T.error st (Printf.sprintf "unexpected word %S" word)
+      | c -> T.error st (Printf.sprintf "unexpected character %C" c)
   in
   let rec all acc =
     match next () with
@@ -125,24 +81,16 @@ let peek_tok st = match st.tokens with [] -> T_eof | t :: _ -> t
 let advance_tok st =
   match st.tokens with [] -> () | _ :: rest -> st.tokens <- rest
 
-let expand st prefix local =
-  match Rdf.Namespace.find prefix st.ns with
-  | None -> raise (Parse_error (Printf.sprintf "unbound prefix %S" prefix))
-  | Some ns -> (
-      match Rdf.Iri.of_string (ns ^ local) with
-      | Ok iri -> iri
-      | Error msg -> raise (Parse_error msg))
+let or_fail = function Ok v -> v | Error msg -> raise (Parse_error msg)
 
 let parse_iri st =
   match peek_tok st with
-  | T_iri text -> (
+  | T_iri text ->
       advance_tok st;
-      match Rdf.Iri.of_string text with
-      | Ok iri -> iri
-      | Error msg -> raise (Parse_error msg))
+      or_fail (Rdf.Iri.of_string text)
   | T_pname (p, l) ->
       advance_tok st;
-      expand st p l
+      or_fail (Rdf.Namespace.expand_pname st.ns p l)
   | T_kw_a ->
       advance_tok st;
       Rdf.Namespace.Vocab.rdf_type
@@ -154,12 +102,9 @@ let parse_term st =
   | T_bnode label ->
       advance_tok st;
       Rdf.Term.Bnode (Rdf.Bnode.of_string label)
-  | T_string s ->
+  | T_literal l ->
       advance_tok st;
-      Rdf.Term.Literal (Rdf.Literal.string s)
-  | T_integer s ->
-      advance_tok st;
-      Rdf.Term.Literal (Rdf.Literal.typed Rdf.Xsd.Integer s)
+      Rdf.Term.Literal l
   | _ -> raise (Parse_error "expected a node (IRI, blank node or literal)")
 
 let parse_opt_term st =
@@ -215,14 +160,17 @@ let parse_association st =
         Label.of_string text
     | T_pname (p, l) ->
         advance_tok st;
-        Label.of_string (Rdf.Iri.to_string (expand st p l))
+        Label.of_string
+          (Rdf.Iri.to_string (or_fail (Rdf.Namespace.expand_pname st.ns p l)))
     | _ -> raise (Parse_error "expected a shape label")
   in
   { selector; label }
 
 let parse ?(namespaces = Rdf.Namespace.default) src =
   match tokenize src with
-  | exception Parse_error msg -> Error ("shape map: " ^ msg)
+  | exception T.Error (msg, line, col) ->
+      Error
+        (Printf.sprintf "shape map: lexical error at %d:%d: %s" line col msg)
   | tokens -> (
       let st = { tokens; ns = namespaces } in
       let rec go acc =

@@ -12,7 +12,6 @@ type stats = {
 
 type t = {
   engine : Shex.Validate.engine;
-  domains : int;
   tele : Telemetry.t;
   mutable vs : Shex.Validate.session;
   (* Incremental instruments, resolved once (one branch each when the
@@ -27,12 +26,11 @@ type t = {
 }
 
 let create ?(engine = Shex.Validate.Derivatives)
-    ?(telemetry = Telemetry.disabled) ?(domains = 1) schema graph =
+    ?(telemetry = Telemetry.disabled) schema graph =
   let vs =
-    Shex.Validate.session ~engine ~telemetry ~domains ~record_deps:true
-      schema graph
+    Shex.Validate.session ~engine ~telemetry ~record_deps:true schema graph
   in
-  { engine; domains; tele = telemetry; vs;
+  { engine; tele = telemetry; vs;
     deltas = Telemetry.counter telemetry "incremental_deltas";
     edits = Telemetry.counter telemetry "incremental_edits";
     invalidated = Telemetry.counter telemetry "incremental_invalidated";
@@ -51,8 +49,7 @@ let set_schema t schema =
   Telemetry.Counter.incr t.full_resets;
   t.vs <-
     Shex.Validate.session ~engine:t.engine ~telemetry:t.tele
-      ~domains:t.domains ~record_deps:true schema
-      (Shex.Validate.graph t.vs)
+      ~record_deps:true schema (Shex.Validate.graph t.vs)
 
 let apply t { inserts; deletes } =
   Telemetry.Span.time t.apply_span @@ fun () ->

@@ -54,7 +54,6 @@ type t
 val create :
   ?engine:Shex.Validate.engine ->
   ?telemetry:Telemetry.t ->
-  ?domains:int ->
   Shex.Schema.t ->
   Rdf.Graph.t ->
   t

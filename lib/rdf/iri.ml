@@ -173,6 +173,13 @@ let resolve ~base r =
   in
   unsplit target
 
+let of_reference ?base text =
+  let r = of_string text in
+  match r with
+  | Ok iri when not (is_absolute iri) -> (
+      match base with Some base -> Ok (resolve ~base iri) | None -> r)
+  | Ok _ | Error _ -> r
+
 let equal = String.equal
 let compare = String.compare
 let hash = Hashtbl.hash

@@ -34,6 +34,13 @@ val resolve : base:t -> t -> t
     segment removal).  If [ref_] is absolute it is returned unchanged
     apart from dot-segment normalisation. *)
 
+val of_reference : ?base:t -> string -> (t, string) result
+(** [of_reference ?base text] reads the text of an [IRIREF] the way
+    the Turtle, ShExC and SPARQL parsers do: {!of_string}, then a
+    relative reference is resolved against [base] when there is one.
+    An absolute IRI, or any IRI without a base, is {!of_string}'s own
+    result. *)
+
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int

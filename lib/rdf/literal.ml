@@ -83,7 +83,11 @@ let hash t =
   | None -> h
   | Some lang -> ((h * 0x1000193) lxor Hashtbl.hash lang) land max_int
 
-let escape_string s =
+(* Beyond the named escapes, every other C0 control character (and
+   DEL) is written as \u00XX: emitting them raw produces documents
+   that other parsers reject and that do not survive CRLF-normalising
+   transports. *)
+let escape s =
   let buf = Buffer.create (String.length s + 2) in
   String.iter
     (fun c ->
@@ -93,16 +97,20 @@ let escape_string s =
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
+      | '\b' -> Buffer.add_string buf "\\b"
+      | '\012' -> Buffer.add_string buf "\\f"
+      | c when Char.code c < 0x20 || Char.code c = 0x7F ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04X" (Char.code c))
       | c -> Buffer.add_char buf c)
     s;
   Buffer.contents buf
 
 let pp ppf t =
   match t.lang with
-  | Some tag -> Format.fprintf ppf "\"%s\"@@%s" (escape_string t.lexical) tag
+  | Some tag -> Format.fprintf ppf "\"%s\"@@%s" (escape t.lexical) tag
   | None ->
       if Iri.equal t.datatype xsd_string then
-        Format.fprintf ppf "\"%s\"" (escape_string t.lexical)
+        Format.fprintf ppf "\"%s\"" (escape t.lexical)
       else
-        Format.fprintf ppf "\"%s\"^^%a" (escape_string t.lexical) Iri.pp
+        Format.fprintf ppf "\"%s\"^^%a" (escape t.lexical) Iri.pp
           t.datatype

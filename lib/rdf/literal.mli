@@ -56,5 +56,15 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
 
+val escape : string -> string
+(** Escape a lexical form for emission between double quotes: the
+    named backslash escapes for quote, backslash, LF, CR, TAB, BS and
+    FF, and [\u00XX] for every other C0 control character and DEL.
+    This is the one string-literal writer: {!pp}, the Turtle and
+    N-Triples writers and the ShExC printer all call it, and every
+    front-end's string scanner decodes its output back to the original
+    bytes. *)
+
 val pp : Format.formatter -> t -> unit
-(** Turtle form: ["foo"], ["foo"@en], ["23"^^<…#integer>]. *)
+(** Turtle form: ["foo"], ["foo"@en], ["23"^^<…#integer>], the lexical
+    form written by {!escape}. *)

@@ -6,15 +6,17 @@ let empty = String_map.empty
 let add prefix ns t = String_map.add prefix ns t
 let find prefix t = String_map.find_opt prefix t
 
+let expand_pname t prefix local =
+  match find prefix t with
+  | None -> Error (Printf.sprintf "unbound prefix %S" prefix)
+  | Some ns -> Iri.of_string (ns ^ local)
+
 let expand t name =
   match String.index_opt name ':' with
   | None -> Error (Printf.sprintf "not a prefixed name: %S" name)
-  | Some i -> (
-      let prefix = String.sub name 0 i in
-      let local = String.sub name (i + 1) (String.length name - i - 1) in
-      match find prefix t with
-      | None -> Error (Printf.sprintf "unbound prefix %S in %S" prefix name)
-      | Some ns -> Iri.of_string (ns ^ local))
+  | Some i ->
+      expand_pname t (String.sub name 0 i)
+        (String.sub name (i + 1) (String.length name - i - 1))
 
 let safe_local local =
   let n = String.length local in

@@ -16,10 +16,15 @@ val add : string -> string -> t -> t
 val find : string -> t -> string option
 (** Namespace bound to a prefix, if any. *)
 
+val expand_pname : t -> string -> string -> (Iri.t, string) result
+(** [expand_pname t prefix local] looks [prefix] up and concatenates
+    [local] to its namespace: the one expansion of prefixed names
+    shared by the Turtle, ShExC and SPARQL parsers and shape maps.
+    Errors on an unbound prefix; otherwise {!Iri.of_string}'s result. *)
+
 val expand : t -> string -> (Iri.t, string) result
-(** [expand t "foaf:age"] splits at the first colon, looks the prefix
-    up and concatenates the local part.  Errors on unbound prefixes or
-    a missing colon. *)
+(** [expand t "foaf:age"] splits at the first colon and calls
+    {!expand_pname}.  Errors on unbound prefixes or a missing colon. *)
 
 val shrink : t -> Iri.t -> string option
 (** [shrink t iri] finds the longest bound namespace that prefixes

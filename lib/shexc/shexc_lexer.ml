@@ -1,7 +1,9 @@
 type token =
   | Iriref of string
   | Pname of string * string
+  | Blank_label of string
   | At_ref of string
+  | At_pname of string * string
   | String_lit of string
   | Langtag of string
   | Integer_lit of string
@@ -29,205 +31,104 @@ type token =
 
 type located = { token : token; line : int; col : int }
 
-exception Error of string * int * int
+exception Error = Turtle.Lexer.Error
 
-type state = { src : string; mutable pos : int; mutable line : int;
-               mutable col : int }
+module T = Turtle.Lexer
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+let code = Char.code
+let punct st tok = T.advance st; tok
 
-let peek2 st =
-  if st.pos + 1 < String.length st.src then Some st.src.[st.pos + 1] else None
+let digit_follows st =
+  let c = T.peek_at st 1 in
+  c >= code '0' && c <= code '9'
 
-let advance st =
-  (match peek st with
-  | Some '\n' ->
-      st.line <- st.line + 1;
-      st.col <- 1
-  | Some _ -> st.col <- st.col + 1
-  | None -> ());
-  st.pos <- st.pos + 1
+let number st =
+  match T.read_number st with
+  | T.Integer_lit s -> Integer_lit s
+  | T.Decimal_lit s -> Decimal_lit s
+  | T.Double_lit s -> Double_lit s
+  | _ -> assert false (* read_number returns only number tokens *)
 
-let error st msg = raise (Error (msg, st.line, st.col))
-
-let is_ws = function ' ' | '\t' | '\r' | '\n' -> true | _ -> false
-let is_digit c = c >= '0' && c <= '9'
-let is_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-let is_name_char c = is_alpha c || is_digit c || c = '_' || c = '-'
-
-let read_iriref st =
-  advance st;
-  let buf = Buffer.create 32 in
-  let rec go () =
-    match peek st with
-    | Some '>' -> advance st; Buffer.contents buf
-    | Some c when is_ws c -> error st "whitespace in IRI"
-    | Some c -> advance st; Buffer.add_char buf c; go ()
-    | None -> error st "unterminated IRI"
-  in
-  go ()
-
-let read_string st quote =
-  advance st;
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek st with
-    | Some c when c = quote -> advance st; Buffer.contents buf
-    | Some '\\' -> (
-        advance st;
-        match peek st with
-        | Some 'n' -> advance st; Buffer.add_char buf '\n'; go ()
-        | Some 't' -> advance st; Buffer.add_char buf '\t'; go ()
-        | Some 'r' -> advance st; Buffer.add_char buf '\r'; go ()
-        | Some '"' -> advance st; Buffer.add_char buf '"'; go ()
-        | Some '\'' -> advance st; Buffer.add_char buf '\''; go ()
-        | Some '\\' -> advance st; Buffer.add_char buf '\\'; go ()
-        | Some c -> error st (Printf.sprintf "invalid escape \\%c" c)
-        | None -> error st "unterminated escape")
-    | Some ('\n' | '\r') -> error st "newline in string"
-    | Some c -> advance st; Buffer.add_char buf c; go ()
-    | None -> error st "unterminated string"
-  in
-  go ()
-
-let read_local st =
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek st with
-    | Some c when is_name_char c -> advance st; Buffer.add_char buf c; go ()
-    | Some '.' -> (
-        match peek2 st with
-        | Some c2 when is_name_char c2 || c2 = '.' ->
-            advance st; Buffer.add_char buf '.'; go ()
-        | _ -> Buffer.contents buf)
-    | _ -> Buffer.contents buf
-  in
-  go ()
-
-let read_number st =
-  let buf = Buffer.create 8 in
-  let take () =
-    match peek st with
-    | Some c -> advance st; Buffer.add_char buf c
-    | None -> ()
-  in
-  (match peek st with Some ('+' | '-') -> take () | _ -> ());
-  let rec digits () =
-    match peek st with
-    | Some c when is_digit c -> take (); digits ()
-    | _ -> ()
-  in
-  digits ();
-  let decimal = ref false and exponent = ref false in
-  (match (peek st, peek2 st) with
-  | Some '.', Some c when is_digit c ->
-      decimal := true; take (); digits ()
-  | _ -> ());
-  (match peek st with
-  | Some ('e' | 'E') ->
-      exponent := true;
-      take ();
-      (match peek st with Some ('+' | '-') -> take () | _ -> ());
-      digits ()
-  | _ -> ());
-  let s = Buffer.contents buf in
-  if s = "" || s = "+" || s = "-" then error st "malformed number"
-  else if !exponent then Double_lit s
-  else if !decimal then Decimal_lit s
-  else Integer_lit s
+(* A prefixed name, or the bare word when no ':' follows its
+   PN_PREFIX. *)
+let name st =
+  let prefix = T.read_pn_prefix st in
+  if T.peek st = code ':' then begin
+    T.advance st;
+    `Pname (prefix, T.read_pn_local st)
+  end
+  else `Word prefix
 
 let keywords =
   [ "PREFIX"; "BASE"; "IRI"; "BNODE"; "LITERAL"; "NONLITERAL"; "TRUE";
     "FALSE"; "A"; "AND"; "OR"; "NOT"; "CLOSED"; "EXTRA"; "OPEN" ]
 
+(* Turtle's blanks and '#' comments, plus '//' comments to the end of
+   the line. *)
+let rec skip_blank st =
+  T.skip_blank st;
+  if T.peek st = code '/' && T.peek_at st 1 = code '/' then begin
+    while T.peek st >= 0 && T.peek st <> code '\n' && T.peek st <> code '\r' do
+      T.advance st
+    done;
+    skip_blank st
+  end
+
 let next_token st =
-  let rec skip () =
-    match peek st with
-    | Some c when is_ws c -> advance st; skip ()
-    | Some '#' ->
-        let rec to_eol () =
-          match peek st with
-          | Some '\n' | None -> ()
-          | Some _ -> advance st; to_eol ()
-        in
-        to_eol (); skip ()
-    | Some '/' when peek2 st = Some '/' ->
-        let rec to_eol () =
-          match peek st with
-          | Some '\n' | None -> ()
-          | Some _ -> advance st; to_eol ()
-        in
-        to_eol (); skip ()
-    | _ -> ()
-  in
-  skip ();
-  let line = st.line and col = st.col in
+  skip_blank st;
+  let line, col = T.position st in
+  let c = T.peek st in
   let tok =
-    match peek st with
-    | None -> Eof
-    | Some '<' -> Iriref (read_iriref st)
-    | Some '"' -> String_lit (read_string st '"')
-    | Some '\'' -> String_lit (read_string st '\'')
-    | Some '{' -> advance st; Lbrace
-    | Some '}' -> advance st; Rbrace
-    | Some '(' -> advance st; Lparen
-    | Some ')' -> advance st; Rparen
-    | Some '[' -> advance st; Lbracket
-    | Some ']' -> advance st; Rbracket
-    | Some '|' -> advance st; Pipe
-    | Some ',' -> advance st; Comma
-    | Some ';' -> advance st; Semicolon
-    | Some '*' -> advance st; Star
-    | Some '+' -> (
-        match peek2 st with
-        | Some c when is_digit c -> read_number st
-        | _ -> advance st; Plus)
-    | Some '-' -> read_number st
-    | Some '?' -> advance st; Question
-    | Some '!' -> advance st; Bang
-    | Some '~' -> advance st; Tilde
-    | Some '^' -> (
-        advance st;
-        match peek st with
-        | Some '^' -> advance st; Caret_caret
-        | _ -> Caret)
-    | Some '@' -> (
-        advance st;
-        match peek st with
-        | Some '<' -> At_ref (read_iriref st)
-        | Some c when is_alpha c || c = '_' || c = ':' ->
-            (* @pname or @langtag: if it contains a colon it is a
-               reference, otherwise a language tag. *)
-            let word = read_local st in
-            (match peek st with
-            | Some ':' ->
-                advance st;
-                let local = read_local st in
-                At_ref (word ^ ":" ^ local)
-            | _ -> Langtag word)
-        | _ -> error st "expected shape reference or language tag after @")
-    | Some '.' -> (
-        match peek2 st with
-        | Some c when is_digit c -> read_number st
-        | _ -> advance st; Dot)
-    | Some c when is_digit c -> read_number st
-    | Some c when is_alpha c || c = '_' || c = ':' ->
-        let word = read_local st in
-        (match peek st with
-        | Some ':' ->
-            advance st;
-            let local = read_local st in
-            Pname (word, local)
-        | _ ->
-            let upper = String.uppercase_ascii word in
-            if List.mem upper keywords then Kw upper
-            else error st (Printf.sprintf "unknown keyword %S" word))
-    | Some c -> error st (Printf.sprintf "unexpected character %C" c)
+    if c < 0 then Eof
+    else
+      match Char.chr c with
+      | '<' -> Iriref (T.read_iriref st)
+      | ('"' | '\'') as quote -> String_lit (T.read_string st quote)
+      | '{' -> punct st Lbrace
+      | '}' -> punct st Rbrace
+      | '(' -> punct st Lparen
+      | ')' -> punct st Rparen
+      | '[' -> punct st Lbracket
+      | ']' -> punct st Rbracket
+      | '|' -> punct st Pipe
+      | ',' -> punct st Comma
+      | ';' -> punct st Semicolon
+      | '*' -> punct st Star
+      | '+' -> if digit_follows st then number st else punct st Plus
+      | '?' -> punct st Question
+      | '!' -> punct st Bang
+      | '~' -> punct st Tilde
+      | '^' ->
+          T.advance st;
+          if T.peek st = code '^' then punct st Caret_caret else Caret
+      | '@' -> (
+          T.advance st;
+          if T.peek st = code '<' then At_ref (T.read_iriref st)
+          else
+            (* @pname is a reference, a bare word a language tag. *)
+            match name st with
+            | `Pname (prefix, local) -> At_pname (prefix, local)
+            | `Word "" ->
+                T.error st "expected shape reference or language tag after @"
+            | `Word tag -> Langtag tag)
+      | '.' -> if digit_follows st then number st else punct st Dot
+      | '-' | '0' .. '9' -> number st
+      | '_' ->
+          if T.peek_at st 1 = code ':' then Blank_label (T.read_blank_label st)
+          else T.error st "expected _: for blank node"
+      | ':' | 'A' .. 'Z' | 'a' .. 'z' | '\128' .. '\255' -> (
+          match name st with
+          | `Pname (prefix, local) -> Pname (prefix, local)
+          | `Word word ->
+              let upper = String.uppercase_ascii word in
+              if List.mem upper keywords then Kw upper
+              else T.error st (Printf.sprintf "unknown keyword %S" word))
+      | ch -> T.error st (Printf.sprintf "unexpected character %C" ch)
   in
   { token = tok; line; col }
 
 let tokenize src =
-  let st = { src; pos = 0; line = 1; col = 1 } in
+  let st = T.stream_of_string src in
   let rec go acc =
     let t = next_token st in
     if t.token = Eof then List.rev (t :: acc) else go (t :: acc)

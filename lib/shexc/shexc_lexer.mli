@@ -4,12 +4,19 @@
     plus the extensions implemented by the core library: prefixes,
     shape labels, triple constraints with cardinalities, value sets,
     node kinds, shape references, inverse ([^]) and negated ([!])
-    constraints, and grouping. *)
+    constraints, and grouping.
+
+    Terms are read through {!Turtle.Lexer}'s scanners: IRIs, prefixed
+    names, blank-node labels, the four string forms and numbers follow
+    Turtle's productions, escapes included.  Comments are [#] and [//]
+    to the end of the line. *)
 
 type token =
   | Iriref of string           (** [<...>] *)
   | Pname of string * string   (** prefixed name (prefix, local) *)
-  | At_ref of string           (** [@<label>] or [@pname] — reference text *)
+  | Blank_label of string      (** [_:label], prefix stripped *)
+  | At_ref of string           (** [@<label>]: the IRI text *)
+  | At_pname of string * string  (** [@prefix:local] *)
   | String_lit of string
   | Langtag of string
   | Integer_lit of string
@@ -42,5 +49,6 @@ type token =
 type located = { token : token; line : int; col : int }
 
 exception Error of string * int * int
+(** {!Turtle.Lexer.Error}: [(message, line, col)], 1-based. *)
 
 val tokenize : string -> located list

@@ -25,23 +25,8 @@ let error st msg =
 let expect st token msg =
   if (current st).L.token = token then advance st else error st msg
 
-let resolve_iri st text =
-  match Rdf.Iri.of_string text with
-  | Error msg -> error st msg
-  | Ok iri -> (
-      if Rdf.Iri.is_absolute iri then iri
-      else
-        match st.base with
-        | Some base -> Rdf.Iri.resolve ~base iri
-        | None -> iri)
-
-let expand_pname st prefix local =
-  match Rdf.Namespace.find prefix st.namespaces with
-  | None -> error st (Printf.sprintf "unbound prefix %S" prefix)
-  | Some ns -> (
-      match Rdf.Iri.of_string (ns ^ local) with
-      | Ok iri -> iri
-      | Error msg -> error st msg)
+let or_error st = function Ok v -> v | Error msg -> error st msg
+let resolve_iri st text = or_error st (Rdf.Iri.of_reference ?base:st.base text)
 
 let parse_iri st =
   match (current st).L.token with
@@ -50,33 +35,17 @@ let parse_iri st =
       resolve_iri st text
   | L.Pname (prefix, local) ->
       advance st;
-      expand_pname st prefix local
+      or_error st (Rdf.Namespace.expand_pname st.namespaces prefix local)
   | _ -> error st "expected an IRI"
 
 (* Shape labels keep the IRI text (after prefix expansion / base
    resolution), so <Person> and @<Person> agree. *)
-let label_of_text st text = Shex.Label.of_string (Rdf.Iri.to_string (resolve_iri st text))
+let label_of_iri iri = Shex.Label.of_string (Rdf.Iri.to_string iri)
 
 let parse_label st =
   match (current st).L.token with
-  | L.Iriref text ->
-      advance st;
-      label_of_text st text
-  | L.Pname (prefix, local) ->
-      advance st;
-      Shex.Label.of_string (Rdf.Iri.to_string (expand_pname st prefix local))
+  | L.Iriref _ | L.Pname _ -> label_of_iri (parse_iri st)
   | _ -> error st "expected a shape label"
-
-let ref_label st text =
-  (* At_ref carries either raw IRI text or a pname. *)
-  match String.index_opt text ':' with
-  | Some i
-    when Rdf.Namespace.find (String.sub text 0 i) st.namespaces <> None ->
-      let prefix = String.sub text 0 i in
-      let local = String.sub text (i + 1) (String.length text - i - 1) in
-      Shex.Label.of_string
-        (Rdf.Iri.to_string (expand_pname st prefix local))
-  | _ -> label_of_text st text
 
 (* ------------------------------------------------------------------ *)
 (* Value sets                                                         *)
@@ -126,6 +95,9 @@ let parse_value_set st =
             advance st;
             go terms (Rdf.Iri.to_string iri :: stems)
         | _ -> go (Rdf.Term.Iri iri :: terms) stems)
+    | L.Blank_label label ->
+        advance st;
+        go (Rdf.Term.Bnode (Rdf.Bnode.of_string label) :: terms) stems
     | L.Eof -> error st "unterminated value set"
     | _ -> go (parse_value_set_literal st :: terms) stems
   in
@@ -154,7 +126,12 @@ let parse_value_class st =
       Class_values Shex.Value_set.Obj_any
   | L.At_ref text ->
       advance st;
-      Class_ref (ref_label st text)
+      Class_ref (label_of_iri (resolve_iri st text))
+  | L.At_pname (prefix, local) ->
+      advance st;
+      Class_ref
+        (label_of_iri
+           (or_error st (Rdf.Namespace.expand_pname st.namespaces prefix local)))
   | L.Kw "IRI" ->
       advance st;
       Class_values (Shex.Value_set.Obj_kind Shex.Value_set.Iri_kind)

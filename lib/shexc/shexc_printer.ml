@@ -9,35 +9,21 @@ let iri_text ctx iri =
       pname
   | None -> Printf.sprintf "<%s>" (Rdf.Iri.to_string iri)
 
-let escape_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let literal_text ctx l =
   let lexical = Rdf.Literal.lexical l in
   match Rdf.Literal.lang l with
-  | Some tag -> Printf.sprintf "\"%s\"@%s" (escape_string lexical) tag
+  | Some tag -> Printf.sprintf "\"%s\"@%s" (Rdf.Literal.escape lexical) tag
   | None -> (
       match Rdf.Literal.xsd_primitive l with
       | Some Rdf.Xsd.String ->
-          Printf.sprintf "\"%s\"" (escape_string lexical)
+          Printf.sprintf "\"%s\"" (Rdf.Literal.escape lexical)
       | Some Rdf.Xsd.Integer
         when Rdf.Xsd.valid_lexical Rdf.Xsd.Integer lexical ->
           lexical
       | Some Rdf.Xsd.Boolean when lexical = "true" || lexical = "false" ->
           lexical
       | _ ->
-          Printf.sprintf "\"%s\"^^%s" (escape_string lexical)
+          Printf.sprintf "\"%s\"^^%s" (Rdf.Literal.escape lexical)
             (iri_text ctx (Rdf.Literal.datatype l)))
 
 let term_text ctx = function

@@ -31,31 +31,23 @@ type token =
 
 type located = { token : token; line : int; col : int }
 
-exception Error of string * int * int
+exception Error = Turtle.Lexer.Error
 
-type state = { src : string; mutable pos : int; mutable line : int;
-               mutable col : int }
+module T = Turtle.Lexer
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+let code = Char.code
+let punct st tok = T.advance st; tok
 
-let peek2 st =
-  if st.pos + 1 < String.length st.src then Some st.src.[st.pos + 1] else None
+let digit_follows st =
+  let c = T.peek_at st 1 in
+  c >= code '0' && c <= code '9'
 
-let advance st =
-  (match peek st with
-  | Some '\n' ->
-      st.line <- st.line + 1;
-      st.col <- 1
-  | Some _ -> st.col <- st.col + 1
-  | None -> ());
-  st.pos <- st.pos + 1
-
-let error st msg = raise (Error (msg, st.line, st.col))
-
-let is_ws = function ' ' | '\t' | '\r' | '\n' -> true | _ -> false
-let is_digit c = c >= '0' && c <= '9'
-let is_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-let is_name_char c = is_alpha c || is_digit c || c = '_' || c = '-'
+let number st =
+  match T.read_number st with
+  | T.Integer_lit s -> Integer_lit s
+  | T.Decimal_lit s -> Decimal_lit s
+  | T.Double_lit s -> Double_lit s
+  | _ -> assert false (* read_number returns only number tokens *)
 
 (* Keywords and builtin function names, uppercased. *)
 let keywords =
@@ -64,192 +56,83 @@ let keywords =
     "NOT"; "TRUE"; "FALSE"; "A"; "ISIRI"; "ISURI"; "ISLITERAL"; "ISBLANK";
     "DATATYPE"; "BOUND"; "REGEX"; "STR" ]
 
-let read_iriref st =
-  advance st;
-  let buf = Buffer.create 32 in
-  let rec go () =
-    match peek st with
-    | Some '>' -> advance st; Buffer.contents buf
-    | Some c when is_ws c -> error st "whitespace in IRI"
-    | Some c -> advance st; Buffer.add_char buf c; go ()
-    | None -> error st "unterminated IRI"
-  in
-  go ()
+(* '<' opens an IRI unless the byte after it makes it an operator:
+   '=' for '<=', or whatever can only start a comparison operand
+   (whitespace, a variable, a number, a string, '(' or the end of
+   input) for '<'. *)
+let less_than st =
+  let c = T.peek_at st 1 in
+  if c = code '=' then begin T.advance st; punct st Le end
+  else if c < 0 then punct st Lt
+  else
+    match Char.chr c with
+    | ' ' | '\t' | '\r' | '\n' | '?' | '$' | '0' .. '9' | '(' | '"' | '\'' ->
+        punct st Lt
+    | _ -> Iriref (T.read_iriref st)
 
-let read_string st quote =
-  advance st;
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek st with
-    | Some c when c = quote -> advance st; Buffer.contents buf
-    | Some '\\' -> (
-        advance st;
-        match peek st with
-        | Some 'n' -> advance st; Buffer.add_char buf '\n'; go ()
-        | Some 't' -> advance st; Buffer.add_char buf '\t'; go ()
-        | Some 'r' -> advance st; Buffer.add_char buf '\r'; go ()
-        | Some '"' -> advance st; Buffer.add_char buf '"'; go ()
-        | Some '\'' -> advance st; Buffer.add_char buf '\''; go ()
-        | Some '\\' -> advance st; Buffer.add_char buf '\\'; go ()
-        | Some c -> error st (Printf.sprintf "invalid escape \\%c" c)
-        | None -> error st "unterminated escape")
-    | Some ('\n' | '\r') -> error st "newline in string"
-    | Some c -> advance st; Buffer.add_char buf c; go ()
-    | None -> error st "unterminated string"
-  in
-  go ()
-
-let read_name st =
-  let buf = Buffer.create 8 in
-  let rec go () =
-    match peek st with
-    | Some c when is_name_char c -> advance st; Buffer.add_char buf c; go ()
-    | Some '.' -> (
-        match peek2 st with
-        | Some c2 when is_name_char c2 ->
-            advance st; Buffer.add_char buf '.'; go ()
-        | _ -> Buffer.contents buf)
-    | _ -> Buffer.contents buf
-  in
-  go ()
-
-let read_number st =
-  let buf = Buffer.create 8 in
-  let take () =
-    match peek st with
-    | Some c -> advance st; Buffer.add_char buf c
-    | None -> ()
-  in
-  (match peek st with Some ('+' | '-') -> take () | _ -> ());
-  let rec digits () =
-    match peek st with
-    | Some c when is_digit c -> take (); digits ()
-    | _ -> ()
-  in
-  digits ();
-  let decimal = ref false and exponent = ref false in
-  (match (peek st, peek2 st) with
-  | Some '.', Some c when is_digit c -> decimal := true; take (); digits ()
-  | _ -> ());
-  (match peek st with
-  | Some ('e' | 'E') ->
-      exponent := true;
-      take ();
-      (match peek st with Some ('+' | '-') -> take () | _ -> ());
-      digits ()
-  | _ -> ());
-  let s = Buffer.contents buf in
-  if s = "" || s = "+" || s = "-" then error st "malformed number"
-  else if !exponent then Double_lit s
-  else if !decimal then Decimal_lit s
-  else Integer_lit s
+(* The byte after a one-byte operator decides between it and its
+   two-byte form. *)
+let pair st second two one =
+  T.advance st;
+  if T.peek st = code second then punct st two
+  else
+    match one with
+    | Some tok -> tok
+    | None -> T.error st (Printf.sprintf "expected %c%c" second second)
 
 let next_token st =
-  let rec skip () =
-    match peek st with
-    | Some c when is_ws c -> advance st; skip ()
-    | Some '#' ->
-        let rec to_eol () =
-          match peek st with
-          | Some '\n' | None -> ()
-          | Some _ -> advance st; to_eol ()
-        in
-        to_eol (); skip ()
-    | _ -> ()
-  in
-  skip ();
-  let line = st.line and col = st.col in
+  T.skip_blank st;
+  let line, col = T.position st in
+  let c = T.peek st in
   let tok =
-    match peek st with
-    | None -> Eof
-    | Some '<' -> (
-        (* "<" opens an IRI unless what follows can only start a
-           comparison operand (whitespace, a variable, a number, a
-           string or a parenthesis). *)
-        match peek2 st with
-        | Some '=' -> advance st; advance st; Le
-        | Some c when is_ws c || c = '?' || c = '$' || is_digit c
-                      || c = '(' || c = '"' || c = '\'' ->
-            advance st; Lt
-        | None -> advance st; Lt
-        | _ -> Iriref (read_iriref st))
-    | Some '>' -> (
-        advance st;
-        match peek st with
-        | Some '=' -> advance st; Ge
-        | _ -> Gt)
-    | Some '"' -> String_lit (read_string st '"')
-    | Some '\'' -> String_lit (read_string st '\'')
-    | Some ('?' | '$') ->
-        advance st;
-        let name = read_name st in
-        if name = "" then error st "empty variable name" else Var name
-    | Some '{' -> advance st; Lbrace
-    | Some '}' -> advance st; Rbrace
-    | Some '(' -> advance st; Lparen
-    | Some ')' -> advance st; Rparen
-    | Some ';' -> advance st; Semicolon
-    | Some ',' -> advance st; Comma
-    | Some '*' -> advance st; Star
-    | Some '+' -> (
-        match peek2 st with
-        | Some c when is_digit c -> read_number st
-        | _ -> advance st; Plus)
-    | Some '-' -> read_number st
-    | Some '!' -> (
-        advance st;
-        match peek st with
-        | Some '=' -> advance st; Neq
-        | _ -> Bang)
-    | Some '=' -> advance st; Eq
-    | Some '&' -> (
-        advance st;
-        match peek st with
-        | Some '&' -> advance st; Amp_amp
-        | _ -> error st "expected &&")
-    | Some '|' -> (
-        advance st;
-        match peek st with
-        | Some '|' -> advance st; Pipe_pipe
-        | _ -> error st "expected ||")
-    | Some '^' -> (
-        advance st;
-        match peek st with
-        | Some '^' -> advance st; Caret_caret
-        | _ -> error st "expected ^^")
-    | Some '@' ->
-        advance st;
-        let tag = read_name st in
-        if tag = "" then error st "empty language tag" else Langtag tag
-    | Some '.' -> (
-        match peek2 st with
-        | Some c when is_digit c -> read_number st
-        | _ -> advance st; Dot)
-    | Some c when is_digit c -> read_number st
-    | Some '_' -> (
-        match peek2 st with
-        | Some ':' ->
-            advance st; advance st;
-            let local = read_name st in
-            Pname ("_", local) (* blank node, resolved by the parser *)
-        | _ -> error st "expected _: for blank node")
-    | Some c when is_alpha c || c = ':' -> (
-        let word = read_name st in
-        match peek st with
-        | Some ':' ->
-            advance st;
-            let local = read_name st in
-            Pname (word, local)
-        | _ ->
+    if c < 0 then Eof
+    else
+      match Char.chr c with
+      | '<' -> less_than st
+      | '>' -> pair st '=' Ge (Some Gt)
+      | ('"' | '\'') as quote -> String_lit (T.read_string st quote)
+      | '?' | '$' ->
+          (* VARNAME through the PN_PREFIX scanner: letters, digits,
+             '_', '-', bytes >= 0x80 and inner dots. *)
+          T.advance st;
+          let name = T.read_pn_prefix st in
+          if name = "" then T.error st "empty variable name" else Var name
+      | '{' -> punct st Lbrace
+      | '}' -> punct st Rbrace
+      | '(' -> punct st Lparen
+      | ')' -> punct st Rparen
+      | ';' -> punct st Semicolon
+      | ',' -> punct st Comma
+      | '*' -> punct st Star
+      | '+' -> if digit_follows st then number st else punct st Plus
+      | '-' | '0' .. '9' -> number st
+      | '!' -> pair st '=' Neq (Some Bang)
+      | '=' -> punct st Eq
+      | '&' -> pair st '&' Amp_amp None
+      | '|' -> pair st '|' Pipe_pipe None
+      | '^' -> pair st '^' Caret_caret None
+      | '@' -> T.advance st; Langtag (T.read_langtag st)
+      | '.' -> if digit_follows st then number st else punct st Dot
+      | '_' ->
+          (* A blank node, resolved by the parser. *)
+          if T.peek_at st 1 = code ':' then Pname ("_", T.read_blank_label st)
+          else T.error st "expected _: for blank node"
+      | ':' | 'A' .. 'Z' | 'a' .. 'z' | '\128' .. '\255' ->
+          let word = T.read_pn_prefix st in
+          if T.peek st = code ':' then begin
+            T.advance st;
+            Pname (word, T.read_pn_local st)
+          end
+          else
             let upper = String.uppercase_ascii word in
             if List.mem upper keywords then Kw upper
-            else error st (Printf.sprintf "unknown keyword %S" word))
-    | Some c -> error st (Printf.sprintf "unexpected character %C" c)
+            else T.error st (Printf.sprintf "unknown keyword %S" word)
+      | ch -> T.error st (Printf.sprintf "unexpected character %C" ch)
   in
   { token = tok; line; col }
 
 let tokenize src =
-  let st = { src; pos = 0; line = 1; col = 1 } in
+  let st = T.stream_of_string src in
   let rec go acc =
     let t = next_token st in
     if t.token = Eof then List.rev (t :: acc) else go (t :: acc)

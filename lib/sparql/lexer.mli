@@ -1,4 +1,9 @@
-(** Lexer for the SPARQL fragment accepted by {!Parse}. *)
+(** Lexer for the SPARQL fragment accepted by {!Parse}.
+
+    Terms are read through {!Turtle.Lexer}'s scanners: IRIs, prefixed
+    names, blank-node labels ([Pname ("_", label)]), language tags, the
+    four string forms and numbers follow Turtle's productions, escapes
+    included. *)
 
 type token =
   | Iriref of string
@@ -34,5 +39,6 @@ type token =
 type located = { token : token; line : int; col : int }
 
 exception Error of string * int * int
+(** {!Turtle.Lexer.Error}: [(message, line, col)], 1-based. *)
 
 val tokenize : string -> located list

@@ -24,23 +24,8 @@ let expect_kw st kw =
   | L.Kw k when k = kw -> advance st
   | _ -> error st (Printf.sprintf "expected %s" kw)
 
-let resolve_iri st text =
-  match Rdf.Iri.of_string text with
-  | Error msg -> error st msg
-  | Ok iri -> (
-      if Rdf.Iri.is_absolute iri then iri
-      else
-        match st.base with
-        | Some base -> Rdf.Iri.resolve ~base iri
-        | None -> iri)
-
-let expand_pname st prefix local =
-  match Rdf.Namespace.find prefix st.namespaces with
-  | None -> error st (Printf.sprintf "unbound prefix %S" prefix)
-  | Some ns -> (
-      match Rdf.Iri.of_string (ns ^ local) with
-      | Ok iri -> iri
-      | Error msg -> error st msg)
+let or_error st = function Ok v -> v | Error msg -> error st msg
+let resolve_iri st text = or_error st (Rdf.Iri.of_reference ?base:st.base text)
 
 let parse_iri st =
   match (current st).L.token with
@@ -50,7 +35,7 @@ let parse_iri st =
   | L.Pname ("_", _) -> error st "blank node where an IRI is required"
   | L.Pname (prefix, local) ->
       advance st;
-      expand_pname st prefix local
+      or_error st (Rdf.Namespace.expand_pname st.namespaces prefix local)
   | L.Kw "A" ->
       advance st;
       Rdf.Namespace.Vocab.rdf_type

@@ -38,8 +38,11 @@ let rec expr_text = function
   | Ast.E_exists p -> Printf.sprintf "EXISTS %s" (block 1 p)
   | Ast.E_not_exists p -> Printf.sprintf "NOT EXISTS %s" (block 1 p)
   | Ast.E_regex (e, prefix) ->
-      Printf.sprintf "regex(str(%s), \"^%s\")" (expr_text e)
-        (String.concat "\\\\." (String.split_on_char '.' prefix))
+      (* The prefix's dots are regex-escaped, then the pattern is
+         written as a string literal. *)
+      let pattern = String.concat "\\." (String.split_on_char '.' prefix) in
+      Printf.sprintf "regex(str(%s), \"%s\")" (expr_text e)
+        (Rdf.Literal.escape ("^" ^ pattern))
 
 and indent depth = String.make (2 * depth) ' '
 

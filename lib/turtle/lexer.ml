@@ -103,6 +103,7 @@ let skip st n =
   st.col <- st.col + n
 
 let error st msg = raise (Error (msg, st.line, st.col))
+let position st = (st.line, st.col)
 
 (* ------------------------------------------------------------------ *)
 (* Runs                                                                *)
@@ -418,6 +419,17 @@ let read_pn_prefix st =
   in
   go ()
 
+(* After '@': the tag itself. *)
+let read_langtag st =
+  let tag = read_run st lang_chars in
+  if tag = "" then error st "empty language tag" else tag
+
+(* At "_:". *)
+let read_blank_label st =
+  skip st 2;
+  let label = read_pn_local st in
+  if label = "" then error st "empty blank node label" else label
+
 (* Numbers: [+-]? digits ('.' digits)? ([eE] [+-]? digits)?, where the
    '.' joins only when a digit follows it. *)
 let read_number st =
@@ -516,17 +528,9 @@ let next_token st =
           skip st 1;
           if keyword_at st "prefix" then begin consume_word st "prefix"; At_prefix end
           else if keyword_at st "base" then begin consume_word st "base"; At_base end
-          else
-            (* language tag: [a-zA-Z]+ ('-' [a-zA-Z0-9]+)* *)
-            let tag = read_run st lang_chars in
-            if tag = "" then error st "empty language tag" else Langtag tag
+          else Langtag (read_langtag st)
       | '_' ->
-          if peek_at st 1 = code ':' then begin
-            skip st 2;
-            let label = read_pn_local st in
-            if label = "" then error st "empty blank node label"
-            else Blank_label label
-          end
+          if peek_at st 1 = code ':' then Blank_label (read_blank_label st)
           else error st "expected _: for blank node"
       | '+' | '-' | '0' .. '9' -> read_number st
       | ':' ->

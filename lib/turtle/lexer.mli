@@ -59,3 +59,63 @@ val tokenize : string -> located list
     ends with an [Eof] token.  Like a stream, never produces {!Anon}. *)
 
 val pp_token : Format.formatter -> token -> unit
+
+(** {1 Shared scanners}
+
+    ShExC, SPARQL and shape maps take their term terminals from the
+    productions Turtle uses.  Their lexers keep their own token types,
+    punctuation and keywords, run on {!stream_of_string}, and read
+    every shared terminal through the scanners below, so the same text
+    denotes the same term in data, schemas, shape maps and queries.
+
+    Each scanner starts at the cursor, steps over what it reads and
+    raises {!Error} at the offending byte on malformed input. *)
+
+val peek : stream -> int
+(** The byte at the cursor, or [-1] at end of input. *)
+
+val peek_at : stream -> int -> int
+(** [peek_at s i] is the byte [i] places past the cursor, or [-1].
+    A channel stream guarantees [i < 8]. *)
+
+val advance : stream -> unit
+(** Step over one byte, counting LF and a bare CR as line breaks. *)
+
+val position : stream -> int * int
+(** The cursor's 1-based (line, column). *)
+
+val error : stream -> string -> 'a
+(** Raise {!Error} with the message at the cursor's position. *)
+
+val skip_blank : stream -> unit
+(** Skip spaces, tabs, line breaks and [#] comments. *)
+
+val read_iriref : stream -> string
+(** At ['<']: the IRIREF's body, brackets stripped and [\u]/[\U]
+    escapes decoded; whitespace is an error. *)
+
+val read_string : stream -> char -> string
+(** [read_string s q] at the opening quote [q] (['"'] or ['\'']):
+    the short or long ([q q q]) string's decoded contents.  All of
+    Turtle's escapes are decoded; [\u]/[\U] must name a Unicode
+    scalar value. *)
+
+val read_pn_prefix : stream -> string
+(** PN_PREFIX's characters (letters, digits, [_], [-], bytes ≥ 0x80
+    and inner dots); the caller checks the first one.  Empty if none
+    follow the cursor. *)
+
+val read_pn_local : stream -> string
+(** PN_LOCAL after the colon: also [:], [%XX] and [\]-escaped
+    punctuation; a trailing dot is left unread. *)
+
+val read_blank_label : stream -> string
+(** At ["_:"]: the blank-node label; an empty label is an error. *)
+
+val read_langtag : stream -> string
+(** After ['@']: the language tag; an empty tag is an error. *)
+
+val read_number : stream -> token
+(** At a sign, a digit or a ['.'] before a digit: an {!Integer_lit},
+    {!Decimal_lit} or {!Double_lit}, by whether a ['.'] or an exponent
+    is present.  A bare sign or dot is an error. *)

@@ -147,13 +147,11 @@ let load_file path =
   | Ok () -> Ok (Rdf.Columnar.freeze b)
   | Error _ as e -> e
 
-let escape_string = Escape.string_body
-
 let term_text = function
   | Rdf.Term.Iri iri -> Printf.sprintf "<%s>" (Rdf.Iri.to_string iri)
   | Rdf.Term.Bnode b -> Printf.sprintf "_:%s" (Rdf.Bnode.label b)
   | Rdf.Term.Literal l -> (
-      let lexical = escape_string (Rdf.Literal.lexical l) in
+      let lexical = Rdf.Literal.escape (Rdf.Literal.lexical l) in
       match Rdf.Literal.lang l with
       | Some tag -> Printf.sprintf "\"%s\"@%s" lexical tag
       | None ->

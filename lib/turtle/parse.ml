@@ -39,23 +39,8 @@ let emit st s p o =
   | Some tr -> st.graph <- Rdf.Graph.add tr st.graph
   | None -> error st "literal in subject position"
 
-let resolve_iri st text =
-  match Rdf.Iri.of_string text with
-  | Error msg -> error st msg
-  | Ok iri -> (
-      if Rdf.Iri.is_absolute iri then iri
-      else
-        match st.base with
-        | Some base -> Rdf.Iri.resolve ~base iri
-        | None -> iri)
-
-let expand_pname st prefix local =
-  match Rdf.Namespace.find prefix st.namespaces with
-  | None -> error st (Printf.sprintf "unbound prefix %S" prefix)
-  | Some ns -> (
-      match Rdf.Iri.of_string (ns ^ local) with
-      | Ok iri -> iri
-      | Error msg -> error st msg)
+let or_error st = function Ok v -> v | Error msg -> error st msg
+let resolve_iri st text = or_error st (Rdf.Iri.of_reference ?base:st.base text)
 
 let xsd_iri p = Rdf.Xsd.iri p
 
@@ -67,7 +52,7 @@ let parse_iri st =
       resolve_iri st text
   | Lexer.Pname (prefix, local) ->
       advance st;
-      expand_pname st prefix local
+      or_error st (Rdf.Namespace.expand_pname st.namespaces prefix local)
   | _ -> error st "expected an IRI"
 
 let parse_literal_tail st lexical =

@@ -1,5 +1,3 @@
-let escape_string = Escape.string_body
-
 type ctx = { ns : Rdf.Namespace.t; used : (string, unit) Hashtbl.t }
 
 let iri_text ctx iri =
@@ -14,10 +12,10 @@ let iri_text ctx iri =
 let literal_text ctx l =
   let lexical = Rdf.Literal.lexical l in
   match Rdf.Literal.lang l with
-  | Some tag -> Printf.sprintf "\"%s\"@%s" (escape_string lexical) tag
+  | Some tag -> Printf.sprintf "\"%s\"@%s" (Rdf.Literal.escape lexical) tag
   | None -> (
       match Rdf.Literal.xsd_primitive l with
-      | Some Rdf.Xsd.String -> Printf.sprintf "\"%s\"" (escape_string lexical)
+      | Some Rdf.Xsd.String -> Printf.sprintf "\"%s\"" (Rdf.Literal.escape lexical)
       | Some Rdf.Xsd.Integer when Rdf.Xsd.valid_lexical Rdf.Xsd.Integer lexical
         ->
           lexical
@@ -28,7 +26,7 @@ let literal_text ctx l =
       | Some Rdf.Xsd.Boolean when lexical = "true" || lexical = "false" ->
           lexical
       | _ ->
-          Printf.sprintf "\"%s\"^^%s" (escape_string lexical)
+          Printf.sprintf "\"%s\"^^%s" (Rdf.Literal.escape lexical)
             (iri_text ctx (Rdf.Literal.datatype l)))
 
 let term_text ctx = function

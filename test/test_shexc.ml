@@ -170,7 +170,11 @@ let test_ref_by_pname () =
   in
   check_bool "both shapes" true
     (Schema.mem s (Label.of_string "http://example.org/A")
-    && Schema.mem s (Label.of_string "http://example.org/B"))
+    && Schema.mem s (Label.of_string "http://example.org/B"));
+  (* @<ex:C> is the IRI ex:C, like the label <ex:C>, even with ex:
+     bound. *)
+  let s = parse (prelude ^ "<ex:C> { ex:val . }\n<D> { ex:next @<ex:C> }") in
+  check_bool "IRI reference" true (Schema.mem s (Label.of_string "ex:C"))
 
 let test_semicolon_separator () =
   let s = parse (prelude ^ "<T> { ex:a . ; ex:b . ; }") in
