@@ -1,23 +1,7 @@
 type engine = Derivatives | Backtracking | Auto | Compiled
 
-module Pair = struct
-  type t = Rdf.Term.t * Label.t
-
-  let compare (n1, l1) (n2, l2) =
-    let c = Rdf.Term.compare n1 n2 in
-    if c <> 0 then c else Label.compare l1 l2
-end
-
-(* The pair table: every (node, label) pair a session meets is interned
-   once into a dense int id, hashed and compared without the
-   polymorphic primitives. *)
-module Pair_tbl = Hashtbl.Make (struct
-  type t = Pair.t
-
-  let equal (n1, l1) (n2, l2) = Rdf.Term.equal n1 n2 && Label.equal l1 l2
-  let hash (n, l) = (Rdf.Term.hash n * 31) + Label.hash l
-end)
-
+module Term_tbl = Hashtbl.Make (Rdf.Term)
+module Label_tbl = Hashtbl.Make (Label)
 module Int_set = Set.Make (Int)
 
 type store = Structural of Rdf.Graph.t | Frozen of Rdf.Columnar.t
@@ -48,8 +32,8 @@ type dep_record = {
 }
 
 (* Per-shape attribution state (the [?profile] flag).  One labelled
-   cell bundle per shape label, cached by {!Label.t} so the hot path
-   resolves a label's cells once; plus, per attributed engine, how much
+   cell bundle per shape label, cached in the label's entry so the hot
+   path resolves a label's cells once; plus, per attributed engine, how much
    of its global work is already charged to some shape.  A nested
    evaluation (a lower-stratum reference settled inline) charges its
    own shape, and the outer evaluation subtracts what was charged
@@ -72,7 +56,6 @@ type prof = {
   p_seconds : Telemetry.Span.t Telemetry.family;
   p_flips : Telemetry.Counter.t Telemetry.family;
   p_node_seconds : Telemetry.Span.t Telemetry.family;
-  p_cells : (Label.t, prof_cells) Hashtbl.t;
   mutable charged_seconds : float;
   (* runtime resource gauges, sampled at span boundaries *)
   g_minor_words : Telemetry.Counter.t;
@@ -122,7 +105,6 @@ let make_prof tele dfa_instr =
       Telemetry.span_family tele ~key:"node"
         ~help:"Self wall time of checks of this focus node"
         Profile.node_seconds_family;
-    p_cells = Hashtbl.create 16;
     charged_seconds = 0.;
     g_minor_words =
       Telemetry.gauge tele ~help:"Gc.quick_stat minor_words" "gc_minor_words";
@@ -145,6 +127,20 @@ let make_prof tele dfa_instr =
         "memo_entries";
   }
 
+(* A label at its index: the schema's in {!Schema.labels} order, then
+   any other label a check names, added on first sight. *)
+type label_entry = {
+  label : Label.t;
+  shape : Schema.shape option;
+  stratum : int;
+  refs : (Label.t * int) array;  (* the shape's references, by index *)
+  matcher : matcher Lazy.t;
+      (* built on first evaluation: the SORBE counters and DFA
+         transition tables live here *)
+  mutable cells : prof_cells option;  (* profiled sessions *)
+  mutable slots : int array array;  (* node id → pair id or -1, chunked *)
+}
+
 type session = {
   engine : engine;
   schema : Schema.t;
@@ -158,12 +154,19 @@ type session = {
          invalidate the affected memo entries. *)
   domains : int;
       (* requested bulk-validation parallelism; 1 = sequential *)
-  (* The verdict memo, indexed by pair id (see {!intern}).  Ids are
+  (* Node ids, fixed at creation: a term of the frozen store the session
+     was created over keeps its store id; [local] numbers the rest. *)
+  frozen : Rdf.Interner.t option;
+  base : int;
+  local : int Term_tbl.t;
+  mutable local_terms : Rdf.Term.t array array;  (* id - base → term, chunked *)
+  label_ids : int Label_tbl.t;         (* label → label index *)
+  mutable labels : label_entry array;  (* label index → entry *)
+  (* The verdict memo, indexed by pair id (see {!pair}).  Ids are
      never recycled: a pair whose verdict is invalidated goes back to
-     [unknown] and keeps its id, so the table holds one entry per
+     [unknown] and keeps its id, so the arrays hold one entry per
      distinct pair the session has looked up. *)
-  ids : int Pair_tbl.t;                (* pair → id *)
-  mutable pairs : Pair.t array;        (* id → pair *)
+  mutable pairs : int array;  (* id → node id · 2³¹ + label index *)
   mutable state : Bytes.t;             (* id → one of the states below *)
   mutable dependents : int list array;
       (* id → ids whose evaluation consulted it while it was a
@@ -171,13 +174,7 @@ type session = {
          cleared when that solve ends *)
   mutable count : int;                 (* ids handed out *)
   mutable settled : int;               (* ids in a settled state *)
-  mutable labels : Label.Set.t;
-      (* every label interned so far: what {!invalidate_nodes} probes an
-         edited node with *)
   dep_record : dep_record option;     (* Some iff [record_deps] *)
-  matchers : (Label.t, matcher) Hashtbl.t;
-      (* per label, built on first evaluation: the SORBE counters and
-         DFA transition tables live here *)
   tele : Telemetry.t;
   deriv_instr : Deriv.instruments;
   back_instr : Backtrack.instruments;
@@ -192,6 +189,45 @@ type session = {
       (* every monotone counter the session resolved: what a slowlog
          entry reports deltas of *)
 }
+
+(* A label's matcher (experiments E4, E9): Auto uses the linear
+   counting matcher when the shape is in the single-occurrence fragment
+   and the lazy DFA otherwise; Compiled always uses the DFA. *)
+let matcher st e =
+  let table () =
+    let dfa = Dfa.compile ~instr:st.dfa_instr e in
+    ("compiled", fun ~check_ref n dts -> Dfa.matches_dts ~check_ref dfa n dts)
+  in
+  let name, run =
+    match st.engine with
+    | Derivatives ->
+        ( "derivatives",
+          fun ~check_ref n dts ->
+            Deriv.matches_dts ~check_ref ~instr:st.deriv_instr n dts e )
+    | Backtracking ->
+        ( "backtracking",
+          fun ~check_ref n dts ->
+            Backtrack.matches_dts ~check_ref ~instr:st.back_instr n dts e )
+    | Compiled -> table ()
+    | Auto -> (
+        match Sorbe.of_rse e with
+        | Some sorbe ->
+            ( "sorbe",
+              fun ~check_ref n dts ->
+                Sorbe.matches_dts ~check_ref ~instr:st.sorbe_instr n dts sorbe )
+        | None -> table ())
+  in
+  { name; inverse = Rse.has_inverse e; run }
+
+(* A label's entry; [st.label_ids] already numbers what its shape refers to. *)
+let label_entry st l =
+  let shape = Schema.find_shape st.schema l in
+  let refs = Option.fold ~none:Label.Set.empty ~some:(fun s -> Rse.refs s.Schema.expr) shape in
+  let index r = (r, Label_tbl.find st.label_ids r) in
+  { label = l; shape; stratum = Schema.stratum st.schema l;
+    refs = Array.of_seq (Seq.map index (Label.Set.to_seq refs));
+    matcher = lazy (matcher st (Option.get shape).Schema.expr);
+    cells = None; slots = [||] }
 
 let make_session ~engine ~telemetry ~domains ~record_deps ~profile ~slow_ms
     store schema =
@@ -209,29 +245,33 @@ let make_session ~engine ~telemetry ~domains ~record_deps ~profile ~slow_ms
   and fix_evals = Telemetry.counter telemetry "fixpoint_iterations"
   and fix_flips = Telemetry.counter telemetry "fixpoint_flips"
   and fix_demands = Telemetry.counter telemetry "fixpoint_demands" in
-  { engine; schema; store;
-    domains = max 1 domains;
-    ids = Pair_tbl.create 256;
-    pairs = [||];
-    state = Bytes.empty;
-    dependents = [||];
-    count = 0;
-    settled = 0;
-    labels = Label.Set.empty;
-    dep_record =
-      (if record_deps then Some { deps = [||]; rdeps = [||] } else None);
-    matchers = Hashtbl.create 16;
-    tele = telemetry;
-    deriv_instr; back_instr; sorbe_instr; dfa_instr;
-    fix_evals; fix_flips; fix_demands;
-    profile = (if profile then Some (make_prof telemetry dfa_instr) else None);
-    slowlog =
-      Option.map (fun threshold_ms -> Slowlog.create ~threshold_ms ()) slow_ms;
-    slow_work =
-      List.concat
-        [ Deriv.counters deriv_instr; Backtrack.counters back_instr;
-          Sorbe.counters sorbe_instr; Dfa.counters dfa_instr;
-          [ fix_evals; fix_flips; fix_demands ] ] }
+  let frozen =
+    match store with Frozen c -> Some (Rdf.Columnar.interner c) | _ -> None
+  and label_ids = Label_tbl.create 16 in
+  List.iteri (fun i l -> Label_tbl.replace label_ids l i) (Schema.labels schema);
+  let st =
+    { engine; schema; store;
+      domains = max 1 domains;
+      frozen; base = Option.fold ~none:0 ~some:Rdf.Interner.cardinal frozen;
+      local = Term_tbl.create 64; local_terms = [||]; label_ids; labels = [||];
+      pairs = [||]; state = Bytes.empty;
+      dependents = [||]; count = 0; settled = 0;
+      dep_record =
+        (if record_deps then Some { deps = [||]; rdeps = [||] } else None);
+      tele = telemetry;
+      deriv_instr; back_instr; sorbe_instr; dfa_instr;
+      fix_evals; fix_flips; fix_demands;
+      profile = (if profile then Some (make_prof telemetry dfa_instr) else None);
+      slowlog =
+        Option.map (fun threshold_ms -> Slowlog.create ~threshold_ms ()) slow_ms;
+      slow_work =
+        List.concat
+          [ Deriv.counters deriv_instr; Backtrack.counters back_instr;
+            Sorbe.counters sorbe_instr; Dfa.counters dfa_instr;
+            [ fix_evals; fix_flips; fix_demands ] ] }
+  in
+  st.labels <- Array.of_list (List.map (label_entry st) (Schema.labels schema));
+  st
 
 let session ?(engine = Derivatives) ?(telemetry = Telemetry.disabled)
     ?(domains = 1) ?(record_deps = false) ?(profile = false) ?slow_ms schema
@@ -290,47 +330,108 @@ let state st id = Bytes.get_uint8 st.state id
 let set_state st id s = Bytes.set_uint8 st.state id s
 let is_settled st id = state st id >= settled_true
 
-let new_id st p =
-  let id = st.count in
-  if id = Array.length st.pairs then begin
-    let cap = max 256 (2 * id) in
-    let extend a fill =
-      let b = Array.make cap fill in
-      Array.blit a 0 b 0 id;
-      b
-    in
-    st.pairs <- extend st.pairs p;
-    st.dependents <- extend st.dependents [];
-    let state = Bytes.make cap (Char.chr unknown) in
-    Bytes.blit st.state 0 state 0 id;
-    st.state <- state;
-    match st.dep_record with
-    | Some r ->
-        r.deps <- extend r.deps Int_set.empty;
-        r.rdeps <- extend r.rdeps Int_set.empty
-    | None -> ()
-  end;
-  st.pairs.(id) <- p;
-  st.count <- id + 1;
-  Pair_tbl.add st.ids p id;
-  if not (Label.Set.mem (snd p) st.labels) then
-    st.labels <- Label.Set.add (snd p) st.labels;
-  id
+let extend a cap fill =
+  let b = Array.make cap fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
-(* [find], not [find_opt]: a memo hit then allocates nothing beyond
-   the caller's key tuple.  Interning may grow the per-id arrays, so
-   callers re-read them from [st] after anything that can intern. *)
-let intern st p =
-  match Pair_tbl.find st.ids p with
-  | id -> id
-  | exception Not_found -> new_id st p
+(* Arrays indexed by node id grow one 1 024-slot chunk at a time:
+   doubling would leave each old copy to the major GC, and those copies
+   raised the peak heap of sessions that number nodes as they go. *)
+let chunk_get a i absent =
+  let k = i lsr 10 in
+  if k < Array.length a && Array.length a.(k) > 0 then a.(k).(i land 1023)
+  else absent
 
-(* Ids sorted and deduplicated in {!Pair.compare} order.  Requeues
-   and frontier walks visit pairs in this order, not in interning
+let chunk_set a i v fill =
+  let k = i lsr 10 in
+  let a = if k < Array.length a then a else extend a (max (k + 1) (2 * k)) [||] in
+  if Array.length a.(k) = 0 then a.(k) <- Array.make 1024 fill;
+  a.(k).(i land 1023) <- v;
+  a
+
+(* Node, label and pair lookups allocate nothing on a hit ([find], not
+   [find_opt]), so neither does a memo hit. *)
+let node_id st n =
+  let id =
+    match st.frozen with Some ids -> Rdf.Interner.find_id ids n | None -> -1
+  in
+  if id >= 0 then id
+  else
+    try Term_tbl.find st.local n
+    with Not_found ->
+      let id = st.base + Term_tbl.length st.local in
+      Term_tbl.add st.local n id;
+      st.local_terms <- chunk_set st.local_terms (id - st.base) n n;
+      id
+
+let node_term st id =
+  match st.frozen with
+  | Some ids when id < st.base -> Rdf.Interner.resolve ids id
+  | _ -> st.local_terms.((id - st.base) lsr 10).((id - st.base) land 1023)
+
+let label_index st l =
+  match Label_tbl.find st.label_ids l with
+  | i -> i
+  | exception Not_found ->
+      let i = Array.length st.labels in
+      st.labels <- Array.append st.labels [| label_entry st l |];
+      Label_tbl.add st.label_ids l i;
+      i
+
+(* A reference's label index, from the few labels its shape names. *)
+let ref_index st entry l =
+  let rec go i =
+    if i = Array.length entry.refs then label_index st l
+    else
+      let l', k = entry.refs.(i) in
+      if Label.equal l l' then k else go (i + 1)
+  in
+  go 0
+
+let find_pair st n li = chunk_get st.labels.(li).slots n (-1)
+
+(* The pair id of (node id, label index), handed out on first sight;
+   that may grow the per-id arrays, so re-read them from [st] after. *)
+let pair st n li =
+  let found = find_pair st n li in
+  if found >= 0 then found
+  else begin
+    let id = st.count in
+    if id = Array.length st.pairs then begin
+      let cap = max 256 (2 * id) in
+      st.pairs <- extend st.pairs cap 0;
+      st.dependents <- extend st.dependents cap [];
+      let state = Bytes.make cap (Char.chr unknown) in
+      Bytes.blit st.state 0 state 0 id;
+      st.state <- state;
+      match st.dep_record with
+      | Some r ->
+          r.deps <- extend r.deps cap Int_set.empty;
+          r.rdeps <- extend r.rdeps cap Int_set.empty
+      | None -> ()
+    end;
+    st.labels.(li).slots <- chunk_set st.labels.(li).slots n id (-1);
+    st.pairs.(id) <- (n lsl 31) lor li;
+    st.count <- id + 1;
+    id
+  end
+
+(* Both numbers stay below 2³¹ in any session that fits in memory. *)
+let entry_of st id = st.labels.(st.pairs.(id) land 0x7fff_ffff)
+let label_of st id = (entry_of st id).label
+let node_of st id = node_term st (st.pairs.(id) lsr 31)
+
+(* Ids sorted and deduplicated in (node term, label) order.  Requeues
+   and frontier walks visit pairs in this order, not in numbering
    order, so the evaluation sequence, the fixpoint counters and the
    frontier list do not depend on which pair a session met first. *)
 let in_pair_order st ids =
-  List.sort_uniq (fun a b -> Pair.compare st.pairs.(a) st.pairs.(b)) ids
+  let compare a b =
+    let c = Rdf.Term.compare (node_of st a) (node_of st b) in
+    if c <> 0 then c else Label.compare (label_of st a) (label_of st b)
+  in
+  List.sort_uniq compare ids
 
 (* Replace the recorded edge set of [p] with the consultations of its
    latest evaluation, keeping [rdeps] exact (stale reverse edges would
@@ -346,42 +447,6 @@ let record_edges r p used =
     (fun q -> r.rdeps.(q) <- Int_set.add p r.rdeps.(q))
     (Int_set.diff now before);
   r.deps.(p) <- now
-
-(* The label's matcher, built on first demand (experiments E4, E9):
-   Auto uses the linear counting matcher when the shape is in the
-   single-occurrence fragment and the lazy DFA otherwise; Compiled
-   always uses the DFA.  [find], not [find_opt], as in {!intern}. *)
-let matcher st l e =
-  match Hashtbl.find st.matchers l with
-  | m -> m
-  | exception Not_found ->
-      let table () =
-        let dfa = Dfa.compile ~instr:st.dfa_instr e in
-        ("compiled", fun ~check_ref n dts -> Dfa.matches_dts ~check_ref dfa n dts)
-      in
-      let name, run =
-        match st.engine with
-        | Derivatives ->
-            ( "derivatives",
-              fun ~check_ref n dts ->
-                Deriv.matches_dts ~check_ref ~instr:st.deriv_instr n dts e )
-        | Backtracking ->
-            ( "backtracking",
-              fun ~check_ref n dts ->
-                Backtrack.matches_dts ~check_ref ~instr:st.back_instr n dts e )
-        | Compiled -> table ()
-        | Auto -> (
-            match Sorbe.of_rse e with
-            | Some sorbe ->
-                ( "sorbe",
-                  fun ~check_ref n dts ->
-                    Sorbe.matches_dts ~check_ref ~instr:st.sorbe_instr n dts
-                      sorbe )
-            | None -> table ())
-      in
-      let m = { name; inverse = Rse.has_inverse e; run } in
-      Hashtbl.replace st.matchers l m;
-      m
 
 (* Runtime resource gauges ("where is the memory"): GC words/heap/
    compactions plus the verdict-memo size, sampled into the registry at
@@ -414,18 +479,18 @@ type outcome = { ok : bool; explain : Explain.t option }
 
 let reason o = Option.map Explain.to_string o.explain
 
-let prof_cells p l =
-  match Hashtbl.find_opt p.p_cells l with
+let prof_cells p entry =
+  match entry.cells with
   | Some c -> c
   | None ->
-      let s = Label.to_string l in
+      let s = Label.to_string entry.label in
       let c =
         { c_checks = Telemetry.labelled p.p_checks s;
           c_seconds = Telemetry.labelled p.p_seconds s;
           c_work =
             Array.map (fun (_, fam) -> Telemetry.labelled fam s) p.p_work }
       in
-      Hashtbl.replace p.p_cells l c;
+      entry.cells <- Some c;
       c
 
 (* Wrap one matcher run with self-cost attribution: counter deltas and
@@ -434,8 +499,8 @@ let prof_cells p l =
    shapes meanwhile.  Every unit of work is charged exactly once, so
    summing a family reproduces the global counter — the ≥95 %
    attribution-coverage invariant is structural, not statistical. *)
-let profiled_run p n l run () =
-  let cells = prof_cells p l in
+let profiled_run p n entry run () =
+  let cells = prof_cells p entry in
   (* Work not yet charged to any shape: its growth over the window is
      this evaluation's self-cost. *)
   let unowned i =
@@ -470,24 +535,25 @@ let profiled_run p n l run () =
    {!solve} (they are final by stratification, so negation over them
    is sound).  The use list holds pair ids, most recent first. *)
 let rec evaluate st ~value ~demand id =
-  let n, l = st.pairs.(id) in
-  match Schema.find_shape st.schema l with
+  let entry = entry_of st id in
+  let n = node_of st id and l = entry.label in
+  match entry.shape with
   | None -> (false, [])
   | Some { Schema.focus = Some vo; _ }
     when not (Value_set.obj_mem vo n) ->
       (* The focus node itself fails the shape's node constraint. *)
       (false, [])
-  | Some { Schema.expr = e; _ } ->
+  | Some _ ->
       let used = ref [] in
-      let stratum = Schema.stratum st.schema l in
       let tracing = Telemetry.tracing st.tele in
       let check_ref l' o =
-        let q = intern st (o, l') in
+        let li' = ref_index st entry l' in
+        let q = pair st (node_id st o) li' in
         used := q :: !used;
         let settled = is_settled st q in
         let answer =
           if settled then state st q = settled_true
-          else if Schema.stratum st.schema l' < stratum then begin
+          else if st.labels.(li').stratum < entry.stratum then begin
             solve st q;
             state st q = settled_true
           end
@@ -512,13 +578,13 @@ let rec evaluate st ~value ~demand id =
       in
       (* The neighbourhood is read inside [run], so profiled runs
          charge its extraction to the shape. *)
-      let m = matcher st l e in
+      let m = Lazy.force entry.matcher in
       let run () =
         m.run ~check_ref n (neighbourhood st ~include_inverse:m.inverse n)
       in
       let run =
         match st.profile with
-        | Some p -> profiled_run p n l run
+        | Some p -> profiled_run p n entry run
         | None -> run
       in
       if tracing then
@@ -604,7 +670,7 @@ and solve st root =
             | Some prof ->
                 Telemetry.Counter.incr
                   (Telemetry.labelled prof.p_flips
-                     (Label.to_string (snd st.pairs.(p))))
+                     (Label.to_string (label_of st p)))
             | None -> ());
             set_state st p cand_false;
             let requeued = ref 0 in
@@ -618,11 +684,10 @@ and solve st root =
             (* The refutation edge: this hypothesis flipped to false and
                re-triggered the verdicts that relied on it. *)
             if Telemetry.tracing st.tele then
-              let fn, fl = st.pairs.(p) in
               Telemetry.emit st.tele
                 (Telemetry.instant "fixpoint_flip"
-                   [ ("node", Telemetry.String (Rdf.Term.to_string fn));
-                     ("shape", Telemetry.String (Label.to_string fl));
+                   [ ("node", Telemetry.String (Rdf.Term.to_string (node_of st p)));
+                     ("shape", Telemetry.String (Label.to_string (label_of st p)));
                      ("requeued", Telemetry.Int !requeued) ])
           end
         end
@@ -649,7 +714,7 @@ let verdict_id st id =
   solve st id;
   state st id = settled_true
 
-let verdict st p = verdict_id st (intern st p)
+let verdict st n l = verdict_id st (pair st (node_id st n) (label_index st l))
 
 (* Dependency-frontier invalidation: every memoised verdict anchored
    on an edited node, plus — transitively, backwards along the
@@ -666,7 +731,7 @@ let invalidate_nodes st nodes =
     let was = state st id = settled_true in
     set_state st id unknown;
     st.settled <- st.settled - 1;
-    (st.pairs.(id), was)
+    ((node_of st id, label_of st id), was)
   in
   match st.dep_record with
   | None ->
@@ -686,16 +751,11 @@ let invalidate_nodes st nodes =
           Queue.add id queue
         end
       in
-      (* An edited node's settled pairs, in label order: probe the pair
-         table with every label the session has interned. *)
+      (* An edited node's settled pairs, in label order. *)
       List.iter
         (fun n ->
-          Label.Set.iter
-            (fun l ->
-              match Pair_tbl.find_opt st.ids (n, l) with
-              | Some id -> push id
-              | None -> ())
-            st.labels)
+          let ids = List.init (Array.length st.labels) (find_pair st (node_id st n)) in
+          List.iter push (in_pair_order st (List.filter (fun id -> id >= 0) ids)))
         nodes;
       let frontier = ref [] in
       while not (Queue.is_empty queue) do
@@ -733,15 +793,13 @@ let typing st n l =
       List.fold_left closure (Int_set.add p visited) used
   in
   Int_set.fold
-    (fun id acc ->
-      let node, label = st.pairs.(id) in
-      Typing.add node label acc)
-    (closure Int_set.empty (intern st (n, l)))
+    (fun id acc -> Typing.add (node_of st id) (label_of st id) acc)
+    (closure Int_set.empty (pair st (node_id st n) (label_index st l)))
     Typing.empty
 
 (* References answered by settled verdicts, solving a pair on first
    demand: what traces and explanations consult. *)
-let settled_ref st l' o = verdict st (o, l')
+let settled_ref st l' o = verdict st o l'
 
 let trace st n l =
   Option.map
@@ -760,7 +818,7 @@ let failure_explain st n l =
         (Explain.of_trace ~check_ref:(settled_ref st) ~node:n ~label:l)
 
 let plain_check st n l =
-  if verdict st (n, l) then { ok = true; explain = None }
+  if verdict st n l then { ok = true; explain = None }
   else { ok = false; explain = failure_explain st n l }
 
 (* Slow-validation capture: time the whole check (first checks of a
@@ -801,14 +859,17 @@ let check st n l =
         ~conformant:(fun o -> o.ok)
         ~explain_of:(fun o -> o.explain)
 
-let check_bool st n l =
+let check_bool_at st n nid li =
   match st.slowlog with
-  | None -> verdict st (n, l)
+  | None -> verdict_id st (pair st nid li)
   | Some slog ->
+      let l = st.labels.(li).label in
       slow_capture st slog n l
-        (fun () -> verdict st (n, l))
+        (fun () -> verdict_id st (pair st nid li))
         ~conformant:Fun.id
         ~explain_of:(fun ok -> if ok then None else failure_explain st n l)
+
+let check_bool st n l = check_bool_at st n (node_id st n) (label_index st l)
 
 (* Domain-parallel bulk validation: contiguous shards of the
    association list, so outcome order is input order by construction
@@ -855,23 +916,27 @@ let check_all st associations =
   sample_resources st;
   outcomes
 
+(* A frozen store's nodes come numbered: the roots need no lookup. *)
 let validate_graph st =
-  let nodes =
-    match st.store with
-    | Frozen c -> Rdf.Columnar.nodes c
-    | Structural g -> Rdf.Graph.nodes g
+  let labels = List.length (Schema.labels st.schema) in
+  (* [check_bool_at], not bare [verdict]: the slowlog sees these too. *)
+  let rec visit n nid li acc =
+    if li = labels then acc
+    else
+      visit n nid (li + 1)
+        (if check_bool_at st n nid li then Typing.add n st.labels.(li).label acc
+         else acc)
   in
-  let labels = Schema.labels st.schema in
   let typing =
-    List.fold_left
-      (fun acc n ->
+    match st.store with
+    | Frozen c ->
         List.fold_left
-          (fun acc l ->
-            (* [check_bool], not bare [verdict]: whole-graph runs feed
-               the slowlog too. *)
-            if check_bool st n l then Typing.add n l acc else acc)
-          acc labels)
-      Typing.empty nodes
+          (fun acc nid -> visit (Rdf.Columnar.term c nid) nid 0 acc)
+          Typing.empty (Rdf.Columnar.node_ids c)
+    | Structural g ->
+        List.fold_left
+          (fun acc n -> visit n (node_id st n) 0 acc)
+          Typing.empty (Rdf.Graph.nodes g)
   in
   sample_resources st;
   typing

@@ -163,7 +163,6 @@ let freeze b =
 let cardinal t = t.n
 let terms_cardinal t = Interner.cardinal t.ids
 let interner t = t.ids
-let id t term = Interner.find t.ids term
 let term t id = Interner.resolve t.ids id
 
 let pred_of t id =
@@ -209,14 +208,12 @@ let rows_to_list t project lo hi =
   go (hi - 1) []
 
 let out_slice t term =
-  match id t term with
-  | None -> (0, 0)
-  | Some sid -> slice (fun i -> t.spo_s.(i)) t.n sid
+  let sid = Interner.find_id t.ids term in
+  if sid < 0 then (0, 0) else slice (fun i -> t.spo_s.(i)) t.n sid
 
 let in_slice t term =
-  match id t term with
-  | None -> (0, 0)
-  | Some oid -> slice (fun i -> t.spo_o.(t.osp_row.(i))) t.n oid
+  let oid = Interner.find_id t.ids term in
+  if oid < 0 then (0, 0) else slice (fun i -> t.spo_o.(t.osp_row.(i))) t.n oid
 
 let out_triples t term =
   let lo, hi = out_slice t term in
@@ -229,11 +226,11 @@ let in_triples t term =
   rows_to_list t (fun i -> t.osp_row.(i)) lo hi
 
 let triples_with_predicate t p =
-  match id t (Term.Iri p) with
-  | None -> []
-  | Some pid ->
-      let lo, hi = slice (fun i -> t.spo_p.(t.pos_row.(i))) t.n pid in
-      rows_to_list t (fun i -> t.pos_row.(i)) lo hi
+  let pid = Interner.find_id t.ids (Term.Iri p) in
+  if pid < 0 then []
+  else
+    let lo, hi = slice (fun i -> t.spo_p.(t.pos_row.(i))) t.n pid in
+    rows_to_list t (fun i -> t.pos_row.(i)) lo hi
 
 let out_degree t term =
   let lo, hi = out_slice t term in
@@ -243,7 +240,7 @@ let in_degree t term =
   let lo, hi = in_slice t term in
   hi - lo
 
-let nodes t =
+let node_ids t =
   (* Distinct subject ids and object ids are both ascending runs of
      their sorted columns; a merge-unique of the two is the distinct
      node ids in term order (canonical ids sort like terms). *)
@@ -257,26 +254,21 @@ let nodes t =
   let rec merge i j acc =
     if i >= t.n && j >= t.n then List.rev acc
     else if j >= t.n || (i < t.n && s_key i < o_key j) then
-      merge (next_distinct s_key t.n i) j (Interner.resolve t.ids (s_key i) :: acc)
+      merge (next_distinct s_key t.n i) j (s_key i :: acc)
     else if i >= t.n || o_key j < s_key i then
-      merge i (next_distinct o_key t.n j) (Interner.resolve t.ids (o_key j) :: acc)
+      merge i (next_distinct o_key t.n j) (o_key j :: acc)
     else
       merge (next_distinct s_key t.n i) (next_distinct o_key t.n j)
-        (Interner.resolve t.ids (s_key i) :: acc)
+        (s_key i :: acc)
   in
   merge 0 0 []
+
+let nodes t = List.map (Interner.resolve t.ids) (node_ids t)
 
 let iter f t =
   for row = 0 to t.n - 1 do
     f (triple_of t row)
   done
-
-let fold f t acc =
-  let acc = ref acc in
-  for row = 0 to t.n - 1 do
-    acc := f (triple_of t row) !acc
-  done;
-  !acc
 
 let of_graph g =
   let b =

@@ -62,7 +62,6 @@ val terms_cardinal : t -> int
 val interner : t -> Interner.t
 (** The canonical (term-ordered) id table. *)
 
-val id : t -> Term.t -> int option
 val term : t -> int -> Term.t
 
 val out_triples : t -> Term.t -> Triple.t list
@@ -78,9 +77,9 @@ val out_degree : t -> Term.t -> int
 val in_degree : t -> Term.t -> int
 
 val nodes : t -> Term.t list
-(** Distinct subjects and objects, in term order — agrees with
-    {!Graph.nodes}. *)
+val node_ids : t -> int list
+(** Distinct subjects and objects (or their ids), in term order —
+    agrees with {!Graph.nodes}. *)
 
 val iter : (Triple.t -> unit) -> t -> unit
-val fold : (Triple.t -> 'a -> 'a) -> t -> 'a -> 'a
 (** Triples in {!Triple.compare} order, like the structural folds. *)

@@ -1,12 +1,14 @@
+module Tbl = Hashtbl.Make (Term)
+
 type t = {
   mutable terms : Term.t array;  (* id -> term; length ≥ len *)
   mutable len : int;
-  ids : (Term.t, int) Hashtbl.t;  (* term -> id *)
+  ids : int Tbl.t;  (* term -> id *)
 }
 
 let create ?(capacity = 1024) () =
   let capacity = max 16 capacity in
-  { terms = [||]; len = 0; ids = Hashtbl.create capacity }
+  { terms = [||]; len = 0; ids = Tbl.create capacity }
 
 let cardinal t = t.len
 
@@ -20,18 +22,22 @@ let grow t =
     t.terms <- fresh
   end
 
+(* [Tbl.find], not [find_opt]: a hit allocates nothing. *)
+let find_id t term =
+  match Tbl.find t.ids term with id -> id | exception Not_found -> -1
+
 let intern t term =
-  match Hashtbl.find_opt t.ids term with
-  | Some id -> id
-  | None ->
+  match Tbl.find t.ids term with
+  | id -> id
+  | exception Not_found ->
       let id = t.len in
       if id = 0 then t.terms <- Array.make 16 term else grow t;
       t.terms.(id) <- term;
       t.len <- id + 1;
-      Hashtbl.replace t.ids term id;
+      Tbl.add t.ids term id;
       id
 
-let find t term = Hashtbl.find_opt t.ids term
+let find t term = Tbl.find_opt t.ids term
 
 let resolve t id =
   if id < 0 || id >= t.len then
@@ -50,6 +56,7 @@ let sorted t =
   in
   go 0
 
+(* A copy of the table, its ids remapped: no term is hashed again. *)
 let compact t =
   let n = t.len in
   let order = Array.init n Fun.id in
@@ -57,10 +64,8 @@ let compact t =
      auxiliary array of n/2 words. *)
   Array.stable_sort (fun a b -> Term.compare t.terms.(a) t.terms.(b)) order;
   let remap = Array.make n 0 in
-  let compacted = create ~capacity:(2 * n) () in
-  Array.iteri
-    (fun new_id old_id ->
-      remap.(old_id) <- new_id;
-      ignore (intern compacted t.terms.(old_id)))
-    order;
-  (compacted, remap)
+  Array.iteri (fun new_id old_id -> remap.(old_id) <- new_id) order;
+  let ids = Tbl.copy t.ids in
+  Tbl.filter_map_inplace (fun _ id -> Some remap.(id)) ids;
+  ({ terms = Array.map (fun old_id -> t.terms.(old_id)) order; len = n; ids },
+   remap)

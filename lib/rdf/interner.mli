@@ -27,6 +27,9 @@ val intern : t -> Term.t -> int
 val find : t -> Term.t -> int option
 (** Id of the term if already interned; never assigns. *)
 
+val find_id : t -> Term.t -> int
+(** Like {!find}, [-1] for a term never interned; allocates nothing. *)
+
 val resolve : t -> int -> Term.t
 (** The term behind an id.  Raises [Invalid_argument] on an id never
     handed out. *)
@@ -45,4 +48,5 @@ val sorted : t -> bool
 val compact : t -> t * int array
 (** [compact t] is [(t', remap)]: a fresh interner over the same terms
     whose ids are in {!Term.compare} order, and the translation table
-    [remap.(old_id) = new_id].  [t] is unchanged. *)
+    [remap.(old_id) = new_id].  [t'] copies [t]'s hash table and remaps
+    its ids, so no term is hashed again.  [t] is unchanged. *)

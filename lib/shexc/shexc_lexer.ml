@@ -101,16 +101,20 @@ let next_token st =
       | '^' ->
           T.advance st;
           if T.peek st = code '^' then punct st Caret_caret else Caret
-      | '@' -> (
+      | '@' ->
           T.advance st;
-          if T.peek st = code '<' then At_ref (T.read_iriref st)
+          let c = T.peek st in
+          if c = code '<' then At_ref (T.read_iriref st)
           else
-            (* @pname is a reference, a bare word a language tag. *)
-            match name st with
-            | `Pname (prefix, local) -> At_pname (prefix, local)
-            | `Word "" ->
-                T.error st "expected shape reference or language tag after @"
-            | `Word tag -> Langtag tag)
+            (* A LANGTAG as Turtle reads it, or a reference if a ':' follows. *)
+            let line, col = T.position st in
+            let tag = if c = code ':' || c >= 0x80 then "" else T.read_langtag st in
+            let prefix = tag ^ T.read_pn_prefix st in
+            if T.peek st = code ':' then (
+              T.advance st;
+              At_pname (prefix, T.read_pn_local st))
+            else if prefix = tag then Langtag tag
+            else raise (Error (Printf.sprintf "invalid language tag %S" prefix, line, col))
       | '.' -> if digit_follows st then number st else punct st Dot
       | '-' | '0' .. '9' -> number st
       | '_' ->

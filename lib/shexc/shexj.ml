@@ -209,7 +209,14 @@ let import_value (j : Json.t) : (Rdf.Term.t option * string option, string) resu
       | None -> Error "IriStem without stem")
   | Json.Object _ -> (
       match Json.find_string "bnode" j with
-      | Some label -> Ok (Some (Rdf.Term.Bnode (Rdf.Bnode.of_string label)), None)
+      | Some label -> (
+          (* Only a label that "_:" reads back as itself prints as ShExC. *)
+          let st = Turtle.Lexer.stream_of_string ("_:" ^ label) in
+          match Turtle.Lexer.read_blank_label st with
+          | l when l = label && Turtle.Lexer.peek st < 0 ->
+              Ok (Some (Rdf.Term.Bnode (Rdf.Bnode.of_string label)), None)
+          | _ | (exception Turtle.Lexer.Error _) ->
+              Error (Printf.sprintf "invalid blank node label %S" label))
       | None -> (
           match Json.find_string "value" j with
           | None -> Error "value set entry without value"
