@@ -351,19 +351,23 @@ let chunk_set a i v fill =
   a
 
 (* Node, label and pair lookups allocate nothing on a hit ([find], not
-   [find_opt]), so neither does a memo hit. *)
-let node_id st n =
+   [find_opt]), so neither does a memo hit.  [find_node] is -1 for a
+   node the session has not numbered. *)
+let find_node st n =
   let id =
     match st.frozen with Some ids -> Rdf.Interner.find_id ids n | None -> -1
   in
+  if id >= 0 then id else try Term_tbl.find st.local n with Not_found -> -1
+
+let node_id st n =
+  let id = find_node st n in
   if id >= 0 then id
-  else
-    try Term_tbl.find st.local n
-    with Not_found ->
-      let id = st.base + Term_tbl.length st.local in
-      Term_tbl.add st.local n id;
-      st.local_terms <- chunk_set st.local_terms (id - st.base) n n;
-      id
+  else begin
+    let id = st.base + Term_tbl.length st.local in
+    Term_tbl.add st.local n id;
+    st.local_terms <- chunk_set st.local_terms (id - st.base) n n;
+    id
+  end
 
 let node_term st id =
   match st.frozen with
@@ -389,6 +393,7 @@ let ref_index st entry l =
   in
   go 0
 
+(* -1 when there is none, as for the node id -1 ([lsr] makes it huge). *)
 let find_pair st n li = chunk_get st.labels.(li).slots n (-1)
 
 (* The pair id of (node id, label index), handed out on first sight;
@@ -754,7 +759,7 @@ let invalidate_nodes st nodes =
       (* An edited node's settled pairs, in label order. *)
       List.iter
         (fun n ->
-          let ids = List.init (Array.length st.labels) (find_pair st (node_id st n)) in
+          let ids = List.init (Array.length st.labels) (find_pair st (find_node st n)) in
           List.iter push (in_pair_order st (List.filter (fun id -> id >= 0) ids)))
         nodes;
       let frontier = ref [] in
