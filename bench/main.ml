@@ -1603,8 +1603,8 @@ let e17 () =
      structural graph, so peak memory is a@.  small multiple of the \
      frozen store itself; the structural arm's per-triple@.  \
      set-and-index inserts cost several times the interned store's \
-     memory at@.  identical verdicts, and validation over binary-searched \
-     column slices@.  outruns the balanced-tree neighbourhood lookups.@."
+     memory at@.  identical verdicts, and validation over column slices \
+     read by id@.  outruns the balanced-tree neighbourhood lookups.@."
 
 (* ------------------------------------------------------------------ *)
 (* E18: schema static analysis                                         *)

@@ -14,7 +14,7 @@ let[@tail_mod_cons] rec outs_onto tail = function
 
 (* Both stores list a node's arcs in Triple.compare order (the
    structural indexes hold sets; canonical columnar ids sort like
-   terms), so [of_node] and [of_columnar] produce the exact same list
+   terms), so [of_node] and [of_id] produce the exact same list
    over the same triples — the ordering the byte-identity guarantees
    lean on. *)
 let of_node ?(include_inverse = false) n g =
@@ -22,11 +22,18 @@ let of_node ?(include_inverse = false) n g =
     (if include_inverse then List.map inc (Rdf.Graph.in_triples n g) else [])
     (Rdf.Graph.out_triples n g)
 
-let of_columnar ?(include_inverse = false) n c =
-  outs_onto
-    (if include_inverse then List.map inc (Rdf.Columnar.in_triples c n)
+(* Both runs are built back to front straight from the slice rows, the
+   outgoing one onto the incoming one. *)
+let of_id ~include_inverse id c =
+  Rdf.Columnar.fold_out
+    (fun tr acc -> out tr :: acc)
+    c id
+    (if include_inverse then
+       Rdf.Columnar.fold_in (fun tr acc -> inc tr :: acc) c id []
      else [])
-    (Rdf.Columnar.out_triples c n)
+
+let of_columnar ?(include_inverse = false) n c =
+  of_id ~include_inverse (Rdf.Interner.find_id (Rdf.Columnar.interner c) n) c
 
 let arc_matches ~check_ref (a : Rse.arc) dt =
   Bool.equal a.inverse dt.inverse

@@ -28,12 +28,19 @@ val of_node :
     {!Rdf.Graph.out_triples} ({!Rdf.Graph.in_triples}): allocation is a
     few words per listed triple, whatever the size of [g]. *)
 
+val of_id : include_inverse:bool -> int -> Rdf.Columnar.t -> dtriple list
+(** [of_id ~include_inverse id c] is {!of_node} against a columnar
+    store, by the node's store id: the outgoing run is the id's SPO
+    slice, the incoming run its OSP slice, each found by two offset
+    reads and hashing no term.  An id below 0 or at least
+    [Rdf.Columnar.terms_cardinal c] names no node of [c] and reads
+    [[]].  Returns the exact list {!of_node} returns on
+    [Rdf.Columnar.to_graph c] (canonical ids make slice order triple
+    order). *)
+
 val of_columnar :
   ?include_inverse:bool -> Rdf.Term.t -> Rdf.Columnar.t -> dtriple list
-(** {!of_node} against a columnar store: the outgoing run is a
-    binary-searched SPO slice, the incoming run an OSP slice.  Returns
-    the exact list {!of_node} returns on [Rdf.Columnar.to_graph c]
-    (canonical ids make slice order triple order). *)
+(** {!of_id} on the term's store id. *)
 
 val arc_matches :
   check_ref:(Label.t -> Rdf.Term.t -> bool) -> Rse.arc -> dtriple -> bool

@@ -146,12 +146,12 @@ type session = {
   schema : Schema.t;
   mutable store : store;
       (* what every neighbourhood is read from: the structural indexes
-         of a graph, or binary-searched slices of a frozen columnar
-         store's int columns.  Canonical ids keep the slices in triple
-         order, so verdicts, traces and reports are byte-identical
-         either way (the oracle's interned arms pin this).  Mutable for
-         {!set_graph}: incremental sessions swap in the edited graph and
-         invalidate the affected memo entries. *)
+         of a graph, or the offset slices of a frozen columnar store's
+         int columns, read by node id.  Canonical ids keep the slices
+         in triple order, so verdicts, traces and reports are
+         byte-identical either way (the oracle's interned arms pin
+         this).  Mutable for {!set_graph}: incremental sessions swap in
+         the edited graph and invalidate the affected memo entries. *)
   domains : int;
       (* requested bulk-validation parallelism; 1 = sequential *)
   (* Node ids, fixed at creation: a term of the frozen store the session
@@ -308,14 +308,16 @@ let set_slow_ms st = function
 
 let set_graph st graph = st.store <- Structural graph
 
-(* Σgn through whichever store the session holds: a binary-searched
-   slice of the frozen store, or the structural indexes.  Either way
-   the list is in triple order, so every engine sees the same
-   consumption sequence.  The only place a session reads its store
-   for matching. *)
-let neighbourhood st ~include_inverse n =
+(* Σgn of the node with id [nid] and term [n] through whichever store
+   the session holds: the offset slices of the frozen store, by id —
+   below [st.base] the canonical store id, from [st.base] up a term the
+   store lacks, whose slices are empty — or the structural indexes, by
+   term.  Either way the list is in triple order, so every engine sees
+   the same consumption sequence.  The only place a session reads its
+   store for matching. *)
+let neighbourhood st ~include_inverse nid n =
   match st.store with
-  | Frozen c -> Neigh.of_columnar ~include_inverse n c
+  | Frozen c -> Neigh.of_id ~include_inverse nid c
   | Structural g -> Neigh.of_node ~include_inverse n g
 
 (* Pair states.  A solve marks the pairs it demands candidate-true,
@@ -425,7 +427,8 @@ let pair st n li =
 (* Both numbers stay below 2³¹ in any session that fits in memory. *)
 let entry_of st id = st.labels.(st.pairs.(id) land 0x7fff_ffff)
 let label_of st id = (entry_of st id).label
-let node_of st id = node_term st (st.pairs.(id) lsr 31)
+let node_id_of st id = st.pairs.(id) lsr 31
+let node_of st id = node_term st (node_id_of st id)
 
 (* Ids sorted and deduplicated in (node term, label) order.  Requeues
    and frontier walks visit pairs in this order, not in numbering
@@ -541,7 +544,8 @@ let profiled_run p n entry run () =
    is sound).  The use list holds pair ids, most recent first. *)
 let rec evaluate st ~value ~demand id =
   let entry = entry_of st id in
-  let n = node_of st id and l = entry.label in
+  let nid = node_id_of st id in
+  let n = node_term st nid and l = entry.label in
   match entry.shape with
   | None -> (false, [])
   | Some { Schema.focus = Some vo; _ }
@@ -585,7 +589,7 @@ let rec evaluate st ~value ~demand id =
          charge its extraction to the shape. *)
       let m = Lazy.force entry.matcher in
       let run () =
-        m.run ~check_ref n (neighbourhood st ~include_inverse:m.inverse n)
+        m.run ~check_ref n (neighbourhood st ~include_inverse:m.inverse nid n)
       in
       let run =
         match st.profile with
@@ -809,7 +813,9 @@ let settled_ref st l' o = verdict st o l'
 let trace st n l =
   Option.map
     (fun { Schema.expr = e; _ } ->
-      let dts = neighbourhood st ~include_inverse:(Rse.has_inverse e) n in
+      let dts =
+        neighbourhood st ~include_inverse:(Rse.has_inverse e) (find_node st n) n
+      in
       Deriv.matches_trace_dts ~check_ref:(settled_ref st) n dts e)
     (Schema.find_shape st.schema l)
 

@@ -144,10 +144,10 @@ val session_columnar :
   session
 (** A session over an already-frozen columnar store (e.g. straight
     from the streaming N-Triples bulk loader), skipping the structural
-    graph entirely: every neighbourhood every engine consumes comes
-    from binary-searched slices of the store's int columns, so a check
-    allocates in proportion to the neighbourhoods it reads, never to
-    the store.  Canonical interning keeps
+    graph entirely: every neighbourhood every engine consumes is an
+    offset slice of the store's int columns, read by the node's store
+    id, so a check allocates in proportion to the neighbourhoods it
+    reads, never to the store.  Canonical interning keeps
     the slices in exactly {!Rdf.Triple.compare} order, so verdicts,
     typings, explanations and report JSON are byte-identical to a
     {!session} over the same triples (the differential oracle's

@@ -5,11 +5,14 @@ type t = {
   spo_s : int array;
   spo_p : int array;
   spo_o : int array;
-  (* Row permutations of the SPO columns: pos_row sorted by (p, s, o),
-     osp_row by (o, s, p).  Permutations instead of copied columns:
-     the indirection costs one load per probe and saves 6n words. *)
-  pos_row : int array;
+  (* Subject id s's SPO rows are [s_start.(s), s_start.(s+1)). *)
+  s_start : int array;
+  (* A row permutation of the SPO columns sorted by (o, s, p), and
+     object id o's OSP positions [o_start.(o), o_start.(o+1)).  A
+     permutation instead of copied columns: the indirection costs one
+     load per row and saves 2n words. *)
   osp_row : int array;
+  o_start : int array;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -64,8 +67,8 @@ let triples_added b = b.blen
 
 (* Stable counting sort of items [0, n) by [key i] < [buckets]: one
    count per key, prefix sums, then [place i slot] once per item in
-   item order.  Returns the bucket ends: bucket k is
-   [ends.(k-1), ends.(k)), with ends.(-1) taken as 0. *)
+   item order.  Returns the bucket starts: bucket k is
+   [start.(k), start.(k+1)), and start.(buckets) = n. *)
 let bucket_sort ~buckets n key place =
   let next = Array.make (buckets + 1) 0 in
   for i = 0 to n - 1 do
@@ -80,6 +83,9 @@ let bucket_sort ~buckets n key place =
     place i next.(k);
     next.(k) <- next.(k) + 1
   done;
+  (* Each cursor stopped at its bucket's end, the next one's start. *)
+  Array.blit next 0 next 1 buckets;
+  next.(0) <- 0;
   next
 
 (* Sort [a.(lo) .. a.(hi-1)]: insertion sort on the short runs most
@@ -112,49 +118,44 @@ let freeze b =
   (* SPO: each raw row's packed (p, o) key, scattered into its
      canonical subject's bucket; buckets are in subject order. *)
   let keys = Array.make b.blen 0 in
-  let ends =
+  let s_start =
     bucket_sort ~buckets:terms b.blen
       (fun i -> remap.(b.bs.(i)))
       (fun i slot ->
         keys.(slot) <- (remap.(b.bp.(i)) lsl id_bits) lor remap.(b.bo.(i)))
   in
   (* Sort each bucket and drop its adjacent duplicates in place — a
-     graph is a set of triples, whatever the loader fed us.  [ends.(s)]
-     becomes subject s's distinct count. *)
-  let n = ref 0 and lo = ref 0 in
+     graph is a set of triples, whatever the loader fed us.  Subject s's
+     bucket start becomes its first distinct row. *)
+  let n = ref 0 in
   for s = 0 to terms - 1 do
-    let hi = ends.(s) and first = !n in
-    sort_run keys !lo hi;
-    for i = !lo to hi - 1 do
+    let lo = s_start.(s) and hi = s_start.(s + 1) and first = !n in
+    sort_run keys lo hi;
+    for i = lo to hi - 1 do
       if !n = first || keys.(!n - 1) <> keys.(i) then begin
         keys.(!n) <- keys.(i);
         incr n
       end
     done;
-    ends.(s) <- !n - first;
-    lo := hi
+    s_start.(s) <- first
   done;
   let n = !n in
+  s_start.(terms) <- n;
   let spo_s = Array.make n 0 in
-  let row = ref 0 in
   for s = 0 to terms - 1 do
-    Array.fill spo_s !row ends.(s) s;
-    row := !row + ends.(s)
+    Array.fill spo_s s_start.(s) (s_start.(s + 1) - s_start.(s)) s
   done;
   let spo_p = Array.init n (fun i -> keys.(i) lsr id_bits)
   and spo_o = Array.init n (fun i -> keys.(i) land ((1 lsl id_bits) - 1)) in
-  (* At a fixed predicate, SPO rows are in (s, o) order, and at a fixed
-     object in (s, p) order: a stable bucket pass by p over the SPO
-     rows is POS order, and by o it is OSP order. *)
-  let by col =
-    let rows = Array.make n 0 in
-    ignore
-      (bucket_sort ~buckets:terms n
-         (fun r -> col.(r))
-         (fun r slot -> rows.(slot) <- r));
-    rows
+  (* At a fixed object, SPO rows are in (s, p) order: a stable bucket
+     pass by o over the SPO rows is OSP order. *)
+  let osp_row = Array.make n 0 in
+  let o_start =
+    bucket_sort ~buckets:terms n
+      (fun r -> spo_o.(r))
+      (fun r slot -> osp_row.(slot) <- r)
   in
-  { ids; n; spo_s; spo_p; spo_o; pos_row = by spo_p; osp_row = by spo_o }
+  { ids; n; spo_s; spo_p; spo_o; s_start; osp_row; o_start }
 
 (* ------------------------------------------------------------------ *)
 (* Reading                                                             *)
@@ -178,90 +179,48 @@ let triple_of t row =
     (pred_of t t.spo_p.(row))
     (Interner.resolve t.ids t.spo_o.(row))
 
-(* First index in [0, n) whose key is ≥ v / > v: the usual halves. *)
-let lower_bound key n v =
-  let lo = ref 0 and hi = ref n in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if key mid < v then lo := mid + 1 else hi := mid
-  done;
-  !lo
+let in_range t id = id >= 0 && id < Interner.cardinal t.ids
 
-let upper_bound key n v =
-  let lo = ref 0 and hi = ref n in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if key mid <= v then lo := mid + 1 else hi := mid
-  done;
-  !lo
+(* Right fold of [f] over the triples of id's slice of the offsets
+   [start], reading each position's row through [row].  An id outside
+   [0, terms) — [find_id]'s -1 for an absent term, or an id numbered
+   past the store — has none. *)
+let fold_slice start row f t id acc =
+  if not (in_range t id) then acc
+  else begin
+    let acc = ref acc in
+    for i = start.(id + 1) - 1 downto start.(id) do
+      acc := f (triple_of t (row t i)) !acc
+    done;
+    !acc
+  end
 
-(* The contiguous [lo, hi) slice of rows with the given key id. *)
-let slice key n v =
-  let lo = lower_bound key n v in
-  let hi = upper_bound key n v in
-  (lo, hi)
-
-let rows_to_list t project lo hi =
-  let rec go i acc =
-    if i < lo then acc else go (i - 1) (triple_of t (project i) :: acc)
-  in
-  go (hi - 1) []
-
-let out_slice t term =
-  let sid = Interner.find_id t.ids term in
-  if sid < 0 then (0, 0) else slice (fun i -> t.spo_s.(i)) t.n sid
-
-let in_slice t term =
-  let oid = Interner.find_id t.ids term in
-  if oid < 0 then (0, 0) else slice (fun i -> t.spo_o.(t.osp_row.(i))) t.n oid
-
-let out_triples t term =
-  let lo, hi = out_slice t term in
-  rows_to_list t Fun.id lo hi
+let fold_out f t id acc = fold_slice t.s_start (fun _ row -> row) f t id acc
 
 (* OSP order is (o, s, p) which, at fixed object, is exactly
    Triple.compare order on the slice. *)
-let in_triples t term =
-  let lo, hi = in_slice t term in
-  rows_to_list t (fun i -> t.osp_row.(i)) lo hi
+let fold_in f t id acc =
+  fold_slice t.o_start (fun t i -> t.osp_row.(i)) f t id acc
 
-let triples_with_predicate t p =
-  let pid = Interner.find_id t.ids (Term.Iri p) in
-  if pid < 0 then []
-  else
-    let lo, hi = slice (fun i -> t.spo_p.(t.pos_row.(i))) t.n pid in
-    rows_to_list t (fun i -> t.pos_row.(i)) lo hi
+let find t term = Interner.find_id t.ids term
+let out_triples t term = fold_out List.cons t (find t term) []
+let in_triples t term = fold_in List.cons t (find t term) []
 
-let out_degree t term =
-  let lo, hi = out_slice t term in
-  hi - lo
+let degree start t id = if in_range t id then start.(id + 1) - start.(id) else 0
+let out_degree t term = degree t.s_start t (find t term)
+let in_degree t term = degree t.o_start t (find t term)
 
-let in_degree t term =
-  let lo, hi = in_slice t term in
-  hi - lo
-
+(* An id is a node when it has an out- or an in-slice; canonical ids
+   sort like terms, so ascending ids are term order. *)
 let node_ids t =
-  (* Distinct subject ids and object ids are both ascending runs of
-     their sorted columns; a merge-unique of the two is the distinct
-     node ids in term order (canonical ids sort like terms). *)
-  let next_distinct key n i =
-    let v = key i in
-    let j = ref (i + 1) in
-    while !j < n && key !j = v do incr j done;
-    !j
+  let rec go id acc =
+    if id < 0 then acc
+    else if
+      t.s_start.(id) < t.s_start.(id + 1) || t.o_start.(id) < t.o_start.(id + 1)
+    then go (id - 1) (id :: acc)
+    else go (id - 1) acc
   in
-  let s_key i = t.spo_s.(i) and o_key i = t.spo_o.(t.osp_row.(i)) in
-  let rec merge i j acc =
-    if i >= t.n && j >= t.n then List.rev acc
-    else if j >= t.n || (i < t.n && s_key i < o_key j) then
-      merge (next_distinct s_key t.n i) j (s_key i :: acc)
-    else if i >= t.n || o_key j < s_key i then
-      merge i (next_distinct o_key t.n j) (o_key j :: acc)
-    else
-      merge (next_distinct s_key t.n i) (next_distinct o_key t.n j)
-        (s_key i :: acc)
-  in
-  merge 0 0 []
+  go (Interner.cardinal t.ids - 1) []
 
 let nodes t = List.map (Interner.resolve t.ids) (node_ids t)
 

@@ -3,10 +3,10 @@
     The raw-speed backing representation behind the structural
     {!Graph.t} façade: every term is interned to a dense int id
     ({!Interner}), and the triples live in three parallel int columns
-    sorted in SPO order, plus POS and OSP permutations.  Subject
-    neighbourhoods (the paper's Σgn), incoming-arc lookups and
-    per-predicate scans are binary-searched contiguous slices instead
-    of balanced-tree walks.
+    sorted in SPO order, plus an OSP permutation.  {!freeze} keeps
+    each id's row range in both orders, so a subject's neighbourhood
+    (the paper's Σgn) or an object's incoming arcs are a contiguous
+    slice found by two array reads, instead of a balanced-tree walk.
 
     Ids are canonical — assigned in {!Term.compare} order at
     {!freeze} time — so int order {e is} term order and every slice
@@ -42,8 +42,9 @@ val triples_added : builder -> int
 
 val freeze : builder -> t
 (** Compact ids into canonical term order, then order and dedup the
-    columns and build the POS/OSP permutations by counting passes:
-    O(triples + terms), plus sorting each subject's own arcs.  The
+    columns and build the OSP permutation by counting passes, keeping
+    each id's slice offsets in both orders: O(triples + terms), plus
+    sorting each subject's own arcs.  The
     builder must not be used afterwards. *)
 
 val of_graph : Graph.t -> t
@@ -64,22 +65,31 @@ val interner : t -> Interner.t
 
 val term : t -> int -> Term.t
 
+val fold_out : (Triple.t -> 'a -> 'a) -> t -> int -> 'a -> 'a
+(** [fold_out f c id acc] is [f t1 (f t2 (… (f tk acc)))] over the
+    triples t1 … tk whose subject has id [id], in {!Triple.compare}
+    order: [fold_out List.cons c id []] is that subject's Σgn.  The
+    slice is two reads of the offsets {!freeze} kept; an id below 0 or
+    at least [terms_cardinal c] has none. *)
+
+val fold_in : (Triple.t -> 'a -> 'a) -> t -> int -> 'a -> 'a
+(** {!fold_out} over the triples whose object has id [id]. *)
+
 val out_triples : t -> Term.t -> Triple.t list
-(** Σgn: triples with the given subject, in {!Triple.compare} order. *)
+(** Σgn: triples with the given subject, in {!Triple.compare} order:
+    the term's id, then {!fold_out}. *)
 
 val in_triples : t -> Term.t -> Triple.t list
 (** Triples with the given object, in {!Triple.compare} order. *)
-
-val triples_with_predicate : t -> Iri.t -> Triple.t list
-(** Triples with the given predicate, in {!Triple.compare} order. *)
 
 val out_degree : t -> Term.t -> int
 val in_degree : t -> Term.t -> int
 
 val nodes : t -> Term.t list
 val node_ids : t -> int list
-(** Distinct subjects and objects (or their ids), in term order —
-    agrees with {!Graph.nodes}. *)
+(** Distinct subjects and objects (or their ids: the ids with a
+    non-empty out- or in-slice), in term order — agrees with
+    {!Graph.nodes}. *)
 
 val iter : (Triple.t -> unit) -> t -> unit
 (** Triples in {!Triple.compare} order, like the structural folds. *)

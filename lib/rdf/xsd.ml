@@ -51,10 +51,6 @@ let name = function
   | Any_uri -> "anyURI"
   | Lang_string -> "langString"
 
-let iri = function
-  | Lang_string -> Iri.of_string_exn (rdf_ns ^ "langString")
-  | dt -> Iri.of_string_exn (xsd_ns ^ name dt)
-
 let all =
   [ String; Boolean; Decimal; Integer; Long; Int; Short; Byte;
     Non_negative_integer; Positive_integer; Non_positive_integer;
@@ -62,23 +58,33 @@ let all =
     Unsigned_byte; Double; Float; Date; Date_time; Time; Any_uri;
     Lang_string ]
 
+(* Built once: every datatype test of a value set asks for one. *)
+let iris =
+  List.map
+    (fun dt ->
+      let ns = if dt = Lang_string then rdf_ns else xsd_ns in
+      (dt, Iri.of_string_exn (ns ^ name dt)))
+    all
+
+let iri dt = List.assq dt iris
+
 let by_iri =
   let table = Hashtbl.create 32 in
-  List.iter (fun dt -> Hashtbl.replace table (Iri.to_string (iri dt)) dt) all;
+  List.iter (fun (dt, i) -> Hashtbl.replace table (Iri.to_string i) dt) iris;
   table
 
 let of_iri i = Hashtbl.find_opt by_iri (Iri.to_string i)
 
 let is_digit c = c >= '0' && c <= '9'
 
+let rec all_digits s i =
+  i >= String.length s || (is_digit s.[i] && all_digits s (i + 1))
+
 (* integer := [+-]? digit+ *)
 let valid_integer_lexical s =
   let n = String.length s in
   let start = if n > 0 && (s.[0] = '+' || s.[0] = '-') then 1 else 0 in
-  n > start
-  &&
-  let rec all_digits i = i >= n || (is_digit s.[i] && all_digits (i + 1)) in
-  all_digits start
+  n > start && all_digits s start
 
 (* decimal := [+-]? (digit+ ('.' digit* )? | '.' digit+) *)
 let valid_decimal_lexical s =

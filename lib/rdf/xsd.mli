@@ -34,10 +34,14 @@ type primitive =
   | Any_uri
   | Lang_string
 
+val all : primitive list
+(** Every primitive, in declaration order. *)
+
 val iri : primitive -> Iri.t
 (** The full datatype IRI, e.g. [iri Integer] is
     [http://www.w3.org/2001/XMLSchema#integer].  [Lang_string] maps to
-    the RDF namespace ([rdf:langString]). *)
+    the RDF namespace ([rdf:langString]).  Built once: a call
+    allocates nothing. *)
 
 val of_iri : Iri.t -> primitive option
 (** Inverse of {!iri} for the recognised datatypes. *)

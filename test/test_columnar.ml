@@ -120,17 +120,11 @@ let test_columnar_slices_agree () =
         (List.length (Rdf.Graph.in_triples n sample_graph))
         (Rdf.Columnar.in_degree c n))
     (Rdf.Graph.nodes sample_graph);
-  List.iter
-    (fun p ->
-      Alcotest.check triples "predicate slice"
-        (List.filter
-           (fun tr -> Rdf.Iri.equal (Rdf.Triple.predicate tr) p)
-           (Rdf.Graph.to_list sample_graph))
-        (Rdf.Columnar.triples_with_predicate c p))
-    (Rdf.Graph.predicates sample_graph);
   Alcotest.check (Alcotest.list term_t) "nodes agree"
     (Rdf.Graph.nodes sample_graph)
-    (Rdf.Columnar.nodes c)
+    (Rdf.Columnar.nodes c);
+  check_bool "every reader ≡ structural graph, every id" true
+    (columnar_agrees c sample_graph)
 
 let test_columnar_dedup () =
   let b = Rdf.Columnar.builder () in
@@ -150,10 +144,10 @@ let test_columnar_empty () =
     (Rdf.Columnar.out_triples c (node "n"));
   Alcotest.check triples "no in slice" []
     (Rdf.Columnar.in_triples c (node "n"));
-  Alcotest.check triples "no predicate slice" []
-    (Rdf.Columnar.triples_with_predicate c (ex "a"));
   check_int "out_degree" 0 (Rdf.Columnar.out_degree c (node "n"));
-  check_int "in_degree" 0 (Rdf.Columnar.in_degree c (node "n"))
+  check_int "in_degree" 0 (Rdf.Columnar.in_degree c (node "n"));
+  check_bool "every reader ≡ the empty graph" true
+    (columnar_agrees c Rdf.Graph.empty)
 
 let test_columnar_duplicates_only () =
   let b = Rdf.Columnar.builder () in

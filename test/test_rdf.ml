@@ -148,14 +148,24 @@ let test_xsd_dates () =
   check_bool "time" true (valid Rdf.Xsd.Time "23:59:59");
   check_bool "bad time" false (valid Rdf.Xsd.Time "24:00")
 
+(* Every primitive's IRI is its namespace and local name, and reads
+   back through [of_iri]; [all] names each of the 23 once. *)
 let test_xsd_iri_roundtrip () =
+  check_int "23 distinct primitives" 23
+    (List.length (List.sort_uniq compare Rdf.Xsd.all));
   List.iter
     (fun dt ->
+      let ns =
+        if dt = Rdf.Xsd.Lang_string then
+          "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
+        else "http://www.w3.org/2001/XMLSchema#"
+      in
+      check_string (Rdf.Xsd.name dt) (ns ^ Rdf.Xsd.name dt)
+        (Rdf.Iri.to_string (Rdf.Xsd.iri dt));
       Alcotest.(check (option bool))
         (Rdf.Xsd.name dt) (Some true)
         (Option.map (fun dt' -> dt = dt') (Rdf.Xsd.of_iri (Rdf.Xsd.iri dt))))
-    [ Rdf.Xsd.String; Rdf.Xsd.Integer; Rdf.Xsd.Double; Rdf.Xsd.Date;
-      Rdf.Xsd.Lang_string; Rdf.Xsd.Unsigned_byte ]
+    Rdf.Xsd.all
 
 let test_xsd_parse () =
   Alcotest.(check (option int)) "+005" (Some 5) (Rdf.Xsd.parse_integer "+005");

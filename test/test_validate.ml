@@ -473,6 +473,32 @@ let test_memo_hits_allocate_the_key_only () =
   run "columnar"
     (Validate.session_columnar person_schema (Rdf.Columnar.of_graph g))
 
+(* A datatype test of a value set ([xsd:string], [xsd:integer] arcs,
+   matched and not) compares the literal's datatype with an IRI built
+   once and checks its lexical form: nothing is allocated. *)
+let test_datatype_tests_allocate_nothing () =
+  let literals =
+    [| Rdf.Literal.string "Alice"; Rdf.Literal.integer 42;
+       Rdf.Literal.typed Rdf.Xsd.Integer "+007";
+       Rdf.Literal.typed Rdf.Xsd.Integer "4x2" |]
+  and datatypes = [| Rdf.Xsd.String; Rdf.Xsd.Integer |] in
+  let test i =
+    Rdf.Literal.has_datatype
+      literals.(i mod Array.length literals)
+      datatypes.(i / Array.length literals mod Array.length datatypes)
+  in
+  let calls = 10_000 and held = ref 0 in
+  ignore (test 0);
+  let before = Gc.minor_words () in
+  for i = 0 to calls - 1 do
+    if test i then incr held
+  done;
+  let words = Gc.minor_words () -. before in
+  check_int "string, 42 and +007 hold their own datatype" (3 * calls / 8) !held;
+  check_bool
+    (Printf.sprintf "%.0f words for %d datatype tests (0)" words calls)
+    true (words = 0.)
+
 (* A frozen session numbers a node its store lacks itself: the check is
    memoised like any other and answers what a structural session
    answers. *)
@@ -653,6 +679,8 @@ let suites =
           test_same_work_same_order;
         Alcotest.test_case "memo hits allocate the key only" `Quick
           test_memo_hits_allocate_the_key_only;
+        Alcotest.test_case "datatype tests allocate nothing" `Quick
+          test_datatype_tests_allocate_nothing;
         Alcotest.test_case "a node the frozen store lacks" `Quick
           test_node_outside_the_store;
         Alcotest.test_case "a label outside the schema is invalidated" `Quick

@@ -134,13 +134,19 @@ let dfa_matches ?check_ref auto n g e =
 
 (* Every reader of a frozen columnar store agrees with the structural
    graph over the same triples: cardinal, iteration order, nodes,
-   per-node slices and degrees, and per-predicate slices. *)
+   per-node slices and degrees.  The id readers agree on every id —
+   predicate-only IRIs and literals included — with the term readers
+   and the graph, the node ids are exactly the ids with a non-empty
+   slice, and an id outside the store reads nothing. *)
 let columnar_agrees c g =
   let same = List.equal Rdf.Triple.equal in
   let out n = Rdf.Graph.out_triples n g
   and inc n = Rdf.Graph.in_triples n g in
+  let out_id id = Rdf.Columnar.fold_out List.cons c id []
+  and in_id id = Rdf.Columnar.fold_in List.cons c id [] in
   let iterated = ref [] in
   Rdf.Columnar.iter (fun tr -> iterated := tr :: !iterated) c;
+  let ids = List.init (Rdf.Columnar.terms_cardinal c) Fun.id in
   Rdf.Columnar.cardinal c = Rdf.Graph.cardinal g
   && same !iterated (Rdf.Graph.fold List.cons g [])
   && List.equal Rdf.Term.equal (Rdf.Columnar.nodes c) (Rdf.Graph.nodes g)
@@ -152,13 +158,21 @@ let columnar_agrees c g =
          && Rdf.Columnar.in_degree c n = List.length (inc n))
        (Rdf.Graph.nodes g)
   && List.for_all
-       (fun p ->
-         same
-           (Rdf.Columnar.triples_with_predicate c p)
-           (List.filter
-              (fun tr -> Rdf.Iri.equal (Rdf.Triple.predicate tr) p)
-              (Rdf.Graph.to_list g)))
-       (Rdf.Graph.predicates g)
+       (fun id ->
+         let n = Rdf.Columnar.term c id in
+         same (out_id id) (Rdf.Columnar.out_triples c n)
+         && same (out_id id) (out n)
+         && same (in_id id) (Rdf.Columnar.in_triples c n)
+         && same (in_id id) (inc n)
+         && List.equal Shex.Neigh.equal
+              (Shex.Neigh.of_id ~include_inverse:true id c)
+              (Shex.Neigh.of_node ~include_inverse:true n g))
+       ids
+  && List.equal Int.equal (Rdf.Columnar.node_ids c)
+       (List.filter (fun id -> out_id id <> [] || in_id id <> []) ids)
+  && List.for_all
+       (fun id -> out_id id = [] && in_id id = [])
+       [ -1; Rdf.Columnar.terms_cardinal c ]
 
 let rse = Alcotest.testable Shex.Rse.pp Shex.Rse.equal
 let term = Alcotest.testable Rdf.Term.pp Rdf.Term.equal
