@@ -32,7 +32,7 @@ let decompose dts =
   in
   go dts
 
-let matches_dts ?(check_ref = no_refs) ?(instr = no_instruments) n dts e =
+let matches ~check ?(instr = no_instruments) n dts e =
   let work = ref 0 in
   let counting = Telemetry.Counter.active instr.branches in
   (* Each [decompose] call materialises every ordered pair — Example
@@ -52,7 +52,7 @@ let matches_dts ?(check_ref = no_refs) ?(instr = no_instruments) n dts e =
     | Epsilon -> dts = []
     | Arc a -> (
         match dts with
-        | [ dt ] -> Neigh.arc_matches ~check_ref a dt
+        | [ dt ] -> Neigh.arc_matches ~check a dt
         | _ -> false)
     | Or (e1, e2) -> go e1 dts || go e2 dts
     | And (e1, e2) ->
@@ -85,3 +85,6 @@ let matches_dts ?(check_ref = no_refs) ?(instr = no_instruments) n dts e =
            ("branches", Telemetry.Int !work);
            ("ok", Telemetry.Bool result) ]);
   result
+
+let matches_dts ?(check_ref = no_refs) ?instr n dts e =
+  matches ~check:(Neigh.by_term check_ref) ?instr n dts e

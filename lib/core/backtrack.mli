@@ -27,17 +27,18 @@ val counters : instruments -> Telemetry.Counter.t list
 (** The monotone counters resolved, in order: [backtrack_branches],
     [backtrack_decompositions]. *)
 
-val matches_dts :
-  ?check_ref:check_ref ->
-  ?instr:instruments ->
-  Rdf.Term.t ->
-  Neigh.dtriple list ->
-  Rse.t ->
-  bool
-(** [matches_dts n dts e]: does the neighbourhood [dts] of [n] satisfy
+val matches :
+  check:Neigh.ref_check -> ?instr:instruments ->
+  Rdf.Term.t -> Neigh.dtriple list -> Rse.t -> bool
+(** [matches ~check n dts e]: does the neighbourhood [dts] of [n] satisfy
     [e] under the Fig. 1 rules?  The neighbourhood is Σgn as
     {!Validate} extracts it for every engine: incoming triples included
     exactly when [Rse.has_inverse e].  When the registry has a sink,
     each call emits one [backtrack_match] event with the focus, the
     number of triples, the rule applications explored and the
     verdict. *)
+
+val matches_dts :
+  ?check_ref:check_ref -> ?instr:instruments ->
+  Rdf.Term.t -> Neigh.dtriple list -> Rse.t -> bool
+(** {!matches} checking references on the far term: an adapter. *)

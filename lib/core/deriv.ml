@@ -57,13 +57,13 @@ let record_nullable instr n residual verdict =
            [ ("residual", Telemetry.String (Rse.to_string residual)) ]
          else []))
 
-let deriv ?(ctors = Rse.smart_ctors) ?(check_ref = no_refs) dt e =
+(* The step every matcher takes; [check_ref] entry points adapt onto it. *)
+let step ?(ctors = Rse.smart_ctors) ~check dt e =
   let { Rse.mk_and; mk_or; mk_not } = ctors in
   let rec d (e : Rse.t) =
     match e with
     | Empty | Epsilon -> Rse.empty
-    | Arc a ->
-        if Neigh.arc_matches ~check_ref a dt then Rse.epsilon else Rse.empty
+    | Arc a -> if Neigh.arc_matches ~check a dt then Rse.epsilon else Rse.empty
     | Star inner -> mk_and (d inner) e
     | And (e1, e2) -> mk_or (mk_and (d e1) e2) (mk_and (d e2) e1)
     | Or (e1, e2) -> mk_or (d e1) (d e2)
@@ -74,10 +74,13 @@ let deriv ?(ctors = Rse.smart_ctors) ?(check_ref = no_refs) dt e =
   in
   d e
 
+let deriv ?ctors ?(check_ref = no_refs) dt e =
+  step ?ctors ~check:(Neigh.by_term check_ref) dt e
+
 let deriv_graph ?ctors ?check_ref dts e =
   List.fold_left (fun e dt -> deriv ?ctors ?check_ref dt e) e dts
 
-let matches_dts ?check_ref ?(instr = no_instruments) n dts e =
+let matches ~check ?(instr = no_instruments) n dts e =
   (* Early exit on ∅ is sound only without negation: under ¬, ∅ can
      still become accepting. *)
   let can_prune = not (Rse.has_not e) in
@@ -87,21 +90,25 @@ let matches_dts ?check_ref ?(instr = no_instruments) n dts e =
         if Telemetry.tracing instr.tele then record_nullable instr n e ok;
         ok
     | dt :: rest ->
-        let e' = deriv ?check_ref dt e in
+        let e' = step ~check dt e in
         if Telemetry.Counter.active instr.steps then record instr n dt e e';
         if can_prune && Rse.equal e' Rse.empty then false
         else consume e' rest
   in
   consume e dts
 
+let matches_dts ?(check_ref = no_refs) ?instr n dts e =
+  matches ~check:(Neigh.by_term check_ref) ?instr n dts e
+
 type step = { consumed : Neigh.dtriple; after : Rse.t }
 type trace = { initial : Rse.t; steps : step list; result : bool }
 
-let matches_trace_dts ?check_ref ?(instr = no_instruments) n dts e =
+let matches_trace_dts ?(check_ref = no_refs) ?(instr = no_instruments) n dts e =
+  let check = Neigh.by_term check_ref in
   let final, rev_steps =
     List.fold_left
       (fun (e, acc) dt ->
-        let e' = deriv ?check_ref dt e in
+        let e' = step ~check dt e in
         if Telemetry.Counter.active instr.steps then record instr n dt e e';
         (e', { consumed = dt; after = e' } :: acc))
       (e, []) dts

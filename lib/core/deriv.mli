@@ -20,9 +20,12 @@
     [e ≃ t ⊎ ts ⇔ ∂t(e) ≃ ts] and [e ≃ {} ⇔ ν(e)].  No graph
     decomposition, no backtracking.
 
-    Shape references (§8) are delegated to the [check_ref] callback so
-    that this module stays independent of schemas; {!Validate} supplies
-    the recursive, typing-producing callback. *)
+    Shape references (§8) are delegated to a callback so that this
+    module stays independent of schemas; {!Validate} supplies the
+    recursive, typing-producing one.  {!matches} asks it about the
+    directed triple ({!Neigh.ref_check}), so a caller holding store ids
+    checks by the far node's id; the [?check_ref] entry points ask
+    about the far term, as adapters onto the same core. *)
 
 type check_ref = Label.t -> Rdf.Term.t -> bool
 (** [check_ref l o] decides whether node [o] has the shape labelled
@@ -72,14 +75,10 @@ val deriv_graph :
 (** [∂ts(e)]: left fold of {!deriv} over the triples, i.e. the
     extension to graphs [∂{} (e) = e], [∂(t⊎ts)(e) = ∂ts(∂t(e))]. *)
 
-val matches_dts :
-  ?check_ref:check_ref ->
-  ?instr:instruments ->
-  Rdf.Term.t ->
-  Neigh.dtriple list ->
-  Rse.t ->
-  bool
-(** [matches_dts n dts e] = [ν(∂dts(e))]: does the neighbourhood
+val matches :
+  check:Neigh.ref_check -> ?instr:instruments ->
+  Rdf.Term.t -> Neigh.dtriple list -> Rse.t -> bool
+(** [matches ~check n dts e] = [ν(∂dts(e))]: does the neighbourhood
     [dts] of [n] have shape [e]?  Stops early when the expression
     collapses to ∅ (no possible continuation, Example 12) — sound only
     without negation, so shapes with [¬] consume every triple.
@@ -89,6 +88,11 @@ val matches_dts :
     exactly when [Rse.has_inverse e].  {!Validate} applies that rule
     for every engine, so this is the derivative engine's only
     matcher. *)
+
+val matches_dts :
+  ?check_ref:check_ref -> ?instr:instruments ->
+  Rdf.Term.t -> Neigh.dtriple list -> Rse.t -> bool
+(** {!matches} checking references on the far term: an adapter. *)
 
 (** {1 Traced matching}
 

@@ -93,7 +93,7 @@ let compile ?(instr = no_instruments) (e : Rse.t) =
    the bitset fill drops from O(atoms) predicate-set tests per triple
    to one table lookup plus the few candidates. *)
 let candidates auto (dt : Neigh.dtriple) =
-  let key = (dt.inverse, Rdf.Triple.predicate dt.triple) in
+  let key = (Neigh.inverse dt, Rdf.Triple.predicate dt.triple) in
   match Hashtbl.find_opt auto.dispatch key with
   | Some c -> c
   | None ->
@@ -110,23 +110,19 @@ let candidates auto (dt : Neigh.dtriple) =
 
 (* The object half of an atom's test; direction and predicate were
    already decided by the dispatch table.  Candidates are in atom-id
-   order, so [check_ref] consultations happen in exactly the order the
+   order, so reference checks happen in exactly the order the
    full [arc_matches] scan made them. *)
-let atom_obj_matches ~check_ref (a : Rse.arc) (dt : Neigh.dtriple) =
-  let far =
-    if dt.inverse then Rdf.Triple.subject dt.triple
-    else Rdf.Triple.obj dt.triple
-  in
+let atom_obj_matches ~check (a : Rse.arc) dt =
   match a.obj with
-  | Rse.Values vo -> Value_set.obj_mem vo far
-  | Rse.Ref l -> check_ref l far
+  | Rse.Values vo -> Value_set.obj_mem vo (Neigh.far dt)
+  | Rse.Ref l -> check l dt
 
-let classify auto ~check_ref dt =
+let classify auto ~check dt =
   let n = Array.length auto.atoms in
   let bits = Bytes.make n '0' in
   Array.iter
     (fun i ->
-      if atom_obj_matches ~check_ref auto.atoms.(i) dt then
+      if atom_obj_matches ~check auto.atoms.(i) dt then
         Bytes.set bits i '1')
     (candidates auto dt);
   let key = Bytes.unsafe_to_string bits in
@@ -166,8 +162,6 @@ let step auto (state : Hrse.t) sym =
 (* Matching                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let no_refs _ _ = false
-
 (* The compiled engine's provenance events mirror the interpreted
    derivative matcher's: one [deriv_step] per consumed triple (here a
    DFA edge — states instead of expression sizes) and one
@@ -201,7 +195,7 @@ let record_nullable tele n (state : Hrse.t) =
          ]
        else []))
 
-let matches_dts ?(check_ref = no_refs) auto n dts =
+let matches ~check auto n dts =
   let tele = auto.instr.tele in
   let tracing = Telemetry.tracing tele in
   let rec consume (state : Hrse.t) = function
@@ -209,9 +203,12 @@ let matches_dts ?(check_ref = no_refs) auto n dts =
         if tracing then record_nullable tele n state;
         state.Hrse.nullable
     | dt :: rest ->
-        let state' = step auto state (classify auto ~check_ref dt) in
+        let state' = step auto state (classify auto ~check dt) in
         if tracing then record_step tele n dt state state';
         if auto.can_prune && Hrse.is_empty state' then false
         else consume state' rest
   in
   consume auto.start dts
+
+let matches_dts ?(check_ref = Deriv.no_refs) auto n dts =
+  matches ~check:(Neigh.by_term check_ref) auto n dts

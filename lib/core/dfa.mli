@@ -1,6 +1,6 @@
 (** Lazily built derivative automata for regular shape expressions.
 
-    {!Deriv.matches_dts} recomputes a derivative {e expression} for
+    {!Deriv.matches} recomputes a derivative {e expression} for
     every consumed triple of every node it checks.  Within one
     validation run the same shape is matched against thousands of
     neighbourhoods, and the derivatives it steps through are massively
@@ -23,7 +23,7 @@
     handful) arc classes are the DFA's symbols.
 
     Arcs whose object is a shape reference [@<L>] are opaque boolean
-    atoms: classification calls the [check_ref] oracle supplied per
+    atoms: classification calls the reference check supplied per
     match — the recursive fixpoint of {!Validate} — so the
     automaton itself stays purely syntactic and remains valid as the
     fixpoint's candidate valuation evolves.
@@ -66,14 +66,10 @@ val compile : ?instr:instruments -> Rse.t -> t
     reports into [instr] (and traces through its registry) for the
     rest of its life. *)
 
-val matches_dts :
-  ?check_ref:(Label.t -> Rdf.Term.t -> bool) ->
-  t ->
-  Rdf.Term.t ->
-  Neigh.dtriple list ->
-  bool
-(** [matches_dts a n dts] — does the neighbourhood [dts] of [n] match
-    the compiled shape?  Equivalent to {!Deriv.matches_dts} on the
+val matches :
+  check:Neigh.ref_check -> t -> Rdf.Term.t -> Neigh.dtriple list -> bool
+(** [matches ~check a n dts] — does the neighbourhood [dts] of [n] match
+    the compiled shape?  Equivalent to {!Deriv.matches} on the
     source expression (the property suite asserts this), under the
     same neighbourhood contract: Σgn as {!Validate} extracts it for
     every engine, incoming triples included exactly when the source
@@ -94,3 +90,8 @@ val matches_dts :
     predicate set contains that predicate have their object
     constraints evaluated, so wide schemas pay one table lookup per
     triple instead of a full atom scan. *)
+
+val matches_dts :
+  ?check_ref:(Label.t -> Rdf.Term.t -> bool) ->
+  t -> Rdf.Term.t -> Neigh.dtriple list -> bool
+(** {!matches} checking references on the far term: an adapter. *)

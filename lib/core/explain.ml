@@ -56,13 +56,13 @@ let of_trace ?(check_ref = Deriv.no_refs) ~node ~label
         (* If the fatal triple travels along a reference arc whose far
            node fails the referenced shape, the blame is really that
            recursive failure — name it. *)
-        let far = Neigh.focus_other_end node dt in
+        let far = Neigh.far dt in
         let ref_failures =
           Rse.arcs residual
           |> List.filter_map (fun (a : Rse.arc) ->
                  match a.obj with
                  | Rse.Ref l
-                   when Bool.equal a.inverse dt.Neigh.inverse
+                   when Bool.equal a.inverse (Neigh.inverse dt)
                         && Value_set.pred_mem a.pred
                              (Rdf.Triple.predicate dt.Neigh.triple)
                         && not (check_ref l far) ->

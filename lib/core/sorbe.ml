@@ -42,32 +42,27 @@ let of_rse e =
   in
   collect e []
 
-let matches_dts ?(check_ref = fun _ _ -> false) ?(instr = no_instruments) n dts
-    t =
+let matches ~check ?(instr = no_instruments) n dts t =
   Telemetry.Counter.incr instr.matches_run;
   let counting = Telemetry.Counter.active instr.updates in
   let counts = Array.make (List.length t) 0 in
   let constrs = Array.of_list t in
-  let obj_ok (arc : Rse.arc) far =
+  let obj_ok (arc : Rse.arc) dt =
     match arc.obj with
-    | Rse.Values vo -> Value_set.obj_mem vo far
-    | Rse.Ref l -> check_ref l far
+    | Rse.Values vo -> Value_set.obj_mem vo (Neigh.far dt)
+    | Rse.Ref l -> check l dt
   in
   let attribute (dt : Neigh.dtriple) =
-    let p = Rdf.Triple.predicate dt.triple in
-    let far =
-      if dt.inverse then Rdf.Triple.subject dt.triple
-      else Rdf.Triple.obj dt.triple
-    in
+    let p = Rdf.Triple.predicate dt.triple and inverse = Neigh.inverse dt in
     let rec find i =
       if i >= Array.length constrs then false
       else
         let c = constrs.(i) in
         if
-          Bool.equal c.arc.inverse dt.inverse
+          Bool.equal c.arc.inverse inverse
           && Value_set.pred_mem c.arc.pred p
         then
-          if obj_ok c.arc far then begin
+          if obj_ok c.arc dt then begin
             counts.(i) <- counts.(i) + 1;
             if counting then Telemetry.Counter.incr instr.updates;
             true
@@ -93,6 +88,9 @@ let matches_dts ?(check_ref = fun _ _ -> false) ?(instr = no_instruments) n dts
            ("constraints", Telemetry.Int (Array.length constrs));
            ("ok", Telemetry.Bool result) ]);
   result
+
+let matches_dts ?(check_ref = fun _ _ -> false) ?instr n dts t =
+  matches ~check:(Neigh.by_term check_ref) ?instr n dts t
 
 let pp_interval ppf i =
   match i.max with

@@ -46,13 +46,9 @@ val counters : instruments -> Telemetry.Counter.t list
 (** The monotone counters resolved, in order: [sorbe_matches],
     [sorbe_counter_updates]. *)
 
-val matches_dts :
-  ?check_ref:(Label.t -> Rdf.Term.t -> bool) ->
-  ?instr:instruments ->
-  Rdf.Term.t ->
-  Neigh.dtriple list ->
-  t ->
-  bool
+val matches :
+  check:Neigh.ref_check -> ?instr:instruments ->
+  Rdf.Term.t -> Neigh.dtriple list -> t -> bool
 (** Counting matcher: attribute each triple of the neighbourhood to
     the (unique) constraint whose predicate set contains its
     predicate; fail if some triple matches no constraint or fails its
@@ -62,6 +58,11 @@ val matches_dts :
     expression has an inverse arc ([Rse.has_inverse]), which for an
     expression {!of_rse} accepts is exactly when some constraint's arc
     is inverse. *)
+
+val matches_dts :
+  ?check_ref:(Label.t -> Rdf.Term.t -> bool) -> ?instr:instruments ->
+  Rdf.Term.t -> Neigh.dtriple list -> t -> bool
+(** {!matches} checking references on the far term: an adapter. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints [a→1{1,1} ‖ b→{1, 2}{0,*}]. *)

@@ -12,6 +12,26 @@ let add n l t =
 
 let singleton n l = add n l empty
 
+(* A binary counter of maps over runs of consecutive nodes, newest first.
+   [union] of ordered, disjoint maps splits only along their facing
+   spines, so n pushes cost O(n) and hold O(log n) maps. *)
+type ascending = (int * t) list
+
+let ascending = []
+let join older newer = Rdf.Term.Map.union (fun _ s _ -> Some s) older newer
+
+let rec carry = function
+  | (k, newer) :: (k', older) :: runs when k = k' ->
+      carry ((2 * k, join older newer) :: runs)
+  | runs -> runs
+
+let push n ls runs =
+  if Label.Set.is_empty ls then runs
+  else carry ((1, Rdf.Term.Map.singleton n ls) :: runs)
+
+let of_ascending runs =
+  List.fold_left (fun acc (_, older) -> join older acc) empty runs
+
 let combine t1 t2 =
   Rdf.Term.Map.union (fun _ s1 s2 -> Some (Label.Set.union s1 s2)) t1 t2
 

@@ -14,6 +14,17 @@ val add : Rdf.Term.t -> Label.t -> t -> t
 
 val singleton : Rdf.Term.t -> Label.t -> t
 
+type ascending
+(** A typing built from nodes in ascending order, in linear time (a fold
+    of {!add} copies a map path per node). *)
+
+val ascending : ascending
+val push : Rdf.Term.t -> Label.Set.t -> ascending -> ascending
+(** [push n ls b] types [n] with [ls]; [n] must be greater than every
+    node pushed before.  An empty [ls] adds nothing. *)
+
+val of_ascending : ascending -> t
+
 val combine : t -> t -> t
 (** [τ₁ ⊎ τ₂] — pointwise union of label sets. *)
 

@@ -15,7 +15,7 @@ type store = Structural of Rdf.Graph.t | Frozen of Rdf.Columnar.t
 type matcher = {
   name : string;
   inverse : bool;
-  run : check_ref:Deriv.check_ref -> Rdf.Term.t -> Neigh.dtriple list -> bool;
+  run : check:Neigh.ref_check -> Rdf.Term.t -> Neigh.dtriple list -> bool;
 }
 
 (* First-class dependency record of the fixpoint (PR 3 only emitted
@@ -196,25 +196,24 @@ type session = {
 let matcher st e =
   let table () =
     let dfa = Dfa.compile ~instr:st.dfa_instr e in
-    ("compiled", fun ~check_ref n dts -> Dfa.matches_dts ~check_ref dfa n dts)
+    ("compiled", fun ~check n dts -> Dfa.matches ~check dfa n dts)
   in
   let name, run =
     match st.engine with
     | Derivatives ->
         ( "derivatives",
-          fun ~check_ref n dts ->
-            Deriv.matches_dts ~check_ref ~instr:st.deriv_instr n dts e )
+          fun ~check n dts -> Deriv.matches ~check ~instr:st.deriv_instr n dts e )
     | Backtracking ->
         ( "backtracking",
-          fun ~check_ref n dts ->
-            Backtrack.matches_dts ~check_ref ~instr:st.back_instr n dts e )
+          fun ~check n dts ->
+            Backtrack.matches ~check ~instr:st.back_instr n dts e )
     | Compiled -> table ()
     | Auto -> (
         match Sorbe.of_rse e with
         | Some sorbe ->
             ( "sorbe",
-              fun ~check_ref n dts ->
-                Sorbe.matches_dts ~check_ref ~instr:st.sorbe_instr n dts sorbe )
+              fun ~check n dts ->
+                Sorbe.matches ~check ~instr:st.sorbe_instr n dts sorbe )
         | None -> table ())
   in
   { name; inverse = Rse.has_inverse e; run }
@@ -555,9 +554,13 @@ let rec evaluate st ~value ~demand id =
   | Some _ ->
       let used = ref [] in
       let tracing = Telemetry.tracing st.tele in
-      let check_ref l' o =
+      let check l' dt =
         let li' = ref_index st entry l' in
-        let q = pair st (node_id st o) li' in
+        (* A frozen slice row carries the far node's id: no term hashed. *)
+        let far = Neigh.far_id dt in
+        let q =
+          pair st (if far >= 0 then far else node_id st (Neigh.far dt)) li'
+        in
         used := q :: !used;
         let settled = is_settled st q in
         let answer =
@@ -579,7 +582,8 @@ let rec evaluate st ~value ~demand id =
             (Telemetry.instant "fixpoint_dep"
                [ ("node", Telemetry.String (Rdf.Term.to_string n));
                  ("shape", Telemetry.String (Label.to_string l));
-                 ("on_node", Telemetry.String (Rdf.Term.to_string o));
+                 ( "on_node",
+                   Telemetry.String (Rdf.Term.to_string (Neigh.far dt)) );
                  ("on_shape", Telemetry.String (Label.to_string l'));
                  ("answer", Telemetry.Bool answer);
                  ("settled", Telemetry.Bool settled) ]);
@@ -589,7 +593,7 @@ let rec evaluate st ~value ~demand id =
          charge its extraction to the shape. *)
       let m = Lazy.force entry.matcher in
       let run () =
-        m.run ~check_ref n (neighbourhood st ~include_inverse:m.inverse nid n)
+        m.run ~check n (neighbourhood st ~include_inverse:m.inverse nid n)
       in
       let run =
         match st.profile with
@@ -927,30 +931,32 @@ let check_all st associations =
   sample_resources st;
   outcomes
 
-(* A frozen store's nodes come numbered: the roots need no lookup. *)
+(* A frozen store's nodes come numbered: the roots need no lookup.  Both
+   stores list nodes in term order, so the typing builds ascending. *)
 let validate_graph st =
   let labels = List.length (Schema.labels st.schema) in
   (* [check_bool_at], not bare [verdict]: the slowlog sees these too. *)
-  let rec visit n nid li acc =
+  let rec labels_of n nid li acc =
     if li = labels then acc
     else
-      visit n nid (li + 1)
-        (if check_bool_at st n nid li then Typing.add n st.labels.(li).label acc
+      labels_of n nid (li + 1)
+        (if check_bool_at st n nid li then Label.Set.add st.labels.(li).label acc
          else acc)
   in
-  let typing =
+  let visit acc n nid = Typing.push n (labels_of n nid 0 Label.Set.empty) acc in
+  let typed =
     match st.store with
     | Frozen c ->
         List.fold_left
-          (fun acc nid -> visit (Rdf.Columnar.term c nid) nid 0 acc)
-          Typing.empty (Rdf.Columnar.node_ids c)
+          (fun acc nid -> visit acc (Rdf.Columnar.term c nid) nid)
+          Typing.ascending (Rdf.Columnar.node_ids c)
     | Structural g ->
         List.fold_left
-          (fun acc n -> visit n (node_id st n) 0 acc)
-          Typing.empty (Rdf.Graph.nodes g)
+          (fun acc n -> visit acc n (node_id st n))
+          Typing.ascending (Rdf.Graph.nodes g)
   in
   sample_resources st;
-  typing
+  Typing.of_ascending typed
 
 let validate ?engine schema graph n l =
   check (session ?engine schema graph) n l

@@ -128,10 +128,10 @@ val session :
     matcher, the Fig.-1 backtracking baseline, or on [Auto] the SORBE
     counting matcher when the shape is single-occurrence and the
     {!Dfa} otherwise ([Compiled] always the {!Dfa}).  Every evaluation
-    reads the focus node's neighbourhood Σgn from the session's store —
-    with its incoming triples exactly when the shape has an inverse
-    arc — and hands that list to the label's matcher, whatever the
-    engine or the store. *)
+    reads the focus node's Σgn from the session's store — incoming
+    triples included exactly when the shape has an inverse arc — and
+    hands it to the matcher's core with a reference check over the
+    directed triple, whatever the engine or the store. *)
 
 val session_columnar :
   ?engine:engine ->
@@ -144,16 +144,16 @@ val session_columnar :
   session
 (** A session over an already-frozen columnar store (e.g. straight
     from the streaming N-Triples bulk loader), skipping the structural
-    graph entirely: every neighbourhood every engine consumes is an
-    offset slice of the store's int columns, read by the node's store
-    id, so a check allocates in proportion to the neighbourhoods it
-    reads, never to the store.  Canonical interning keeps
-    the slices in exactly {!Rdf.Triple.compare} order, so verdicts,
-    typings, explanations and report JSON are byte-identical to a
-    {!session} over the same triples (the differential oracle's
-    [interned] arms pin this).  [record_deps] is not offered —
-    incremental sessions edit the graph, which is exactly what a
-    frozen store is not for. *)
+    graph: every neighbourhood is an offset slice of the store's int
+    columns, read by the node's store id, and a shape reference is
+    checked by the far node's id its slice row carries
+    ({!Neigh.far_id}), so no evaluation hashes a term.  Canonical
+    interning keeps the slices in {!Rdf.Triple.compare} order, so
+    verdicts, typings, explanations and report JSON are byte-identical
+    to a {!session} over the same triples (the oracle's [interned] arms
+    pin this).  [record_deps] is not offered — incremental sessions
+    edit the graph, which is exactly what a frozen store is not
+    for. *)
 
 val schema : session -> Schema.t
 

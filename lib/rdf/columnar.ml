@@ -63,8 +63,6 @@ let add b s p o =
 let add_triple b tr =
   add b (Triple.subject tr) (Triple.predicate tr) (Triple.obj tr)
 
-let triples_added b = b.blen
-
 (* Stable counting sort of items [0, n) by [key i] < [buckets]: one
    count per key, prefix sums, then [place i slot] once per item in
    item order.  Returns the bucket starts: bucket k is
@@ -182,33 +180,32 @@ let triple_of t row =
 let in_range t id = id >= 0 && id < Interner.cardinal t.ids
 
 (* Right fold of [f] over the triples of id's slice of the offsets
-   [start], reading each position's row through [row].  An id outside
-   [0, terms) — [find_id]'s -1 for an absent term, or an id numbered
-   past the store — has none. *)
-let fold_slice start row f t id acc =
+   [start], reading each position's row through [row], with the row's
+   id in column [far].  An id outside [0, terms) — [find_id]'s -1 for
+   an absent term, or an id numbered past the store — has none. *)
+let fold_slice start row far f t id acc =
   if not (in_range t id) then acc
   else begin
     let acc = ref acc in
     for i = start.(id + 1) - 1 downto start.(id) do
-      acc := f (triple_of t (row t i)) !acc
+      let r = row t i in
+      acc := f (triple_of t r) far.(r) !acc
     done;
     !acc
   end
 
-let fold_out f t id acc = fold_slice t.s_start (fun _ row -> row) f t id acc
+let fold_out f t id acc =
+  fold_slice t.s_start (fun _ row -> row) t.spo_o f t id acc
 
 (* OSP order is (o, s, p) which, at fixed object, is exactly
    Triple.compare order on the slice. *)
 let fold_in f t id acc =
-  fold_slice t.o_start (fun t i -> t.osp_row.(i)) f t id acc
+  fold_slice t.o_start (fun t i -> t.osp_row.(i)) t.spo_s f t id acc
 
+let cons tr _ acc = tr :: acc
 let find t term = Interner.find_id t.ids term
-let out_triples t term = fold_out List.cons t (find t term) []
-let in_triples t term = fold_in List.cons t (find t term) []
-
-let degree start t id = if in_range t id then start.(id + 1) - start.(id) else 0
-let out_degree t term = degree t.s_start t (find t term)
-let in_degree t term = degree t.o_start t (find t term)
+let out_triples t term = fold_out cons t (find t term) []
+let in_triples t term = fold_in cons t (find t term) []
 
 (* An id is a node when it has an out- or an in-slice; canonical ids
    sort like terms, so ascending ids are term order. *)
@@ -223,11 +220,6 @@ let node_ids t =
   go (Interner.cardinal t.ids - 1) []
 
 let nodes t = List.map (Interner.resolve t.ids) (node_ids t)
-
-let iter f t =
-  for row = 0 to t.n - 1 do
-    f (triple_of t row)
-  done
 
 let of_graph g =
   let b =

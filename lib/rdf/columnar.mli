@@ -37,9 +37,6 @@ val add : builder -> Term.t -> Iri.t -> Term.t -> unit
 
 val add_triple : builder -> Triple.t -> unit
 
-val triples_added : builder -> int
-(** Triples appended so far (duplicates still counted). *)
-
 val freeze : builder -> t
 (** Compact ids into canonical term order, then order and dedup the
     columns and build the OSP permutation by counting passes, keeping
@@ -65,15 +62,16 @@ val interner : t -> Interner.t
 
 val term : t -> int -> Term.t
 
-val fold_out : (Triple.t -> 'a -> 'a) -> t -> int -> 'a -> 'a
-(** [fold_out f c id acc] is [f t1 (f t2 (… (f tk acc)))] over the
+val fold_out : (Triple.t -> int -> 'a -> 'a) -> t -> int -> 'a -> 'a
+(** [fold_out f c id acc] is [f t1 o1 (… (f tk ok acc))] over the
     triples t1 … tk whose subject has id [id], in {!Triple.compare}
-    order: [fold_out List.cons c id []] is that subject's Σgn.  The
-    slice is two reads of the offsets {!freeze} kept; an id below 0 or
-    at least [terms_cardinal c] has none. *)
+    order, with their objects' ids o1 … ok.  The slice is two reads of
+    the offsets {!freeze} kept; an id below 0 or at least
+    [terms_cardinal c] has none. *)
 
-val fold_in : (Triple.t -> 'a -> 'a) -> t -> int -> 'a -> 'a
-(** {!fold_out} over the triples whose object has id [id]. *)
+val fold_in : (Triple.t -> int -> 'a -> 'a) -> t -> int -> 'a -> 'a
+(** {!fold_out} over the triples whose object has id [id], with their
+    subjects' ids. *)
 
 val out_triples : t -> Term.t -> Triple.t list
 (** Σgn: triples with the given subject, in {!Triple.compare} order:
@@ -82,14 +80,8 @@ val out_triples : t -> Term.t -> Triple.t list
 val in_triples : t -> Term.t -> Triple.t list
 (** Triples with the given object, in {!Triple.compare} order. *)
 
-val out_degree : t -> Term.t -> int
-val in_degree : t -> Term.t -> int
-
 val nodes : t -> Term.t list
 val node_ids : t -> int list
 (** Distinct subjects and objects (or their ids: the ids with a
     non-empty out- or in-slice), in term order — agrees with
     {!Graph.nodes}. *)
-
-val iter : (Triple.t -> unit) -> t -> unit
-(** Triples in {!Triple.compare} order, like the structural folds. *)

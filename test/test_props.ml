@@ -468,27 +468,40 @@ let prop_skolem_roundtrip =
     arb_graph (fun g ->
       Rdf.Graph.equal g (Rdf.Skolem.unskolemize (Rdf.Skolem.skolemize g)))
 
-(* All neighbourhoods over the finite triple universe of up to
-   [max_card] triples — a complete decision procedure for semantic
-   equivalence of expressions over that universe. *)
-let all_neighbourhoods max_card =
-  let rec subsets = function
-    | [] -> [ [] ]
-    | t :: rest ->
-        let subs = subsets rest in
-        subs @ List.filter_map
-                 (fun s -> if List.length s < max_card then Some (t :: s) else None)
-                 subs
+(* Semantic equivalence over the finite triple universe, decided on
+   every neighbourhood of at most [max_card] triples — a complete
+   decision procedure for that universe.  The subsets are walked
+   depth-first in triple order, so a neighbourhood is its parent
+   subset plus its greatest triple, and both expressions reach it by
+   one derivative step from the parent's: each neighbourhood costs two
+   steps, consumed in the order a match from scratch consumes them. *)
+let semantically_equal ?(max_card = 4) e1 e2 =
+  let rec walk card e1 e2 = function
+    | [] -> true
+    | tr :: rest ->
+        let dt = Neigh.out tr in
+        let e1' = Deriv.deriv dt e1 and e2' = Deriv.deriv dt e2 in
+        Bool.equal (Rse.nullable e1') (Rse.nullable e2')
+        && (card + 1 = max_card || walk (card + 1) e1' e2' rest)
+        && walk card e1 e2 rest
   in
-  List.map Rdf.Graph.of_list (subsets all_triples)
+  Bool.equal (Rse.nullable e1) (Rse.nullable e2)
+  && walk 0 e1 e2 (List.sort Rdf.Triple.compare all_triples)
 
-let semantically_equal e1 e2 =
-  List.for_all
-    (fun g ->
-      Bool.equal
-        (deriv_matches (node "n") g e1)
-        (deriv_matches (node "n") g e2))
-    (all_neighbourhoods 4)
+(* The walk tells a pair apart that only a three-triple neighbourhood
+   separates, and equates two structurally different spellings of
+   one shape. *)
+let test_semantically_equal () =
+  let a = arc_num "a" values in
+  let at_most_two = Rse.repeat 0 (Some 2) a in
+  check_bool "a{0,2} ≢ a* (they differ on {a1, a2, a3})" false
+    (semantically_equal at_most_two (Rse.star a));
+  check_bool "… which no neighbourhood of two triples shows" true
+    (semantically_equal ~max_card:2 at_most_two (Rse.star a));
+  let plus = Rse.plus a and spelled = Rse.and_ a (Rse.star a) in
+  check_bool "a+ and a ‖ a* are different expressions" false
+    (Rse.equal plus spelled);
+  check_bool "a+ ≡ a ‖ a*" true (semantically_equal plus spelled)
 
 let prop_shexj_roundtrip =
   (* Random (reference-free) schemas survive the JSON interchange up
@@ -814,4 +827,8 @@ let tests =
       prop_repeat_matches_expansion;
       prop_deriv_memo_sound ]
 
-let suites = [ ("properties", tests) ]
+let suites =
+  [ ( "properties",
+      tests
+      @ [ Alcotest.test_case "equivalence by derivatives along the subset tree"
+            `Quick test_semantically_equal ] ) ]

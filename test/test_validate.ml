@@ -605,6 +605,72 @@ let test_frozen_set_graph () =
   Alcotest.check typing "the edited graph's typing"
     (Validate.validate_graph reference) (Validate.validate_graph st)
 
+let shexc text =
+  match Shexc.Shexc_parser.parse_schema ("PREFIX ex: <http://example.org/>\n" ^ text) with
+  | Ok s -> s
+  | Error msg -> failwith msg
+
+(* References checked by the far node's store id: across an inverse arc
+   (the far node is the subject), along a self-loop (the focus itself,
+   in both directions) and onto a literal (a store term that is never a
+   subject).  Under every engine, a frozen and a structural session
+   answer every node × label alike: verdict, explanation and typing. *)
+let test_far_id_references () =
+  let schema =
+    shexc
+      "<T> { ex:ok [1] ; ex:q . * }\n\
+       <I> { ^ex:q @<T> }\n\
+       <L> { ex:self @<L> ; ^ex:self @<L> }\n\
+       <E> { }\n\
+       <R> { ex:val @<E> }"
+  in
+  let x = Rdf.Term.str "x" in
+  let g =
+    graph_of
+      [ t3 "s1" "ok" (num 1); t3 "s1" "q" (node "n1"); t3 "s2" "q" (node "n2");
+        t3 "a" "self" (node "a"); t3 "b" "self" (node "c");
+        t3 "r1" "val" x; t3 "r2" "val" (node "s1"); t3 "r3" "val" (num 1) ]
+  in
+  let labels = Schema.labels schema in
+  let answers st =
+    List.concat_map
+      (fun n ->
+        List.map
+          (fun l ->
+            let o = Validate.check st n l in
+            Printf.sprintf "%s@%s %b %s" (Rdf.Term.to_string n)
+              (Label.to_string l) o.Validate.ok
+              (match o.Validate.explain with
+              | None -> "-"
+              | Some e -> Json.to_string ~minify:true (Explain.to_json e)))
+          labels)
+      (Rdf.Graph.nodes g)
+  in
+  let expected =
+    List.fold_left
+      (fun t (n, l) -> Typing.add n (label l) t)
+      Typing.empty
+      [ (node "s1", "T"); (node "n1", "I"); (node "a", "L");
+        (node "r1", "R"); (node "r3", "R"); (x, "E"); (num 1, "E");
+        (node "n1", "E"); (node "n2", "E"); (node "c", "E") ]
+  in
+  List.iter
+    (fun (name, engine) ->
+      let structural () = Validate.session ~engine schema g
+      and frozen () =
+        Validate.session_columnar ~engine schema (Rdf.Columnar.of_graph g)
+      in
+      Alcotest.(check (list string))
+        (name ^ ": verdicts and explanations")
+        (answers (structural ())) (answers (frozen ()));
+      Alcotest.check typing (name ^ ": structural typing") expected
+        (Validate.validate_graph (structural ()));
+      Alcotest.check typing (name ^ ": frozen typing") expected
+        (Validate.validate_graph (frozen ())))
+    [ ("derivatives", Validate.Derivatives);
+      ("backtracking", Validate.Backtracking); ("auto", Validate.Auto);
+      ("compiled", Validate.Compiled) ]
+
 (* Once every verdict is settled, a report is a memo lookup and an
    entry per association: the key tuple, the check_all cell, the entry
    and its cell, 14 words.  Nothing in it grows with what the verdict
@@ -626,6 +692,51 @@ let test_settled_report_allocation () =
 (* ------------------------------------------------------------------ *)
 (* Typing operations                                                  *)
 (* ------------------------------------------------------------------ *)
+
+(* [validate_graph] builds its typing in one ascending pass over the
+   store's nodes: the same typing, printed the same, as adding every
+   conforming (node, label) pair one at a time — with nodes of two
+   labels, of one and of none. *)
+let test_validate_graph_typing_built () =
+  let schema =
+    shexc "<Any> { ex:p . * }\n<One> { ex:p [1] }\n<Knows> { ex:k @<Any> + }"
+  in
+  let n i = node ("n" ^ string_of_int i) in
+  let g =
+    graph_of
+      (List.init 50 (fun i ->
+           match i mod 4 with
+           | 0 -> triple (n i) (ex "p") (num 1)
+           | 1 -> triple (n i) (ex "p") (num 2)
+           | 2 -> triple (n i) (ex "k") (n (i - 1))
+           | _ -> triple (n i) (ex "q") (num 1)))
+  in
+  let labels = Schema.labels schema in
+  List.iter
+    (fun (store, st) ->
+      let built = Validate.validate_graph st in
+      let added =
+        List.fold_left
+          (fun t n ->
+            List.fold_left
+              (fun t l -> if Validate.check_bool st n l then Typing.add n l t else t)
+              t labels)
+          Typing.empty (Rdf.Graph.nodes g)
+      in
+      Alcotest.check typing (store ^ ": ≡ the Typing.add fold") added built;
+      check_string (store ^ ": printed alike")
+        (Format.asprintf "%a" Typing.pp added)
+        (Format.asprintf "%a" Typing.pp built);
+      let with_labels k =
+        List.length
+          (List.filter
+             (fun n -> Label.Set.cardinal (Typing.labels_of n built) = k)
+             (Rdf.Graph.nodes g))
+      in
+      check_int (store ^ ": nodes of two labels") 13 (with_labels 2);
+      check_int (store ^ ": nodes of none") 12 (with_labels 0))
+    [ ("structural", Validate.session schema g);
+      ("frozen", Validate.session_columnar schema (Rdf.Columnar.of_graph g)) ]
 
 let test_typing_ops () =
   let t1 = Typing.singleton (node "a") person in
@@ -671,7 +782,9 @@ let suites =
     ( "validate.typing",
       [ Alcotest.test_case "typing operations" `Quick test_typing_ops;
         Alcotest.test_case "clique closures match each pair once" `Quick
-          test_clique_typing_matches_once ] );
+          test_clique_typing_matches_once;
+        Alcotest.test_case "validate_graph builds the Typing.add typing"
+          `Quick test_validate_graph_typing_built ] );
     ( "validate.memo",
       [ Alcotest.test_case "an aborted solve rolls back" `Quick
           test_aborted_solve_rolls_back;
@@ -687,5 +800,7 @@ let suites =
           test_unknown_label_invalidation;
         Alcotest.test_case "set_graph on a frozen session" `Quick
           test_frozen_set_graph;
+        Alcotest.test_case "references by far id agree on every store" `Quick
+          test_far_id_references;
         Alcotest.test_case "a settled report allocates O(1) per pair" `Quick
           test_settled_report_allocation ] ) ]

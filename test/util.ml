@@ -133,46 +133,51 @@ let dfa_matches ?check_ref auto n g e =
   Shex.Dfa.matches_dts ?check_ref auto n (neigh n g e)
 
 (* Every reader of a frozen columnar store agrees with the structural
-   graph over the same triples: cardinal, iteration order, nodes,
-   per-node slices and degrees.  The id readers agree on every id —
-   predicate-only IRIs and literals included — with the term readers
-   and the graph, the node ids are exactly the ids with a non-empty
-   slice, and an id outside the store reads nothing. *)
+   graph over the same triples: cardinal, nodes and per-node slices.
+   The id readers agree on every id — predicate-only IRIs and literals
+   included — with the term readers and the graph, every directed
+   triple read by id carries the store id of its far term (and one
+   read from the graph none), the node ids are exactly the ids with a
+   non-empty slice, and an id outside the store reads nothing. *)
 let columnar_agrees c g =
   let same = List.equal Rdf.Triple.equal in
   let out n = Rdf.Graph.out_triples n g
   and inc n = Rdf.Graph.in_triples n g in
-  let out_id id = Rdf.Columnar.fold_out List.cons c id []
-  and in_id id = Rdf.Columnar.fold_in List.cons c id [] in
-  let iterated = ref [] in
-  Rdf.Columnar.iter (fun tr -> iterated := tr :: !iterated) c;
-  let ids = List.init (Rdf.Columnar.terms_cardinal c) Fun.id in
+  let cons tr _ trs = tr :: trs in
+  let out_id id = Rdf.Columnar.fold_out cons c id []
+  and in_id id = Rdf.Columnar.fold_in cons c id [] in
+  let terms = Rdf.Columnar.terms_cardinal c in
+  let ids = List.init terms Fun.id in
+  let far_id_names_far_term dt =
+    let id = Shex.Neigh.far_id dt in
+    id >= 0 && id < terms
+    && Rdf.Term.equal (Rdf.Columnar.term c id) (Shex.Neigh.far dt)
+  in
   Rdf.Columnar.cardinal c = Rdf.Graph.cardinal g
-  && same !iterated (Rdf.Graph.fold List.cons g [])
   && List.equal Rdf.Term.equal (Rdf.Columnar.nodes c) (Rdf.Graph.nodes g)
   && List.for_all
        (fun n ->
          same (Rdf.Columnar.out_triples c n) (out n)
-         && same (Rdf.Columnar.in_triples c n) (inc n)
-         && Rdf.Columnar.out_degree c n = List.length (out n)
-         && Rdf.Columnar.in_degree c n = List.length (inc n))
+         && same (Rdf.Columnar.in_triples c n) (inc n))
        (Rdf.Graph.nodes g)
   && List.for_all
        (fun id ->
          let n = Rdf.Columnar.term c id in
+         let by_id = Shex.Neigh.of_id ~include_inverse:true id c
+         and by_term = Shex.Neigh.of_node ~include_inverse:true n g in
          same (out_id id) (Rdf.Columnar.out_triples c n)
          && same (out_id id) (out n)
          && same (in_id id) (Rdf.Columnar.in_triples c n)
          && same (in_id id) (inc n)
-         && List.equal Shex.Neigh.equal
-              (Shex.Neigh.of_id ~include_inverse:true id c)
-              (Shex.Neigh.of_node ~include_inverse:true n g))
+         && List.equal Shex.Neigh.equal by_id by_term
+         && List.for_all far_id_names_far_term by_id
+         && List.for_all (fun dt -> Shex.Neigh.far_id dt = -1) by_term)
        ids
   && List.equal Int.equal (Rdf.Columnar.node_ids c)
        (List.filter (fun id -> out_id id <> [] || in_id id <> []) ids)
   && List.for_all
        (fun id -> out_id id = [] && in_id id = [])
-       [ -1; Rdf.Columnar.terms_cardinal c ]
+       [ -1; terms ]
 
 let rse = Alcotest.testable Shex.Rse.pp Shex.Rse.equal
 let term = Alcotest.testable Rdf.Term.pp Rdf.Term.equal
