@@ -3,7 +3,7 @@
    Usage:
      shex-validate --schema schema.shex --data data.ttl
      shex-validate --schema s.shex --data d.ttl --node http://e.org/john \
-                   --shape Person --engine backtracking --trace
+                   --shape Person --engine backtracking --explain
      shex-validate --schema s.shex --data d.ttl \
                    --shape-map '{FOCUS a ex:T}@<T>' --json
      shex-validate --schema s.shex --show-sparql Person
@@ -37,19 +37,6 @@ let require_data = function
       Printf.eprintf "--data is required for validation\n";
       exit 2
 
-let print_trace session node label =
-  Option.iter
-    (Format.printf "%a@." Shex.Deriv.pp_trace)
-    (Shex.Validate.trace session node label)
-
-(* One code path for every engine: the unified telemetry snapshot
-   (folding in the automaton cache when one is active) on stderr. *)
-let print_engine_stats session =
-  let snap = Shex.Validate.metrics session in
-  if Telemetry.is_empty snap then
-    prerr_endline "no stats: telemetry is disabled for this session"
-  else Format.eprintf "%a%!" Telemetry.pp_text snap
-
 let print_metrics session = function
   | None -> ()
   | Some Mtext ->
@@ -65,8 +52,8 @@ let print_explain session associations =
       Shex_explain.Walk.pp_report ppf ~session associations) ()
 
 (* --profile: decode the attribution families out of the session
-   snapshot.  The table goes to stderr (like --engine-stats) so it
-   composes with every stdout format; under --json the same data is
+   snapshot.  The table goes to stderr so it composes with every
+   stdout format; under --json the same data is
    embedded as a "profile" member of the report document. *)
 let session_profile session =
   if Shex.Validate.profiling session then
@@ -85,22 +72,25 @@ let print_slowlog session =
   | Some slog -> Format.eprintf "%a%!" Shex.Slowlog.pp slog
   | None -> ()
 
-let emit_report session report ~json ~result_map ~quiet ~metrics =
-  if json then begin
-    (* --json --metrics json: one document, snapshot under "metrics". *)
-    let embedded =
-      match metrics with
-      | Some Mjson -> Some (Shex.Validate.metrics session)
-      | Some Mtext | None -> None
-    in
-    print_endline
-      (Json.to_string
-         (Shex.Report.to_json ?metrics:embedded
-            ?profile:(session_profile session) report));
+(* --json: the report document, then --metrics text's exposition
+   after it; --metrics json embeds the snapshot under "metrics"
+   instead. *)
+let emit_json session report ~metrics =
+  let embedded =
     match metrics with
-    | Some Mtext -> print_metrics session metrics
-    | Some Mjson | None -> ()
-  end
+    | Some Mjson -> Some (Shex.Validate.metrics session)
+    | Some Mtext | None -> None
+  in
+  print_endline
+    (Json.to_string
+       (Shex.Report.to_json ?metrics:embedded
+          ?profile:(session_profile session) report));
+  match metrics with
+  | Some Mtext -> print_metrics session metrics
+  | Some Mjson | None -> ()
+
+let emit_report session report ~json ~result_map ~quiet ~metrics =
+  if json then emit_json session report ~metrics
   else begin
     if result_map then
       print_endline (Shex.Report.to_result_shape_map report)
@@ -307,9 +297,9 @@ let oracle_cmd spec =
   exit (if summary.findings = [] then 0 else 1)
 
 let run_validate schema_path data_path node_opt shape_opt shape_map_opt
-    engine domains profile slow_ms engine_stats metrics trace_json
-    trace_chrome trace_folded explain trace show_sparql export_shexj json
-    result_map quiet infer_nodes infer_label =
+    engine domains profile slow_ms metrics trace_json trace_chrome
+    trace_folded explain show_sparql export_shexj json result_map quiet
+    infer_nodes infer_label =
   (match infer_nodes with
   | Some nodes_text -> infer_cmd data_path infer_label nodes_text
   | None -> ());
@@ -343,9 +333,8 @@ let run_validate schema_path data_path node_opt shape_opt shape_map_opt
        but an enabled registry gives the slowlog entries their
        work-counter deltas. *)
     if
-      engine_stats || metrics <> None || trace_json <> None
-      || trace_chrome <> None || trace_folded <> None || profile
-      || slow_ms <> None
+      metrics <> None || trace_json <> None || trace_chrome <> None
+      || trace_folded <> None || profile || slow_ms <> None
     then Telemetry.create ()
     else Telemetry.disabled
   in
@@ -407,7 +396,6 @@ let run_validate schema_path data_path node_opt shape_opt shape_map_opt
       ~domains ~profile ?slow_ms schema graph
   in
   let maybe_stats () =
-    if engine_stats then print_engine_stats session;
     print_profile session;
     print_slowlog session
   in
@@ -431,7 +419,6 @@ let run_validate schema_path data_path node_opt shape_opt shape_map_opt
       let label = require_label schema shape_name in
       let node = Rdf.Term.iri node_iri in
       let report = Shex.Report.run session [ (node, label) ] in
-      if trace then print_trace session node label;
       if explain then print_explain session [ (node, label) ];
       maybe_stats ();
       emit_report session report ~json ~result_map ~quiet ~metrics
@@ -447,15 +434,7 @@ let run_validate schema_path data_path node_opt shape_opt shape_map_opt
       if explain then print_explain session associations;
       maybe_stats ();
       if json then begin
-        let embedded =
-          match metrics with
-          | Some Mjson -> Some (Shex.Validate.metrics session)
-          | Some Mtext | None -> None
-        in
-        print_endline
-          (Json.to_string
-             (Shex.Report.to_json ?metrics:embedded
-                ?profile:(session_profile session) report));
+        emit_json session report ~metrics;
         exit 0
       end;
       (* Every node is asked about every label, so the union of the
@@ -505,9 +484,9 @@ let obs_get_cmd url =
 let validate_cmd oracle analyze check_compat optimize serve obs_port
     obs_interval journal journal_max_kb
     journal_replay obs_get schema_path data_path node_opt shape_opt
-    shape_map_opt engine domains profile slow_ms engine_stats metrics
-    trace_json trace_chrome trace_folded explain trace show_sparql
-    export_shexj json result_map quiet infer_nodes infer_label =
+    shape_map_opt engine domains profile slow_ms metrics trace_json
+    trace_chrome trace_folded explain show_sparql export_shexj json
+    result_map quiet infer_nodes infer_label =
   try
     (match oracle with Some spec -> oracle_cmd spec | None -> ());
     (match check_compat with Some spec -> check_compat_cmd spec | None -> ());
@@ -534,9 +513,9 @@ let validate_cmd oracle analyze check_compat optimize serve obs_port
         ()
     else
       run_validate schema_path data_path node_opt shape_opt shape_map_opt
-        engine domains profile slow_ms engine_stats metrics
-        trace_json trace_chrome trace_folded explain trace show_sparql
-        export_shexj json result_map quiet infer_nodes infer_label
+        engine domains profile slow_ms metrics trace_json trace_chrome
+        trace_folded explain show_sparql export_shexj json result_map
+        quiet infer_nodes infer_label
   with
   | Failure msg | Sys_error msg | Invalid_argument msg ->
       Printf.eprintf "error: %s\n" msg;
@@ -651,17 +630,6 @@ let slow_ms_arg =
            $(b,--serve), sets the daemon's initial slowlog threshold \
            (see the $(b,slowlog) command).")
 
-let engine_stats_arg =
-  Arg.(
-    value & flag
-    & info [ "engine-stats" ]
-        ~doc:
-          "After validating, print the unified telemetry snapshot for \
-           whatever engine ran (derivative steps, backtracking branches, \
-           SORBE counter updates, fixpoint iterations, and — with \
-           $(b,--engine) $(b,compiled) or $(b,auto) — the automaton \
-           cache counters) on stderr.")
-
 let metrics_arg =
   let choices = [ ("text", Mtext); ("json", Mjson) ] in
   Arg.(
@@ -683,8 +651,7 @@ let trace_json_arg =
         ~doc:
           "Enable telemetry and stream machine-readable derivative \
            traces to $(docv): one JSON object per line, one line per \
-           derivative step taken by the matching engine (the structured \
-           form of $(b,--trace)).")
+           derivative step taken by the matching engine.")
 
 let trace_chrome_arg =
   Arg.(
@@ -715,12 +682,6 @@ let explain_arg =
           "After validating, pretty-print the derivative walk behind \
            every verdict in the style of the paper's Examples 8\xe2\x80\x9312, \
            with the structured blame set on each failure.")
-
-let trace_arg =
-  Arg.(
-    value & flag
-    & info [ "trace" ]
-        ~doc:"Print the derivative trace (only with --node/--shape).")
 
 let show_sparql_arg =
   Arg.(
@@ -918,10 +879,9 @@ let cmd =
       $ node_arg
       $ shape_arg $ shape_map_arg $ engine_arg $ domains_arg
       $ profile_arg $ slow_ms_arg
-      $ engine_stats_arg
       $ metrics_arg
       $ trace_json_arg $ trace_chrome_arg $ trace_folded_arg $ explain_arg
-      $ trace_arg $ show_sparql_arg $ export_shexj_arg $ json_arg
+      $ show_sparql_arg $ export_shexj_arg $ json_arg
       $ result_map_arg $ quiet_arg $ infer_arg $ infer_label_arg)
 
 let () = exit (Cmd.eval cmd)

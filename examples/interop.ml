@@ -1,6 +1,5 @@
-(* Interop tour: shape maps, validation reports, ShExJ interchange,
-   skolemization/isomorphism, and the SPARQL engine driven from query
-   text.
+(* Interop tour: shape maps, validation reports and ShExJ
+   interchange.
 
    Run with: dune exec examples/interop.exe *)
 
@@ -61,37 +60,4 @@ let () =
               (Shex.Validate.check_bool session n person)
               (Shex.Validate.check_bool s' n person))
           (Rdf.Graph.subjects graph)
-    | Error _ -> false);
-
-  (* 4. Skolemization: name the anonymous node, validate, map back. *)
-  let sk = Rdf.Skolem.skolemize graph in
-  Format.printf
-    "Skolemized graph has %d blank nodes (original had %d); roundtrip \
-     isomorphic: %b@.@."
-    (List.length
-       (List.filter Rdf.Term.is_bnode (Rdf.Graph.nodes sk)))
-    (List.length
-       (List.filter Rdf.Term.is_bnode (Rdf.Graph.nodes graph)))
-    (Rdf.Isomorphism.isomorphic graph (Rdf.Skolem.unskolemize sk));
-
-  (* 5. The SPARQL engine, driven from concrete syntax. *)
-  let query =
-    {|PREFIX foaf: <http://xmlns.com/foaf/0.1/>
-SELECT ?s {
-  { SELECT ?s (COUNT(*) AS ?c) { ?s foaf:age ?o } GROUP BY ?s
-    HAVING (?c >= 2) }
-}|}
-  in
-  match Sparql.Parse.parse query with
-  | Error msg -> failwith msg
-  | Ok q -> (
-      match Sparql.Eval.run graph q with
-      | `Solutions sols ->
-          Format.printf "Nodes with more than one foaf:age (via SPARQL):@.";
-          List.iter
-            (fun mu ->
-              match Sparql.Eval.Solution.find "s" mu with
-              | Some t -> Format.printf "  %a@." Rdf.Term.pp t
-              | None -> ())
-            sols
-      | `Boolean _ -> ())
+    | Error _ -> false)

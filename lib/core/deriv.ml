@@ -103,8 +103,7 @@ let matches_dts ?(check_ref = no_refs) ?instr n dts e =
 type step = { consumed : Neigh.dtriple; after : Rse.t }
 type trace = { initial : Rse.t; steps : step list; result : bool }
 
-let matches_trace_dts ?(check_ref = no_refs) ?(instr = no_instruments) n dts e =
-  let check = Neigh.by_term check_ref in
+let matches_trace_dts ~check ?(instr = no_instruments) n dts e =
   let final, rev_steps =
     List.fold_left
       (fun (e, acc) dt ->

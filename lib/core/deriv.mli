@@ -109,13 +109,13 @@ type trace = {
 }
 
 val matches_trace_dts :
-  ?check_ref:check_ref ->
+  check:Neigh.ref_check ->
   ?instr:instruments ->
   Rdf.Term.t ->
   Neigh.dtriple list ->
   Rse.t ->
   trace
-(** {!matches_dts} with every step recorded, under the same
+(** {!matches} with every step recorded, under the same
     neighbourhood contract.  It never stops early, so a failed trace
     shows every triple; [result] is the same verdict.  Callers holding
     a session read it through {!Validate.trace}. *)

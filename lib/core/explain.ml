@@ -38,8 +38,7 @@ let required_arcs e =
   in
   List.sort_uniq Rse.arc_compare (go e)
 
-let of_trace ?(check_ref = Deriv.no_refs) ~node ~label
-    (tr : Deriv.trace) =
+let of_trace ~check ~node ~label (tr : Deriv.trace) =
   if tr.Deriv.result then None
   else
     (* First step whose derivative collapsed to ∅: the consumed triple
@@ -65,7 +64,7 @@ let of_trace ?(check_ref = Deriv.no_refs) ~node ~label
                    when Bool.equal a.inverse (Neigh.inverse dt)
                         && Value_set.pred_mem a.pred
                              (Rdf.Triple.predicate dt.Neigh.triple)
-                        && not (check_ref l far) ->
+                        && not (check l dt) ->
                      Some { ref_node = far; ref_label = l }
                  | Rse.Ref _ | Rse.Values _ -> None)
           |> List.sort_uniq (fun a b ->

@@ -37,27 +37,25 @@ type t =
       node : Rdf.Term.t;
       label : Label.t;
       residual : Rse.t;  (** the final, non-nullable residual *)
-      missing : Rse.arc list;  (** its required arcs ({!required_arcs}) *)
+      missing : Rse.arc list;
+          (** the arc obligations it still demands, deduplicated and
+              sorted: an [Arc] demands itself; [And] demands the arcs of
+              each non-nullable conjunct; a non-nullable [Or] offers the
+              arcs of either alternative; [Star] and [Not] demand
+              nothing ([ν] of a star is true, and a complement fails by
+              excess, not lack) *)
     }
       (** every triple was consumed, but obligations remain open *)
 
-val required_arcs : Rse.t -> Rse.arc list
-(** The arc obligations a non-nullable expression still demands,
-    deduplicated and sorted: an [Arc] demands itself; [And] demands
-    the arcs of each non-nullable conjunct; a non-nullable [Or] offers
-    the arcs of either alternative; [Star] and [Not] demand nothing
-    ([ν] of a star is true, and a complement fails by excess, not
-    lack). *)
-
 val of_trace :
-  ?check_ref:Deriv.check_ref ->
+  check:Neigh.ref_check ->
   node:Rdf.Term.t ->
   label:Label.t ->
   Deriv.trace ->
   t option
 (** Extract the blame set from a failed trace ([None] if the trace
     accepted): the first step that collapsed to ∅ yields
-    {!Blame_triple} — with [check_ref] (the session's settled-verdict
+    {!Blame_triple} — with [check] (the session's settled-verdict
     oracle) consulted to name the {!ref_failure}s behind an
     unmatchable reference arc — and an exhausted, non-nullable
     residual yields {!Missing_arcs}. *)

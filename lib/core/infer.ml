@@ -90,13 +90,22 @@ let constraint_of options (p, min_c, max_c, _objects) obj_spec =
   let max = if options.close_cardinalities then Some max_c else None in
   Rse.repeat min_c max arc
 
-let infer_shape ?(options = default_options) g nodes =
-  if nodes = [] then invalid_arg "Infer.infer_shape: no example nodes";
+(* The shape of [nodes]: one constraint per aggregated predicate, a
+   reference to [ref_of objects] when it names a label, the
+   generalised value class otherwise. *)
+let shape_of options g ~ref_of nodes =
   Rse.and_all
     (List.map
        (fun ((_, _, _, objects) as agg) ->
-         constraint_of options agg (`Values (generalise options objects)))
+         match ref_of objects with
+         | Some l -> constraint_of options agg (`Ref l)
+         | None ->
+             constraint_of options agg (`Values (generalise options objects)))
        (aggregate g nodes))
+
+let infer_shape ?(options = default_options) g nodes =
+  if nodes = [] then invalid_arg "Infer.infer_shape: no example nodes";
+  shape_of options g ~ref_of:(fun _ -> None) nodes
 
 let infer_schema ?(options = default_options) g groups =
   if List.exists (fun (_, nodes) -> nodes = []) groups then
@@ -108,30 +117,16 @@ let infer_schema ?(options = default_options) g groups =
           if List.exists (Rdf.Term.equal n) nodes then Some l else None)
         groups
     in
-    let rules =
-      List.map
-        (fun (l, nodes) ->
-          let shape =
-            Rse.and_all
-              (List.map
-                 (fun ((_, _, _, objects) as agg) ->
-                   (* If every object is an example of one common
-                      label, emit a reference. *)
-                   let labels = List.map label_of_node objects in
-                   match labels with
-                   | Some first :: rest
-                     when List.for_all
-                            (function
-                              | Some l' -> Label.equal l' first
-                              | None -> false)
-                            rest ->
-                       constraint_of options agg (`Ref first)
-                   | _ ->
-                       constraint_of options agg
-                         (`Values (generalise options objects)))
-                 (aggregate g nodes))
-          in
-          (l, shape))
-        groups
+    (* A reference when every object is an example of one common
+       label. *)
+    let ref_of objects =
+      match List.map label_of_node objects with
+      | Some first :: rest
+        when List.for_all
+               (function Some l' -> Label.equal l' first | None -> false)
+               rest ->
+          Some first
+      | _ -> None
     in
-    Schema.make rules
+    Schema.make
+      (List.map (fun (l, nodes) -> (l, shape_of options g ~ref_of nodes)) groups)

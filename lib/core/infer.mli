@@ -23,8 +23,6 @@ type options = {
           interval; when [false], relax to [{min,}] *)
 }
 
-val default_options : options
-
 val infer_shape :
   ?options:options -> Rdf.Graph.t -> Rdf.Term.t list -> Rse.t
 (** [infer_shape g nodes] — the inferred shape of the nodes'

@@ -6,8 +6,6 @@
    task spawns nothing, and with [n] tasks uses [n - 1] fresh
    domains. *)
 
-let recommended_domains () = Domain.recommended_domain_count ()
-
 (* [shard n xs] splits [xs] into [n] contiguous runs whose lengths
    differ by at most one (the first [len mod n] runs get the extra
    element), preserving order.  Never returns an empty run for

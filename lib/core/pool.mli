@@ -7,10 +7,6 @@
     that exploits it — spawn one domain per task beyond the first,
     run the first task on the calling domain, join everything. *)
 
-val recommended_domains : unit -> int
-(** [Domain.recommended_domain_count ()] — the hardware parallelism
-    the runtime suggests. *)
-
 val shard : int -> 'a list -> 'a list list
 (** [shard n xs] splits [xs] into at most [n] contiguous runs whose
     lengths differ by at most one, in order ([List.concat (shard n

@@ -56,8 +56,6 @@ val step_coverage : t -> float
 (** Attributed over total [deriv_steps]; [1.0] when no derivative work
     happened at all. *)
 
-val default_top : int
-
 val pp : ?top:int -> Format.formatter -> t -> unit
 (** The [--profile] table: top-N hottest shapes (checks, wall ms, per
     engine work, flips), top-N hottest focus nodes, and the

@@ -262,11 +262,6 @@ let rec size = function
   | Star e | Not e | Repeat (e, _, _) -> 1 + size e
   | And (e1, e2) | Or (e1, e2) -> 1 + size e1 + size e2
 
-let rec height = function
-  | Empty | Epsilon | Arc _ -> 1
-  | Star e | Not e | Repeat (e, _, _) -> 1 + height e
-  | And (e1, e2) | Or (e1, e2) -> 1 + max (height e1) (height e2)
-
 let rec nullable = function
   | Empty -> false
   | Epsilon -> true

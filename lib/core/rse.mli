@@ -99,7 +99,6 @@ val repeat : int -> int option -> t -> t
 val size : t -> int
 (** Number of AST nodes — the measure of derivative growth (E2/E5). *)
 
-val height : t -> int
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
@@ -131,10 +130,6 @@ val arc_compare : arc -> arc -> int
 
 val arcs : t -> arc list
 (** All arc leaves, left to right. *)
-
-val mentioned_preds : inverse:bool -> t -> Value_set.pred list
-(** The distinct predicate sets of the expression's arcs in the given
-    direction, in first-occurrence order. *)
 
 val open_up : t -> t
 (** Open-shape semantics (ShEx's default, where RSE is closed): the

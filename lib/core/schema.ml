@@ -82,15 +82,6 @@ let dependencies t l =
   go Label.Set.empty [ l ]
 
 let stratum t l = Strata.stratum t.strata l
-let strata_count t = Strata.count t.strata
-
-let is_recursive t l =
-  match find t l with
-  | None -> false
-  | Some e ->
-      Label.Set.exists
-        (fun direct -> Label.Set.mem l (dependencies t direct))
-        (Rse.refs e)
 
 let pp ppf t =
   Format.pp_open_vbox ppf 0;

@@ -47,15 +47,10 @@ val dependencies : t -> Label.t -> Label.Set.t
 (** Labels reachable from [l] through shape references (including [l]
     itself). *)
 
-val is_recursive : t -> Label.t -> bool
-(** Whether [l] can reach itself through shape references. *)
-
 val stratum : t -> Label.t -> int
 (** The label's negation stratum (0-based; see {!Strata}).  Validation
     settles lower strata before evaluating a label, so negated
     references always see final verdicts. *)
-
-val strata_count : t -> int
 
 val pp : Format.formatter -> t -> unit
 (** Prints rules as [⟨l⟩ ↦ e], one per line. *)

@@ -1,8 +1,4 @@
-type t = {
-  stratum_of : int Label.Map.t;
-  component_of : int Label.Map.t;
-  n_strata : int;
-}
+type t = { stratum_of : int Label.Map.t }
 
 (* Tarjan's strongly-connected-components algorithm over the label
    dependency graph (all references, any polarity). *)
@@ -94,9 +90,9 @@ let compute rules =
          so a left fold can assign strata bottom-up: a component's
          stratum is the max over its dependencies, +1 when the
          dependency is negated. *)
-      let stratum_of, n_strata =
+      let stratum_of =
         List.fold_left
-          (fun (strata, top) comp ->
+          (fun strata comp ->
             let s =
               List.fold_left
                 (fun s l ->
@@ -119,18 +115,9 @@ let compute rules =
                     (Option.value (Hashtbl.find_opt neg_refs l) ~default:[]))
                 0 comp
             in
-            ( List.fold_left (fun acc l -> Label.Map.add l s acc) strata comp,
-              max top (s + 1) ))
-          (Label.Map.empty, 1) components
+            List.fold_left (fun acc l -> Label.Map.add l s acc) strata comp)
+          Label.Map.empty components
       in
-      Ok { stratum_of; component_of; n_strata }
+      Ok { stratum_of }
 
 let stratum t l = Option.value (Label.Map.find_opt l t.stratum_of) ~default:0
-let count t = t.n_strata
-
-let same_component t l1 l2 =
-  match
-    (Label.Map.find_opt l1 t.component_of, Label.Map.find_opt l2 t.component_of)
-  with
-  | Some c1, Some c2 -> c1 = c2
-  | _ -> false

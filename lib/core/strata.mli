@@ -25,9 +25,3 @@ val compute : (Label.t * Rse.t) list -> (t, string) result
 val stratum : t -> Label.t -> int
 (** The label's stratum, [0]-based from the bottom.  Unknown labels
     are reported as stratum [0]. *)
-
-val count : t -> int
-(** Number of strata (at least [1] for a non-empty schema). *)
-
-val same_component : t -> Label.t -> Label.t -> bool
-(** Whether two labels are mutually recursive (same SCC). *)

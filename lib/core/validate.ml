@@ -370,6 +370,12 @@ let node_id st n =
     id
   end
 
+(* The far node of a directed triple: a frozen slice row carries its
+   id, so no term is hashed; any other triple numbers its far term. *)
+let far_node st dt =
+  let far = Neigh.far_id dt in
+  if far >= 0 then far else node_id st (Neigh.far dt)
+
 let node_term st id =
   match st.frozen with
   | Some ids when id < st.base -> Rdf.Interner.resolve ids id
@@ -556,11 +562,7 @@ let rec evaluate st ~value ~demand id =
       let tracing = Telemetry.tracing st.tele in
       let check l' dt =
         let li' = ref_index st entry l' in
-        (* A frozen slice row carries the far node's id: no term hashed. *)
-        let far = Neigh.far_id dt in
-        let q =
-          pair st (if far >= 0 then far else node_id st (Neigh.far dt)) li'
-        in
+        let q = pair st (far_node st dt) li' in
         used := q :: !used;
         let settled = is_settled st q in
         let answer =
@@ -811,8 +813,10 @@ let typing st n l =
     Typing.empty
 
 (* References answered by settled verdicts, solving a pair on first
-   demand: what traces and explanations consult. *)
-let settled_ref st l' o = verdict st o l'
+   demand: what traces and explanations consult.  The far node is
+   numbered as [evaluate]'s check numbers it. *)
+let settled_check st l' dt =
+  verdict_id st (pair st (far_node st dt) (label_index st l'))
 
 let trace st n l =
   Option.map
@@ -820,7 +824,7 @@ let trace st n l =
       let dts =
         neighbourhood st ~include_inverse:(Rse.has_inverse e) (find_node st n) n
       in
-      Deriv.matches_trace_dts ~check_ref:(settled_ref st) n dts e)
+      Deriv.matches_trace_dts ~check:(settled_check st) n dts e)
     (Schema.find_shape st.schema l)
 
 let failure_explain st n l =
@@ -830,7 +834,7 @@ let failure_explain st n l =
       Some (Explain.Node_constraint { node = n; constraint_ = vo })
   | Some _ ->
       Option.bind (trace st n l)
-        (Explain.of_trace ~check_ref:(settled_ref st) ~node:n ~label:l)
+        (Explain.of_trace ~check:(settled_check st) ~node:n ~label:l)
 
 let plain_check st n l =
   if verdict st n l then { ok = true; explain = None }

@@ -266,11 +266,12 @@ val trace : session -> Rdf.Term.t -> Label.t -> Deriv.trace option
     exactly when the shape has an inverse arc), with every shape
     reference answered by the session's settled verdict — solved on
     first demand, like {!check_bool}, but never timed into the
-    slowlog.  [None] when [l] has no shape.  The walk ignores the
-    shape's focus constraint, which refuses a node before any triple
-    is consumed.  This is the one traced walk: failure explanations
-    ({!outcome.explain}), the [--explain] tables and the CLI's
-    [--trace] all render it. *)
+    slowlog — for the far node numbered as a verdict numbers it (by
+    {!Neigh.far_id} when the triple carries one).  [None] when [l] has
+    no shape.  The walk ignores the shape's focus constraint, which
+    refuses a node before any triple is consumed.  This is the one
+    traced walk: failure explanations ({!outcome.explain}) and the
+    [--explain] tables render it. *)
 
 val typing : session -> Rdf.Term.t -> Label.t -> Typing.t
 (** [typing session n l] is the typing τ of §8's judgement

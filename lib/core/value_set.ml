@@ -64,8 +64,6 @@ let pred_iri s = Pred (Rdf.Iri.of_string_exn s)
 let obj_terms terms = Obj_in terms
 let xsd_integer = Obj_datatype Rdf.Xsd.Integer
 let xsd_string = Obj_datatype Rdf.Xsd.String
-let xsd_boolean = Obj_datatype Rdf.Xsd.Boolean
-let xsd_date = Obj_datatype Rdf.Xsd.Date
 
 let rec pred_equal a b =
   match (a, b) with

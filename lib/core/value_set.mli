@@ -50,8 +50,6 @@ val obj_terms : Rdf.Term.t list -> obj
 
 val xsd_integer : obj
 val xsd_string : obj
-val xsd_boolean : obj
-val xsd_date : obj
 
 val pred_equal : pred -> pred -> bool
 val obj_equal : obj -> obj -> bool

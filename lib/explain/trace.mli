@@ -52,5 +52,4 @@ val children : span -> span list
 val events : t -> int
 (** Events delivered so far (spans count twice: begin and end). *)
 
-val arg : span -> string -> Telemetry.value option
 val string_arg : span -> string -> string option

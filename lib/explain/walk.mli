@@ -17,17 +17,10 @@
     with, on failure, the structured blame set
     ({!Shex.Explain.to_string}) on the verdict line. *)
 
-val pp_check :
-  Format.formatter ->
-  session:Shex.Validate.session ->
-  Rdf.Term.t ->
-  Shex.Label.t ->
-  unit
-
 val pp_report :
   Format.formatter ->
   session:Shex.Validate.session ->
   (Rdf.Term.t * Shex.Label.t) list ->
   unit
-(** One {!pp_check} block per association, blank-line free, in
+(** One [check] block per association, blank-line free, in
     order. *)

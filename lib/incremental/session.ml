@@ -11,16 +11,13 @@ type stats = {
 }
 
 type t = {
-  engine : Shex.Validate.engine;
-  tele : Telemetry.t;
-  mutable vs : Shex.Validate.session;
+  vs : Shex.Validate.session;
   (* Incremental instruments, resolved once (one branch each when the
      registry is disabled, like the engine instruments). *)
   deltas : Telemetry.Counter.t;
   edits : Telemetry.Counter.t;
   invalidated : Telemetry.Counter.t;
   resolved_total : Telemetry.Counter.t;
-  full_resets : Telemetry.Counter.t;
   frontier_size : Telemetry.Histogram.t;
   apply_span : Telemetry.Span.t;
 }
@@ -30,12 +27,14 @@ let create ?(engine = Shex.Validate.Derivatives)
   let vs =
     Shex.Validate.session ~engine ~telemetry ~record_deps:true schema graph
   in
-  { engine; tele = telemetry; vs;
+  (* [incremental_full_resets] stays registered, at 0, so the metrics
+     documents keep their members: no session API resets any more. *)
+  ignore (Telemetry.counter telemetry "incremental_full_resets");
+  { vs;
     deltas = Telemetry.counter telemetry "incremental_deltas";
     edits = Telemetry.counter telemetry "incremental_edits";
     invalidated = Telemetry.counter telemetry "incremental_invalidated";
     resolved_total = Telemetry.counter telemetry "incremental_resolved";
-    full_resets = Telemetry.counter telemetry "incremental_full_resets";
     frontier_size = Telemetry.histogram telemetry "incremental_frontier_size";
     apply_span = Telemetry.span telemetry "incremental_apply" }
 
@@ -44,12 +43,6 @@ let schema t = Shex.Validate.schema t.vs
 let validation t = t.vs
 let check_bool t n l = Shex.Validate.check_bool t.vs n l
 let metrics t = Shex.Validate.metrics t.vs
-
-let set_schema t schema =
-  Telemetry.Counter.incr t.full_resets;
-  t.vs <-
-    Shex.Validate.session ~engine:t.engine ~telemetry:t.tele
-      ~record_deps:true schema (Shex.Validate.graph t.vs)
 
 let apply t { inserts; deletes } =
   Telemetry.Span.time t.apply_span @@ fun () ->

@@ -20,8 +20,8 @@
     equivalence mechanically after every delta; DESIGN.md §11 gives
     the argument.
 
-    Schema changes cannot be localised this way — {!set_schema} falls
-    back to a full reset (fresh memo, fresh compilations). *)
+    Schema changes cannot be localised this way: a new schema takes a
+    new session. *)
 
 (** A batch of edits.  Deletes are applied before inserts; triples
     already present (for inserts) or already absent (for deletes) are
@@ -62,7 +62,8 @@ val create :
     incremental instruments: counters [incremental_deltas] (apply
     calls), [incremental_edits] (applied triples),
     [incremental_invalidated] / [incremental_resolved] (frontier pairs
-    cumulative), [incremental_full_resets]; the
+    cumulative), [incremental_full_resets] (always 0: kept so metrics
+    documents keep their members); the
     [incremental_frontier_size] histogram (per-delta frontier size);
     and the [incremental_apply] span. *)
 
@@ -71,9 +72,8 @@ val schema : t -> Shex.Schema.t
 
 val validation : t -> Shex.Validate.session
 (** The live inner session — for {!Shex.Report.run}, typings
-    ({!Shex.Validate.typing}), explanations, or direct metrics access.
-    Replaced wholesale by {!set_schema}; do not cache across schema
-    changes. *)
+    ({!Shex.Validate.typing}), explanations, or direct metrics
+    access. *)
 
 val apply : t -> delta -> stats
 (** Apply the batch: update the graph, invalidate the dependency
@@ -85,12 +85,6 @@ val check_bool : t -> Rdf.Term.t -> Shex.Label.t -> bool
     kept per pair, so an edit has only verdicts to invalidate; ask
     {!Shex.Validate.check} or {!Shex.Validate.typing} on {!validation}
     for an explanation or a typing. *)
-
-val set_schema : t -> Shex.Schema.t -> unit
-(** Full fallback: schema deltas are not localised, so the inner
-    session (memo, compilations, DFA tables) is rebuilt from
-    scratch against the current graph.  Counted as
-    [incremental_full_resets]. *)
 
 val metrics : t -> Telemetry.snapshot
 (** {!Shex.Validate.metrics} of the inner session — engine counters,

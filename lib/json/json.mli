@@ -24,7 +24,6 @@ val find_string : string -> t -> string option
 val find_int : string -> t -> int option
 val find_list : string -> t -> t list option
 
-val as_string : t -> string option
 val as_int : t -> int option
 
 (** {1 Printing} *)

@@ -16,8 +16,6 @@ type t = {
   max_bytes : int;
   mutable oc : out_channel;
   mutable bytes : int;  (* bytes written to the current generation *)
-  mutable records : int;  (* records ever written, both generations *)
-  mutable rotations : int;
 }
 
 let default_max_bytes = 1 lsl 20  (* 1 MiB per generation *)
@@ -32,13 +30,7 @@ let create ?(max_bytes = default_max_bytes) path =
   { path;
     max_bytes = max 1 max_bytes;
     oc;
-    bytes = out_channel_length oc;
-    records = 0;
-    rotations = 0 }
-
-let path t = t.path
-let records t = t.records
-let rotations t = t.rotations
+    bytes = out_channel_length oc }
 
 let fsync_oc oc =
   flush oc;
@@ -53,18 +45,14 @@ let rotate t =
   (try Sys.rename t.path (rotated_path t.path)
    with Sys_error _ -> ());
   t.oc <- open_gen t.path;
-  t.bytes <- 0;
-  t.rotations <- t.rotations + 1
+  t.bytes <- 0
 
 let record t j =
   let line = Json.to_string ~minify:true j ^ "\n" in
   output_string t.oc line;
   flush t.oc;
   t.bytes <- t.bytes + String.length line;
-  t.records <- t.records + 1;
   if t.bytes >= t.max_bytes then rotate t
-
-let flush t = fsync_oc t.oc
 
 let close t =
   fsync_oc t.oc;

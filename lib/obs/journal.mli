@@ -15,9 +15,6 @@
 
 type t
 
-val default_max_bytes : int
-(** 1 MiB per generation. *)
-
 val create : ?max_bytes:int -> string -> t
 (** Open [path] for appending (created if missing; an existing journal
     continues — restarts extend the record rather than erasing it).
@@ -26,20 +23,9 @@ val create : ?max_bytes:int -> string -> t
 val rotated_path : string -> string
 (** [FILE.1]. *)
 
-val path : t -> string
-
 val record : t -> Json.t -> unit
 (** Append one minified record line and flush; rotates (with fsync)
     when the live generation reaches [max_bytes]. *)
 
-val flush : t -> unit
-(** Flush and [fsync] the live generation — the shutdown path calls
-    this before exiting. *)
-
-val records : t -> int
-(** Records written through this handle (both generations). *)
-
-val rotations : t -> int
-
 val close : t -> unit
-(** {!flush} then close the handle. *)
+(** [fsync], then close the handle. *)

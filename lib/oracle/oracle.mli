@@ -38,21 +38,6 @@ val divergences :
     themselves to the shapes (and, for SPARQL, focus nodes) inside
     their fragments. *)
 
-val edits_divergence :
-  Shex.Schema.t ->
-  Rdf.Graph.t ->
-  Workload.Rand_gen.edit list ->
-  (Rdf.Term.t * Shex.Label.t) list ->
-  divergence option
-(** The incremental edits arm: replay the script through a
-    [Shex_incremental.Session] and, after every edit, compare each
-    association's outcome — verdict, typing ({!Shex.Validate.typing})
-    and explanation — against a from-scratch session over the same
-    graph.  This mechanically checks the frontier-invalidation
-    soundness argument of DESIGN.md §11.  The first stale outcome is
-    arm ["edits"], kind {!Verdict} for a stale verdict and {!Report}
-    for a stale typing or explanation. *)
-
 (** {1 Shrinking} *)
 
 val shrink_with :
@@ -101,7 +86,12 @@ type mode =
           singleton predicates (the SORBE applicability edge) and
           object complements; a shrunk case still using them has no
           ShExC form and gets no repro file *)
-  | Edits  (** {!edits_divergence} over a seeded 12-edit script *)
+  | Edits
+      (** the incremental arm: a seeded 12-edit script replayed
+          through a [Shex_incremental.Session], each association's
+          verdict, typing and explanation compared after every edit
+          with a from-scratch session over the same graph (arm
+          ["edits"]; DESIGN.md §11's frontier argument) *)
   | Containment
       (** [Analysis.check_compat v1 v2] against a seeded mutation v2
           (rules kept, widened or narrowed): a [Contained] claim must
@@ -168,11 +158,9 @@ val repro_to_string : seed:int -> mode:mode -> detail:string -> case -> string
     script.  Raises [Invalid_argument] when the schema is outside the
     ShExC-printable fragment (Extended-mode predicate sets). *)
 
-val replay_string : string -> (unit, string) result
-(** Parse a repro document and re-run {!divergences} on it — plus, when
-    the document carries a non-empty [%edits] section, the edits arm
-    over that script: [Ok ()] when every arm now agrees (the regression
-    stays fixed), [Error detail] otherwise.  Also [Error] on malformed
-    documents. *)
-
 val replay_file : string -> (unit, string) result
+(** Parse the repro document at the path and re-run {!divergences} on
+    it — plus, when the document carries a non-empty [%edits] section,
+    the edits arm over that script: [Ok ()] when every arm now agrees
+    (the regression stays fixed), [Error detail] otherwise.  Also
+    [Error] on malformed documents and unreadable files. *)

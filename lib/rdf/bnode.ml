@@ -10,7 +10,6 @@ let fresh () =
   incr counter;
   Printf.sprintf "gen%d" n
 
-let reset_fresh_counter () = counter := 0
 let equal = String.equal
 let compare = String.compare
 let hash = Hashtbl.hash

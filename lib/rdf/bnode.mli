@@ -16,9 +16,6 @@ val fresh : unit -> t
 (** A process-unique generated blank node ([_:genN]).  Used by the
     Turtle parser for anonymous nodes. *)
 
-val reset_fresh_counter : unit -> unit
-(** Restart the {!fresh} counter at 0.  Only for deterministic tests. *)
-
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int

@@ -115,8 +115,6 @@ let diff g1 g2 =
   if small_delta g2 g1 then Triple.Set.fold remove g2.triples g1
   else of_set (Triple.Set.diff g1.triples g2.triples)
 
-let inter g1 g2 = of_set (Triple.Set.inter g1.triples g2.triples)
-
 let subset g1 g2 = Triple.Set.subset g1.triples g2.triples
 let equal g1 g2 = Triple.Set.equal g1.triples g2.triples
 let fold f g acc = Triple.Set.fold f g.triples acc
@@ -125,8 +123,6 @@ let for_all f g = Triple.Set.for_all f g.triples
 let exists f g = Triple.Set.exists f g.triples
 
 let filter f g = of_set (Triple.Set.filter f g.triples)
-
-let choose_opt g = Triple.Set.min_elt_opt g.triples
 
 let index_find key index =
   match Term.Map.find_opt key index with

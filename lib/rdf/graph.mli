@@ -26,18 +26,12 @@ val of_list : Triple.t list -> t
 val to_list : t -> Triple.t list
 (** Triples in increasing {!Triple.compare} order. *)
 
-val of_set : Triple.Set.t -> t
-(** Bulk constructor: both secondary indexes are built in one ordered
-    pass over the set (plus one auxiliary sort for the object index)
-    instead of per-triple [add]s. *)
-
 val of_seq : Triple.t Seq.t -> t
 
 val union : t -> t -> t
 (** [⊕]: set union preserving blank node identity. *)
 
 val diff : t -> t -> t
-val inter : t -> t -> t
 val subset : t -> t -> bool
 val equal : t -> t -> bool
 
@@ -46,9 +40,6 @@ val iter : (Triple.t -> unit) -> t -> unit
 val for_all : (Triple.t -> bool) -> t -> bool
 val exists : (Triple.t -> bool) -> t -> bool
 val filter : (Triple.t -> bool) -> t -> t
-val choose_opt : t -> Triple.t option
-(** Smallest triple, if any — the deterministic "consume one triple"
-    choice used by the derivative matcher. *)
 
 val out_triples : Term.t -> t -> Triple.t list
 (** [out_triples n g] is Σgn: the triples of [g] whose subject is [n],

@@ -184,4 +184,3 @@ let equal = String.equal
 let compare = String.compare
 let hash = Hashtbl.hash
 let pp ppf t = Format.fprintf ppf "<%s>" t
-let pp_plain ppf t = Format.pp_print_string ppf t

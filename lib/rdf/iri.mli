@@ -21,9 +21,6 @@ val of_string_exn : string -> t
 val to_string : t -> string
 (** The textual form, exactly as supplied (after resolution, if any). *)
 
-val is_absolute : t -> bool
-(** An IRI is absolute when it starts with [scheme:] (RFC 3986 §4.3). *)
-
 val scheme : t -> string option
 (** [scheme iri] is [Some "http"] for [http://…], [None] for relative
     references. *)
@@ -47,6 +44,3 @@ val hash : t -> int
 
 val pp : Format.formatter -> t -> unit
 (** Prints in N-Triples angle-bracket form: [<http://…>]. *)
-
-val pp_plain : Format.formatter -> t -> unit
-(** Prints the bare IRI text without brackets. *)

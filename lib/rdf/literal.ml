@@ -35,11 +35,6 @@ let datatype t = t.datatype
 let lang t = t.lang
 let xsd_primitive t = Xsd.of_iri t.datatype
 
-let well_formed t =
-  match xsd_primitive t with
-  | Some dt -> Xsd.valid_lexical dt t.lexical
-  | None -> true
-
 let has_datatype t dt =
   Iri.equal t.datatype (Xsd.iri dt) && Xsd.valid_lexical dt t.lexical
 

@@ -14,8 +14,8 @@ val string : string -> t
 
 val typed : Xsd.primitive -> string -> t
 (** [typed dt lexical] builds a literal with a recognised XSD
-    datatype.  The lexical form is not checked here; use
-    {!well_formed} to check it. *)
+    datatype.  The lexical form is not checked here; {!has_datatype}
+    checks it. *)
 
 val integer : int -> t
 (** [integer 23] is ["23"^^xsd:integer]. *)
@@ -29,11 +29,6 @@ val lang : t -> string option
 
 val xsd_primitive : t -> Xsd.primitive option
 (** The recognised XSD datatype, when the datatype IRI is one. *)
-
-val well_formed : t -> bool
-(** Whether the lexical form belongs to the lexical space of the
-    literal's datatype.  Literals with unrecognised datatypes are
-    considered well formed (we cannot judge them). *)
 
 val has_datatype : t -> Xsd.primitive -> bool
 (** [has_datatype l dt] holds when [l]'s datatype is exactly [dt]'s

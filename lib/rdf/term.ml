@@ -15,8 +15,6 @@ let subject_ok = function
   | Iri _ | Bnode _ -> true
   | Literal _ -> false
 
-let predicate_ok = function Iri _ -> true | Bnode _ | Literal _ -> false
-let as_iri = function Iri i -> Some i | Bnode _ | Literal _ -> None
 
 let as_literal = function
   | Literal l -> Some l

@@ -2,8 +2,8 @@
 
     With [I] the IRIs, [B] the blank nodes and [L] the literals, the
     paper fixes [Vs = I ∪ B] (subjects), [Vp = I] (predicates) and
-    [Vo = I ∪ B ∪ L] (objects).  {!t} is [Vo]; {!subject_ok} and
-    {!predicate_ok} carve out the smaller vocabularies. *)
+    [Vo = I ∪ B ∪ L] (objects).  {!t} is [Vo], {!subject_ok} carves
+    out [Vs], and [Vp] is {!Iri.t}. *)
 
 type t =
   | Iri of Iri.t
@@ -28,10 +28,6 @@ val is_literal : t -> bool
 val subject_ok : t -> bool
 (** Member of [Vs = I ∪ B]. *)
 
-val predicate_ok : t -> bool
-(** Member of [Vp = I]. *)
-
-val as_iri : t -> Iri.t option
 val as_literal : t -> Literal.t option
 
 val equal : t -> t -> bool

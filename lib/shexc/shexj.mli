@@ -18,19 +18,16 @@
     tag, accepted on import: the complement extension
     (["type": "Not"]) and the unsatisfiable shape (["type": "Empty"]).
 
-    Round-trip guarantee: [import (export s)] succeeds and the result
-    is semantically equivalent to [s] — same verdict on every
-    neighbourhood.  Structural equality is {e not} guaranteed: the
-    or-factoring normalisation is not associative, so re-normalising
-    the imported expression can factor alternative groups differently
-    (the property suite decides the semantic equivalence exhaustively
-    over a finite triple universe). *)
+    Round-trip guarantee: [import_string (export_string s)] succeeds
+    and the result is semantically equivalent to [s] — same verdict on
+    every neighbourhood.  Structural equality is {e not} guaranteed:
+    the or-factoring normalisation is not associative, so
+    re-normalising the imported expression can factor alternative
+    groups differently (the property suite decides the semantic
+    equivalence exhaustively over a finite triple universe). *)
 
-val export : Shex.Schema.t -> Json.t
+val export_string : ?minify:bool -> Shex.Schema.t -> string
 (** Raises [Invalid_argument] on shapes with non-singleton predicate
     sets, which ShExJ cannot express. *)
 
-val export_string : ?minify:bool -> Shex.Schema.t -> string
-
-val import : Json.t -> (Shex.Schema.t, string) result
 val import_string : string -> (Shex.Schema.t, string) result

@@ -1,7 +1,7 @@
 (* Abstract syntax of the SPARQL fragment used by the §3 translation:
    basic graph patterns, FILTER expressions (with the builtins of
    Example 4: isLiteral, isIRI, isBlank, datatype, bound), OPTIONAL,
-   UNION, EXISTS/NOT EXISTS, and sub-SELECTs with GROUP BY / HAVING and
+   UNION, NOT EXISTS, and sub-SELECTs with GROUP BY / HAVING and
    COUNT aggregates. *)
 
 type var = string
@@ -10,7 +10,7 @@ type term_pat = Var of var | Const of Rdf.Term.t
 
 type triple_pat = { tp_s : term_pat; tp_p : term_pat; tp_o : term_pat }
 
-type cmp = Eq | Ne | Lt | Le | Gt | Ge
+type cmp = Eq | Ne | Le | Ge
 
 type expr =
   | E_var of var
@@ -21,13 +21,11 @@ type expr =
   | E_or of expr * expr
   | E_not of expr
   | E_cmp of cmp * expr * expr
-  | E_add of expr * expr
   | E_is_iri of expr
   | E_is_literal of expr
   | E_is_blank of expr
   | E_datatype of expr
   | E_bound of var
-  | E_exists of pattern
   | E_not_exists of pattern
   | E_regex of expr * string  (** [regex(e, "^prefix")] — anchored-prefix only *)
 

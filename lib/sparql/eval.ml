@@ -178,17 +178,8 @@ let rec eval_expr g mu = function
       match op with
       | Ast.Eq -> V_bool (value_equal v1 v2)
       | Ast.Ne -> V_bool (not (value_equal v1 v2))
-      | Ast.Lt -> V_bool (value_compare v1 v2 < 0)
       | Ast.Le -> V_bool (value_compare v1 v2 <= 0)
-      | Ast.Gt -> V_bool (value_compare v1 v2 > 0)
       | Ast.Ge -> V_bool (value_compare v1 v2 >= 0))
-  | Ast.E_add (e1, e2) -> (
-      let v1 = eval_expr g mu e1 and v2 = eval_expr g mu e2 in
-      match (v1, v2) with
-      | V_int a, V_int b -> V_int (a + b)
-      | _ ->
-          let f = as_numeric v1 +. as_numeric v2 in
-          if Float.is_integer f then V_int (int_of_float f) else raise Eval_error)
   | Ast.E_is_iri e -> (
       match eval_expr g mu e with
       | V_term t -> V_bool (Rdf.Term.is_iri t)
@@ -207,7 +198,6 @@ let rec eval_expr g mu = function
           V_term (Rdf.Term.Iri (Rdf.Literal.datatype l))
       | _ -> raise Eval_error)
   | Ast.E_bound v -> V_bool (Solution.find v mu <> None)
-  | Ast.E_exists p -> V_bool (eval_pattern g mu p <> [])
   | Ast.E_not_exists p -> V_bool (eval_pattern g mu p = [])
   | Ast.E_regex (e, prefix) -> (
       match eval_expr g mu e with

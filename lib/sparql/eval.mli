@@ -4,10 +4,10 @@
     Evaluation is nested-loop: later conjuncts are evaluated under the
     bindings of earlier ones; sub-SELECTs evaluate independently (per
     the SPARQL bottom-up semantics) and merge with the outer solution
-    by compatibility; [EXISTS] is correlated with the enclosing
-    bindings.  Expression errors (unbound variables in comparisons,
-    non-numeric arithmetic) make the enclosing [FILTER] reject the
-    solution, as in SPARQL's error semantics. *)
+    by compatibility; [NOT EXISTS] is correlated with the enclosing
+    bindings.  Expression errors (unbound variables, incomparable
+    values) make the enclosing [FILTER] reject the solution, as in
+    SPARQL's error semantics. *)
 
 module Solution : sig
   type t
@@ -17,10 +17,6 @@ module Solution : sig
   val bindings : t -> (Ast.var * Rdf.Term.t) list
   val pp : Format.formatter -> t -> unit
 end
-
-val eval_pattern :
-  Rdf.Graph.t -> Solution.t -> Ast.pattern -> Solution.t list
-(** All extensions of the seed solution satisfying the pattern. *)
 
 val select : Rdf.Graph.t -> Ast.select -> Solution.t list
 (** Evaluate a (sub-)SELECT from an empty seed. *)

@@ -90,12 +90,9 @@ let analyse shape =
         (Ok []) constrs
       |> Result.map List.rev
 
-(* Build the query around a focus term pattern (variable for SELECT,
-   constant for ASK). *)
-let build focus constrs =
-  let x_vars, group_by =
-    match focus with Ast.Var v -> ([ v ], [ v ]) | Ast.Const _ -> ([], [])
-  in
+(* Build the query's pattern around the focus variable [?X]. *)
+let build constrs =
+  let focus = Ast.v "X" and x_vars = [ "X" ] in
   let fresh =
     let counter = ref 0 in
     fun base ->
@@ -121,7 +118,7 @@ let build focus constrs =
         in
         let count_select having =
           Ast.Sub_select
-            (Ast.select ~group_by ~aggs:[ (Ast.Count_star, c) ]
+            (Ast.select ~group_by:x_vars ~aggs:[ (Ast.Count_star, c) ]
                ~having x_vars count_bgp)
         in
         let ge m = Ast.E_cmp (Ast.Ge, Ast.E_var c, Ast.E_int m) in
@@ -187,13 +184,8 @@ let build focus constrs =
 
 let of_shape shape =
   let* constrs = analyse shape in
-  let* where = build (Ast.Var "X") constrs in
+  let* where = build constrs in
   Ok (Ast.select ~distinct:true [ "X" ] where)
-
-let for_node shape node =
-  let* constrs = analyse shape in
-  let* where = build (Ast.Const node) constrs in
-  Ok (Ast.Ask where)
 
 let matching_nodes g shape =
   let* sel = of_shape shape in

@@ -24,9 +24,6 @@ val of_shape : Shex.Rse.t -> (Ast.select, string) result
     translatable fragment: not SORBE, shape references (recursion),
     inverse arcs, or non-singleton predicate sets. *)
 
-val for_node : Shex.Rse.t -> Rdf.Term.t -> (Ast.query, string) result
-(** [for_node e n] is the [ASK] query deciding whether [n] matches. *)
-
 val matching_nodes :
   Rdf.Graph.t -> Shex.Rse.t -> (Rdf.Term.t list, string) result
 (** Generate, evaluate, and project: the nodes of [g] matching the

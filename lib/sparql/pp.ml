@@ -1,6 +1,6 @@
 (* Concrete-syntax rendering of the SPARQL fragment, in the style of
-   the paper's Example 4.  Output is valid SPARQL 1.1 (EXISTS/NOT
-   EXISTS included). *)
+   the paper's Example 4.  Output is valid SPARQL 1.1 (NOT EXISTS
+   included). *)
 
 let term_text t = Rdf.Term.to_string t
 
@@ -11,10 +11,18 @@ let term_pat_text = function
 let cmp_text = function
   | Ast.Eq -> "="
   | Ast.Ne -> "!="
-  | Ast.Lt -> "<"
   | Ast.Le -> "<="
-  | Ast.Gt -> ">"
   | Ast.Ge -> ">="
+
+(* An XPath regex matching [s] literally. *)
+let regex_quote s =
+  let b = Buffer.create (String.length s) in
+  String.iter
+    (fun c ->
+      if String.contains "\\.?*+(){}[]|^$" c then Buffer.add_char b '\\';
+      Buffer.add_char b c)
+    s;
+  Buffer.contents b
 
 let rec expr_text = function
   | Ast.E_var v -> "?" ^ v
@@ -28,21 +36,16 @@ let rec expr_text = function
   | Ast.E_not e -> Printf.sprintf "(!%s)" (expr_text e)
   | Ast.E_cmp (op, e1, e2) ->
       Printf.sprintf "(%s %s %s)" (expr_text e1) (cmp_text op) (expr_text e2)
-  | Ast.E_add (e1, e2) ->
-      Printf.sprintf "(%s + %s)" (expr_text e1) (expr_text e2)
   | Ast.E_is_iri e -> Printf.sprintf "isIRI(%s)" (expr_text e)
   | Ast.E_is_literal e -> Printf.sprintf "isLiteral(%s)" (expr_text e)
   | Ast.E_is_blank e -> Printf.sprintf "isBlank(%s)" (expr_text e)
   | Ast.E_datatype e -> Printf.sprintf "datatype(%s)" (expr_text e)
   | Ast.E_bound v -> Printf.sprintf "bound(?%s)" v
-  | Ast.E_exists p -> Printf.sprintf "EXISTS %s" (block 1 p)
   | Ast.E_not_exists p -> Printf.sprintf "NOT EXISTS %s" (block 1 p)
   | Ast.E_regex (e, prefix) ->
-      (* The prefix's dots are regex-escaped, then the pattern is
-         written as a string literal. *)
-      let pattern = String.concat "\\." (String.split_on_char '.' prefix) in
+      (* The anchored, quoted prefix, written as a string literal. *)
       Printf.sprintf "regex(str(%s), \"%s\")" (expr_text e)
-        (Rdf.Literal.escape ("^" ^ pattern))
+        (Rdf.Literal.escape ("^" ^ regex_quote prefix))
 
 and indent depth = String.make (2 * depth) ' '
 
@@ -90,11 +93,13 @@ and select_lines depth sel =
           (String.concat " "
              (List.map (fun v -> "?" ^ v) sel.Ast.sel_group_by)) ]
   in
+  (* SPARQL 1.1 allows one HAVING clause, with one or more
+     conditions. *)
   let having =
-    List.map
-      (fun e ->
-        Printf.sprintf "%sHAVING %s" (indent (depth + 1)) (expr_text e))
-      sel.Ast.sel_having
+    if sel.Ast.sel_having = [] then []
+    else
+      [ Printf.sprintf "%sHAVING %s" (indent (depth + 1))
+          (String.concat " " (List.map expr_text sel.Ast.sel_having)) ]
   in
   [ Printf.sprintf "%s{ SELECT %s%s {" (indent depth)
       (if sel.Ast.sel_distinct then "DISTINCT " else "")

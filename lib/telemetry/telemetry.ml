@@ -127,7 +127,6 @@ type t = {
   histograms : (string, Histogram.t) Hashtbl.t;
   spans : (string, Span.t) Hashtbl.t;
   lcounters : (string, Counter.t cells) Hashtbl.t;
-  lhistograms : (string, Histogram.t cells) Hashtbl.t;
   lspans : (string, Span.t cells) Hashtbl.t;
   help : (string, string) Hashtbl.t;
   mutable sink : (event -> unit) option;
@@ -141,7 +140,6 @@ let make on =
     histograms = Hashtbl.create 8;
     spans = Hashtbl.create 8;
     lcounters = Hashtbl.create 8;
-    lhistograms = Hashtbl.create 4;
     lspans = Hashtbl.create 4;
     help = Hashtbl.create 16;
     sink = None;
@@ -227,10 +225,6 @@ let counter_family t ?help ~key name =
   family t.lcounters t ~key name (fun _label ->
       { Counter.name; kind = Counter.Monotonic; v = 0; active = t.on })
 
-let histogram_family t ?help ~key name =
-  set_help t name help;
-  family t.lhistograms t ~key name (fun _label -> fresh_histogram name t.on)
-
 let span_family t ?help ~key name =
   set_help t name help;
   family t.lspans t ~key name (fun _label -> fresh_span name t.on)
@@ -291,13 +285,6 @@ let merge ~into src =
       src.lcounters;
     Hashtbl.iter
       (fun name cells ->
-        let dst = histogram_family into ~key:cells.lc_key name in
-        Hashtbl.iter
-          (fun label h -> merge_histo ~into:(labelled dst label) h)
-          cells.lc_tbl)
-      src.lhistograms;
-    Hashtbl.iter
-      (fun name cells ->
         let dst = span_family into ~key:cells.lc_key name in
         Hashtbl.iter
           (fun label s -> merge_span ~into:(labelled dst label) s)
@@ -335,9 +322,6 @@ let reset t =
     Hashtbl.iter
       (fun _ cells -> Hashtbl.iter (fun _ c -> zero_counter c) cells.lc_tbl)
       t.lcounters;
-    Hashtbl.iter
-      (fun _ cells -> Hashtbl.iter (fun _ h -> zero_histo h) cells.lc_tbl)
-      t.lhistograms;
     Hashtbl.iter
       (fun _ cells -> Hashtbl.iter (fun _ s -> zero_span s) cells.lc_tbl)
       t.lspans
@@ -394,7 +378,6 @@ type snapshot = {
   s_histograms : (string * histo_data) list;
   s_spans : (string * (int * float)) list;  (* count, total seconds *)
   s_lcounters : (string * int labelled_data) list;
-  s_lhistograms : (string * histo_data labelled_data) list;
   s_lspans : (string * (int * float) labelled_data) list;
   s_help : (string * string) list;
 }
@@ -431,17 +414,11 @@ let snapshot t =
     s_lcounters =
       sorted_bindings t.lcounters
         (snapshot_family (fun (c : Counter.t) -> c.v));
-    s_lhistograms = sorted_bindings t.lhistograms (snapshot_family histo_data);
     s_lspans =
       sorted_bindings t.lspans
         (snapshot_family (fun (s : Span.t) -> (s.count, s.total)));
     s_help = sorted_bindings t.help Fun.id;
   }
-
-let is_empty s =
-  s.s_counters = [] && s.s_gauges = [] && s.s_histograms = []
-  && s.s_spans = [] && s.s_lcounters = [] && s.s_lhistograms = []
-  && s.s_lspans = []
 
 let counters s =
   List.sort
@@ -527,8 +504,6 @@ let diff ~since now =
       List.map
         (sub_family (fun v0 v -> sub v v0) since.s_lcounters)
         now.s_lcounters;
-    s_lhistograms =
-      List.map (sub_family sub_histo_data since.s_lhistograms) now.s_lhistograms;
     s_lspans = List.map (sub_family sub_span_data since.s_lspans) now.s_lspans;
     s_help = now.s_help;
   }
@@ -560,10 +535,6 @@ let to_json s =
      else
        [ ("counters",
           Json.Object (List.map (family Json.int) s.s_lcounters)) ])
-    @ (if s.s_lhistograms = [] then []
-       else
-         [ ("histograms",
-            Json.Object (List.map (family histo_json) s.s_lhistograms)) ])
     @
     if s.s_lspans = [] then []
     else [ ("spans", Json.Object (List.map (family span_json) s.s_lspans)) ]
@@ -623,7 +594,6 @@ let snapshot_of_json j =
     s_histograms = readings histo (members "histograms" j);
     s_spans = readings span (members "spans" j);
     s_lcounters = family Json.as_int (labelled "counters");
-    s_lhistograms = family histo (labelled "histograms");
     s_lspans = family span (labelled "spans");
     s_help = [];
   }
@@ -701,41 +671,21 @@ let pp_text ppf s =
             (escape_label label) v)
         d.l_cells)
     s.s_lcounters;
-  let histo_lines m labels h =
-    let cumulative = ref 0 in
-    List.iter
-      (fun (le, n) ->
-        cumulative := !cumulative + n;
-        Format.fprintf ppf "shex_%s_bucket{%sle=\"%d\"} %d@." m labels le
-          !cumulative)
-      h.h_buckets;
-    Format.fprintf ppf "shex_%s_bucket{%sle=\"+Inf\"} %d@." m labels h.h_count;
-    (match labels with
-    | "" ->
-        Format.fprintf ppf "shex_%s_sum %d@." m h.h_sum;
-        Format.fprintf ppf "shex_%s_count %d@." m h.h_count
-    | _ ->
-        let l = String.sub labels 0 (String.length labels - 1) in
-        Format.fprintf ppf "shex_%s_sum{%s} %d@." m l h.h_sum;
-        Format.fprintf ppf "shex_%s_count{%s} %d@." m l h.h_count)
-  in
   List.iter
     (fun (name, h) ->
       let m = sanitize_name name in
       header name m "histogram";
-      histo_lines m "" h)
-    s.s_histograms;
-  List.iter
-    (fun (name, d) ->
-      let m = sanitize_name name and key = sanitize_name d.l_key in
-      header name m "histogram";
+      let cumulative = ref 0 in
       List.iter
-        (fun (label, h) ->
-          histo_lines m
-            (Format.sprintf "%s=\"%s\"," key (escape_label label))
-            h)
-        d.l_cells)
-    s.s_lhistograms;
+        (fun (le, n) ->
+          cumulative := !cumulative + n;
+          Format.fprintf ppf "shex_%s_bucket{le=\"%d\"} %d@." m le
+            !cumulative)
+        h.h_buckets;
+      Format.fprintf ppf "shex_%s_bucket{le=\"+Inf\"} %d@." m h.h_count;
+      Format.fprintf ppf "shex_%s_sum %d@." m h.h_sum;
+      Format.fprintf ppf "shex_%s_count %d@." m h.h_count)
+    s.s_histograms;
   List.iter
     (fun (name, (count, total)) ->
       let m = sanitize_name name in

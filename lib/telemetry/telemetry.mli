@@ -129,7 +129,8 @@ val span : t -> ?help:string -> string -> Span.t
 (** {1 Labelled families}
 
     One logical metric fanned out over a string label — the
-    attribution dimension ([deriv_steps_by_shape{shape="Person"}]).
+    attribution dimension ([deriv_steps_by_shape{shape="Person"}]):
+    counters and spans.
     A family is get-or-create by name like any instrument; each label
     resolves (get-or-create) to an ordinary cell of the family's
     instrument type, so after resolution the hot path pays exactly the
@@ -144,7 +145,6 @@ type 'a family
 val counter_family : t -> ?help:string -> key:string -> string -> Counter.t family
 (** Labelled cells are always monotonic counters. *)
 
-val histogram_family : t -> ?help:string -> key:string -> string -> Histogram.t family
 val span_family : t -> ?help:string -> key:string -> string -> Span.t family
 
 val labelled : 'a family -> string -> 'a
@@ -235,16 +235,11 @@ val event_to_json : event -> Json.t
 
     A snapshot is an immutable, deterministically ordered (sorted by
     metric name) copy of the registry — the value behind
-    [--metrics], [--engine-stats] and the bench [telemetry] JSON
-    objects. *)
+    [--metrics] and the bench [telemetry] JSON objects. *)
 
 type snapshot
 
 val snapshot : t -> snapshot
-
-val is_empty : snapshot -> bool
-(** No instruments registered (in particular: any snapshot of
-    {!disabled}). *)
 
 val counters : snapshot -> (string * int) list
 (** Counters and gauges, sorted by name. *)
@@ -278,7 +273,7 @@ val to_json : snapshot -> Json.t
     as [{"count", "sum", "max", "buckets"}] with non-empty buckets
     keyed by their [le] bound; spans as [{"count", "seconds"}].  When
     at least one labelled family exists a trailing ["labelled"] member
-    nests them as [{"counters"|"histograms"|"spans":
+    nests them as [{"counters"|"spans":
     {family: {"key": label-key, "cells": {label: reading}}}}]. *)
 
 val snapshot_of_json : Json.t -> snapshot

@@ -587,29 +587,3 @@ let tokenize src =
     if t.token = Eof then List.rev (t :: acc) else go (t :: acc)
   in
   go []
-
-let pp_token ppf = function
-  | Iriref s -> Format.fprintf ppf "<%s>" s
-  | Pname (p, l) -> Format.fprintf ppf "%s:%s" p l
-  | Blank_label l -> Format.fprintf ppf "_:%s" l
-  | Anon -> Format.pp_print_string ppf "[]"
-  | String_lit s -> Format.fprintf ppf "%S" s
-  | Langtag t -> Format.fprintf ppf "@@%s" t
-  | Integer_lit s | Decimal_lit s | Double_lit s ->
-      Format.pp_print_string ppf s
-  | Kw_a -> Format.pp_print_string ppf "a"
-  | Kw_true -> Format.pp_print_string ppf "true"
-  | Kw_false -> Format.pp_print_string ppf "false"
-  | At_prefix -> Format.pp_print_string ppf "@@prefix"
-  | At_base -> Format.pp_print_string ppf "@@base"
-  | Kw_prefix -> Format.pp_print_string ppf "PREFIX"
-  | Kw_base -> Format.pp_print_string ppf "BASE"
-  | Dot -> Format.pp_print_string ppf "."
-  | Semicolon -> Format.pp_print_string ppf ";"
-  | Comma -> Format.pp_print_string ppf ","
-  | Lbracket -> Format.pp_print_string ppf "["
-  | Rbracket -> Format.pp_print_string ppf "]"
-  | Lparen -> Format.pp_print_string ppf "("
-  | Rparen -> Format.pp_print_string ppf ")"
-  | Caret_caret -> Format.pp_print_string ppf "^^"
-  | Eof -> Format.pp_print_string ppf "<eof>"

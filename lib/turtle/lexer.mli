@@ -58,8 +58,6 @@ val tokenize : string -> located list
     Comments ([# …\n]) and whitespace are skipped.  The result always
     ends with an [Eof] token.  Like a stream, never produces {!Anon}. *)
 
-val pp_token : Format.formatter -> token -> unit
-
 (** {1 Shared scanners}
 
     ShExC, SPARQL and shape maps take their term terminals from the

@@ -1,57 +1,5 @@
 let parse src = Parse.parse_graph src
 
-let strict_parse src =
-  (* Check token stream shape: only IRIREFs, blank labels, full
-     literals and dots are allowed, in subject-predicate-object order. *)
-  match Lexer.tokenize src with
-  | exception Lexer.Error (msg, line, col) ->
-      Error (Printf.sprintf "lexical error at %d:%d: %s" line col msg)
-  | tokens ->
-      let ok_term = function
-        | Lexer.Iriref _ | Lexer.Blank_label _ -> true
-        | _ -> false
-      in
-      let rec check = function
-        | [ { Lexer.token = Lexer.Eof; _ } ] -> parse src
-        | { Lexer.token = s; _ } :: rest when ok_term s -> (
-            match rest with
-            | { Lexer.token = Lexer.Iriref _; _ } :: rest2 -> (
-                match rest2 with
-                | { Lexer.token = o; _ } :: rest3 when ok_term o ->
-                    expect_dot rest3
-                | { Lexer.token = Lexer.String_lit _; _ } :: rest3 ->
-                    literal_tail rest3
-                | { Lexer.token = _; line; col } :: _ ->
-                    Error
-                      (Printf.sprintf
-                         "not N-Triples at %d:%d: invalid object" line col)
-                | [] -> Error "unexpected end of input")
-            | { Lexer.token = _; line; col } :: _ ->
-                Error
-                  (Printf.sprintf
-                     "not N-Triples at %d:%d: predicate must be an IRI" line
-                     col)
-            | [] -> Error "unexpected end of input")
-        | { Lexer.token = _; line; col } :: _ ->
-            Error
-              (Printf.sprintf "not N-Triples at %d:%d: invalid subject" line
-                 col)
-        | [] -> Error "unexpected end of input"
-      and literal_tail = function
-        | { Lexer.token = Lexer.Langtag _; _ } :: rest -> expect_dot rest
-        | { Lexer.token = Lexer.Caret_caret; _ }
-          :: { Lexer.token = Lexer.Iriref _; _ }
-          :: rest ->
-            expect_dot rest
-        | rest -> expect_dot rest
-      and expect_dot = function
-        | { Lexer.token = Lexer.Dot; _ } :: rest -> check rest
-        | { Lexer.token = _; line; col } :: _ ->
-            Error (Printf.sprintf "not N-Triples at %d:%d: expected ." line col)
-        | [] -> Error "unexpected end of input"
-      in
-      check tokens
-
 (* ------------------------------------------------------------------ *)
 (* Streaming bulk loading                                              *)
 (* ------------------------------------------------------------------ *)

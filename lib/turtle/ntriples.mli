@@ -1,28 +1,22 @@
 (** N-Triples: the line-based flat subset of Turtle.
 
-    Parsing delegates to the Turtle parser (every N-Triples document is
-    a Turtle document); {!strict_parse} additionally enforces the
-    N-Triples restrictions — no directives, no prefixed names, no
-    shorthand literals, no [a], no [;]/[,], no collections. *)
+    {!parse} delegates to the Turtle parser (every N-Triples document
+    is a Turtle document); {!fold_file} reads the N-Triples grammar
+    alone — no directives, no prefixed names, no shorthand literals,
+    no [a], no [;]/[,], no collections. *)
 
 val parse : string -> (Rdf.Graph.t, string) result
 (** Lenient parse (full Turtle accepted). *)
 
-val strict_parse : string -> (Rdf.Graph.t, string) result
-(** Parse enforcing the N-Triples grammar; returns [Error] with the
-    offending line when the document uses Turtle-only syntax. *)
-
-val fold_stream :
-  ('a -> Rdf.Triple.t -> 'a) -> 'a -> Lexer.stream -> ('a, string) result
-(** Streaming N-Triples reader: fold over the triples of a token
-    stream without building a graph (or the source string).  Enforces
-    the N-Triples shape (subject predicate object dot); literal tails
-    ([@lang], [^^<dt>]) are decoded exactly as the Turtle parser
-    decodes them, so downstream term comparisons agree. *)
-
 val fold_file : string -> ('a -> Rdf.Triple.t -> 'a) -> 'a -> ('a, string) result
-(** {!fold_stream} over a file, opened with a sliding-window lexer:
-    peak memory is the fold's own state plus one 64 KiB window. *)
+(** Streaming N-Triples reader: fold over the triples of a file
+    without building a graph (or the source string), through a
+    sliding-window lexer, so peak memory is the fold's own state plus
+    one 64 KiB window.  Enforces the N-Triples shape (subject
+    predicate object dot) and returns [Error] with the offending
+    position otherwise; literal tails ([@lang], [^^<dt>]) are decoded
+    exactly as the Turtle parser decodes them, so downstream term
+    comparisons agree. *)
 
 val load_file : string -> (Rdf.Columnar.t, string) result
 (** Bulk-load a file straight into a columnar store: every term is

@@ -31,7 +31,3 @@ val parse_file : ?base:Rdf.Iri.t -> string -> (document, string) result
     window over the channel and the parser keeps one token of
     lookahead, so peak memory is bounded by the parsed graph — the
     source text is never materialised. *)
-
-val parse_stream : ?base:Rdf.Iri.t -> Lexer.stream -> (document, string) result
-(** Parse from an already-opened token stream ({!Lexer.stream_of_channel},
-    {!Lexer.stream_of_string}). *)

@@ -10,8 +10,5 @@ val to_string : ?namespaces:Rdf.Namespace.t -> Rdf.Graph.t -> string
     {!Rdf.Namespace.default}; only prefixes actually used by the graph
     are declared. *)
 
-val to_channel :
-  ?namespaces:Rdf.Namespace.t -> out_channel -> Rdf.Graph.t -> unit
-
 val to_file :
   ?namespaces:Rdf.Namespace.t -> string -> Rdf.Graph.t -> unit

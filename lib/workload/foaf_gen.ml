@@ -11,9 +11,6 @@ type profile = {
   seed : int;
 }
 
-let default_profile =
-  { n_persons = 100; invalid_fraction = 0.1; knows_degree = 2; seed = 42 }
-
 type generated = {
   graph : Rdf.Graph.t;
   valid : Rdf.Term.t list;

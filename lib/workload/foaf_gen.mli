@@ -23,9 +23,6 @@ type profile = {
   seed : int;
 }
 
-val default_profile : profile
-(** 100 persons, 10% invalid, degree 2, seed 42. *)
-
 type generated = {
   graph : Rdf.Graph.t;
   valid : Rdf.Term.t list;    (** persons generated without violation *)

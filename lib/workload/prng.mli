@@ -9,8 +9,6 @@ type t
 val create : int -> t
 (** [create seed] — equal seeds give equal streams. *)
 
-val next_int64 : t -> int64
-
 val int : t -> int -> int
 (** [int t bound] ∈ [0, bound).  [bound] must be positive. *)
 

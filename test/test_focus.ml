@@ -99,7 +99,7 @@ let test_printer_roundtrip () =
 
 let test_shexj_roundtrip () =
   let s = parse (prelude ^ "<Person> IRI { foaf:name xsd:string }") in
-  match Shexc.Shexj.import (Shexc.Shexj.export s) with
+  match Shexc.Shexj.import_string (Shexc.Shexj.export_string s) with
   | Error msg -> Alcotest.fail msg
   | Ok s' -> (
       match Schema.find_shape s' (Label.of_string "Person") with

@@ -196,19 +196,6 @@ let test_new_node () =
   Alcotest.(check bool) "dave conforms" true
     (Shex_incremental.Session.check_bool s (node "dave") person)
 
-let test_set_schema_resets () =
-  let tele = Telemetry.create () in
-  let s =
-    Shex_incremental.Session.create ~telemetry:tele person_schema base_graph
-  in
-  ignore (Shex_incremental.Session.check_bool s (node "john") person);
-  let open_person = Schema.make_exn [ (person, Rse.open_up Rse.epsilon) ] in
-  Shex_incremental.Session.set_schema s open_person;
-  Alcotest.(check int) "full reset counted" 1
-    (get (Telemetry.snapshot tele) "incremental_full_resets");
-  Alcotest.(check bool) "everything matches the open shape" true
-    (Shex_incremental.Session.check_bool s (node "mary") person)
-
 (* Naming p700 repairs the whole ring of {!Util.chorded_ring}: the
    frontier is every ring verdict, in the order the backwards walk
    reaches them, and the constants pin that order. *)
@@ -293,8 +280,6 @@ let suites =
         Alcotest.test_case "no-op deltas touch nothing" `Quick
           test_noop_delta;
         Alcotest.test_case "new nodes solve fresh" `Quick test_new_node;
-        Alcotest.test_case "schema change falls back to full reset" `Quick
-          test_set_schema_resets;
         Alcotest.test_case "frontier order is pinned" `Quick
           test_frontier_order;
         QCheck_alcotest.to_alcotest prop_incremental_equals_scratch ] ) ]

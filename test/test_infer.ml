@@ -109,7 +109,7 @@ let test_infer_schema_with_refs () =
       let person = Label.of_string "Person" in
       (* knows points to bob, who is an example Person → reference,
          hence a recursive schema. *)
-      check_bool "recursive" true (Schema.is_recursive schema person);
+      check_bool "recursive" true (is_recursive schema person);
       let session = Validate.session schema graph in
       List.iter
         (fun n ->

@@ -140,9 +140,8 @@ let test_journal_rotation () =
       (Json.Object [ ("kind", Json.String "tick"); ("seq", Json.int i) ])
   done;
   Obs.Journal.close j;
-  Alcotest.(check bool) "rotated at least once" true (Obs.Journal.rotations j > 0);
   Alcotest.(check bool)
-    "retired generation exists" true
+    "rotated at least once: the retired generation exists" true
     (Sys.file_exists (Obs.Journal.rotated_path path));
   let live = read_lines path
   and retired = read_lines (Obs.Journal.rotated_path path) in
@@ -228,7 +227,7 @@ let test_partial_tick_decodes () =
     (Json.to_string ~minify:true (Telemetry.to_json snap));
   Alcotest.(check bool)
     "no telemetry at all decodes as the empty snapshot" true
-    (Telemetry.is_empty (Telemetry.snapshot_of_json Json.Null))
+    (Util.empty_snapshot (Telemetry.snapshot_of_json Json.Null))
 
 (* Replay across a rotation: cumulative ticks written through the
    rotating writer diff into one continuous window series — the file
@@ -257,7 +256,9 @@ let test_replay_spans_rotation () =
        [ ("kind", Json.String "shutdown"); ("ts", Json.Number 1090.);
          ("reason", Json.String "sigterm") ]);
   Obs.Journal.close j;
-  Alcotest.(check bool) "rotation happened" true (Obs.Journal.rotations j > 0);
+  Alcotest.(check bool)
+    "rotation happened" true
+    (Sys.file_exists (Obs.Journal.rotated_path path));
   match Obs.Replay.analyze path with
   | Error msg -> Alcotest.fail msg
   | Ok r ->

@@ -72,6 +72,10 @@ let oracle_case ?(script = []) (case : Workload.Rand_gen.case) =
     associations = case.associations;
     script }
 
+(* Replay a repro document from a file, as [--oracle replay=FILE]
+   does. *)
+let replay_string doc = Util.with_temp_file doc Oracle.replay_file
+
 let has_edits_section doc = List.mem "%edits" (String.split_on_char '\n' doc)
 
 let test_repro_roundtrip () =
@@ -85,14 +89,14 @@ let test_repro_roundtrip () =
           ~detail:"(synthetic)" (oracle_case case)
       in
       check_bool "no %edits without a script" false (has_edits_section doc);
-      match Oracle.replay_string doc with
+      match replay_string doc with
       | Ok () -> ()
       | Error e -> Alcotest.failf "seed %d replay: %s\n%s" seed e doc)
     [ 0; 7; 42; 231 ]
 
 let test_replay_malformed () =
   let expect_error name doc =
-    match Oracle.replay_string doc with
+    match replay_string doc with
     | Error _ -> ()
     | Ok () -> Alcotest.failf "%s: expected an error" name
   in
@@ -125,7 +129,7 @@ let test_edits_repro_roundtrip () =
           (oracle_case ~script case)
       in
       check_bool "%edits section" true (script <> [] && has_edits_section doc);
-      match Oracle.replay_string doc with
+      match replay_string doc with
       | Ok () -> ()
       | Error e -> Alcotest.failf "seed %d edits replay: %s\n%s" seed e doc)
     [ 0; 7; 42 ]

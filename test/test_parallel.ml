@@ -123,11 +123,11 @@ let test_telemetry_merge_disabled () =
   Telemetry.Counter.incr (Telemetry.counter src "steps");
   Telemetry.merge ~into:Telemetry.disabled src;
   check_bool "merge into disabled is a no-op" true
-    (Telemetry.is_empty (Telemetry.snapshot Telemetry.disabled));
+    (empty_snapshot (Telemetry.snapshot Telemetry.disabled));
   let into = Telemetry.create () in
   Telemetry.merge ~into Telemetry.disabled;
   check_bool "merge of disabled is a no-op" true
-    (Telemetry.is_empty (Telemetry.snapshot into))
+    (empty_snapshot (Telemetry.snapshot into))
 
 let test_histogram_clamp () =
   let tele = Telemetry.create () in

@@ -101,11 +101,9 @@ let test_nullable () =
 
 (* Structure observations *)
 
-let test_size_height () =
+let test_size () =
   check_int "size atom" 1 (Rse.size a1);
-  check_int "size ex5" 4 (Rse.size example5);
-  check_int "height ex5" 3 (Rse.height example5);
-  check_bool "height <= size" true (Rse.height example10 <= Rse.size example10)
+  check_int "size ex5" 4 (Rse.size example5)
 
 let test_refs () =
   let person = Label.of_string "Person" in
@@ -166,7 +164,7 @@ let suites =
         Alcotest.test_case "repeat ranges" `Quick test_repeat ] );
     ( "rse.observe",
       [ Alcotest.test_case "nullable" `Quick test_nullable;
-        Alcotest.test_case "size and height" `Quick test_size_height;
+        Alcotest.test_case "size" `Quick test_size;
         Alcotest.test_case "refs" `Quick test_refs;
         Alcotest.test_case "inverse/not flags" `Quick test_inverse_not_flags;
         Alcotest.test_case "arcs" `Quick test_arcs;

@@ -36,7 +36,7 @@ let test_example1 () =
   let e = Schema.find_exn s person in
   (* arc leaves: age, name (+ is one counted node), knows *)
   check_int "three arc leaves" 3 (List.length (Rse.arcs e));
-  check_bool "recursive" true (Schema.is_recursive s person)
+  check_bool "recursive" true (is_recursive s person)
 
 let test_example1_validates_example2 () =
   (* End to end: ShExC schema + Turtle data = Example 2's verdicts. *)

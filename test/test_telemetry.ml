@@ -43,7 +43,7 @@ let test_disabled () =
   Alcotest.(check bool) "not tracing" false (Telemetry.tracing Telemetry.disabled);
   Alcotest.(check bool)
     "empty snapshot" true
-    (Telemetry.is_empty (Telemetry.snapshot Telemetry.disabled))
+    (Util.empty_snapshot (Telemetry.snapshot Telemetry.disabled))
 
 let test_histogram () =
   let tele = Telemetry.create () in
@@ -136,7 +136,7 @@ let test_merge_reset_roundtrip () =
   Alcotest.(check int) "reset gauge" 0 (get zeroed "states");
   Alcotest.(check bool)
     "registrations survive reset" false
-    (Telemetry.is_empty zeroed);
+    (Util.empty_snapshot zeroed);
   Telemetry.Counter.incr c;
   Alcotest.(check int)
     "pre-reset instrument still records" 1
@@ -248,7 +248,7 @@ let test_labelled_basics () =
   Alcotest.(check int) "inert cell" 0 (Telemetry.Counter.value cell);
   Alcotest.(check bool)
     "disabled snapshot stays empty" true
-    (Telemetry.is_empty (Telemetry.snapshot Telemetry.disabled))
+    (Util.empty_snapshot (Telemetry.snapshot Telemetry.disabled))
 
 (* Merging shards adds label-by-label; reset zeroes cells while
    keeping registrations and resolved-cell identity, exactly like the
@@ -595,7 +595,6 @@ type write =
   | Observe of string * int
   | Time of string * int  (* milliseconds *)
   | Count_by of string * int
-  | Observe_by of string * int
   | Time_by of string * int
 
 let gen_write =
@@ -609,7 +608,6 @@ let gen_write =
       map2 (fun n v -> Observe (n, v)) name amount;
       map2 (fun n v -> Time (n, v)) name amount;
       map2 (fun l v -> Count_by (l, v)) label amount;
-      map2 (fun l v -> Observe_by (l, v)) label amount;
       map2 (fun l v -> Time_by (l, v)) label amount ]
 
 let registry_of writes =
@@ -627,11 +625,6 @@ let registry_of writes =
           Telemetry.Counter.add
             (Telemetry.labelled
                (Telemetry.counter_family t ~key:"shape" "c_by_shape") l)
-            v
-      | Observe_by (l, v) ->
-          Telemetry.Histogram.observe
-            (Telemetry.labelled
-               (Telemetry.histogram_family t ~key:"shape" "h_by_shape") l)
             v
       | Time_by (l, v) ->
           Telemetry.Span.record

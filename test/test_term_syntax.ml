@@ -1,8 +1,7 @@
-(* One term syntax: Turtle data, ShExC value sets, SPARQL triple
-   patterns and shape maps read RDF terms through the same scanners,
-   so the same text must denote the same term on every path where the
-   form is legal, and a malformed term must be the same positioned
-   error. *)
+(* One term syntax: Turtle data, ShExC value sets and shape maps read
+   RDF terms through the same scanners, so the same text must denote
+   the same term on every path where the form is legal, and a
+   malformed term must be the same positioned error. *)
 
 open Util
 
@@ -32,15 +31,6 @@ let via_shexc form =
           Ok t
       | _ -> Error "not one value")
 
-let via_sparql form =
-  Result.bind
-    (Sparql.Parse.parse (prologue ^ "ASK { ?s ex:p " ^ form ^ " }"))
-    (function
-      | Sparql.Ast.Ask
-          (Sparql.Ast.Bgp [ { tp_o = Sparql.Ast.Const t; _ } ]) ->
-          Ok t
-      | _ -> Error "not one constant object")
-
 let via_shape_map form =
   Result.bind
     (Shex.Shape_map.parse ~namespaces (form ^ "@<S>"))
@@ -49,8 +39,7 @@ let via_shape_map form =
       | _ -> Error "not one node")
 
 let front_ends =
-  [ ("shexc", via_shexc); ("sparql", via_sparql);
-    ("shape map", via_shape_map) ]
+  [ ("shexc", via_shexc); ("shape map", via_shape_map) ]
 
 let str s = Rdf.Term.Literal (Rdf.Literal.string s)
 let typed dt s = Rdf.Term.Literal (Rdf.Literal.typed dt s)
@@ -97,9 +86,6 @@ let test_positioned_errors () =
     [ ( (fun src -> Result.map ignore (Shexc.Shexc_parser.parse_schema src)),
         (prologue ^ "<S> { ex:p [ ", " ] }"),
         "lexical error at 3:" );
-      ( (fun src -> Result.map ignore (Sparql.Parse.parse src)),
-        (prologue ^ "ASK { ?s ex:p ", " }"),
-        "lexical error at 3:" );
       ( (fun src -> Result.map ignore (Shex.Shape_map.parse src)),
         ("", "@<S>"),
         "shape map: lexical error at 1:" ) ]
@@ -130,9 +116,9 @@ let test_error_positions () =
   in
   check_err "shexc \\q" "lexical error at 1:14: invalid escape \\q"
     (Shexc.Shexc_parser.parse_schema {|<S> { <p> ["\q"] }|});
-  check_err "sparql \\uD800"
-    "lexical error at 1:16: U+D800 is not a Unicode scalar value"
-    (Sparql.Parse.parse {|ASK { ?s <p> "a\uD800" }|});
+  check_err "shexc \\uD800"
+    "lexical error at 1:14: U+D800 is not a Unicode scalar value"
+    (Shexc.Shexc_parser.parse_schema {|<S> { <p> ["a\uD800"] }|});
   check_err "shape map \\u12"
     "shape map: lexical error at 1:6: invalid hex digit '\"'"
     (Shex.Shape_map.parse {|"\u12"@<S>|})

@@ -56,11 +56,11 @@ let test_schema_undefined_ref () =
 
 let test_schema_recursion_detection () =
   check_bool "Person is recursive" true
-    (Schema.is_recursive person_schema person);
+    (is_recursive person_schema person);
   let flat =
     Schema.make_exn [ (label "T", arc_num "a" [ 1 ]) ]
   in
-  check_bool "flat is not" false (Schema.is_recursive flat (label "T"))
+  check_bool "flat is not" false (is_recursive flat (label "T"))
 
 let test_schema_dependencies () =
   let a = label "A" and b = label "B" and c = label "C" in
@@ -614,7 +614,8 @@ let shexc text =
    (the far node is the subject), along a self-loop (the focus itself,
    in both directions) and onto a literal (a store term that is never a
    subject).  Under every engine, a frozen and a structural session
-   answer every node × label alike: verdict, explanation and typing. *)
+   answer every node × label alike: verdict, explanation, derivative
+   trace and typing. *)
 let test_far_id_references () =
   let schema =
     shexc
@@ -646,6 +647,18 @@ let test_far_id_references () =
           labels)
       (Rdf.Graph.nodes g)
   in
+  let traces st =
+    List.concat_map
+      (fun n ->
+        List.map
+          (fun l ->
+            Format.asprintf "%s@%s %a" (Rdf.Term.to_string n)
+              (Label.to_string l)
+              (Format.pp_print_option Deriv.pp_trace)
+              (Validate.trace st n l))
+          labels)
+      (Rdf.Graph.nodes g)
+  in
   let expected =
     List.fold_left
       (fun t (n, l) -> Typing.add n (label l) t)
@@ -663,6 +676,9 @@ let test_far_id_references () =
       Alcotest.(check (list string))
         (name ^ ": verdicts and explanations")
         (answers (structural ())) (answers (frozen ()));
+      Alcotest.(check (list string))
+        (name ^ ": traces")
+        (traces (structural ())) (traces (frozen ()));
       Alcotest.check typing (name ^ ": structural typing") expected
         (Validate.validate_graph (structural ()));
       Alcotest.check typing (name ^ ": frozen typing") expected

@@ -36,8 +36,13 @@ let test_prng_shuffle_permutes () =
     (List.sort compare ys = xs);
   check_bool "usually different order" true (ys <> xs)
 
+(* 100 persons, 10% invalid, degree 2, seed 42. *)
+let profile =
+  { Workload.Foaf_gen.n_persons = 100; invalid_fraction = 0.1;
+    knows_degree = 2; seed = 42 }
+
 let test_foaf_determinism () =
-  let p = Workload.Foaf_gen.default_profile in
+  let p = profile in
   let g1 = Workload.Foaf_gen.generate p in
   let g2 = Workload.Foaf_gen.generate p in
   Alcotest.check graph "same graph" g1.Workload.Foaf_gen.graph
@@ -45,7 +50,7 @@ let test_foaf_determinism () =
 
 let test_foaf_ground_truth () =
   let profile =
-    { Workload.Foaf_gen.default_profile with n_persons = 60; seed = 11 }
+    { profile with n_persons = 60; seed = 11 }
   in
   let { Workload.Foaf_gen.graph = g; valid; invalid } =
     Workload.Foaf_gen.generate profile
@@ -70,7 +75,7 @@ let test_foaf_ground_truth () =
 
 let test_foaf_fraction () =
   let profile =
-    { Workload.Foaf_gen.default_profile with
+    { profile with
       n_persons = 1000; invalid_fraction = 0.2; seed = 3 }
   in
   let { Workload.Foaf_gen.invalid; _ } = Workload.Foaf_gen.generate profile in

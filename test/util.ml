@@ -113,8 +113,10 @@ let neigh n g e =
 let deriv_matches ?check_ref ?instr n g e =
   Shex.Deriv.matches_dts ?check_ref ?instr n (neigh n g e) e
 
-let deriv_trace ?check_ref n g e =
-  Shex.Deriv.matches_trace_dts ?check_ref n (neigh n g e) e
+let deriv_trace ?(check_ref = Shex.Deriv.no_refs) n g e =
+  Shex.Deriv.matches_trace_dts
+    ~check:(Shex.Neigh.by_term check_ref)
+    n (neigh n g e) e
 
 let backtrack_matches ?check_ref ?instr n g e =
   Shex.Backtrack.matches_dts ?check_ref ?instr n (neigh n g e) e
@@ -178,6 +180,35 @@ let columnar_agrees c g =
   && List.for_all
        (fun id -> out_id id = [] && in_id id = [])
        [ -1; terms ]
+
+(* [f path] on a temporary file holding [text], removed afterwards. *)
+let with_temp_file text f =
+  let path = Filename.temp_file "shex_test" ".tmp" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      f path)
+
+(* [text] read as N-Triples the way the bulk loader reads a file,
+   through [Ntriples.fold_file]. *)
+let read_ntriples text =
+  with_temp_file text (fun path ->
+      Turtle.Ntriples.fold_file path
+        (fun g tr -> Rdf.Graph.add tr g)
+        Rdf.Graph.empty)
+
+(* Whether a snapshot holds no instrument: it renders as four empty
+   objects. *)
+let empty_snapshot s =
+  Json.to_string ~minify:true (Telemetry.to_json s)
+  = {|{"counters":{},"gauges":{},"histograms":{},"spans":{}}|}
+
+(* Whether [l] reaches itself through the shape references of [s]. *)
+let is_recursive s l =
+  Shex.Label.Set.exists
+    (fun direct -> Shex.Label.Set.mem l (Shex.Schema.dependencies s direct))
+    (Shex.Rse.refs (Shex.Schema.find_exn s l))
 
 let rse = Alcotest.testable Shex.Rse.pp Shex.Rse.equal
 let term = Alcotest.testable Rdf.Term.pp Rdf.Term.equal
